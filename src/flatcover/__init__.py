@@ -60,7 +60,6 @@ from .norms import (
     NormReport,
     SweepReport,
     bump_example,
-    decoupling_ratio,
     decoupling_report,
     expsum_lp,
     line_example,

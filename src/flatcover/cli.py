@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -115,15 +114,6 @@ def _phase_arg(text: Optional[str], default: str = "xy") -> BivariatePoly:
     if t in _NAMED_PHASES:
         return _NAMED_PHASES[t]()
     return load_phase(t)
-
-
-def _jobs_arg(value: Optional[int]) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("DECOUPLE_JOBS")
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 def _emit_json(obj: dict, path: Optional[str]) -> None:
@@ -248,22 +238,20 @@ def _example_sum(args, delta: float):
     raise ValueError(f"unknown example {name!r}")
 
 
-def _decouple_point(args, delta: float, jobs: int):
+def _decouple_point(args, delta: float):
     f, box = _example_sum(args, delta)
     if args.box_side is not None:
         box = _parse_dyadic(args.box_side)
-    phi_cov = _phase_arg(args.phase) if args.cover_kind in ("hp", "general") else f.phase
-    cov = _build_cover(args.cover_kind, phi_cov, delta, args.a_const)
+    cov = _build_cover(args.cover_kind, f.phase, delta, args.a_const)
     tol = args.assign_tol
     if tol is None:
         tol = 0.0 if args.cover_kind in ("caps", "axis") else None
-    return decoupling_report(f, cov, args.p, box_side=box, jobs=jobs, tol=tol)
+    return decoupling_report(f, cov, args.p, box_side=box, tol=tol)
 
 
 def cmd_decouple_ratio(args) -> int:
     delta = _parse_dyadic(args.delta)
-    jobs = _jobs_arg(args.jobs)
-    rep = _decouple_point(args, delta, jobs)
+    rep = _decouple_point(args, delta)
     _emit_json(
         {
             "schema": SCHEMA,
@@ -288,11 +276,10 @@ def cmd_decouple_sweep(args) -> int:
     deltas = _parse_delta_list(args.deltas)
     if len(deltas) < 4:
         raise ValueError("a sweep needs at least 4 delta values for the fit")
-    jobs = _jobs_arg(args.jobs)
     rows = []
     points = []
     for d in sorted(deltas, reverse=True):
-        rep = _decouple_point(args, d, jobs)
+        rep = _decouple_point(args, d)
         points.append((d, rep.ratio))
         rows.append([_fmt(d), _fmt(rep.ratio), _fmt(rep.lhs), _fmt(rep.rhs),
                      str(rep.members_used), str(int(rep.exact))])
@@ -524,7 +511,7 @@ RECIPES: Dict[str, dict] = {
 Check = Tuple[str, bool, str]
 
 
-def _run_flat_closed_form(cfg: dict, jobs: int) -> List[Check]:
+def _run_flat_closed_form(cfg: dict) -> List[Check]:
     rng = np.random.default_rng(cfg["seed"])
     phi = hyperbolic_phase()
     worst_abs = 0.0
@@ -548,7 +535,7 @@ def _run_flat_closed_form(cfg: dict, jobs: int) -> List[Check]:
     ]
 
 
-def _run_caps_flat(cfg: dict, jobs: int) -> List[Check]:
+def _run_caps_flat(cfg: dict) -> List[Check]:
     deltas = [2.0 ** -e for e in cfg["exponents"]]
     bad_model = []
     for d in deltas:
@@ -573,7 +560,7 @@ def _run_caps_flat(cfg: dict, jobs: int) -> List[Check]:
     ]
 
 
-def _run_overlap_log(cfg: dict, jobs: int) -> List[Check]:
+def _run_overlap_log(cfg: dict) -> List[Check]:
     phi = hyperbolic_phase()
     worst = ""
     ok_hp = True
@@ -610,16 +597,16 @@ def _sweep(make_point, exponents) -> Tuple[List[Tuple[float, float]], float]:
     return points, slope_fit(points).slope
 
 
-def _run_line_slope(cfg: dict, jobs: int) -> List[Check]:
+def _run_line_slope(cfg: dict) -> List[Check]:
     p = cfg["p"]
 
     def caps_point(d):
         return decoupling_report(line_example(d), canonical_caps(d), p,
-                                 box_side=d ** -1.5, jobs=jobs, tol=0.0).ratio
+                                 box_side=d ** -1.5, tol=0.0).ratio
 
     def axis_point(d):
         return decoupling_report(line_example(d), hp_axis_family(d), p,
-                                 box_side=d ** -1.5, jobs=jobs, tol=0.0).ratio
+                                 box_side=d ** -1.5, tol=0.0).ratio
 
     pts_c, slope_c = _sweep(caps_point, cfg["exponents"])
     pts_a, slope_a = _sweep(axis_point, cfg["exponents"])
@@ -633,14 +620,13 @@ def _run_line_slope(cfg: dict, jobs: int) -> List[Check]:
     ]
 
 
-def _run_bump_slope(cfg: dict, jobs: int) -> List[Check]:
+def _run_bump_slope(cfg: dict) -> List[Check]:
     phi = elliptic_phase()
 
     def point(d, p):
         box = 1.0 / d
         f = snap_lift(bump_example(phi, (0.0, 0.0, 1.0, 1.0), d), box)
-        return decoupling_report(f, canonical_caps(d), p, box_side=box,
-                                 jobs=jobs, tol=0.0).ratio
+        return decoupling_report(f, canonical_caps(d), p, box_side=box, tol=0.0).ratio
 
     pts6, slope6 = _sweep(lambda d: point(d, 6.0), cfg["exponents"])
     pts4, slope4 = _sweep(lambda d: point(d, 4.0), cfg["exponents"])
@@ -654,7 +640,7 @@ def _run_bump_slope(cfg: dict, jobs: int) -> List[Check]:
     ]
 
 
-def _run_rescale_identity(cfg: dict, jobs: int) -> List[Check]:
+def _run_rescale_identity(cfg: dict) -> List[Check]:
     rng = np.random.default_rng(cfg["seed"])
     worst_gap = 0.0
     worst_ratio = 0.0
@@ -689,7 +675,7 @@ def _run_rescale_identity(cfg: dict, jobs: int) -> List[Check]:
     ]
 
 
-def _run_pell_multiplicity(cfg: dict, jobs: int) -> List[Check]:
+def _run_pell_multiplicity(cfg: dict) -> List[Check]:
     phi = BivariatePoly(2, {(2, 0): 1.0, (0, 2): -1.0})
     ok_cert = True
     ok_irr = True
@@ -722,7 +708,7 @@ def _run_pell_multiplicity(cfg: dict, jobs: int) -> List[Check]:
     ]
 
 
-def _run_restriction_slope(cfg: dict, jobs: int) -> List[Check]:
+def _run_restriction_slope(cfg: dict) -> List[Check]:
     cases = [
         ("saddle", BivariatePoly(2, {(2, 0): 1.0, (0, 2): -1.0}), math.sqrt(2.0),
          cfg["exponents_saddle"]),
@@ -754,7 +740,7 @@ def _run_restriction_slope(cfg: dict, jobs: int) -> List[Check]:
     return checks
 
 
-def _run_stein_tomas(cfg: dict, jobs: int) -> List[Check]:
+def _run_stein_tomas(cfg: dict) -> List[Check]:
     phi = BivariatePoly(2, {(2, 0): 1.0, (0, 2): -1.0})
     checks: List[Check] = []
     for seed in cfg["seeds"]:
@@ -773,17 +759,15 @@ def _run_stein_tomas(cfg: dict, jobs: int) -> List[Check]:
     return checks
 
 
-def _run_partition_contrast(cfg: dict, jobs: int) -> List[Check]:
+def _run_partition_contrast(cfg: dict) -> List[Check]:
     p = cfg["p"]
 
     def ratios(d):
         a = int(round(1.0 / d / 4))
         f = strip_example(d, a)
         box = d ** -2
-        rc = decoupling_report(f, canonical_caps(d), p, box_side=box,
-                               jobs=jobs, tol=0.0).ratio
-        ra = decoupling_report(f, hp_axis_family(d), p, box_side=box,
-                               jobs=jobs, tol=0.0).ratio
+        rc = decoupling_report(f, canonical_caps(d), p, box_side=box, tol=0.0).ratio
+        ra = decoupling_report(f, hp_axis_family(d), p, box_side=box, tol=0.0).ratio
         return rc, ra
 
     pts_c, pts_a = [], []
@@ -818,7 +802,7 @@ _RUNNERS = {
 }
 
 
-def run_recipe(recipe_id: str, quick: bool = False, jobs: int = 1) -> List[Check]:
+def run_recipe(recipe_id: str, quick: bool = False) -> List[Check]:
     """Execute a pinned experiment and return its (name, ok, detail) checks."""
     if recipe_id not in RECIPES:
         raise ValueError(
@@ -828,7 +812,7 @@ def run_recipe(recipe_id: str, quick: bool = False, jobs: int = 1) -> List[Check
     overrides = cfg.pop("quick", {})
     if quick:
         cfg.update(overrides)
-    return _RUNNERS[cfg["kind"]](cfg, jobs)
+    return _RUNNERS[cfg["kind"]](cfg)
 
 
 def cmd_reproduce(args) -> int:
@@ -836,7 +820,7 @@ def cmd_reproduce(args) -> int:
         for rid in sorted(RECIPES, key=lambda r: RECIPES[r]["criterion"]):
             print(f"{rid}  (criterion {RECIPES[rid]['criterion']})")
         return 0 if args.list else 1
-    checks = run_recipe(args.id, quick=args.quick, jobs=_jobs_arg(args.jobs))
+    checks = run_recipe(args.id, quick=args.quick)
     failed = 0
     for name, ok, detail in checks:
         status = "PASS" if ok else "FAIL"
@@ -913,8 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
         dp.add_argument("--assign-tol", type=float, default=None,
                         help="frequency-to-member distance tolerance "
                              "(default: sharp for caps/axis, delta for hp)")
-        dp.add_argument("--jobs", type=int, default=None,
-                        help="worker threads (or DECOUPLE_JOBS)")
         dp.add_argument("--out")
         if name == "ratio":
             dp.add_argument("--delta", required=True)
@@ -960,7 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--list", action="store_true")
     rep.add_argument("--quick", action="store_true",
                      help="reduced-cost variant with identical expectations")
-    rep.add_argument("--jobs", type=int, default=None)
     rep.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -127,6 +127,7 @@ class FlatCover:
         if total == 0:
             raise ValueError("cover has no members")
         cum = np.cumsum(sizes)
+        kept = {}  # slot -> kept_indices(), computed once per drawn grid
         out = []
         for r in rng.integers(0, total, size=k):
             slot = int(np.searchsorted(cum, r, side="right"))
@@ -134,8 +135,10 @@ class FlatCover:
                 out.append(self.loose[r - (cum[-2] if len(cum) > 1 else 0)])
                 continue
             part, grid = handles[slot]
+            if slot not in kept:
+                kept[slot] = grid.kept_indices()
             offset = r - (cum[slot - 1] if slot > 0 else 0)
-            idx = grid.kept_indices()[offset]
+            idx = kept[slot][offset]
             out.append(part.world_box(grid.tile(int(idx[0]), int(idx[1]))))
         return out
 

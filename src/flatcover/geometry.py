@@ -17,7 +17,6 @@ import numpy as np
 BBox = Tuple[float, float, float, float]
 UNIT_SQUARE: BBox = (0.0, 0.0, 1.0, 1.0)
 
-_MEMBERSHIP_EPS = 0.0  # half-open convention is applied exactly
 _CONTAIN_TOL = 1e-9  # relative slack for closed containment tests
 
 
@@ -283,13 +282,66 @@ class TileGrid:
         rot = np.array([[c, s], [-s, c]])
         return np.atleast_2d(np.asarray(points, dtype=float)) @ rot.T
 
+    def _frame_coords(self, points) -> Tuple[np.ndarray, np.ndarray]:
+        """Coordinates of points relative to the anchor in the grid frame."""
+        rel = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(self.anchor)
+        c, s = math.cos(self.theta), math.sin(self.theta)
+        return rel[:, 0] * c + rel[:, 1] * s, -rel[:, 0] * s + rel[:, 1] * c
+
     def cell_of(self, points) -> np.ndarray:
         """Integer (i, j) grid cell of each point (half-open cells)."""
-        f = self.to_frame(points) - self.frame_origin()
-        ij = np.empty(f.shape, dtype=np.int64)
-        ij[:, 0] = np.floor(f[:, 0] / self.w)
-        ij[:, 1] = np.floor(f[:, 1] / self.h)
-        return ij
+        fx, fy = self._frame_coords(points)
+        return np.column_stack([np.floor(fx / self.w), np.floor(fy / self.h)]).astype(np.int64)
+
+    def point_tiles(self, points, tol: Optional[float] = None):
+        """(point index, i, j) for every kept tile that takes each point.
+
+        With tol = None a tile takes the points of its half-open cell, and
+        the outer boundary of the index range is closed: each point lands
+        in at most one tile.  With tol >= 0 a tile takes every point within
+        distance tol of the closed tile; distances are exact, since tiles
+        are rectangles in the grid frame.  The cells tried around a point's
+        own cell reach floor(tol / w) + 1 columns and floor(tol / h) + 1
+        rows each way, enough to find every tile at distance up to tol.
+        """
+        fx, fy = self._frame_coords(points)
+        ux, uy = fx / self.w, fy / self.h
+        ci = np.floor(ux).astype(np.int64)
+        cj = np.floor(uy).astype(np.int64)
+        if tol is None:
+            slack = 1e-12 * max(abs(self.i0), abs(self.i1), abs(self.j0), abs(self.j1), 1)
+            ci[(ci == self.i1) & (ux <= self.i1 + slack)] -= 1
+            cj[(cj == self.j1) & (uy <= self.j1 + slack)] -= 1
+            ci[(ci == self.i0 - 1) & (ux >= self.i0 - slack)] += 1
+            cj[(cj == self.j0 - 1) & (uy >= self.j0 - slack)] += 1
+            pidx, ii, jj = np.arange(len(fx)), ci, cj
+        elif tol < 0:
+            raise ValueError("tol must be non-negative")
+        else:
+            reach_i = int(math.floor(tol / self.w * (1 + 1e-9))) + 1
+            reach_j = int(math.floor(tol / self.h * (1 + 1e-9))) + 1
+            found = []
+            for di in range(-reach_i, reach_i + 1):
+                ii = ci + di
+                dx = np.maximum(np.maximum(ii * self.w - fx, fx - (ii + 1) * self.w), 0.0)
+                for dj in range(-reach_j, reach_j + 1):
+                    jj = cj + dj
+                    dy = np.maximum(np.maximum(jj * self.h - fy, fy - (jj + 1) * self.h), 0.0)
+                    k = np.flatnonzero((dx * dx + dy * dy) <= tol * tol * (1 + 1e-12))
+                    found.append((k, ii[k], jj[k]))
+            pidx, ii, jj = (np.concatenate(a) for a in zip(*found))
+        ok = (ii >= self.i0) & (ii < self.i1) & (jj >= self.j0) & (jj < self.j1)
+        if self.keep is not None:
+            sel = np.flatnonzero(ok)
+            ok[sel] = self.keep[ii[sel] - self.i0, jj[sel] - self.j0]
+        return pidx[ok], ii[ok], jj[ok]
+
+    def tile_coords(self, points, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Affine coordinates of each point in its paired tile (i, j), as
+        ``tile(i, j).affine_coords`` gives them: inside means max|x| <= 1."""
+        fx, fy = self._frame_coords(points)
+        return np.column_stack([(fx - (i + 0.5) * self.w) / (0.5 * self.w),
+                                (fy - (j + 0.5) * self.h) / (0.5 * self.h)])
 
     def tile(self, i: int, j: int) -> Parallelogram:
         u0, v0 = self.frame_origin()
@@ -328,16 +380,10 @@ class TileGrid:
             yield self.tile(int(i), int(j))
 
     def count_points(self, points) -> np.ndarray:
-        """How many kept tiles contain each point (0 or 1 per grid)."""
-        ij = self.cell_of(points)
-        i, j = ij[:, 0], ij[:, 1]
-        inside = (i >= self.i0) & (i < self.i1) & (j >= self.j0) & (j < self.j1)
-        if self.keep is None:
-            return inside.astype(np.int64)
-        out = np.zeros(len(ij), dtype=np.int64)
-        sel = np.flatnonzero(inside)
-        out[sel] = self.keep[i[sel] - self.i0, j[sel] - self.j0]
-        return out
+        """How many kept tiles contain each point (0 or 1 per grid), with
+        the half-open rule of ``point_tiles``."""
+        pidx, _, _ = self.point_tiles(points)
+        return np.bincount(pidx, minlength=len(np.atleast_2d(points))).astype(np.int64)
 
     def domain_mask(self) -> np.ndarray:
         """Boolean (ni, nj): which cells meet the domain with positive area.

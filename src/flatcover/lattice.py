@@ -110,38 +110,6 @@ def _similarity_scale(mat: np.ndarray) -> Optional[float]:
     return math.sqrt(abs(g[0, 0]))
 
 
-def _grid_tile_counts(local_pts: np.ndarray, grid, tol_local: float,
-                      dilate_tol: float) -> np.ndarray:
-    """Per-cell counts of lattice points meeting both membership
-    conditions, vectorized over the whole tiling.  Returns a flat array
-    over the grid's (ni * nj) cells with dropped cells zeroed."""
-    ct, st = math.cos(grid.theta), math.sin(grid.theta)
-    rel = local_pts - np.asarray(grid.anchor)
-    fx = rel[:, 0] * ct + rel[:, 1] * st
-    fy = -rel[:, 0] * st + rel[:, 1] * ct
-    ci = np.floor(fx / grid.w).astype(np.int64)
-    cj = np.floor(fy / grid.h).astype(np.int64)
-    counts = np.zeros(grid.ni * grid.nj, dtype=np.int64)
-    half_w, half_h = 0.5 * grid.w, 0.5 * grid.h
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            ii = ci + di
-            jj = cj + dj
-            x1 = (fx - (ii + 0.5) * grid.w) / half_w
-            x2 = (fy - (jj + 0.5) * grid.h) / half_h
-            dil = np.maximum(np.abs(x1), np.abs(x2)) <= 1.0 + dilate_tol
-            dx = np.maximum(np.maximum(ii * grid.w - fx, fx - (ii + 1) * grid.w), 0.0)
-            dy = np.maximum(np.maximum(jj * grid.h - fy, fy - (jj + 1) * grid.h), 0.0)
-            near = (dx * dx + dy * dy) <= tol_local * tol_local * (1 + 1e-12)
-            ok = dil & near & (ii >= grid.i0) & (ii < grid.i1) & (jj >= grid.j0) & (jj < grid.j1)
-            if ok.any():
-                key = (ii[ok] - grid.i0) * grid.nj + (jj[ok] - grid.j0)
-                np.add.at(counts, key, 1)
-    if grid.keep is not None:
-        counts[~grid.keep.ravel()] = 0
-    return counts
-
-
 def max_flat_multiplicity(
     cover: FlatCover,
     lat: FrequencyLattice,
@@ -175,11 +143,13 @@ def max_flat_multiplicity(
                 continue
             local = part.frame.inverse().apply(pts)
         for grid in part.groups:
-            counts = _grid_tile_counts(local, grid, tol / scale, tol)
-            if grid.keep is not None:
-                live = counts[grid.keep.ravel()]
-            else:
-                live = counts
+            # kept tiles near each point, then the (1+tol)-dilate condition
+            pidx, ii, jj = grid.point_tiles(local, tol / scale)
+            x = grid.tile_coords(local[pidx], ii, jj)
+            ok = np.max(np.abs(x), axis=1) <= 1.0 + tol
+            key = (ii[ok] - grid.i0) * grid.nj + (jj[ok] - grid.j0)
+            counts = np.bincount(key, minlength=grid.ni * grid.nj)
+            live = counts if grid.keep is None else counts[grid.keep.ravel()]
             if len(live) == 0:
                 continue
             best = max(best, int(live.max()))

@@ -19,13 +19,13 @@ frequencies covers p=4 when neither route fits in memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.fft import ifft2, ifftn, next_fast_len
+from scipy.fft import ifftn, next_fast_len
 
-from .cover import FlatCover
+from .cover import FlatCover, _require_dyadic
 from .geometry import Parallelogram
 from .poly2 import BivariatePoly, hyperbolic_phase
 
@@ -375,25 +375,40 @@ def _mean_abs_pow(field: np.ndarray, p: int) -> float:
     return float(a.mean())
 
 
-def _fft_mean_pow(ints: np.ndarray, weights: np.ndarray, q: int,
-                  budget: int = _FFT_BUDGET):
-    """mean |f|^{2q} over one period, exactly, via a zero-padded FFT on
-    the reduced integer lattice.  Returns (value, dims)."""
-    ext = ints.max(axis=0) if len(ints) else np.zeros(3, dtype=np.int64)
-    live = [ax for ax in range(ints.shape[1]) if ext[ax] > 0]
-    dims = tuple(next_fast_len(int(q * ext[ax] + 1)) for ax in live)
-    total = int(np.prod(dims)) if dims else 1
+def _extent(ints: np.ndarray) -> np.ndarray:
+    """Largest reduced coordinate per axis (zeros for an empty sum)."""
+    return ints.max(axis=0) if len(ints) else np.zeros(ints.shape[1], dtype=np.int64)
+
+
+def _fft_shape(ext, mult: int, pad: int = 1) -> Tuple[int, ...]:
+    """Zero-padded FFT length per axis: next_fast_len(mult*extent + pad)
+    on live axes (positive extent), 1 on dead ones."""
+    return tuple(next_fast_len(int(mult * e + pad)) if e > 0 else 1 for e in ext)
+
+
+def _lattice_field(ints: np.ndarray, weights: np.ndarray, shape: Tuple[int, ...],
+                   budget: int = _FFT_BUDGET):
+    """The sum sampled on one period of the reduced lattice: merged
+    integer frequencies scattered onto a zero-padded array of the given
+    shape, inverse-FFT over the live axes.  Returns (field, live dims)."""
+    dims = tuple(n for n in shape if n > 1)
+    total = math.prod(shape)
     if total > budget:
         raise ValueError(
             f"reduced lattice {dims} exceeds the in-memory FFT budget; "
             "the sum has no dense exact path at this scale"
         )
-    z = np.zeros(dims if dims else (1,), dtype=complex)
-    if dims:
-        np.add.at(z, tuple(ints[:, ax] for ax in live), weights)
-        g = ifftn(z) * total
-    else:
-        g = np.array([weights.sum()])
+    z = np.zeros(shape, dtype=complex)
+    np.add.at(z, tuple(ints.T), weights)
+    live = [ax for ax, n in enumerate(shape) if n > 1]
+    return (ifftn(z, axes=live) * total if live else z), dims
+
+
+def _fft_mean_pow(ints: np.ndarray, weights: np.ndarray, q: int,
+                  budget: int = _FFT_BUDGET):
+    """mean |f|^{2q} over one period, exactly, via a zero-padded FFT on
+    the reduced integer lattice.  Returns (value, dims)."""
+    g, dims = _lattice_field(ints, weights, _fft_shape(_extent(ints), q), budget)
     return _mean_abs_pow(g, 2 * q), dims
 
 
@@ -409,31 +424,22 @@ def _pairs_mean_pow4(ints: np.ndarray, weights: np.ndarray) -> float:
     return float(np.sum(np.abs(acc) ** 2))
 
 
-def _factor_ints(fac: Factor, r_side: float):
-    """Snapped, merged (coordinate, height) integer pairs for one factor."""
-    pts = np.column_stack([fac.values, fac.heights])
-    ints = np.round(r_side * pts).astype(np.int64)
-    snap = float(np.max(np.abs(ints / r_side - pts))) if len(pts) else 0.0
-    uniq, inv = np.unique(ints, axis=0, return_inverse=True)
-    w = np.zeros(len(uniq), dtype=complex)
-    np.add.at(w, inv, fac.weights)
-    return uniq, w, snap
-
-
 def _separable_mean_pow(f: ExpSum, r_side: float, q: int,
                         budget: int = _FFT_BUDGET):
     """mean |f|^{2q} for a product sum via two planar FFT fields sharing
     the lift axis.  Returns (value, dims, snap_max)."""
-    f1, f2 = f.factors
-    i1, w1, s1 = _factor_ints(f1, r_side)
-    i2, w2, s2 = _factor_ints(f2, r_side)
-    reduced = []
-    for ints in (i1, i2):
-        ints = _reduce_axes(ints)
+    factors = []
+    for fac in f.factors:
+        ints, w, snap = _snap_merge(np.column_stack([fac.values, fac.heights]),
+                                    fac.weights, r_side)
+        # the coordinate axis is the factor's own; the height axis is
+        # shared, so here it is only translated, and divided below by the
+        # joint gcd of both factors' heights
+        ints[:, :1] = _reduce_axes(ints[:, :1])
         ints = _shear_reduce(ints)
         ints[:, 1] -= ints[:, 1].min()
-        reduced.append(ints)
-    i1, i2 = reduced
+        factors.append((ints, w, snap))
+    (i1, w1, s1), (i2, w2, s2) = factors
     heights = np.concatenate([i1[:, 1], i2[:, 1]])
     nz = heights[heights > 0]
     if len(nz):
@@ -441,26 +447,21 @@ def _separable_mean_pow(f: ExpSum, r_side: float, q: int,
         if g3 > 1:
             i1[:, 1] //= g3
             i2[:, 1] //= g3
-    e1 = int(i1[:, 0].max())
-    e2 = int(i2[:, 0].max())
     e3 = int(i1[:, 1].max() + i2[:, 1].max())
-    n1 = next_fast_len(q * e1 + 1)
-    n2 = next_fast_len(q * e2 + 1)
-    n3 = next_fast_len(q * e3 + 1)
-    if max(n1, 1) * n3 + max(n2, 1) * n3 > 2 * budget:
+    sh1 = _fft_shape((int(i1[:, 0].max()), e3), q)
+    sh2 = _fft_shape((int(i2[:, 0].max()), e3), q)
+    if math.prod(sh1) + math.prod(sh2) > 2 * budget:
         raise ValueError("separable fields exceed the FFT budget")
 
-    def slice_means(ints, w, n_axis):
-        z = np.zeros((n_axis, n3), dtype=complex)
-        np.add.at(z, (ints[:, 0], ints[:, 1]), w)
-        g = ifft2(z) * (n_axis * n3)
+    def slice_means(ints, w, shape):
+        g, _ = _lattice_field(ints, w, shape, 2 * budget)
         a = np.abs(g)
         a **= 2 * q
         return a.mean(axis=0)
 
-    p_of_x3 = slice_means(i1, w1, n1)
-    q_of_x3 = slice_means(i2, w2, n2)
-    return float(np.mean(p_of_x3 * q_of_x3)), (n1, n2, n3), max(s1, s2)
+    p_of_x3 = slice_means(i1, w1, sh1)
+    q_of_x3 = slice_means(i2, w2, sh2)
+    return float(np.mean(p_of_x3 * q_of_x3)), (sh1[0], sh2[0], sh1[1]), max(s1, s2)
 
 
 def _lattice_max(f: ExpSum, r_side: float) -> Tuple[float, Tuple[int, ...]]:
@@ -468,18 +469,7 @@ def _lattice_max(f: ExpSum, r_side: float) -> Tuple[float, Tuple[int, ...]]:
     true sup, adequate for bounded-ratio checks)."""
     ints, w, _ = _snap_merge(f.lifted(), f.weights, r_side)
     ints = _reduce_axes(_shear_reduce(_reduce_axes(ints)))
-    ext = ints.max(axis=0)
-    live = [ax for ax in range(3) if ext[ax] > 0]
-    dims = tuple(next_fast_len(int(4 * ext[ax] + 5)) for ax in live)
-    total = int(np.prod(dims)) if dims else 1
-    if total > _FFT_BUDGET:
-        raise ValueError("lattice too large for the max-norm scan")
-    z = np.zeros(dims if dims else (1,), dtype=complex)
-    if dims:
-        np.add.at(z, tuple(ints[:, ax] for ax in live), w)
-        g = ifftn(z) * total
-    else:
-        g = np.array([w.sum()])
+    g, dims = _lattice_field(ints, w, _fft_shape(_extent(ints), 4, 5))
     return float(np.abs(g).max()), dims
 
 
@@ -526,13 +516,8 @@ def expsum_lp(
                                   True, "separable", snap2, dims)
             except ValueError:
                 pass
-        ext = ints.max(axis=0)
-        dims_est = 1
-        for ax in range(3):
-            if ext[ax] > 0:
-                dims_est *= next_fast_len(int(q * ext[ax] + 1))
-        if q == 2 and (dims_est > budget or len(ints) ** 2 <= min(
-                _PAIR_BUDGET, dims_est)):
+        cells = math.prod(_fft_shape(_extent(ints), q))
+        if q == 2 and (cells > budget or len(ints) ** 2 <= min(_PAIR_BUDGET, cells)):
             if len(ints) ** 2 > _PAIR_BUDGET:
                 raise ValueError(
                     "no exact path: FFT lattice and pair table both exceed budget"
@@ -545,19 +530,8 @@ def expsum_lp(
                           "fft", snap, dims)
 
     # non-even p: spectrally accurate periodic quadrature, flagged inexact
-    m = int(math.ceil(p)) + 2
-    ext = ints.max(axis=0)
-    live = [ax for ax in range(3) if ext[ax] > 0]
-    dims = tuple(next_fast_len(int(m * ext[ax] + 1)) for ax in live)
-    total = int(np.prod(dims)) if dims else 1
-    if total > budget:
-        raise ValueError("quadrature lattice exceeds budget for non-even p")
-    z = np.zeros(dims if dims else (1,), dtype=complex)
-    if dims:
-        np.add.at(z, tuple(ints[:, ax] for ax in live), w)
-        g = ifftn(z) * total
-    else:
-        g = np.array([w.sum()])
+    g, dims = _lattice_field(ints, w, _fft_shape(_extent(ints), int(math.ceil(p)) + 2),
+                             budget)
     val = _mean_abs_pow(g, p) ** (1.0 / p)
     return NormReport(val * scale, p, r, normalized, False, "riemann", snap, dims,
                       note="periodic trapezoid quadrature; exact only for even p")
@@ -581,50 +555,6 @@ class DecoupleReport:
     exact: bool
 
 
-def _grid_assignments(pts: np.ndarray, grid, tol: float):
-    """(point index, cell i, cell j) triples for tiles within distance
-    tol of each point.  Distances are exact (tiles are rectangles in
-    their own frame).  tol = 0 means sharp half-open containment: each
-    point lands in at most one tile, with the outer boundary closed."""
-    ct, st = math.cos(grid.theta), math.sin(grid.theta)
-    rel = pts - np.asarray(grid.anchor)
-    fx = rel[:, 0] * ct + rel[:, 1] * st
-    fy = -rel[:, 0] * st + rel[:, 1] * ct
-    ci = np.floor(fx / grid.w).astype(np.int64)
-    cj = np.floor(fy / grid.h).astype(np.int64)
-    if tol <= 0.0:
-        slack = 1e-12 * max(abs(grid.i0), abs(grid.i1), abs(grid.j0), abs(grid.j1), 1)
-        ci[(ci == grid.i1) & (fx / grid.w <= grid.i1 + slack)] -= 1
-        cj[(cj == grid.j1) & (fy / grid.h <= grid.j1 + slack)] -= 1
-        ci[(ci == grid.i0 - 1) & (fx / grid.w >= grid.i0 - slack)] += 1
-        cj[(cj == grid.j0 - 1) & (fy / grid.h >= grid.j0 - slack)] += 1
-        inside = (ci >= grid.i0) & (ci < grid.i1) & (cj >= grid.j0) & (cj < grid.j1)
-        if grid.keep is not None and inside.any():
-            sel = np.flatnonzero(inside)
-            kept = grid.keep[ci[sel] - grid.i0, cj[sel] - grid.j0]
-            inside[sel[~kept]] = False
-        k = np.flatnonzero(inside)
-        return k, ci[k], cj[k]
-    out_p, out_i, out_j = [], [], []
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            ii = ci + di
-            jj = cj + dj
-            dx = np.maximum(np.maximum(ii * grid.w - fx, fx - (ii + 1) * grid.w), 0.0)
-            dy = np.maximum(np.maximum(jj * grid.h - fy, fy - (jj + 1) * grid.h), 0.0)
-            near = (dx * dx + dy * dy) <= tol * tol * (1 + 1e-12)
-            inside = near & (ii >= grid.i0) & (ii < grid.i1) & (jj >= grid.j0) & (jj < grid.j1)
-            if grid.keep is not None and inside.any():
-                sel = np.flatnonzero(inside)
-                kept = grid.keep[ii[sel] - grid.i0, jj[sel] - grid.j0]
-                inside[sel[~kept]] = False
-            k = np.flatnonzero(inside)
-            out_p.append(k)
-            out_i.append(ii[k])
-            out_j.append(jj[k])
-    return np.concatenate(out_p), np.concatenate(out_i), np.concatenate(out_j)
-
-
 def _parallelogram_distance(pts: np.ndarray, box: Parallelogram) -> np.ndarray:
     t = box.affine_coords(pts)
     inside = np.all(np.abs(t) <= 1.0, axis=1)
@@ -644,7 +574,9 @@ def _parallelogram_distance(pts: np.ndarray, box: Parallelogram) -> np.ndarray:
 def assign_frequencies(f: ExpSum, cover: FlatCover, tol: Optional[float] = None):
     """Subsets of frequency indices per cover member whose planar slab
     neighborhood contains the lifted point (distance at most tol, the
-    cover's delta by default).  Raises if any frequency is uncovered."""
+    cover's delta by default).  tol = 0 means sharp half-open tiles with
+    the outer boundary of each tiling closed, so each frequency lands in
+    at most one tile per tiling.  Raises if any frequency is uncovered."""
     tol = cover.delta if tol is None else tol
     pts = f.freqs
     counts = np.zeros(len(pts), dtype=np.int64)
@@ -652,7 +584,7 @@ def assign_frequencies(f: ExpSum, cover: FlatCover, tol: Optional[float] = None)
     for part in cover.parts:
         local = part.local_points(pts)
         for grid in part.groups:
-            pidx, ii, jj = _grid_assignments(local, grid, tol)
+            pidx, ii, jj = grid.point_tiles(local, tol if tol > 0.0 else None)
             if len(pidx) == 0:
                 continue
             key = (ii - grid.i0) * grid.nj + (jj - grid.j0)
@@ -682,7 +614,6 @@ def decoupling_report(
     cover: FlatCover,
     p: float,
     box_side: Optional[float] = None,
-    jobs: int = 1,
     tol: Optional[float] = None,
 ) -> DecoupleReport:
     """The ratio ||f||_p / (sum_S ||f_S||_p^2)^(1/2) with full detail."""
@@ -701,13 +632,7 @@ def decoupling_report(
         snap = max(snap, rep.snap_max)
         return rep.value
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            norms = list(pool.map(member_norm, subsets))
-    else:
-        norms = [member_norm(s) for s in subsets]
+    norms = [member_norm(s) for s in subsets]
     rhs = float(np.sqrt(np.sum(np.square(norms))))
     ratio = lhs_rep.value / rhs if rhs > 0 else math.inf
     return DecoupleReport(
@@ -716,17 +641,6 @@ def decoupling_report(
         int(counts.max()) if len(counts) else 0,
         snap, exact,
     )
-
-
-def decoupling_ratio(
-    f: ExpSum,
-    cover: FlatCover,
-    p: float,
-    box_side: Optional[float] = None,
-    jobs: int = 1,
-    tol: Optional[float] = None,
-) -> float:
-    return decoupling_report(f, cover, p, box_side, jobs, tol).ratio
 
 
 # -- sweeps ----------------------------------------------------------------
@@ -758,17 +672,10 @@ def slope_fit(points: Sequence[Tuple[float, float]]) -> SweepReport:
 # -- extremal examples -----------------------------------------------------
 
 
-def _require_dyadic_inv(delta: float) -> int:
-    k = math.log2(1.0 / delta)
-    if abs(k - round(k)) > 1e-9:
-        raise ValueError("1/delta must be a power of two")
-    return int(round(k))
-
-
 def line_example(delta: float) -> ExpSum:
     """Unit weights on (j*sqrt(delta), 0): the axis line of the saddle,
     the input that forces the log-loss against any square partition."""
-    _require_dyadic_inv(delta)
+    _require_dyadic(delta)
     n = int(math.floor(delta ** -0.5 + 1e-9))
     xs = np.arange(n) * math.sqrt(delta)
     return product_exp_sum(hyperbolic_phase(), xs, np.zeros(1), name="line")
@@ -791,7 +698,7 @@ def strip_example(delta: float, a: int) -> ExpSum:
     inv = 1.0 / delta
     if not (0 <= a < inv):
         raise ValueError("strip index a must satisfy 0 <= a < 1/delta")
-    _require_dyadic_inv(delta)
+    _require_dyadic(delta)
     xs = delta * np.arange(int(round(inv)))
     ys = np.array([a * delta])
     return product_exp_sum(hyperbolic_phase(), xs, ys, name=f"strip-{a}")

@@ -15,18 +15,12 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 Exponent = Tuple[int, int]
 CoeffMap = Dict[Exponent, float]
-
-# Coefficients smaller than this (relative to the largest) are dropped when
-# tidying products/compositions, purely to keep maps sparse.  Exact zeros
-# are always dropped.
-_TIDY_EPS = 0.0
-
 
 class DependenceClass(enum.Enum):
     """How many genuine variables a polynomial graph depends on."""
@@ -178,10 +172,6 @@ class BivariatePoly:
                 )
             coeffs[(j, k)] = coeffs.get((j, k), 0.0) + a
         return BivariatePoly(degree, coeffs)
-
-
-def poly_from_string_pairs(degree: int, pairs: Iterable[Tuple[Exponent, float]]):
-    return BivariatePoly(degree, dict(pairs))
 
 
 # -- arithmetic helpers (module level so they read like operators) -------

@@ -45,10 +45,14 @@ class CoeffAudit:
 class RescaleResult:
     """Affine normalization of a flat box together with its audit trail.
 
-    ``L`` maps the unit square onto the box; ``phi_tilde`` is the phase
-    seen from the unit square, in normal form.  ``sigma_eff`` is the
-    exact factor in defect(phi, L(B)) = sigma_eff * defect(phi_tilde, B);
-    it equals ``sigma`` exactly for the model saddle on an axis box and
+    ``L`` applies the shear that normalizes the phase, then the scaling
+    by the box's side lengths, then the rigid motion onto the box.  So
+    ``L(unit square)`` is the box only when that shear is the identity
+    (no square terms in the box frame, as for axis boxes of xy);
+    otherwise it is another parallelogram.  ``phi_tilde`` is the phase
+    seen through ``L``, in normal form.  ``sigma_eff`` is the exact
+    factor in defect(phi, L(B)) = sigma_eff * defect(phi_tilde, B); it
+    equals ``sigma`` exactly for the model saddle on an axis box and
     stays within O(angle mismatch) of it in general.  ``split_depth``
     records how many dyadic subdivisions of the unit square would bring
     every degree >= 3 coefficient under the normal-form class bound

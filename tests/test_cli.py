@@ -110,6 +110,14 @@ def test_decouple_sweep_needs_enough_points(capsys):
     assert code == 1
 
 
+def test_decouple_hp_cover_follows_the_sum_phase(capsys):
+    # the bump sum lives on the elliptic phase, which has no hp cover
+    code, _, err = run(capsys, "decouple", "ratio", "--example", "bump",
+                       "--delta", "2^-4", "--cover-kind", "hp")
+    assert code == 1
+    assert "normal form" in err
+
+
 def test_rescale_check_command(capsys):
     code, out, _ = run(capsys, "rescale", "check", "--delta", "2^-6",
                        "--count", "10", "--seed", "3")

@@ -214,6 +214,17 @@ def test_sample_members_reproducible_and_valid():
         assert (box.center, box.e1, box.e2) in member_keys
 
 
+def test_sample_members_draws_uniformly_in_member_order():
+    cov = build_cover_hp(hyperbolic_phase(), 2.0 ** -6, 4.0)
+    cov.loose.append(axis_rectangle(0.0, 0.0, 0.5, 0.5))
+    members = cov.members()
+    picks = cov.sample_members(np.random.default_rng(7), 40)
+    draws = np.random.default_rng(7).integers(0, len(members), size=40)
+    for box, r in zip(picks, draws):
+        want = members[r]
+        assert (box.center, box.e1, box.e2) == (want.center, want.e1, want.e2)
+
+
 def test_verify_cover_flags_undersized_constant():
     cov = canonical_caps(2.0 ** -4)
     rep = verify_cover(cov, hyperbolic_phase(), a_const=0.5)

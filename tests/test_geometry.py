@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatcover.geometry import (
     AffineMap2,
@@ -151,6 +153,87 @@ def test_tile_grid_cell_of_agrees_with_tile_membership():
         tile = grid.tile(int(i), int(j))
         x = tile.affine_coords(p[None, :])[0]
         assert np.all(np.abs(x) <= 1.0 + 1e-9)
+
+
+def _brute_point_tiles(grid, pts, tol):
+    """(point, i, j) triples from a per-tile check on each Parallelogram:
+    half-open containment with the outer boundary closed (tol None), or
+    distance to the closed tile at most tol."""
+    out = set()
+    for i, j in grid.kept_indices():
+        tile = grid.tile(int(i), int(j))
+        x = tile.affine_coords(pts)
+        if tol is None:
+            last = (i == grid.i1 - 1, j == grid.j1 - 1)
+            hit = np.all([(x[:, k] >= -1.0) & ((x[:, k] < 1.0) | last[k] & (x[:, k] <= 1.0))
+                          for k in (0, 1)], axis=0)
+        else:
+            a, b = 0.5 * grid.w, 0.5 * grid.h
+            dx = a * np.maximum(np.abs(x[:, 0]) - 1.0, 0.0)
+            dy = b * np.maximum(np.abs(x[:, 1]) - 1.0, 0.0)
+            hit = np.hypot(dx, dy) <= tol * (1 + 1e-12)
+        out.update((int(k), int(i), int(j)) for k in np.flatnonzero(hit))
+    return out
+
+
+def _kernel_triples(grid, pts, tol):
+    pidx, ii, jj = grid.point_tiles(pts, tol)
+    triples = list(zip(pidx.tolist(), ii.tolist(), jj.tolist()))
+    assert len(triples) == len(set(triples))
+    return set(triples)
+
+
+@settings(max_examples=60)
+@given(
+    a=st.integers(1, 3), b=st.integers(1, 4),
+    tol_kind=st.sampled_from(["sharp", "zero", "w", "h", "random"]),
+    tol_random=st.floats(0.01, 0.6),
+    masked=st.booleans(), seed=st.integers(0, 2 ** 16),
+)
+def test_point_tiles_matches_per_tile_check_on_lattice_points(a, b, tol_kind, tol_random,
+                                                              masked, seed):
+    """Axis grids with dyadic sides: lattice points on cell edges, at
+    corners and at centers are exact, so every boundary case is decided
+    the same way by the kernel and by the per-tile check."""
+    w, h = 2.0 ** -a, 2.0 ** -b
+    grid = make_tile_grid(w, h, 0.0)
+    rng = np.random.default_rng(seed)
+    if masked:
+        grid.keep = rng.random((grid.ni, grid.nj)) < 0.6
+    k, l = np.meshgrid(np.arange(-2, 2 * grid.ni + 3), np.arange(-2, 2 * grid.nj + 3),
+                       indexing="ij")
+    pts = np.column_stack([k.ravel() * (w / 2), l.ravel() * (h / 2)])
+    pts = np.concatenate([pts, rng.uniform(-0.2, 1.2, size=(40, 2))])
+    tol = {"sharp": None, "zero": 0.0, "w": w, "h": h, "random": tol_random}[tol_kind]
+    assert _kernel_triples(grid, pts, tol) == _brute_point_tiles(grid, pts, tol)
+
+
+@settings(max_examples=40)
+@given(
+    w=st.floats(0.15, 0.5), h=st.floats(0.1, 0.3), theta=st.floats(0.0, math.pi),
+    tol_kind=st.sampled_from(["w", "h", "random"]),
+    tol_random=st.floats(0.005, 0.4),
+    clip=st.booleans(), masked=st.booleans(), seed=st.integers(0, 2 ** 16),
+)
+def test_point_tiles_matches_per_tile_check_on_rotated_grids(w, h, theta, tol_kind,
+                                                             tol_random, clip, masked,
+                                                             seed):
+    """Rotated grids, with the domain clip mask or a random keep mask:
+    random points plus every tile vertex, whose distance to the tiles
+    two cells away is a tile side.  Vertices are not exactly on the
+    kernel's cell edges, so sharp and zero-distance rules, which have no
+    slack, are checked on the random points only."""
+    grid = make_tile_grid(w, h, theta, clip_to_domain=clip)
+    rng = np.random.default_rng(seed)
+    if masked:
+        grid.keep = rng.random((grid.ni, grid.nj)) < 0.6
+    verts = np.concatenate([t.vertices() for t in grid.tiles()] or [np.zeros((0, 2))])
+    generic = rng.uniform(-0.2, 1.2, size=(150, 2))
+    pts = np.concatenate([verts, generic])
+    tol = {"w": w, "h": h, "random": tol_random}[tol_kind]
+    assert _kernel_triples(grid, pts, tol) == _brute_point_tiles(grid, pts, tol)
+    for sharp in (None, 0.0):
+        assert _kernel_triples(grid, generic, sharp) == _brute_point_tiles(grid, generic, sharp)
 
 
 def test_rotated_tiling_covers_domain():

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flatcover.cover import FlatCover, canonical_caps, hp_axis_family
+from flatcover import norms
+from flatcover.cover import FlatCover, build_cover_hp, canonical_caps, hp_axis_family
 from flatcover.geometry import axis_rectangle
 from flatcover.norms import (
     Box3,
     ExpSum,
     assign_frequencies,
     bump_example,
-    decoupling_ratio,
     decoupling_report,
     expsum_lp,
     line_example,
@@ -170,6 +172,29 @@ def test_assign_frequencies_sharp_partition():
     assert stadium.max() >= 2
 
 
+def test_assign_frequencies_hp_cover_at_tol_delta_matches_per_member_check():
+    """hp tiles have height delta * alpha, so at alpha = 1 the default
+    tol = delta equals a tile side: tiles two cells away from a
+    frequency's own cell are at distance exactly tol and must be found."""
+    delta = 2.0 ** -4
+    cov = build_cover_hp(hyperbolic_phase(), delta, 4.0)
+    f = random_product_example(hyperbolic_phase(), delta, np.random.default_rng(0))
+    subsets, counts = assign_frequencies(f, cov, tol=delta)
+    want = []
+    for box in cov.iter_members():
+        x = box.affine_coords(f.freqs)
+        a, b = (0.5 * s for s in box.side_lengths())
+        dist = np.hypot(a * np.maximum(np.abs(x[:, 0]) - 1.0, 0.0),
+                        b * np.maximum(np.abs(x[:, 1]) - 1.0, 0.0))
+        block = np.flatnonzero(dist <= delta * (1 + 1e-12))
+        if len(block):
+            want.append(tuple(block.tolist()))
+    assert sorted(tuple(sorted(s.tolist())) for s in subsets) == sorted(want)
+    assert len(subsets) == 898
+    np.testing.assert_array_equal(
+        counts, np.bincount(np.concatenate(subsets), minlength=len(f)))
+
+
 def test_assign_frequencies_rejects_uncovered():
     cov = canonical_caps(2.0 ** -4)
     stray = ExpSum(hyperbolic_phase(), [[1.7, 0.2]], [1.0])
@@ -213,17 +238,45 @@ def test_decoupling_line_example_additive_energy():
     assert rep.members_used == n
     assert rep.rhs == pytest.approx(math.sqrt(n), rel=1e-12)
     assert rep.ratio == pytest.approx((energy / n ** 2) ** 0.25, rel=1e-10)
-    assert decoupling_ratio(f, canonical_caps(delta), 4.0, tol=0.0) == rep.ratio
 
 
-def test_decoupling_threaded_equals_serial():
-    delta = 2.0 ** -4
-    f = snap_lift(bump_example(hyperbolic_phase(), (0, 0, 1, 1), delta), 1 / delta)
-    cov = canonical_caps(delta)
-    a = decoupling_report(f, cov, 4.0, jobs=1, tol=0.0)
-    b = decoupling_report(f, cov, 4.0, jobs=3, tol=0.0)
-    assert a.ratio == pytest.approx(b.ratio, rel=1e-13)
-    assert a.members_used == b.members_used
+@settings(max_examples=30)
+@given(
+    xs=st.sets(st.integers(0, 2), min_size=1, max_size=3),
+    ys=st.sets(st.integers(0, 2), min_size=2, max_size=3),
+    coeffs=st.tuples(st.integers(1, 3), st.integers(-2, 2),
+                     st.integers(-2, 2), st.integers(-1, 1)),
+    p=st.sampled_from([4, 6]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_exact_paths_agree_on_separable_products(xs, ys, coeffs, p, seed):
+    """Separable, fft, pairs and brute-force sampling give one value for
+    product sums with asymmetric separable integer phases, where the two
+    factors' height gcds differ (e.g. 2x^2 + y^2 on {0,1,2}^2)."""
+    a, b, c, e = coeffs
+    phi = BivariatePoly(3, {(2, 0): float(a), (0, 2): 1.0, (1, 0): float(b),
+                            (0, 1): float(c), (3, 0): float(e)})
+    rng = np.random.default_rng(seed)
+    xs, ys = np.array(sorted(xs), float), np.array(sorted(ys), float)
+    f = product_exp_sum(phi, xs, ys,
+                        rng.standard_normal(len(xs)) + 1j * rng.standard_normal(len(xs)),
+                        rng.standard_normal(len(ys)) + 1j * rng.standard_normal(len(ys)))
+    assert f.factors is not None
+    sep = expsum_lp(f, p, 1.0)
+    assert sep.method == "separable"
+    plain = ExpSum(f.phase, f.freqs, f.weights)
+    ints, w, _ = norms._snap_merge(plain.lifted(), plain.weights, 1.0)
+    values = {
+        "plain": expsum_lp(plain, p, 1.0).value,
+        "fft": norms._fft_mean_pow(norms._reduce_axes(ints), w, p // 2)[0] ** (1.0 / p),
+    }
+    if p == 4:
+        values["pairs"] = expsum_lp(plain, p, 1.0, budget=1).value
+    kmax = int(np.max(np.abs(f.lifted())))
+    field = sample_exp_sum(f, Box3((0.5, 0.5, 0.5), 1.0), p * kmax + 1)
+    values["sampled"] = lp_norm(field, p)
+    for name, v in values.items():
+        assert v == pytest.approx(sep.value, rel=1e-10), name
 
 
 def test_slope_fit_recovers_power_law():
