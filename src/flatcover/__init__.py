@@ -46,7 +46,6 @@ from .cover import (
     build_cover_general,
     build_cover_hp,
     canonical_caps,
-    curved_flat_dichotomy,
     hp_axis_family,
     normal_axis_family,
     overlap_profile,

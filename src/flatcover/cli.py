@@ -132,16 +132,15 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) 
         writer.writerows(rows)
 
 
-def _build_cover(kind: str, phi: BivariatePoly, delta: float, a_const: float,
-                 dense: bool = False) -> FlatCover:
+def _build_cover(kind: str, phi: BivariatePoly, delta: float, a_const: float) -> FlatCover:
     if kind == "caps":
         return canonical_caps(delta)
     if kind == "axis":
         return hp_axis_family(delta)
     if kind == "hp":
-        return build_cover_hp(phi, delta, a_const, dense_check=dense)
+        return build_cover_hp(phi, delta, a_const)
     if kind == "general":
-        return build_cover_general(phi, delta, a_const=a_const, dense_check=dense)
+        return build_cover_general(phi, delta, a_const=a_const)
     raise ValueError(f"unknown cover kind {kind!r}")
 
 
@@ -151,7 +150,7 @@ def _build_cover(kind: str, phi: BivariatePoly, delta: float, a_const: float,
 def cmd_cover_build(args) -> int:
     phi = _phase_arg(args.phase)
     delta = _parse_dyadic(args.delta)
-    cov = _build_cover(args.kind, phi, delta, args.a_const, args.dense_check)
+    cov = _build_cover(args.kind, phi, delta, args.a_const)
     _emit_json(cov.to_json_dict(), args.out)
     return 0
 
@@ -853,8 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
     cb.add_argument("--delta", required=True, help="scale, e.g. 2^-8")
     cb.add_argument("--kind", default="hp", choices=["caps", "axis", "hp", "general"])
     cb.add_argument("--a-const", type=float, default=4.0)
-    cb.add_argument("--dense-check", action="store_true",
-                    help="use the 33-point comparability rule")
     cb.add_argument("--out", help="output JSON path (default stdout)")
     cb.set_defaults(func=cmd_cover_build)
     cv = cover_sub.add_parser("verify", help="re-certify a cover from JSON")

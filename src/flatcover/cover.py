@@ -20,19 +20,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .flatness import (
-    FlatnessReport,
-    _hessian_op_bound,
-    _quad_form_box_max,
     flat_defect,
     flat_defect_interval,
     is_flat,
     null_direction_fields,
     null_directions,
+    quad_defect,
+    tail_bound,
+    tiling_flatness,
 )
 from .geometry import (
     AffineMap2,
@@ -42,20 +42,11 @@ from .geometry import (
     UNIT_SQUARE,
     axis_rectangle,
     make_tile_grid,
-    rotated_rectangle,
 )
 from .poly2 import BivariatePoly, compose_affine, poly_scale, poly_sub
 
 _NINE_OFFSETS = np.array(
     [(0.0, 0.0), (1, 1), (1, -1), (-1, 1), (-1, -1), (1, 0), (-1, 0), (0, 1), (0, -1)]
-)
-# dense verification pattern: 5x5 interior grid plus eight boundary points
-_DENSE_OFFSETS = np.concatenate(
-    [
-        np.stack(np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5)), -1).reshape(-1, 2),
-        np.array([(1, 0.5), (1, -0.5), (-1, 0.5), (-1, -0.5),
-                  (0.5, 1), (-0.5, 1), (0.5, -1), (-0.5, -1)]),
-    ]
 )
 
 
@@ -369,62 +360,16 @@ def _normal_form_error(phi: BivariatePoly) -> Optional[str]:
     return None
 
 
-def _quad_defect_of_angles(phi: BivariatePoly, thetas: np.ndarray,
-                           w: float, h: float) -> np.ndarray:
-    """Closed-form defect of the quadratic part for a w x h rectangle at
-    each angle.  Position-independent, so one value decides a tiling."""
-    h11 = 2.0 * phi.coeff(2, 0)
-    h12 = phi.coeff(1, 1)
-    h22 = 2.0 * phi.coeff(0, 2)
-    c, s = np.cos(thetas), np.sin(thetas)
-    # u along theta, p = perpendicular
-    uhu = h11 * c * c + 2 * h12 * c * s + h22 * s * s
-    php = h11 * s * s - 2 * h12 * c * s + h22 * c * c
-    uhp = -h11 * c * s + h12 * (c * c - s * s) + h22 * c * s
-    g11 = (w * w) * uhu
-    g12 = (w * h) * uhp
-    g22 = (h * h) * php
-    # max |t' G t| over the square: corners plus edge critical points
-    corner1 = np.abs(g11 + g22 + 2 * g12)
-    corner2 = np.abs(g11 + g22 - 2 * g12)
-    best = np.maximum(corner1, corner2)
-    # edge t1=+-1: value g11 + 2 g12 t2 + g22 t2^2 at t2* = -g12/g22
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t2 = np.where(g22 != 0, -g12 / np.where(g22 == 0, 1.0, g22), np.inf)
-    val1 = np.where(
-        (g22 != 0) & (np.abs(t2) <= 1), np.abs(g11 - g12 * g12 / np.where(g22 == 0, 1.0, g22)), 0.0
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(g11 != 0, -g12 / np.where(g11 == 0, 1.0, g11), np.inf)
-    val2 = np.where(
-        (g11 != 0) & (np.abs(t1) <= 1), np.abs(g22 - g12 * g12 / np.where(g11 == 0, 1.0, g11)), 0.0
-    )
-    return 0.5 * np.maximum(best, np.maximum(val1, val2))
-
-
-def _tail_remainder(phi: BivariatePoly, domain: BBox, diam: float) -> float:
-    """Uniform bound on the defect contribution of degree >= 3 terms for
-    any box of the given diameter inside the (padded) domain."""
-    if phi.support_degree() <= 2:
-        return 0.0
-    xmin, ymin, xmax, ymax = domain
-    pad = diam
-    box = axis_rectangle(xmin - pad, ymin - pad, xmax + pad, ymax + pad)
-    op = _hessian_op_bound(phi, box, min_total_degree=3)
-    return 0.5 * op * diam * diam
-
-
 def _comparability_keep(
     phi: BivariatePoly,
     grid: TileGrid,
     alpha: float,
     delta: float,
     a_const: float,
-    offsets: np.ndarray,
 ) -> np.ndarray:
     """Per-tile acceptance: candidate boxes along a null direction are
-    two-sidedly comparable to the tile, uniformly over the sampled
-    anchor points.  Returns a boolean vector over kept tiles."""
+    two-sidedly comparable to the tile, uniformly over nine anchor
+    points.  Returns a boolean vector over kept tiles."""
     centers = grid.centers()
     n = len(centers)
     if n == 0:
@@ -435,11 +380,11 @@ def _comparability_keep(
     et = np.column_stack([e1, e2])
     det_t = et[0, 0] * et[1, 1] - et[0, 1] * et[1, 0]
     inv_t = np.array([[et[1, 1], -et[0, 1]], [-et[1, 0], et[0, 0]]]) / det_t
-    k = len(offsets)
+    k = len(_NINE_OFFSETS)
     z = (
         centers[:, None, :]
-        + offsets[None, :, 0:1] * e1[None, None, :]
-        + offsets[None, :, 1:2] * e2[None, None, :]
+        + _NINE_OFFSETS[None, :, 0:1] * e1[None, None, :]
+        + _NINE_OFFSETS[None, :, 1:2] * e2[None, None, :]
     )  # (n, k, 2)
     zf = z.reshape(-1, 2)
     a_f, b_f, valid = null_direction_fields(phi, zf)
@@ -500,40 +445,43 @@ def _build_hp_core(
     delta: float,
     a_const: float,
     domain: BBox,
-    dense_check: bool,
 ) -> List[TileGrid]:
     """Angle/aspect enumeration behind build_cover_hp.
 
     Assumes the quadratic part of ``phi`` is the saddle normal form
-    (mixed coefficient 1, no square terms beyond the class bound); the
-    flatness filter evaluates the quadratic part in closed form per
-    tiling and adds a uniform bound for the higher-degree tail.
+    (mixed coefficient 1, no square terms beyond the class bound).  Per
+    aspect, the quadratic part's closed-form defect at every angle plus
+    a domain-wide tail bound sorts the tilings into sure, maybe and
+    rejected; each maybe tiling is decided tile by tile.
     """
-    offsets = _DENSE_OFFSETS if dense_check else _NINE_OFFSETS
     amax = int(math.floor(math.log2(delta ** -0.5) + 1e-9))
     groups: List[TileGrid] = []
     threshold = a_const * delta
+    xmin, ymin, xmax, ymax = domain
     for aexp in range(amax + 1):
         alpha = float(2 ** aexp)
         w = 1.0 / alpha
         h = delta * alpha
         beta_max = int(math.floor(math.pi / (delta * alpha * alpha)))
         thetas = delta * alpha * alpha * np.arange(beta_max + 1)
-        q = _quad_defect_of_angles(phi, thetas, w, h)
-        rem = _tail_remainder(phi, domain, math.hypot(w, h))
+        c, s = np.cos(thetas), np.sin(thetas)
+        edges = np.stack([np.stack([0.5 * w * c, -0.5 * h * s], axis=-1),
+                          np.stack([0.5 * w * s, 0.5 * h * c], axis=-1)], axis=-2)
+        q, _ = quad_defect(phi, edges)
+        # a tile meeting the domain lies in the domain padded by its diameter
+        diam = math.hypot(w, h)
+        rem = float(tail_bound(phi, (xmin - diam, ymin - diam, xmax + diam, ymax + diam), diam))
         sure = q + rem <= threshold
         maybe = (~sure) & (q - rem <= threshold)
         for beta in np.flatnonzero(sure | maybe):
             theta = float(thetas[beta])
             grid = make_tile_grid(w, h, theta, domain, alpha=alpha, beta=int(beta))
             if maybe[beta]:
-                flat_vec = np.array(
-                    [is_flat(phi, t, delta, a_const) for t in grid.tiles()], dtype=bool
-                )
+                flat_vec = tiling_flatness(phi, grid, delta, a_const).flat
                 if not flat_vec.any():
                     continue
                 _refine_keep(grid, flat_vec)
-            comp = _comparability_keep(phi, grid, alpha, delta, a_const, offsets)
+            comp = _comparability_keep(phi, grid, alpha, delta, a_const)
             if not comp.any():
                 continue
             if not comp.all():
@@ -547,7 +495,6 @@ def build_cover_hp(
     delta: float,
     a_const: float = 4.0,
     domain: BBox = UNIT_SQUARE,
-    dense_check: bool = False,
 ) -> FlatCover:
     """The anisotropic flat cover for a perturbed-saddle normal form.
 
@@ -564,7 +511,7 @@ def build_cover_hp(
     err = _normal_form_error(phi)
     if err is not None:
         raise ValueError(f"phase not in perturbed-saddle normal form: {err}")
-    groups = _build_hp_core(phi, delta, a_const, domain, dense_check)
+    groups = _build_hp_core(phi, delta, a_const, domain)
     if not groups:
         raise ValueError("empty cover: no tile passed; A is too small")
     return FlatCover(delta, a_const, [FramedGroups(None, groups)], kind="hp", domain=domain)
@@ -605,7 +552,16 @@ def verify_cover(
     overlap_bound: Optional[float] = None,
 ) -> VerifyReport:
     """Re-certify flatness of every member, coverage at sample
-    resolution, and the pointwise overlap bound."""
+    resolution, and the pointwise overlap bound.
+
+    Each tiling is decided tile by tile by ``tiling_flatness`` and each
+    loose member by the same rule on its own: a member whose cheap
+    bracket [lo, hi] certifies flatness at ``a_const * delta`` reports
+    ``hi``; every other member reports ``flat_defect(...).defect``.
+    ``worst_defect`` is the largest reported value (an upper bound when
+    every member was certified by its bracket), ``worst_member`` the
+    member that reports it, and ``min_a_flat = worst_defect / delta``.
+    """
     delta = cover.delta if delta is None else delta
     a_const = cover.a_const if a_const is None else a_const
     threshold = a_const * delta
@@ -614,23 +570,24 @@ def verify_cover(
     all_flat = True
     for part in cover.parts:
         for grid in part.groups:
-            proto = part.world_box(grid.tile(grid.i0, grid.j0))
-            lo, hi = flat_defect_interval(phi, proto)
-            rem = _tail_remainder(phi, cover.domain, proto.diameter())
-            qlo, qhi = lo - rem, hi + rem
-            if qhi <= threshold:
-                if qhi > worst:
-                    worst, worst_member = qhi, proto
+            rep = tiling_flatness(phi, grid, delta, a_const, part.frame)
+            if len(rep.defect) == 0:
                 continue
-            for tile in grid.tiles():
-                member = part.world_box(tile)
-                d = flat_defect(phi, member).defect
-                if d > worst:
-                    worst, worst_member = d, member
-                if d > threshold:
-                    all_flat = False
+            idx = grid.kept_indices()
+
+            def member(k: int) -> Parallelogram:
+                return part.world_box(grid.tile(int(idx[k, 0]), int(idx[k, 1])))
+
+            vals = rep.defect
+            for k in np.flatnonzero(rep.lo > threshold):
+                vals[k] = flat_defect(phi, member(k)).defect
+            all_flat = all_flat and bool(rep.flat.all())
+            k = int(np.argmax(vals))
+            if vals[k] > worst:
+                worst, worst_member = float(vals[k]), member(k)
     for member in cover.loose:
-        d = flat_defect(phi, member).defect
+        _, hi = flat_defect_interval(phi, member)
+        d = hi if hi <= threshold else flat_defect(phi, member).defect
         if d > worst:
             worst, worst_member = d, member
         if d > threshold:
@@ -645,63 +602,7 @@ def verify_cover(
     )
 
 
-# -- curved/flat dichotomy and the general construction -------------------
-
-
-def curved_flat_dichotomy(
-    phi: BivariatePoly,
-    m_const: float = 4.0,
-    m1_const: Optional[float] = None,
-    domain: BBox = UNIT_SQUARE,
-) -> Tuple[List[Parallelogram], List[Parallelogram]]:
-    """Split the domain into small squares by Hessian-determinant size.
-
-    A square lands in the curved list when it meets the region
-    ``|det H| > 1/m_const``; the decision samples det H on a 3x3 pattern
-    per square and pads by a Lipschitz bound, so squares whose center
-    clears the threshold are always classified curved.
-    """
-    if m_const < 2:
-        raise ValueError("m_const must be at least 2")
-    m1 = float(m1_const) if m1_const is not None else float(m_const) ** 3
-    n = int(round(m1))
-    if abs(m1 - n) > 1e-9 or n < 1:
-        raise ValueError("m1_const must be a positive integer")
-    if n * n > 1 << 22:
-        raise ValueError(f"m1_const={n} would enumerate {n*n} squares; lower it")
-    det_poly = phi.hessian_det_poly()
-    xmin, ymin, xmax, ymax = domain
-    side_x = (xmax - xmin) / n
-    side_y = (ymax - ymin) / n
-    # Lipschitz bound for det H over the domain
-    gx = det_poly.diff(0)
-    gy = det_poly.diff(1)
-    rx = max(abs(xmin), abs(xmax), 1.0)
-    ry = max(abs(ymin), abs(ymax), 1.0)
-    lip = sum(abs(a) * rx ** j * ry ** k for (j, k), a in gx.coeffs.items()) + sum(
-        abs(a) * rx ** j * ry ** k for (j, k), a in gy.coeffs.items()
-    )
-    pad = lip * 0.5 * math.hypot(side_x, side_y) / 2.0
-    offs = np.array([-0.5, 0.0, 0.5])
-    centers_x = xmin + side_x * (np.arange(n) + 0.5)
-    centers_y = ymin + side_y * (np.arange(n) + 0.5)
-    gxx, gyy = np.meshgrid(centers_x, centers_y, indexing="ij")
-    curved_mask = np.zeros((n, n), dtype=bool)
-    for ox in offs:
-        for oy in offs:
-            vals = np.abs(
-                np.asarray(det_poly.eval(gxx + ox * side_x, gyy + oy * side_y))
-            )
-            curved_mask |= vals + pad > 1.0 / m_const
-    curved, flat = [], []
-    for i in range(n):
-        for j in range(n):
-            sq = axis_rectangle(
-                xmin + i * side_x, ymin + j * side_y,
-                xmin + (i + 1) * side_x, ymin + (j + 1) * side_y,
-            )
-            (curved if curved_mask[i, j] else flat).append(sq)
-    return curved, flat
+# -- the general construction ----------------------------------------------
 
 
 def _det_range(phi: BivariatePoly, domain: BBox, n: int = 17):
@@ -826,11 +727,9 @@ def _affine_tangent_at_center(psi: BivariatePoly, cx: float, cy: float) -> Bivar
 def build_cover_general(
     phi: BivariatePoly,
     delta: float,
-    eps: float = 0.1,
     m_const: float = 4.0,
     a_const: float = 16.0,
     domain: BBox = UNIT_SQUARE,
-    dense_check: bool = False,
 ) -> FlatCover:
     """Flat cover for an arbitrary polynomial phase.
 
@@ -839,9 +738,17 @@ def build_cover_general(
     anisotropic construction; bowl -> square caps at the certified flat
     scale); degenerate patches are rotated so the phase is nearly a
     function of the first variable, split into maximal flat strips, and
-    each strip is zoomed to unit scale and recursed.  Every emitted
-    member is re-certified flat at scale a_const*delta for the original
-    phase.  Depth beyond 4*log_M(1/delta) raises (m_const too small).
+    each strip is zoomed to unit scale and recursed.  Depth beyond
+    4*log_M(1/delta) raises (m_const too small).
+
+    Every member is decided flat at scale a_const*delta as it is
+    emitted, in its patch's frame, where the normalized phase has the
+    defect of the original phase divided by the patch's scale: flat
+    patches and strips by ``is_flat``; saddle tilings by the anisotropic
+    builder's closed-form prefilter, with ``tiling_flatness`` on its
+    uncertain band; bowl tilings by ``tiling_flatness`` at the largest
+    dyadic side whose every tile passes.  ``verify_cover`` re-decides
+    them for the original phase.
     """
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
@@ -879,19 +786,21 @@ def build_cover_general(
                 float(corners[:, 0].min()), float(corners[:, 1].min()),
                 float(corners[:, 0].max()), float(corners[:, 1].max()),
             )
-            groups = _build_hp_core(chi, target / abs(mixed), a_const, bbox, dense_check)
+            groups = _build_hp_core(chi, target / abs(mixed), a_const, bbox)
             emit_groups(frame.compose(nmap), groups)
             return
         if sign > 0 and min_det > 1.0 / m_const:
-            # bowl: axis-aligned square caps at the largest flat dyadic side
+            # bowl: square caps at the largest dyadic side whose whole
+            # tiling is flat
             side = xmax - xmin
-            while side > 1e-12:
-                proto = axis_rectangle(xmin, ymin, xmin + side, ymin + side)
-                if is_flat(psi, proto, target, a_const):
+            while True:
+                grid = make_tile_grid(side, side, 0.0, local_domain,
+                                      alpha=1.0 / side, beta=0)
+                if len(grid) > 1 << 20:
+                    raise RuntimeError("bowl caps found no flat dyadic side")
+                if tiling_flatness(psi, grid, target, a_const).flat.all():
                     break
                 side *= 0.5
-            grid = make_tile_grid(side, side, 0.0, local_domain,
-                                  alpha=1.0 / side, beta=0)
             emit_groups(frame, [grid])
             return
         # degenerate patch: try the rotation route on the whole patch

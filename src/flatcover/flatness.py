@@ -15,18 +15,22 @@ checking vertices and edge critical points.  For higher degree the sup
 is bracketed by grid sampling with a Lipschitz remainder plus an exact
 quadratic-part bound with a cubic-tail correction; the two brackets are
 intersected.
+
+``tiling_flatness`` makes the flatness decision for all kept tiles of a
+tiling at once; ``flat_defect_interval`` and ``is_flat`` are its one-box
+case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import optimize
 
-from .geometry import Parallelogram
+from .geometry import AffineMap2, Parallelogram, TileGrid
 from .poly2 import BivariatePoly
 
 # Default flatness-versus-scale constants used by the cover builders.
@@ -74,95 +78,97 @@ def default_a_const(phi: BivariatePoly) -> float:
     return A_QUADRATIC if phi.support_degree() <= 2 else A_GENERAL
 
 
-# -- quadratic closed form ----------------------------------------------
+# -- certified brackets ---------------------------------------------------
 
 
-def _quad_form_box_max(g: np.ndarray) -> Tuple[float, np.ndarray]:
-    """max |t^T G t| over t in [-1,1]^2 with the extremum location.
+def quad_defect(phi: BivariatePoly, edges):
+    """Closed-form defect of the quadratic part of ``phi`` over boxes
+    with half-edge matrices ``edges`` (shape (..., 2, 2)), and a witness.
 
-    The extremum of a quadratic form on the square sits at a vertex or
-    at an interior critical point of an edge restriction; |.| needs both
-    the max and the min of the form.
+    With the full-edge matrix E = 2 [e1 e2] and G = E^T H E, the defect
+    is max |t^T G t| / 2 over t in [-1, 1]^2.  The extremum of a
+    quadratic form on the square sits at a vertex or at an interior
+    critical point of an edge restriction; |.| needs both the max and
+    the min of the form.  Returns (defect, t), t of shape (..., 2).
     """
-    cands = [np.array([1.0, 1.0]), np.array([1.0, -1.0]),
-             np.array([-1.0, 1.0]), np.array([-1.0, -1.0])]
-    g11, g12, g22 = g[0, 0], g[0, 1], g[1, 1]
-    if g22 != 0.0:
-        for t1 in (-1.0, 1.0):
-            t2 = -g12 * t1 / g22
-            if abs(t2) <= 1.0:
-                cands.append(np.array([t1, t2]))
-    if g11 != 0.0:
-        for t2 in (-1.0, 1.0):
-            t1 = -g12 * t2 / g11
-            if abs(t1) <= 1.0:
-                cands.append(np.array([t1, t2]))
-    best, best_t = 0.0, np.zeros(2)
-    for t in cands:
-        val = abs(float(t @ g @ t))
-        if val > best:
-            best, best_t = val, t
-    return best, best_t
+    h11, h12, h22 = 2.0 * phi.coeff(2, 0), phi.coeff(1, 1), 2.0 * phi.coeff(0, 2)
+    e = 2.0 * np.asarray(edges, dtype=float)
+    a1, a2, b1, b2 = e[..., 0, 0], e[..., 1, 0], e[..., 0, 1], e[..., 1, 1]
+    g11 = h11 * a1 * a1 + 2.0 * h12 * a1 * a2 + h22 * a2 * a2
+    g12 = h11 * a1 * b1 + h12 * (a1 * b2 + a2 * b1) + h22 * a2 * b2
+    g22 = h11 * b1 * b1 + 2.0 * h12 * b1 * b2 + h22 * b2 * b2
+    s11 = np.where(g11 == 0, 1.0, g11)
+    s22 = np.where(g22 == 0, 1.0, g22)
+    # edge t1 = 1: g11 + 2 g12 t2 + g22 t2^2 is critical at t2 = -g12/g22;
+    # edge t2 = 1 likewise at t1 = -g12/g11
+    t2, t1 = -g12 / s22, -g12 / s11
+    vals = np.stack([
+        np.abs(g11 + g22 + 2 * g12),
+        np.abs(g11 + g22 - 2 * g12),
+        np.where((g22 != 0) & (np.abs(t2) <= 1), np.abs(g11 - g12 * g12 / s22), 0.0),
+        np.where((g11 != 0) & (np.abs(t1) <= 1), np.abs(g22 - g12 * g12 / s11), 0.0),
+    ])
+    k = np.argmax(vals, axis=0)
+    best = np.max(vals, axis=0)
+    t = np.stack([np.where(k == 3, t1, 1.0), np.choose(k, [1.0, -1.0, t2, 1.0])], axis=-1)
+    return 0.5 * best, np.where((best > 0)[..., None], t, 0.0)
 
 
-def _quadratic_defect(phi: BivariatePoly, box: Parallelogram):
-    """Exact defect for a phase with support degree <= 2."""
-    h = phi.hessian(*box.center)
-    e_full = 2.0 * box.edge_matrix
-    g = e_full.T @ h @ e_full
-    m, t = _quad_form_box_max(g)
-    defect = 0.5 * m
-    c = np.asarray(box.center)
-    d_half = box.edge_matrix @ t  # half of the extremal difference vector
-    u = tuple(c + d_half)
-    v = tuple(c - d_half)
-    return defect, u, v
-
-
-# -- coefficient bounds over a box ---------------------------------------
-
-
-def _hessian_entry_bounds(phi: BivariatePoly, box: Parallelogram, min_total_degree: int = 2):
-    """Entrywise sup bounds for |Hessian| over the box's bounding box,
-    restricted to monomials of total degree >= min_total_degree."""
-    xmin, ymin, xmax, ymax = box.bounding_box()
-    rx = max(abs(xmin), abs(xmax), 1e-300)
-    ry = max(abs(ymin), abs(ymax), 1e-300)
-    b11 = b12 = b22 = 0.0
+def _hessian_op_bound(phi: BivariatePoly, bboxes, min_total_degree: int = 2):
+    """Operator-norm bound for the Hessian over axis boxes ``(xmin, ymin,
+    xmax, ymax)`` (shape (..., 4)), from entrywise sup bounds restricted
+    to monomials of total degree >= min_total_degree."""
+    bb = np.asarray(bboxes, dtype=float)
+    rx = np.maximum(np.maximum(np.abs(bb[..., 0]), np.abs(bb[..., 2])), 1e-300)
+    ry = np.maximum(np.maximum(np.abs(bb[..., 1]), np.abs(bb[..., 3])), 1e-300)
+    b11 = b12 = b22 = np.zeros(rx.shape)
     for (j, k), a in phi.coeffs.items():
         if j + k < min_total_degree:
             continue
         mag = abs(a)
         if j >= 2:
-            b11 += mag * j * (j - 1) * rx ** (j - 2) * ry ** k
+            b11 = b11 + mag * j * (j - 1) * rx ** (j - 2) * ry ** k
         if j >= 1 and k >= 1:
-            b12 += mag * j * k * rx ** (j - 1) * ry ** (k - 1)
+            b12 = b12 + mag * j * k * rx ** (j - 1) * ry ** (k - 1)
         if k >= 2:
-            b22 += mag * k * (k - 1) * rx ** j * ry ** (k - 2)
-    return b11, b12, b22
+            b22 = b22 + mag * k * (k - 1) * rx ** j * ry ** (k - 2)
+    return np.maximum(b11, b22) + b12
 
 
-def _hessian_op_bound(phi: BivariatePoly, box: Parallelogram, min_total_degree: int = 2) -> float:
-    b11, b12, b22 = _hessian_entry_bounds(phi, box, min_total_degree)
-    return max(b11, b22) + b12
+def tail_bound(phi: BivariatePoly, bboxes, diam: float):
+    """Bound on what the degree >= 3 terms of ``phi`` add to the defect
+    of any box of diameter ``diam`` inside each axis box (shape (..., 4)):
+    half the Hessian norm bound of those terms times diam^2."""
+    return 0.5 * _hessian_op_bound(phi, bboxes, min_total_degree=3) * diam * diam
+
+
+def _bracket(phi: BivariatePoly, edges: np.ndarray, centers):
+    """Per-box [lo, hi] for the congruent boxes ``center + edges [-1,1]^2``
+    and the quadratic part's witness t.
+
+    The quadratic part's defect is exact and one value for all boxes,
+    since they share the edge matrix; each box widens it by the tail
+    bound over its own bounding box.
+    """
+    c = np.atleast_2d(np.asarray(centers, dtype=float))
+    q, t = quad_defect(phi, edges)
+    q = float(q)
+    if phi.support_degree() <= 2:
+        return np.full(len(c), q), np.full(len(c), q), t
+    e1, e2 = edges[:, 0], edges[:, 1]
+    verts = np.stack([c - e1 - e2, c + e1 - e2, c + e1 + e2, c - e1 + e2], axis=1)
+    bboxes = np.concatenate([verts.min(axis=1), verts.max(axis=1)], axis=1)
+    diam = 2.0 * max(math.hypot(*(e1 + e2)), math.hypot(*(e1 - e2)))
+    d = tail_bound(phi, bboxes, diam)
+    return np.maximum(q - d, 0.0), q + d, t
 
 
 def _split_interval(phi: BivariatePoly, box: Parallelogram):
-    """Bracket the defect by exact-quadratic-part plus cubic-tail bound."""
-    quad = BivariatePoly(
-        2, {(j, k): a for (j, k), a in phi.coeffs.items() if j + k == 2}
-    )
-    q, u, v = _quadratic_defect(quad, box)
-    tail_deg3 = BivariatePoly(
-        phi.degree,
-        {(j, k): a for (j, k), a in phi.coeffs.items() if j + k >= 3},
-    )
-    if tail_deg3.is_zero():
-        return q, q, u, v
-    op = _hessian_op_bound(tail_deg3, box, min_total_degree=3)
-    diam = box.diameter()
-    d = 0.5 * op * diam * diam
-    return max(q - d, 0.0), q + d, u, v
+    """One box's bracket with the quadratic part's witness pair."""
+    lo, hi, t = _bracket(phi, box.edge_matrix, [box.center])
+    c = np.asarray(box.center)
+    d_half = box.edge_matrix @ t  # half of the extremal difference vector
+    return float(lo[0]), float(hi[0]), tuple(c + d_half), tuple(c - d_half)
 
 
 # -- grid sampling with Lipschitz certificate ----------------------------
@@ -190,7 +196,7 @@ def _sample_grid_quadratic(phi: BivariatePoly, box: Parallelogram, m: int):
     v = tuple(c - half)
     spacing = 2.0 / (m - 1) if m > 1 else 2.0
     e_norms = np.linalg.norm(e, axis=0)
-    op = _hessian_op_bound(phi, box)
+    op = float(_hessian_op_bound(phi, box.bounding_box()))
     remainder = op * box.diameter() * spacing * float(e_norms.sum())
     return float(vals.flat[k]), u, v, remainder
 
@@ -231,7 +237,7 @@ def _sample_grid(phi: BivariatePoly, box: Parallelogram, m: int):
     v = tuple(pts[bj])
     spacing = 2.0 / (m - 1) if m > 1 else 2.0
     e_norms = np.linalg.norm(e, axis=0)
-    op = _hessian_op_bound(phi, box)
+    op = float(_hessian_op_bound(phi, box.bounding_box()))
     remainder = op * box.diameter() * spacing * float(e_norms.sum())
     return best, u, v, remainder
 
@@ -263,6 +269,28 @@ def _polish(phi: BivariatePoly, box: Parallelogram, u0, v0):
 # -- public API -----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class TilingFlatness:
+    """Flatness of congruent boxes (the kept tiles of a tiling, or one
+    box) at the threshold ``a_const * delta``.
+
+    ``lo`` and ``hi`` bracket each box's defect without sampling.
+    ``defect`` is the value each decision rests on: ``hi`` where the
+    bracket certifies flatness (hi <= threshold), ``lo`` where it rules
+    flatness out (lo > threshold), and ``flat_defect(...).defect`` where
+    it is inconclusive.  ``flat`` is ``defect <= threshold``.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    defect: np.ndarray
+    threshold: float
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self.defect <= self.threshold
+
+
 def flat_defect(
     phi: BivariatePoly,
     box: Parallelogram,
@@ -283,7 +311,7 @@ def flat_defect(
     if method == "closed" and deg > 2:
         raise ValueError("closed form requires a quadratic phase")
     if method != "sample" and deg <= 2:
-        defect, u, v = _quadratic_defect(phi, box)
+        defect, _, u, v = _split_interval(phi, box)
         return FlatnessReport(defect, defect, defect, True, u, v)
 
     sampled, u, v, remainder = _sample_grid(phi, box, m)
@@ -301,33 +329,67 @@ def flat_defect(
     return FlatnessReport(lower, lower, upper, certified, u, v)
 
 
+def _threshold(phi: BivariatePoly, delta: float, a_const: Optional[float]) -> float:
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    return (default_a_const(phi) if a_const is None else float(a_const)) * delta
+
+
+def _decide(phi: BivariatePoly, lo: np.ndarray, hi: np.ndarray, threshold: float,
+            box_of: Callable[[int], Parallelogram]) -> TilingFlatness:
+    """Decide from the bracket where it is conclusive; run the full
+    estimator only on the boxes in between."""
+    defect = np.where(hi <= threshold, hi, lo)
+    for k in np.flatnonzero((hi > threshold) & (lo <= threshold)):
+        defect[k] = flat_defect(phi, box_of(int(k))).defect
+    return TilingFlatness(lo, hi, defect, threshold)
+
+
+def tiling_flatness(
+    phi: BivariatePoly,
+    grid: TileGrid,
+    delta: float,
+    a_const: Optional[float] = None,
+    frame: Optional[AffineMap2] = None,
+) -> TilingFlatness:
+    """Flatness of every kept tile of ``grid`` (seen through ``frame``
+    when given), ordered as ``grid.kept_indices()``.
+
+    All tiles share one edge matrix, so the quadratic part's exact
+    defect is computed once; each tile adds the tail bound over its own
+    bounding box, and only tiles whose bracket straddles the threshold
+    reach ``flat_defect``.
+    """
+    threshold = _threshold(phi, delta, a_const)
+    idx = grid.kept_indices()
+    centers = grid.centers()
+    proto = grid.tile(grid.i0, grid.j0)
+    if frame is not None:
+        centers = frame.apply(centers)
+        proto = frame.apply_box(proto)
+    lo, hi, _ = _bracket(phi, proto.edge_matrix, centers)
+
+    def box_of(k: int) -> Parallelogram:
+        tile = grid.tile(int(idx[k, 0]), int(idx[k, 1]))
+        return tile if frame is None else frame.apply_box(tile)
+
+    return _decide(phi, lo, hi, threshold, box_of)
+
+
 def flat_defect_interval(phi: BivariatePoly, box: Parallelogram):
     """Cheap certified bracket (no sampling): exact for quadratics,
-    quadratic-part plus cubic-tail bound otherwise."""
-    if phi.support_degree() <= 2:
-        d, _, _ = _quadratic_defect(phi, box)
-        return d, d
+    quadratic part plus tail bound otherwise."""
     lo, hi, _, _ = _split_interval(phi, box)
     return lo, hi
 
 
 def is_flat(phi: BivariatePoly, box: Parallelogram, delta: float,
             a_const: Optional[float] = None) -> bool:
-    """Whether the defect is at most ``a_const * delta``.
-
-    Decides from the cheap bracket when it is conclusive and falls back
-    to the full estimator otherwise.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    a = default_a_const(phi) if a_const is None else float(a_const)
-    threshold = a * delta
-    lo, hi = flat_defect_interval(phi, box)
-    if hi <= threshold:
-        return True
-    if lo > threshold:
-        return False
-    return flat_defect(phi, box).defect <= threshold
+    """Whether the defect is at most ``a_const * delta``: the one-box
+    case of ``tiling_flatness``."""
+    threshold = _threshold(phi, delta, a_const)
+    lo, hi, _ = _bracket(phi, box.edge_matrix, [box.center])
+    return bool(_decide(phi, lo, hi, threshold, lambda k: box).flat[0])
 
 
 # -- null directions and candidate boxes ---------------------------------

@@ -298,11 +298,15 @@ class TileGrid:
 
         With tol = None a tile takes the points of its half-open cell, and
         the outer boundary of the index range is closed: each point lands
-        in at most one tile.  With tol >= 0 a tile takes every point within
+        in at most one tile.  With tol > 0 a tile takes every point within
         distance tol of the closed tile; distances are exact, since tiles
-        are rectangles in the grid frame.  The cells tried around a point's
-        own cell reach floor(tol / w) + 1 columns and floor(tol / h) + 1
-        rows each way, enough to find every tile at distance up to tol.
+        are rectangles in the grid frame.  With tol = 0 a tile takes the
+        points of the closed tile, with the relative slack of
+        ``Parallelogram.contains``, so a point on a shared edge or vertex
+        lands in every tile that contains it.  The cells tried around a
+        point's own cell reach floor(tol / w) + 1 columns and
+        floor(tol / h) + 1 rows each way, enough to find every tile at
+        distance up to tol.
         """
         fx, fy = self._frame_coords(points)
         ux, uy = fx / self.w, fy / self.h
@@ -320,13 +324,16 @@ class TileGrid:
         else:
             reach_i = int(math.floor(tol / self.w * (1 + 1e-9))) + 1
             reach_j = int(math.floor(tol / self.h * (1 + 1e-9))) + 1
+            slack = 0.5 * _CONTAIN_TOL if tol == 0 else 0.0
             found = []
             for di in range(-reach_i, reach_i + 1):
                 ii = ci + di
-                dx = np.maximum(np.maximum(ii * self.w - fx, fx - (ii + 1) * self.w), 0.0)
+                dx = np.maximum(np.maximum(ii * self.w - fx, fx - (ii + 1) * self.w)
+                                - slack * self.w, 0.0)
                 for dj in range(-reach_j, reach_j + 1):
                     jj = cj + dj
-                    dy = np.maximum(np.maximum(jj * self.h - fy, fy - (jj + 1) * self.h), 0.0)
+                    dy = np.maximum(np.maximum(jj * self.h - fy, fy - (jj + 1) * self.h)
+                                    - slack * self.h, 0.0)
                     k = np.flatnonzero((dx * dx + dy * dy) <= tol * tol * (1 + 1e-12))
                     found.append((k, ii[k], jj[k]))
             pidx, ii, jj = (np.concatenate(a) for a in zip(*found))

@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from .cover import FlatCover
-from .geometry import Parallelogram
+from .geometry import _CONTAIN_TOL, Parallelogram
 from .norms import ExpSum, _parallelogram_distance, expsum_lp, product_exp_sum
 from .poly2 import BivariatePoly
 
@@ -90,12 +90,16 @@ def points_in_flat_set(
 ) -> int:
     """Lattice points whose lifted point lies in the tol-neighborhood of
     the vertical slab over s and which sit in the (1+tol)-dilate of s.
+    At tol = 0 that is the closed box, with the relative slack of
+    ``Parallelogram.contains``.
 
     The slab is vertical, so the lift drops out of the distance; the
     phase argument is kept for interface symmetry with the cover side.
     """
     del phi
     pts = lat.points()
+    if tol == 0:
+        return int(np.count_nonzero(s.contains(pts)))
     near = _parallelogram_distance(pts, s) <= tol * (1 + 1e-12)
     coords = s.affine_coords(pts)
     inside = np.all(np.abs(coords) <= 1.0 + tol, axis=1)
@@ -146,7 +150,7 @@ def max_flat_multiplicity(
             # kept tiles near each point, then the (1+tol)-dilate condition
             pidx, ii, jj = grid.point_tiles(local, tol / scale)
             x = grid.tile_coords(local[pidx], ii, jj)
-            ok = np.max(np.abs(x), axis=1) <= 1.0 + tol
+            ok = np.max(np.abs(x), axis=1) <= 1.0 + (tol if tol > 0 else _CONTAIN_TOL)
             key = (ii[ok] - grid.i0) * grid.nj + (jj[ok] - grid.j0)
             counts = np.bincount(key, minlength=grid.ni * grid.nj)
             live = counts if grid.keep is None else counts[grid.keep.ravel()]

@@ -18,9 +18,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .cover import FlatCover, FramedGroups, _saddle_normalizer, _tail_remainder
-from .flatness import flat_defect_interval, is_flat
-from .geometry import AffineMap2, Parallelogram, axis_rectangle
+from .cover import FlatCover, FramedGroups, _saddle_normalizer
+from .flatness import is_flat, tiling_flatness
+from .geometry import AffineMap2, Parallelogram
 from .poly2 import BivariatePoly, compose_affine, poly_scale, poly_sub
 
 
@@ -207,12 +207,13 @@ def pullback_cover(
     """Map a cover of the rescaled unit square back through L.
 
     A cover at scale delta' for phi_tilde becomes a cover at scale
-    sigma_eff * delta' for phi; every member is re-certified flat and a
-    failure raises (it would mean the defect identity was violated).
+    sigma_eff * delta' for phi.  Every member is re-certified flat for
+    phi at a_const * delta, tiling by tiling, with a relative slack of
+    1e-9 for the rounding of L; a failure raises (it would mean the
+    defect identity was violated).
     """
     delta = result.sigma_eff * cover_prime.delta
     a_const = cover_prime.a_const if a_const is None else a_const
-    threshold = a_const * delta * (1 + 1e-9)
     parts = []
     for part in cover_prime.parts:
         frame = result.L if part.frame is None else result.L.compose(part.frame)
@@ -226,18 +227,9 @@ def pullback_cover(
         float(corners[:, 0].min()), float(corners[:, 1].min()),
         float(corners[:, 0].max()), float(corners[:, 1].max()),
     )
-    for part in cover.parts:
-        for grid in part.groups:
-            proto = part.world_box(grid.tile(grid.i0, grid.j0))
-            lo, hi = flat_defect_interval(phi, proto)
-            rem = _tail_remainder(phi, cover.domain, proto.diameter())
-            if hi + rem <= threshold:
-                continue
-            for tile in grid.tiles():
-                member = part.world_box(tile)
-                if not is_flat(phi, member, delta, a_const):
-                    raise ValueError("pullback member failed flatness re-certification")
-    for member in loose:
-        if not is_flat(phi, member, delta, a_const):
-            raise ValueError("pullback member failed flatness re-certification")
+    slack_delta = delta * (1 + 1e-9)
+    flat = all(tiling_flatness(phi, grid, slack_delta, a_const, part.frame).flat.all()
+               for part in cover.parts for grid in part.groups)
+    if not (flat and all(is_flat(phi, m, slack_delta, a_const) for m in loose)):
+        raise ValueError("pullback member failed flatness re-certification")
     return cover

@@ -3,18 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flatcover.cover import (
     FlatCover,
     build_cover_general,
     build_cover_hp,
     canonical_caps,
-    curved_flat_dichotomy,
     hp_axis_family,
     normal_axis_family,
     overlap_profile,
     verify_cover,
 )
+from flatcover.flatness import flat_defect
 from flatcover.geometry import axis_rectangle
 from flatcover.poly2 import (
     BivariatePoly,
@@ -156,24 +158,29 @@ def test_general_cover_on_mixed_cubic_phase():
     assert rep.ok
 
 
-def test_curved_flat_dichotomy_classifies():
-    curved, flat = curved_flat_dichotomy(hyperbolic_phase())
-    assert curved and not flat  # det H = -1 everywhere
-    nearly_flat = BivariatePoly(2, {(1, 1): 1e-4})
-    curved2, flat2 = curved_flat_dichotomy(nearly_flat)
-    assert flat2 and not curved2
-    # the two lists together tile the domain
-    phi = BivariatePoly(3, {(2, 1): 1.0, (1, 2): -1.0})
-    m_const = 4.0
-    curved3, flat3 = curved_flat_dichotomy(phi, m_const=m_const)
-    area = sum(b.area() for b in curved3) + sum(b.area() for b in flat3)
-    assert area == pytest.approx(1.0, rel=1e-9)
-    assert curved3 and flat3
-    # a square whose center clears the threshold always lands curved
-    det = phi.hessian_det_poly()
-    for box in flat3:
-        cx, cy = box.center
-        assert abs(det.eval(cx, cy)) <= 1.0 / m_const + 1e-12
+@settings(max_examples=8)
+@given(
+    kind=st.sampled_from(["bowl", "cubic"]),
+    c=st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+    e=st.sampled_from([4, 5]),
+)
+@example(kind="bowl", c=(1.0, 0.0, 0.625, 0.0), e=4)  # x^2+y^2+0.8x^3+0.5xy^2
+def test_general_cover_members_are_flat(kind, c, e):
+    """Bowl phases (x^2+y^2 plus small cubic terms) and mixed cubics near
+    x^3+y^3+xy: every member passes the sampled defect estimate at
+    A*delta, and verify_cover accepts the cover."""
+    if kind == "bowl":
+        cubic = {(3, 0): 0.8 * c[0], (2, 1): 0.8 * c[1], (1, 2): 0.8 * c[2], (0, 3): 0.8 * c[3]}
+        phi = BivariatePoly(3, {(2, 0): 1.0, (0, 2): 1.0, **cubic})
+    else:
+        phi = BivariatePoly(3, {(3, 0): 1.0 + 0.05 * c[0], (0, 3): 1.0 + 0.05 * c[1],
+                                (1, 1): 1.0, (2, 1): 0.05 * c[2], (1, 2): 0.05 * c[3]})
+    delta = 2.0 ** -e
+    cov = build_cover_general(phi, delta)
+    limit = cov.a_const * delta
+    for member in cov.iter_members():
+        assert flat_defect(phi, member, m=13, polish=False, method="sample").defect <= limit
+    assert verify_cover(cov, phi).ok
 
 
 def test_cover_json_round_trip_members_and_counts():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatcover.flatness import (
     candidate_box,
@@ -11,8 +13,9 @@ from flatcover.flatness import (
     is_flat,
     null_direction_fields,
     null_directions,
+    tiling_flatness,
 )
-from flatcover.geometry import axis_rectangle, dilate, rotated_rectangle
+from flatcover.geometry import AffineMap2, axis_rectangle, dilate, make_tile_grid, rotated_rectangle
 from flatcover.poly2 import (
     BivariatePoly,
     elliptic_phase,
@@ -94,6 +97,53 @@ def test_cubic_defect_bracket_contains_sample():
         lo, hi = flat_defect_interval(phi, box)
         assert lo <= rep.upper * (1 + 1e-12)
         assert hi >= rep.lower * (1 - 1e-12)
+
+
+@settings(max_examples=15)
+@given(
+    w=st.floats(0.2, 0.6), h=st.floats(0.15, 0.5), theta=st.floats(0.0, math.pi),
+    degree=st.sampled_from([3, 4]), framed=st.booleans(), masked=st.booleans(),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_tiling_flatness_matches_per_tile_bracket_and_decision(w, h, theta, degree, framed,
+                                                               masked, seed):
+    """The tiling helper's [lo, hi] equals flat_defect_interval on every
+    kept tile and holds the sampled defect, and its flat mask equals
+    is_flat at thresholds that certify every tile, leave one tile to the
+    sampled estimate, or rule every tile out."""
+    rng = np.random.default_rng(seed)
+    coeffs = {(j, k): float(rng.normal()) for j in range(3) for k in range(3 - j)}
+    coeffs.update({(j, k): float(rng.uniform(-0.3, 0.3))
+                   for j in range(degree + 1) for k in range(degree + 1 - j) if j + k >= 3})
+    phi = BivariatePoly(degree, coeffs)
+    grid = make_tile_grid(w, h, theta)
+    if masked:
+        grid.keep = rng.random((grid.ni, grid.nj)) < 0.7
+    frame = None
+    if framed:
+        frame = AffineMap2(tuple(map(tuple, rng.uniform(-1.0, 1.0, (2, 2)) + 2.0 * np.eye(2))),
+                           tuple(rng.uniform(-1.0, 1.0, 2)))
+    members = [t if frame is None else frame.apply_box(t) for t in grid.tiles()]
+    if not members:
+        assert len(tiling_flatness(phi, grid, 1.0, 1.0, frame).flat) == 0
+        return
+    want = np.array([flat_defect_interval(phi, m) for m in members])
+    rep = tiling_flatness(phi, grid, 1e9, 1.0, frame)
+    atol = 1e-12 * float(want[:, 1].max())
+    np.testing.assert_allclose(rep.lo, want[:, 0], rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(rep.hi, want[:, 1], rtol=1e-12, atol=atol)
+    sampled = [flat_defect(phi, m, m=9, polish=False, method="sample").defect for m in members]
+    assert np.all(sampled <= rep.hi * (1 + 1e-9))
+    ends = np.sort(want[:, 1])
+    thresholds = [2.0 * ends[-1], 0.5 * want[:, 0].min()]
+    if len(ends) >= 2:
+        thresholds.append(0.5 * (ends[-1] + ends[-2]))
+    for threshold in thresholds:
+        if np.any(np.abs(want - threshold) <= 1e-9 * threshold) or threshold <= 0:
+            continue  # a threshold on a bracket end is decided by rounding
+        rep = tiling_flatness(phi, grid, threshold, 1.0, frame)
+        expected = [is_flat(phi, m, threshold, 1.0) for m in members]
+        np.testing.assert_array_equal(rep.flat, expected)
 
 
 def test_method_validation():

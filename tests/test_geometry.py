@@ -236,6 +236,26 @@ def test_point_tiles_matches_per_tile_check_on_rotated_grids(w, h, theta, tol_ki
         assert _kernel_triples(grid, generic, sharp) == _brute_point_tiles(grid, generic, sharp)
 
 
+@settings(max_examples=40)
+@given(
+    w=st.floats(0.1, 0.6), h=st.floats(0.1, 0.6), theta=st.floats(0.0, math.pi),
+    corner=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    size=st.tuples(st.floats(0.3, 1.5), st.floats(0.3, 1.5)),
+)
+def test_point_tiles_at_zero_tol_finds_closed_tiles(w, h, theta, corner, size):
+    """At tol = 0 a point on a shared edge or vertex lands in every kept
+    tile whose closed box contains it, as Parallelogram.contains says."""
+    domain = (corner[0], corner[1], corner[0] + size[0], corner[1] + size[1])
+    grid = make_tile_grid(w, h, theta, domain)
+    tiles = list(grid.tiles())
+    verts = np.concatenate([t.vertices() for t in tiles])
+    mids = 0.5 * (verts + np.concatenate([np.roll(t.vertices(), -1, axis=0) for t in tiles]))
+    pts = np.concatenate([verts, mids])
+    pidx, _, _ = grid.point_tiles(pts, 0.0)
+    want = np.sum([t.contains(pts) for t in tiles], axis=0)
+    np.testing.assert_array_equal(np.bincount(pidx, minlength=len(pts)), want)
+
+
 def test_rotated_tiling_covers_domain():
     tiles = tile_rotated_rectangles(0.3, 0.11, 0.5)
     rng = np.random.default_rng(17)

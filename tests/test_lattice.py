@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flatcover.cover import canonical_caps, hp_axis_family, normal_axis_family
-from flatcover.geometry import rotated_rectangle
+from flatcover.cover import FlatCover, FramedGroups, canonical_caps, hp_axis_family, normal_axis_family
+from flatcover.geometry import make_tile_grid, rotated_rectangle
 from flatcover.lattice import (
     FrequencyLattice,
     discrete_restriction_ratio,
@@ -110,6 +112,28 @@ def test_max_flat_multiplicity_respects_tol_argument():
     loose, _ = max_flat_multiplicity(cov, lat, hyperbolic_phase(), tol=0.125)
     assert tight == 17 * 17  # closed caps hold a 17x17 block of the 2^-6 net
     assert loose > tight
+
+
+@settings(max_examples=20)
+@given(
+    e=st.integers(3, 4), alpha=st.floats(0.2, 1.0),
+    k1=st.integers(1, 4), k2=st.integers(1, 4),
+)
+def test_zero_tol_counts_take_lattice_points_on_tile_edges(e, alpha, k1, k2):
+    """Tiles of k1 x k2 lattice cells have lattice points on their edges
+    and vertices, up to rounding; at tol = 0 both counting paths take
+    each of them in every closed tile that contains it."""
+    delta = 2.0 ** -e
+    lat = lambda_grid(delta, alpha)
+    grid = make_tile_grid(k1 * delta, k2 * alpha * delta, 0.0)
+    cov = FlatCover(delta, 1.0, [FramedGroups(None, [grid])])
+    pts = lat.points()
+    want = [int(np.count_nonzero(t.contains(pts))) for t in grid.tiles()]
+    got = [points_in_flat_set(lat, t, hyperbolic_phase(), 0.0) for t in grid.tiles()]
+    assert got == want
+    best, hist = max_flat_multiplicity(cov, lat, hyperbolic_phase(), tol=0.0)
+    assert best == max(want)
+    assert hist == {c: want.count(c) for c in set(want)}
 
 
 def test_pell_gap_matches_integer_brute_force():
