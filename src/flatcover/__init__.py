@@ -3,7 +3,7 @@
 The package splits into small layers:
 
 * ``poly2``     -- exact bivariate polynomial arithmetic
-* ``geometry``  -- parallelograms, tilings, clipping
+* ``geometry``  -- parallelograms, affine maps, tilings
 * ``flatness``  -- flatness defects, null directions, candidate boxes
 * ``cover``     -- cap families and the cover construction
 * ``rescale``   -- parabolic rescaling of a box to unit scale
@@ -14,23 +14,16 @@ The package splits into small layers:
 
 from .poly2 import (
     BivariatePoly,
-    DependenceClass,
-    classify_dependence,
     compose_affine,
     elliptic_phase,
     hyperbolic_phase,
-    line_nondegeneracy,
     perturbed_hyperbolic,
-    sup_vs_coeff,
 )
 from .geometry import (
     AffineMap2,
     Parallelogram,
     comparable,
     dilate,
-    intersection_area,
-    point_membership,
-    tile_rotated_rectangles,
 )
 from .flatness import (
     FlatnessReport,

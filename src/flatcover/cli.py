@@ -97,6 +97,8 @@ def _parse_alpha(text: str) -> float:
         return math.sqrt(2.0)
     if "/" in t:
         num, _, den = t.partition("/")
+        if float(den) == 0.0:
+            raise ValueError(f"alpha {text!r} has a zero denominator")
         return float(num) / float(den)
     return float(t)
 
@@ -273,8 +275,8 @@ def cmd_decouple_ratio(args) -> int:
 
 def cmd_decouple_sweep(args) -> int:
     deltas = _parse_delta_list(args.deltas)
-    if len(deltas) < 4:
-        raise ValueError("a sweep needs at least 4 delta values for the fit")
+    if len(set(deltas)) < 4:
+        raise ValueError("a sweep needs at least 4 distinct delta values for the fit")
     rows = []
     points = []
     for d in sorted(deltas, reverse=True):
@@ -322,7 +324,7 @@ def cmd_rescale_check(args) -> int:
     worst_ratio = 0.0
     audits_ok = True
     for box in cov.sample_members(rng, args.count):
-        res = rescale_phase(phi, box, sigma=delta)
+        res = rescale_phase(phi, box, sigma=delta, a_const=args.a_const)
         t = rng.uniform(0.2, 0.9)
         cx, cy = rng.uniform(0.3, 0.7, size=2)
         rbox = rotated_rectangle((cx, cy), t * 0.5, t * 0.3, rng.uniform(0, math.pi))

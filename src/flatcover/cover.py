@@ -43,7 +43,11 @@ from .geometry import (
     axis_rectangle,
     make_tile_grid,
 )
-from .poly2 import BivariatePoly, compose_affine, poly_scale, poly_sub
+from .poly2 import BivariatePoly, compose_affine, minus_tangent_plane, poly_scale
+
+# Patches split into _M_CONST x _M_CONST squares; saddle and bowl patches
+# need |det H| > 1/_M_CONST; recursion depth is capped at 4*log_M(1/delta).
+_M_CONST = 4
 
 _NINE_OFFSETS = np.array(
     [(0.0, 0.0), (1, 1), (1, -1), (-1, 1), (-1, -1), (1, 0), (-1, 0), (0, 1), (0, -1)]
@@ -88,9 +92,6 @@ class FlatCover:
                 for tile in grid.tiles():
                     yield part.world_box(tile)
         yield from self.loose
-
-    def members(self) -> List[Parallelogram]:
-        return list(self.iter_members())
 
     def membership_counts(self, points) -> np.ndarray:
         """How many members contain each point (tiles half-open)."""
@@ -261,12 +262,12 @@ def _require_dyadic(delta: float) -> int:
     return int(round(k))
 
 
-def canonical_caps(delta: float, domain: BBox = UNIT_SQUARE) -> FlatCover:
-    """Partition of the domain into sqrt(delta)-side squares."""
+def canonical_caps(delta: float) -> FlatCover:
+    """Partition of the unit square into sqrt(delta)-side squares."""
     _require_dyadic(delta)
     side = math.sqrt(delta)
-    grid = make_tile_grid(side, side, 0.0, domain, alpha=delta ** -0.5, beta=0)
-    return FlatCover(delta, 1.0, [FramedGroups(None, [grid])], kind="caps", domain=domain)
+    grid = make_tile_grid(side, side, 0.0, alpha=delta ** -0.5, beta=0)
+    return FlatCover(delta, 1.0, [FramedGroups(None, [grid])], kind="caps")
 
 
 def hp_axis_family(delta: float, domain: BBox = UNIT_SQUARE) -> FlatCover:
@@ -288,8 +289,7 @@ def hp_axis_family(delta: float, domain: BBox = UNIT_SQUARE) -> FlatCover:
     return FlatCover(delta, 1.0, [FramedGroups(None, groups)], kind="axis", domain=domain)
 
 
-def normal_axis_family(phi: BivariatePoly, delta: float,
-                       domain: BBox = UNIT_SQUARE) -> FlatCover:
+def normal_axis_family(phi: BivariatePoly, delta: float) -> FlatCover:
     """The axis family expressed in the normal frame of a quadratic phase.
 
     For saddles the frame axes follow the two null directions, so every
@@ -306,10 +306,10 @@ def normal_axis_family(phi: BivariatePoly, delta: float,
     if det >= 0:
         if det == 0:
             raise ValueError("degenerate quadratic: no normal frame")
-        caps = canonical_caps(delta, domain)
+        caps = canonical_caps(delta)
         a = max(1.0, (abs(hess[0, 0]) + abs(hess[1, 1])
                       + 2 * abs(hess[0, 1])) / 2.0)
-        return FlatCover(delta, a, caps.parts, kind="caps", domain=domain)
+        return FlatCover(delta, a, caps.parts, kind="caps")
     nd = null_directions(phi, (0.0, 0.0))
     u1 = np.asarray(nd.v, dtype=float)
     u2 = np.asarray(nd.w, dtype=float)
@@ -317,19 +317,8 @@ def normal_axis_family(phi: BivariatePoly, delta: float,
     u2 /= np.linalg.norm(u2)
     mixed = abs(float(u1 @ hess @ u2))
     frame = AffineMap2(((u1[0], u2[0]), (u1[1], u2[1])), (0.0, 0.0))
-    xmin, ymin, xmax, ymax = domain
-    corners = np.array([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]])
-    local = frame.inverse().apply(corners)
-    local_box = (float(local[:, 0].min()), float(local[:, 1].min()),
-                 float(local[:, 0].max()), float(local[:, 1].max()))
-    root = math.sqrt(delta)
-    mmax = int(math.floor(0.5 * math.log2(1.0 / delta) + 1e-9))
-    groups = []
-    for m in range(-mmax, mmax + 1):
-        w = (2.0 ** m) * root
-        h = (2.0 ** -m) * root
-        alpha = 1.0 / max(w, h)
-        groups.append(make_tile_grid(w, h, 0.0, local_box, alpha=alpha, beta=m))
+    local_box = frame.inverse().image_bbox(UNIT_SQUARE)
+    groups = hp_axis_family(delta, local_box).parts[0].groups
     part = FramedGroups(frame, groups)
     # The tiles are tuned so the defect equals the declared bound, and
     # certification compares with a bare <=; take the constant from the
@@ -341,7 +330,7 @@ def normal_axis_family(phi: BivariatePoly, delta: float,
     a = max(1.0, mixed, worst / delta)
     while a * delta < worst:
         a = math.nextafter(a, math.inf)
-    return FlatCover(delta, a, [part], kind="axis", domain=domain)
+    return FlatCover(delta, a, [part], kind="axis")
 
 
 # -- the anisotropic cover for saddle phases -----------------------------
@@ -494,14 +483,13 @@ def build_cover_hp(
     phi: BivariatePoly,
     delta: float,
     a_const: float = 4.0,
-    domain: BBox = UNIT_SQUARE,
 ) -> FlatCover:
     """The anisotropic flat cover for a perturbed-saddle normal form.
 
     Enumerates dyadic aspects alpha in [1, delta^-1/2] and integer angle
-    steps beta with tilt delta*alpha^2*beta up to pi, tiles the domain by
-    (1/alpha) x (delta*alpha) rectangles at that tilt, and keeps a tile
-    iff it is flat at scale a_const*delta and comparable (two-sided
+    steps beta with tilt delta*alpha^2*beta up to pi, tiles the unit
+    square by (1/alpha) x (delta*alpha) rectangles at that tilt, and
+    keeps a tile iff it is flat at scale a_const*delta and comparable (two-sided
     containment after dilating by 2*a_const) to the candidate boxes
     anchored at nine sample points, along one null direction uniformly.
 
@@ -511,10 +499,10 @@ def build_cover_hp(
     err = _normal_form_error(phi)
     if err is not None:
         raise ValueError(f"phase not in perturbed-saddle normal form: {err}")
-    groups = _build_hp_core(phi, delta, a_const, domain)
+    groups = _build_hp_core(phi, delta, a_const, UNIT_SQUARE)
     if not groups:
         raise ValueError("empty cover: no tile passed; A is too small")
-    return FlatCover(delta, a_const, [FramedGroups(None, groups)], kind="hp", domain=domain)
+    return FlatCover(delta, a_const, [FramedGroups(None, groups)], kind="hp")
 
 
 # -- profiles and verification -------------------------------------------
@@ -718,18 +706,10 @@ def _best_rotation(phi: BivariatePoly) -> Tuple[float, float]:
     return float(theta), float(min(f1, f2, vals[i]))
 
 
-def _affine_tangent_at_center(psi: BivariatePoly, cx: float, cy: float) -> BivariatePoly:
-    g = psi.gradient(cx, cy)
-    c0 = psi.eval(cx, cy) - g[0] * cx - g[1] * cy
-    return BivariatePoly(1, {(0, 0): float(c0), (1, 0): float(g[0]), (0, 1): float(g[1])})
-
-
 def build_cover_general(
     phi: BivariatePoly,
     delta: float,
-    m_const: float = 4.0,
     a_const: float = 16.0,
-    domain: BBox = UNIT_SQUARE,
 ) -> FlatCover:
     """Flat cover for an arbitrary polynomial phase.
 
@@ -739,7 +719,7 @@ def build_cover_general(
     scale); degenerate patches are rotated so the phase is nearly a
     function of the first variable, split into maximal flat strips, and
     each strip is zoomed to unit scale and recursed.  Depth beyond
-    4*log_M(1/delta) raises (m_const too small).
+    4*log_M(1/delta) raises, with M = ``_M_CONST``.
 
     Every member is decided flat at scale a_const*delta as it is
     emitted, in its patch's frame, where the normalized phase has the
@@ -752,8 +732,8 @@ def build_cover_general(
     """
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
-    max_depth = max(8, int(4 * math.log(1.0 / delta) / math.log(max(m_const, 2.0))))
-    cover = FlatCover(delta, a_const, [], [], kind="general", domain=domain)
+    max_depth = max(8, int(4 * math.log(1.0 / delta) / math.log(_M_CONST)))
+    cover = FlatCover(delta, a_const, [], [], kind="general")
 
     def emit_groups(frame: Optional[AffineMap2], groups: List[TileGrid]) -> None:
         if groups:
@@ -762,40 +742,30 @@ def build_cover_general(
     def emit_leaf(box: Parallelogram) -> None:
         cover.loose.append(box)
 
-    def process(frame: AffineMap2, psi: BivariatePoly, scale: float,
-                local_domain: BBox, depth: int) -> None:
+    # every patch is the unit square in its own frame
+    patch = axis_rectangle(*UNIT_SQUARE)
+
+    def process(frame: AffineMap2, psi: BivariatePoly, scale: float, depth: int) -> None:
         if depth > max_depth:
-            raise RuntimeError(
-                f"cover recursion exceeded depth {max_depth}; increase m_const"
-            )
+            raise RuntimeError(f"cover recursion exceeded depth {max_depth}")
         target = delta / scale
-        xmin, ymin, xmax, ymax = local_domain
-        patch = axis_rectangle(xmin, ymin, xmax, ymax)
         if is_flat(psi, patch, target, a_const):
             emit_leaf(frame.apply_box(patch))
             return
-        min_det, sign = _det_range(psi, local_domain)
-        if sign < 0 and min_det > 1.0 / m_const:
+        min_det, sign = _det_range(psi, UNIT_SQUARE)
+        if sign < 0 and min_det > 1.0 / _M_CONST:
             nmap, mixed = _saddle_normalizer(psi)
             chi = poly_scale(compose_affine(psi, nmap.matrix, nmap.offset), 1.0 / mixed)
-            inv = nmap.inverse()
-            corners = inv.apply(
-                np.array([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]])
-            )
-            bbox = (
-                float(corners[:, 0].min()), float(corners[:, 1].min()),
-                float(corners[:, 0].max()), float(corners[:, 1].max()),
-            )
+            bbox = nmap.inverse().image_bbox(UNIT_SQUARE)
             groups = _build_hp_core(chi, target / abs(mixed), a_const, bbox)
             emit_groups(frame.compose(nmap), groups)
             return
-        if sign > 0 and min_det > 1.0 / m_const:
+        if sign > 0 and min_det > 1.0 / _M_CONST:
             # bowl: square caps at the largest dyadic side whose whole
             # tiling is flat
-            side = xmax - xmin
+            side = 1.0
             while True:
-                grid = make_tile_grid(side, side, 0.0, local_domain,
-                                      alpha=1.0 / side, beta=0)
+                grid = make_tile_grid(side, side, 0.0, alpha=1.0 / side, beta=0)
                 if len(grid) > 1 << 20:
                     raise RuntimeError("bowl caps found no flat dyadic side")
                 if tiling_flatness(psi, grid, target, a_const).flat.all():
@@ -812,9 +782,7 @@ def build_cover_general(
             rot = AffineMap2.rotation(theta)
             rotated = compose_affine(psi, rot.matrix, rot.offset)
             # rotated frame domain: bounding box of the rotated patch
-            corners = AffineMap2.rotation(-theta).apply(patch.vertices())
-            uxmin, uxmax = corners[:, 0].min(), corners[:, 0].max()
-            uymin, uymax = corners[:, 1].min(), corners[:, 1].max()
+            uxmin, uymin, uxmax, uymax = AffineMap2.rotation(-theta).image_bbox(UNIT_SQUARE)
             span = uxmax - uxmin
             unit = AffineMap2(((span, 0.0), (0.0, uymax - uymin)), (uxmin, uymin))
             local = compose_affine(rotated, unit.matrix, unit.offset)
@@ -829,30 +797,22 @@ def build_cover_general(
                 strip = axis_rectangle(x0, 0.0, x1, 1.0)
                 zoom = AffineMap2(((x1 - x0, 0.0), (0.0, 1.0)), (x0, 0.0))
                 sub = compose_affine(local, zoom.matrix, zoom.offset)
-                tangent = _affine_tangent_at_center(sub, 0.5, 0.5)
                 lo, hi = flat_defect_interval(local, strip)
                 norm = max(hi, target)
-                sub_n = poly_scale(poly_sub(sub, tangent), 1.0 / norm)
-                process(to_world.compose(zoom), sub_n, scale * norm,
-                        UNIT_SQUARE, depth + 1)
+                sub_n = poly_scale(minus_tangent_plane(sub, 0.5, 0.5), 1.0 / norm)
+                process(to_world.compose(zoom), sub_n, scale * norm, depth + 1)
             return
         # mixed patch: curved/flat square dichotomy, zoom each square
-        m1 = int(max(4, round(m_const)))
-        nsq = m1
-        side_x = (xmax - xmin) / nsq
-        side_y = (ymax - ymin) / nsq
-        for i in range(nsq):
-            for j in range(nsq):
-                x0 = xmin + i * side_x
-                y0 = ymin + j * side_y
-                zoom = AffineMap2(((side_x, 0.0), (0.0, side_y)), (x0, y0))
+        side = 1.0 / _M_CONST
+        f = side * side  # parabolic zoom normalizer
+        for i in range(_M_CONST):
+            for j in range(_M_CONST):
+                zoom = AffineMap2(((side, 0.0), (0.0, side)), (i * side, j * side))
                 sub = compose_affine(psi, zoom.matrix, zoom.offset)
-                tangent = _affine_tangent_at_center(sub, 0.5, 0.5)
-                f = side_x * side_y  # parabolic zoom normalizer
-                sub_n = poly_scale(poly_sub(sub, tangent), 1.0 / f)
-                process(frame.compose(zoom), sub_n, scale * f, UNIT_SQUARE, depth + 1)
+                sub_n = poly_scale(minus_tangent_plane(sub, 0.5, 0.5), 1.0 / f)
+                process(frame.compose(zoom), sub_n, scale * f, depth + 1)
 
-    process(AffineMap2.identity(), phi, 1.0, domain, 0)
+    process(AffineMap2.identity(), phi, 1.0, 0)
     if len(cover) == 0:
         raise ValueError("general cover came out empty")
     return cover

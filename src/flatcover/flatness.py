@@ -194,11 +194,7 @@ def _sample_grid_quadratic(phi: BivariatePoly, box: Parallelogram, m: int):
     half = e @ np.array([t1 / 2.0, t2 / 2.0])
     u = tuple(c + half)
     v = tuple(c - half)
-    spacing = 2.0 / (m - 1) if m > 1 else 2.0
-    e_norms = np.linalg.norm(e, axis=0)
-    op = float(_hessian_op_bound(phi, box.bounding_box()))
-    remainder = op * box.diameter() * spacing * float(e_norms.sum())
-    return float(vals.flat[k]), u, v, remainder
+    return float(vals.flat[k]), u, v
 
 
 def _sample_grid(phi: BivariatePoly, box: Parallelogram, m: int):
@@ -235,11 +231,7 @@ def _sample_grid(phi: BivariatePoly, box: Parallelogram, m: int):
         del block
     u = tuple(pts[bi])
     v = tuple(pts[bj])
-    spacing = 2.0 / (m - 1) if m > 1 else 2.0
-    e_norms = np.linalg.norm(e, axis=0)
-    op = float(_hessian_op_bound(phi, box.bounding_box()))
-    remainder = op * box.diameter() * spacing * float(e_norms.sum())
-    return best, u, v, remainder
+    return best, u, v
 
 
 def _polish(phi: BivariatePoly, box: Parallelogram, u0, v0):
@@ -314,12 +306,17 @@ def flat_defect(
         defect, _, u, v = _split_interval(phi, box)
         return FlatnessReport(defect, defect, defect, True, u, v)
 
-    sampled, u, v, remainder = _sample_grid(phi, box, m)
+    sampled, u, v = _sample_grid(phi, box, m)
     if polish:
         polished, u2, v2 = _polish(phi, box, u, v)
         if polished > sampled:
             sampled, u, v = polished, u2, v2
-    lower, upper = sampled, sampled + remainder
+    # the true maximum exceeds the sampled one by at most a Lipschitz
+    # bound of the integrand times the sample spacing
+    spacing = 2.0 / (m - 1) if m > 1 else 2.0
+    e_norms = np.linalg.norm(box.edge_matrix, axis=0)
+    op = float(_hessian_op_bound(phi, box.bounding_box()))
+    lower, upper = sampled, sampled + op * box.diameter() * spacing * float(e_norms.sum())
     if method != "sample":
         slo, shi, su, sv = _split_interval(phi, box)
         if slo > lower:

@@ -1,4 +1,4 @@
-"""Parallelograms, rotated tilings, and convex clipping.
+"""Parallelograms, affine maps and rotated tilings.
 
 Everything here is plain planar geometry: no polynomials, no flatness.
 A ``Parallelogram`` is stored as a center plus two half-edge vectors, so
@@ -9,8 +9,8 @@ to affine coordinates with respect to the edge matrix ``[e1 e2]``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -151,17 +151,6 @@ def dilate(s: Parallelogram, factor: float) -> Parallelogram:
     )
 
 
-def point_membership(s: Parallelogram, point) -> bool:
-    """Half-open membership: the lower/left edges (affine coordinate -1)
-    belong to the box, the upper/right edges (coordinate +1) do not.
-
-    With this convention the tiles of any congruent tiling partition the
-    plane: every point belongs to exactly one tile.
-    """
-    x = s.affine_coords(point)[0]
-    return bool(np.all(x >= -1.0) and np.all(x < 1.0))
-
-
 def comparable(s1: Parallelogram, s2: Parallelogram, a_const: float) -> bool:
     """Mutual containment after dilating by 2*a_const.
 
@@ -216,6 +205,13 @@ class AffineMap2:
             e1=tuple(m @ np.asarray(s.e1)),
             e2=tuple(m @ np.asarray(s.e2)),
         )
+
+    def image_bbox(self, box: BBox) -> BBox:
+        """Axis bounding box of the image of the axis box ``box``."""
+        xmin, ymin, xmax, ymax = box
+        v = self.apply(np.array([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]]))
+        return (float(v[:, 0].min()), float(v[:, 1].min()),
+                float(v[:, 0].max()), float(v[:, 1].max()))
 
     def inverse(self) -> "AffineMap2":
         m = np.linalg.inv(self.matrix)
@@ -287,11 +283,6 @@ class TileGrid:
         rel = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(self.anchor)
         c, s = math.cos(self.theta), math.sin(self.theta)
         return rel[:, 0] * c + rel[:, 1] * s, -rel[:, 0] * s + rel[:, 1] * c
-
-    def cell_of(self, points) -> np.ndarray:
-        """Integer (i, j) grid cell of each point (half-open cells)."""
-        fx, fy = self._frame_coords(points)
-        return np.column_stack([np.floor(fx / self.w), np.floor(fy / self.h)]).astype(np.int64)
 
     def point_tiles(self, points, tol: Optional[float] = None):
         """(point index, i, j) for every kept tile that takes each point.
@@ -434,7 +425,6 @@ def make_tile_grid(
     h: float,
     theta: float,
     domain: BBox = UNIT_SQUARE,
-    clip_to_domain: bool = True,
     alpha: Optional[float] = None,
     beta: Optional[int] = None,
 ) -> TileGrid:
@@ -453,68 +443,6 @@ def make_tile_grid(
     j0 = int(math.floor((fc[:, 1].min() + pad) / h))
     j1 = int(math.ceil((fc[:, 1].max() - pad) / h))
     grid.i0, grid.i1, grid.j0, grid.j1 = i0, max(i1, i0 + 1), j0, max(j1, j0 + 1)
-    if clip_to_domain and abs(theta) % (math.pi / 2) > 1e-12:
-        mask = grid.domain_mask()
-        grid.keep = mask
+    if abs(theta) % (math.pi / 2) > 1e-12:
+        grid.keep = grid.domain_mask()
     return grid
-
-
-def tile_rotated_rectangles(
-    w: float, h: float, theta: float, domain: BBox = UNIT_SQUARE
-) -> List[Parallelogram]:
-    """Congruent w x h rectangles, long-or-not side w along angle theta,
-    on a grid anchored at the domain's lower-left corner.  The union of
-    the returned tiles contains the domain; tiles overhanging the domain
-    boundary are kept.
-    """
-    return list(make_tile_grid(w, h, theta, domain).tiles())
-
-
-# -- convex polygon clipping -------------------------------------------
-
-
-def _clip_halfplane(poly: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Keep the part of poly on the left of the directed edge p->q."""
-    if len(poly) == 0:
-        return poly
-    d = q - p
-    side = d[0] * (poly[:, 1] - p[1]) - d[1] * (poly[:, 0] - p[0])
-    out = []
-    n = len(poly)
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        sa, sb = side[i], side[(i + 1) % n]
-        if sa >= 0:
-            out.append(a)
-        if (sa > 0 and sb < 0) or (sa < 0 and sb > 0):
-            t = sa / (sa - sb)
-            out.append(a + t * (b - a))
-    return np.asarray(out) if out else np.empty((0, 2))
-
-
-def _ccw_vertices(s: Parallelogram) -> np.ndarray:
-    v = s.vertices()
-    # vertices() walks the boundary; flip if clockwise
-    area2 = 0.0
-    for i in range(4):
-        a, b = v[i], v[(i + 1) % 4]
-        area2 += a[0] * b[1] - b[0] * a[1]
-    return v if area2 > 0 else v[::-1]
-
-
-def polygon_area(poly: np.ndarray) -> float:
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-
-def intersection_area(s1: Parallelogram, s2: Parallelogram) -> float:
-    """Area of the overlap, by clipping s1 against the edges of s2."""
-    poly = _ccw_vertices(s1)
-    clip = _ccw_vertices(s2)
-    for i in range(4):
-        poly = _clip_halfplane(poly, clip[i], clip[(i + 1) % 4])
-        if len(poly) == 0:
-            return 0.0
-    return polygon_area(poly)

@@ -71,6 +71,8 @@ class FrequencyLattice:
 
 def lambda_grid(delta: float, alpha: float) -> FrequencyLattice:
     """The lattice (delta Z x alpha delta Z) clipped to the unit square."""
+    if not (0 < delta <= 1):
+        raise ValueError("delta must lie in (0, 1]")
     inv = 1.0 / delta
     if abs(inv - round(inv)) > 1e-9:
         raise ValueError("1/delta must be an integer")

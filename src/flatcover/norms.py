@@ -658,8 +658,8 @@ class SweepReport:
 
 def slope_fit(points: Sequence[Tuple[float, float]]) -> SweepReport:
     pts = [(float(d), float(rho)) for d, rho in points]
-    if len(pts) < 4:
-        raise ValueError("slope fit needs at least 4 sweep points")
+    if len({d for d, _ in pts}) < 4:
+        raise ValueError("slope fit needs at least 4 distinct deltas")
     if any(d <= 0 or rho <= 0 for d, rho in pts):
         raise ValueError("sweep points must be positive")
     x = np.log2([1.0 / d for d, _ in pts])

@@ -11,9 +11,7 @@ coefficients in particular).
 
 from __future__ import annotations
 
-import enum
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -21,13 +19,6 @@ import numpy as np
 
 Exponent = Tuple[int, int]
 CoeffMap = Dict[Exponent, float]
-
-class DependenceClass(enum.Enum):
-    """How many genuine variables a polynomial graph depends on."""
-
-    AFFINE = "affine"
-    ONE_VARIABLE = "one-variable"
-    TWO_VARIABLE = "two-variable"
 
 
 @dataclass(frozen=True)
@@ -66,9 +57,6 @@ class BivariatePoly:
     def support_degree(self) -> int:
         """Largest j+k with a nonzero coefficient (0 for the zero poly)."""
         return max((j + k for (j, k) in self.coeffs), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __call__(self, x, y):
         return self.eval(x, y)
@@ -136,15 +124,6 @@ class BivariatePoly:
         pxx, pxy, pyy = self.hessian_polys()
         return poly_sub(poly_mul(pxx, pyy), poly_mul(pxy, pxy))
 
-    def hessian_det(self, x, y):
-        return self.hessian_det_poly().eval(x, y)
-
-    def normal(self, x, y):
-        """Unit downward normal of the graph z = p(x, y) at a point."""
-        g = self.gradient(x, y)
-        n = np.concatenate([g, -np.ones(g.shape[:-1] + (1,))], axis=-1)
-        return n / np.linalg.norm(n, axis=-1, keepdims=True)
-
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -175,13 +154,6 @@ class BivariatePoly:
 
 
 # -- arithmetic helpers (module level so they read like operators) -------
-
-
-def poly_add(p: BivariatePoly, q: BivariatePoly) -> BivariatePoly:
-    out = dict(p.coeffs)
-    for e, a in q.coeffs.items():
-        out[e] = out.get(e, 0.0) + a
-    return BivariatePoly(max(p.degree, q.degree), out)
 
 
 def poly_sub(p: BivariatePoly, q: BivariatePoly) -> BivariatePoly:
@@ -237,163 +209,13 @@ def compose_affine(p: BivariatePoly, mat, offset) -> BivariatePoly:
     return BivariatePoly(p.degree, acc)
 
 
-# -- dependence classification ----------------------------------------
-
-
-def classify_dependence(p: BivariatePoly, tol: float = 1e-10):
-    """Sort a polynomial graph into affine / one-variable / two-variable.
-
-    A graph depends on one variable exactly when some invertible affine
-    change of coordinates turns it into ``psi(u) + c*v``.  For polynomials
-    this is equivalent to the Hessian having a constant null direction as
-    a polynomial identity, which reduces to a small linear system in the
-    direction vector: collect the coefficients of H . v over all monomials
-    and ask for a nullspace.
-
-    Returns ``(cls, witness)`` where ``witness`` is an invertible 2x2
-    matrix with ``p(witness @ (u, v))`` of the form ``psi(u) + c*v``
-    (identity for the affine class, None for two-variable).
-    """
-    pxx, pxy, pyy = p.hessian_polys()
-    scale = max((abs(a) for q in (pxx, pxy, pyy) for a in q.coeffs.values()), default=0.0)
-    if scale == 0.0:
-        return DependenceClass.AFFINE, np.eye(2)
-
-    # Rows of the system: for every monomial e, coefficients of
-    # (H11*v1 + H12*v2)[e] and (H12*v1 + H22*v2)[e] must vanish.
-    monomials = sorted(
-        set(pxx.coeffs) | set(pxy.coeffs) | set(pyy.coeffs)
-    )
-    rows = []
-    for e in monomials:
-        rows.append([pxx.coeff(*e), pxy.coeff(*e)])
-        rows.append([pxy.coeff(*e), pyy.coeff(*e)])
-    mat = np.asarray(rows) / scale
-    _, s, vt = np.linalg.svd(mat)
-    smin = s[-1] if len(s) == 2 else 0.0
-    if smin > tol:
-        return DependenceClass.TWO_VARIABLE, None
-    v = vt[-1]  # constant null direction of the Hessian
-    v = v / np.linalg.norm(v)
-    u = np.array([v[1], -v[0]])  # complementary direction
-    witness = np.column_stack([u, v])
-    return DependenceClass.ONE_VARIABLE, witness
-
-
-# -- restriction to lines and line nondegeneracy ------------------------
-
-
-def restrict_to_line(p: BivariatePoly, a: float, b: float, swapped: bool = False):
-    """Coefficients (ascending) of t -> p(t, a t + b), or the swapped
-    parametrization p(a t + b, t)."""
-    deg = p.support_degree()
-    # Univariate polys as ascending coefficient arrays.
-    line = np.zeros(2)
-    line[0], line[1] = b, a
-    powers_line = [np.array([1.0])]
-    for _ in range(deg):
-        powers_line.append(np.polynomial.polynomial.polymul(powers_line[-1], line))
-    out = np.zeros(deg + 1)
-    for (j, k), c in p.coeffs.items():
-        jj, kk = (k, j) if swapped else (j, k)
-        # term: c * t^jj * (a t + b)^kk
-        term = powers_line[kk]
-        arr = np.zeros(jj + len(term))
-        arr[jj : jj + len(term)] = c * term
-        out[: len(arr)] = out[: len(arr)] + arr[: len(out)]
-    return out
-
-
-def _line_objective(p: BivariatePoly, a: float, b: float, swapped: bool) -> float:
-    coeffs = restrict_to_line(p, a, b, swapped)
-    if len(coeffs) <= 2:
-        return 0.0
-    return float(np.max(np.abs(coeffs[2:])))
-
-
-def _line_hits_unit_square(a: float, b: float) -> bool:
-    lo, hi = min(b, a + b), max(b, a + b)
-    return hi >= 0.0 and lo <= 1.0
-
-
-def line_nondegeneracy(
-    p: BivariatePoly,
-    grid: int = 41,
-    refine_rounds: int = 40,
-    tol: float = 1e-9,
-) -> float:
-    """Estimate the infimum, over lines meeting the unit square, of the
-    largest curvature-order coefficient of the restricted polynomial.
-
-    A value of (numerically) zero means the graph contains a line
-    segment.  Lines are searched in both ``(t, a t + b)`` and swapped
-    parametrizations with |a| <= 1, which together reach every direction.
-    Coarse grid, then coordinate-descent polish around the best cell.
-    """
-    best = math.inf
-    best_pt = (0.0, 0.0, False)
-    aa = np.linspace(-1.0, 1.0, grid)
-    bb = np.linspace(-1.0, 2.0, int(grid * 1.5))
-    for swapped in (False, True):
-        for a in aa:
-            for b in bb:
-                if not _line_hits_unit_square(a, b):
-                    continue
-                val = _line_objective(p, a, b, swapped)
-                if val < best:
-                    best, best_pt = val, (float(a), float(b), swapped)
-    # local polish: shrinking coordinate search
-    a, b, swapped = best_pt
-    step = 2.0 / (grid - 1)
-    for _ in range(refine_rounds):
-        improved = False
-        for da, db in ((step, 0), (-step, 0), (0, step), (0, -step)):
-            a2, b2 = a + da, b + db
-            if abs(a2) > 1.0 or not _line_hits_unit_square(a2, b2):
-                continue
-            val = _line_objective(p, a2, b2, swapped)
-            if val < best:
-                best, a, b = val, a2, b2
-                improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-14:
-                break
-    if best < tol:
-        return 0.0
-    return best
-
-
-def sup_vs_coeff(coeffs, samples: int = 4097, refine_rounds: int = 60):
-    """(sup |psi| on [0,1], max |coefficient|) for a univariate polynomial.
-
-    ``coeffs`` ascending.  The sup is located by dense sampling followed
-    by a monotone golden-section refinement around the best sample.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    if c.size == 0:
-        return 0.0, 0.0
-    ts = np.linspace(0.0, 1.0, samples)
-    vals = np.abs(np.polynomial.polynomial.polyval(ts, c))
-    i = int(np.argmax(vals))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, samples - 1)]
-    f = lambda t: abs(float(np.polynomial.polynomial.polyval(t, c)))
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - phi * (hi - lo)
-    x2 = lo + phi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(refine_rounds):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi * (hi - lo)
-            f1 = f(x1)
-    sup = max(float(np.max(vals)), f1, f2)
-    return sup, float(np.max(np.abs(c)))
+def minus_tangent_plane(p: BivariatePoly, x: float = 0.0, y: float = 0.0) -> BivariatePoly:
+    """p minus its tangent plane at (x, y); flatness defects do not see
+    the difference."""
+    g = p.gradient(x, y)
+    c0 = p.eval(x, y) - g[0] * x - g[1] * y
+    plane = BivariatePoly(1, {(0, 0): float(c0), (1, 0): float(g[0]), (0, 1): float(g[1])})
+    return poly_sub(p, plane)
 
 
 # -- convenience constructors -------------------------------------------
@@ -431,9 +253,3 @@ def perturbed_hyperbolic(degree: int, rng: np.random.Generator,
 def load_phase(path: str) -> BivariatePoly:
     with open(path, "r", encoding="utf-8") as fh:
         return BivariatePoly.from_json_dict(json.load(fh))
-
-
-def save_phase(p: BivariatePoly, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(p.to_json_dict(), fh, indent=1)
-        fh.write("\n")

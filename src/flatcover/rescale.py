@@ -20,8 +20,8 @@ import numpy as np
 
 from .cover import FlatCover, FramedGroups, _saddle_normalizer
 from .flatness import is_flat, tiling_flatness
-from .geometry import AffineMap2, Parallelogram
-from .poly2 import BivariatePoly, compose_affine, poly_scale, poly_sub
+from .geometry import UNIT_SQUARE, AffineMap2, Parallelogram
+from .poly2 import BivariatePoly, compose_affine, minus_tangent_plane, poly_scale
 
 
 @dataclass(frozen=True)
@@ -127,24 +127,14 @@ def rescale_phase(
     to_axis = AffineMap2(((ct, -st), (st, ct)), (float(corner[0]), float(corner[1])))
     # phase seen from the axis-aligned frame [0,long] x [0,short]
     psi0 = compose_affine(phi, to_axis.matrix, to_axis.offset)
-    g0 = psi0.gradient(0.0, 0.0)
-    tangent0 = BivariatePoly(
-        1,
-        {(0, 0): float(psi0.eval(0.0, 0.0)), (1, 0): float(g0[0]), (0, 1): float(g0[1])},
-    )
-    b_poly = poly_sub(psi0, tangent0)
+    b_poly = minus_tangent_plane(psi0)
     b_coeffs = {jk: a for jk, a in b_poly.coeffs.items() if jk[0] + jk[1] >= 2}
 
     scale_map = AffineMap2(((long_side, 0.0), (0.0, short_side)), (0.0, 0.0))
     psi_unit = compose_affine(psi0, scale_map.matrix, scale_map.offset)
     shear, mixed = _saddle_normalizer(psi_unit)
     psi_sh = compose_affine(psi_unit, shear.matrix, shear.offset)
-    g1 = psi_sh.gradient(0.0, 0.0)
-    tangent1 = BivariatePoly(
-        1,
-        {(0, 0): float(psi_sh.eval(0.0, 0.0)), (1, 0): float(g1[0]), (0, 1): float(g1[1])},
-    )
-    tilde = poly_scale(poly_sub(psi_sh, tangent1), 1.0 / mixed)
+    tilde = poly_scale(minus_tangent_plane(psi_sh), 1.0 / mixed)
     # the shear zeroes the square coefficients exactly up to rounding
     cleaned = dict(tilde.coeffs)
     for jk in ((2, 0), (0, 2)):
@@ -170,11 +160,7 @@ def rescale_phase(
     )
 
 
-def verify_coeff_bounds(
-    result: RescaleResult,
-    phi: Optional[BivariatePoly] = None,
-    factor: float = 100.0,
-) -> CoeffAudit:
+def verify_coeff_bounds(result: RescaleResult, factor: float = 100.0) -> CoeffAudit:
     """Audit the axis-frame coefficients against their scale bounds.
 
     Each coefficient b_{j,k} (j+k >= 2, excluding the mixed one) is
@@ -220,13 +206,7 @@ def pullback_cover(
         parts.append(FramedGroups(frame, list(part.groups)))
     loose = [result.L.apply_box(m) for m in cover_prime.loose]
     cover = FlatCover(delta, a_const, parts, loose, kind="pullback")
-    corners = result.L.apply(
-        np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    )
-    cover.domain = (
-        float(corners[:, 0].min()), float(corners[:, 1].min()),
-        float(corners[:, 0].max()), float(corners[:, 1].max()),
-    )
+    cover.domain = result.L.image_bbox(UNIT_SQUARE)
     slack_delta = delta * (1 + 1e-9)
     flat = all(tiling_flatness(phi, grid, slack_delta, a_const, part.frame).flat.all()
                for part in cover.parts for grid in part.groups)

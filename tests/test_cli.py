@@ -127,6 +127,15 @@ def test_rescale_check_command(capsys):
     assert rep["worst_identity_gap"] < 1e-9
 
 
+@pytest.mark.parametrize("a_const", ["8", "16"])
+def test_rescale_check_uses_the_cover_constant(capsys, a_const):
+    # members of a cover built at A are flat at A*delta, not at 4*delta
+    code, out, err = run(capsys, "rescale", "check", "--delta", "2^-6",
+                         "--count", "20", "--a-const", a_const)
+    assert code == 0, err
+    assert json.loads(out)["ok"] is True
+
+
 def test_lattice_count_against_library(tmp_path, capsys):
     code, out, _ = run(capsys, "lattice", "count", "--phase", "saddle-diag",
                        "--alpha", "sqrt2", "--delta", "2^-4", "--d", "3")
@@ -186,3 +195,12 @@ def test_usage_errors_exit_1(capsys):
     assert cli.main(["cover", "build"]) == 1  # missing --delta
     assert cli.main(["decouple", "ratio", "--example", "line"]) == 1
     assert cli.main(["nosuchcommand"]) == 1
+    for argv, message in (
+        (["lattice", "count", "--delta", "0", "--alpha", "sqrt2"], "delta must lie in"),
+        (["lattice", "count", "--delta", "2^-4", "--alpha", "1/0"], "zero denominator"),
+        (["decouple", "sweep", "--example", "line", "--deltas", "2^-4,2^-4,2^-4,2^-4"],
+         "4 distinct delta values"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert message in err

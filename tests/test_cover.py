@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatcover.cover import (
+    _NINE_OFFSETS,
     FlatCover,
+    _comparability_keep,
     build_cover_general,
     build_cover_hp,
     canonical_caps,
@@ -16,8 +18,8 @@ from flatcover.cover import (
     overlap_profile,
     verify_cover,
 )
-from flatcover.flatness import flat_defect
-from flatcover.geometry import axis_rectangle
+from flatcover.flatness import candidate_box, flat_defect
+from flatcover.geometry import axis_rectangle, comparable, make_tile_grid
 from flatcover.poly2 import (
     BivariatePoly,
     elliptic_phase,
@@ -111,6 +113,56 @@ def test_normal_axis_family_rejects_bad_phases():
         normal_axis_family(BivariatePoly(2, {(2, 0): 1.0}), 2.0 ** -6)
     with pytest.raises(ValueError):
         normal_axis_family(perturbed_hyperbolic(3, np.random.default_rng(0)), 2.0 ** -6)
+
+
+_SADDLE_TERMS = [(2, 0), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
+
+
+def _scalar_comparable(phi, tile, alpha, delta, a_const):
+    """The hp keep rule from its definition: some route whose candidate
+    boxes at all nine anchors are comparable to the tile; an anchor with
+    no null directions (candidate_box raises) is not comparable."""
+    anchors = (np.asarray(tile.center) + _NINE_OFFSETS[:, :1] * tile.e1
+               + _NINE_OFFSETS[:, 1:] * tile.e2)
+
+    def anchor_ok(z, route):
+        try:
+            cand = candidate_box(phi, z, alpha, delta, route)
+        except ValueError:
+            return False
+        return comparable(tile, cand, a_const)
+
+    return any(all(anchor_ok(z, route) for z in anchors) for route in ("w", "v"))
+
+
+@settings(max_examples=25)
+@given(
+    c=st.lists(st.floats(-0.05, 0.05), min_size=6, max_size=6),
+    e=st.sampled_from([4, 6]), level=st.integers(0, 3),
+    near=st.sampled_from([0.0, 0.5, 1.0]), step=st.integers(-2, 2),
+    a_const=st.floats(1.5, 4.0),
+)
+# mixed keep masks: 87/100, 46/130, 8/16 and 17/34 tiles kept
+@example(c=[0.01, -0.02, 0.04, -0.04, 0.02, 0.04], e=6, level=1, near=0.5, step=1, a_const=3.0)
+@example(c=[0.02, 0.03, -0.02, -0.01, -0.04, -0.01], e=6, level=0, near=0.5, step=1,
+         a_const=2.5)
+@example(c=[0.03, 0.05, 0.04, -0.01, -0.04, -0.02], e=4, level=1, near=0.0, step=0, a_const=1.5)
+@example(c=[0.03, 0.0, 0.03, 0.04, 0.03, -0.04], e=4, level=0, near=1.0, step=0, a_const=2.5)
+def test_comparability_keep_matches_scalar_rule(c, e, level, near, step, a_const):
+    """The vectorized keep rule of build_cover_hp agrees tile by tile with
+    comparable(tile, candidate_box(...)) on perturbed saddles.  Angles
+    are drawn near the null directions of xy (0, pi/2, pi), where keep
+    masks come out mixed."""
+    phi = BivariatePoly(3, {(1, 1): 1.0, **dict(zip(_SADDLE_TERMS, c))})
+    delta = 2.0 ** -e
+    alpha = float(2 ** min(level, e // 2))
+    beta_max = int(math.pi / (delta * alpha * alpha))
+    beta = min(max(round(near * beta_max) + step, 0), beta_max)
+    grid = make_tile_grid(1.0 / alpha, delta * alpha, delta * alpha * alpha * beta,
+                          alpha=alpha, beta=beta)
+    got = _comparability_keep(phi, grid, alpha, delta, a_const)
+    want = [_scalar_comparable(phi, tile, alpha, delta, a_const) for tile in grid.tiles()]
+    np.testing.assert_array_equal(got, want)
 
 
 def test_general_cover_on_uniformly_curved_phase():
@@ -224,7 +276,7 @@ def test_sample_members_reproducible_and_valid():
 def test_sample_members_draws_uniformly_in_member_order():
     cov = build_cover_hp(hyperbolic_phase(), 2.0 ** -6, 4.0)
     cov.loose.append(axis_rectangle(0.0, 0.0, 0.5, 0.5))
-    members = cov.members()
+    members = list(cov.iter_members())
     picks = cov.sample_members(np.random.default_rng(7), 40)
     draws = np.random.default_rng(7).integers(0, len(members), size=40)
     for box, r in zip(picks, draws):

@@ -11,12 +11,8 @@ from flatcover.geometry import (
     axis_rectangle,
     comparable,
     dilate,
-    intersection_area,
     make_tile_grid,
-    point_membership,
-    polygon_area,
     rotated_rectangle,
-    tile_rotated_rectangles,
 )
 
 
@@ -55,16 +51,6 @@ def test_affine_coords_and_contains():
     assert box.contains(pts).all()
     far = np.asarray(box.center) + 1.01 * (np.asarray(box.e1) + np.asarray(box.e2))
     assert not box.contains(far[None, :])[0]
-
-
-def test_point_membership_half_open():
-    box = axis_rectangle(0.0, 0.0, 1.0, 1.0)
-    # lower/left edges belong to the box, upper/right do not
-    assert point_membership(box, (0.0, 0.0))
-    assert point_membership(box, (0.5, 0.0))
-    assert not point_membership(box, (1.0, 1.0))
-    assert not point_membership(box, (0.5, 1.0))
-    assert not point_membership(box, (1.001, 0.5))
 
 
 def test_dilate_scales_area():
@@ -135,7 +121,7 @@ def test_tile_grid_count_points_matches_cells():
     rng = np.random.default_rng(31)
     pts = rng.uniform(0, 1, size=(500, 2))
     counts = grid.count_points(pts)
-    cells = grid.cell_of(pts)
+    cells = np.floor(pts / [0.2, 0.3])
     inside = (
         (cells[:, 0] >= grid.i0) & (cells[:, 0] < grid.i1)
         & (cells[:, 1] >= grid.j0) & (cells[:, 1] < grid.j1)
@@ -143,13 +129,14 @@ def test_tile_grid_count_points_matches_cells():
     np.testing.assert_array_equal(counts, inside.astype(counts.dtype))
 
 
-def test_tile_grid_cell_of_agrees_with_tile_membership():
-    grid = make_tile_grid(0.21, 0.17, 0.35, (0.0, 0.0, 1.0, 1.0),
-                          clip_to_domain=False)
+def test_tile_grid_point_tiles_agree_with_tile_membership():
+    grid = make_tile_grid(0.21, 0.17, 0.35, (0.0, 0.0, 1.0, 1.0))
+    grid.keep = None
     rng = np.random.default_rng(8)
     pts = rng.uniform(0.1, 0.9, size=(60, 2))
-    cells = grid.cell_of(pts)
-    for (i, j), p in zip(cells, pts):
+    pidx, ii, jj = grid.point_tiles(pts)
+    np.testing.assert_array_equal(pidx, np.arange(len(pts)))
+    for i, j, p in zip(ii, jj, pts):
         tile = grid.tile(int(i), int(j))
         x = tile.affine_coords(p[None, :])[0]
         assert np.all(np.abs(x) <= 1.0 + 1e-9)
@@ -223,7 +210,9 @@ def test_point_tiles_matches_per_tile_check_on_rotated_grids(w, h, theta, tol_ki
     two cells away is a tile side.  Vertices are not exactly on the
     kernel's cell edges, so sharp and zero-distance rules, which have no
     slack, are checked on the random points only."""
-    grid = make_tile_grid(w, h, theta, clip_to_domain=clip)
+    grid = make_tile_grid(w, h, theta)
+    if not clip:
+        grid.keep = None
     rng = np.random.default_rng(seed)
     if masked:
         grid.keep = rng.random((grid.ni, grid.nj)) < 0.6
@@ -257,7 +246,7 @@ def test_point_tiles_at_zero_tol_finds_closed_tiles(w, h, theta, corner, size):
 
 
 def test_rotated_tiling_covers_domain():
-    tiles = tile_rotated_rectangles(0.3, 0.11, 0.5)
+    tiles = list(make_tile_grid(0.3, 0.11, 0.5).tiles())
     rng = np.random.default_rng(17)
     pts = rng.uniform(0, 1, size=(400, 2))
     hit = np.zeros(len(pts), dtype=bool)
@@ -268,7 +257,8 @@ def test_rotated_tiling_covers_domain():
 
 def test_tile_grid_clip_drops_outside_cells():
     clipped = make_tile_grid(0.3, 0.11, 0.5)
-    full = make_tile_grid(0.3, 0.11, 0.5, clip_to_domain=False)
+    full = make_tile_grid(0.3, 0.11, 0.5)
+    full.keep = None
     assert len(list(clipped.tiles())) < len(list(full.tiles()))
     # clipping never drops a tile that meets the domain
     rng = np.random.default_rng(23)
@@ -276,24 +266,6 @@ def test_tile_grid_clip_drops_outside_cells():
     np.testing.assert_array_equal(
         clipped.count_points(pts), full.count_points(pts)
     )
-
-
-def test_polygon_area_triangle():
-    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-    assert polygon_area(tri) == pytest.approx(1.0)
-
-
-def test_intersection_area_cases():
-    a = axis_rectangle(0.0, 0.0, 1.0, 1.0)
-    b = axis_rectangle(0.5, 0.5, 1.5, 1.5)
-    assert intersection_area(a, b) == pytest.approx(0.25)
-    c = axis_rectangle(2.0, 2.0, 3.0, 3.0)
-    assert intersection_area(a, c) == pytest.approx(0.0)
-    # rotated square inscribed in the unit square
-    d = rotated_rectangle((0.5, 0.5), math.sqrt(0.5), math.sqrt(0.5), math.pi / 4)
-    assert intersection_area(a, d) == pytest.approx(0.5)
-    # intersection is symmetric
-    assert intersection_area(d, a) == pytest.approx(0.5)
 
 
 def test_parallelogram_json_round_trip():

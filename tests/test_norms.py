@@ -288,6 +288,8 @@ def test_slope_fit_recovers_power_law():
     assert rep.residual < 1e-12
     with pytest.raises(ValueError):
         slope_fit(pts[:3])
+    with pytest.raises(ValueError, match="distinct"):
+        slope_fit(pts[:3] + pts[:1])
     with pytest.raises(ValueError):
         slope_fit([(0.5, 1.0), (0.25, -2.0), (0.125, 1.0), (0.0625, 1.0)])
 
