@@ -54,7 +54,7 @@ print(f"adaptive cover of a degree-3 perturbation: {len(cov)} members, "
 cubic = BivariatePoly(3, {(3, 0): 1.0, (0, 3): 1.0, (1, 1): 1.0})
 delta_c = 2.0 ** -5
 cov_c = build_cover_general(cubic, delta_c)
-rep_c = verify_cover(cov_c, cubic, delta=delta_c, a_const=cov_c.a_const)
+rep_c = verify_cover(cov_c, cubic, a_const=cov_c.a_const)
 print(f"general cover of a mixed cubic at 2^-5: {len(cov_c)} members, "
       f"verified: {rep_c.ok}")
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -61,15 +61,69 @@ class FramedGroups:
     frame: Optional[AffineMap2]
     groups: List[TileGrid] = field(default_factory=list)
 
-    def local_points(self, points: np.ndarray) -> np.ndarray:
-        if self.frame is None:
-            return points
-        return self.frame.inverse().apply(points)
-
     def world_box(self, tile: Parallelogram) -> Parallelogram:
         if self.frame is None:
             return tile
         return self.frame.apply_box(tile)
+
+
+def _similarity_scale(mat: np.ndarray) -> Optional[float]:
+    """Scale factor if mat is a similarity (rotation times scaling)."""
+    g = mat.T @ mat
+    if abs(g[0, 1]) > 1e-9 * abs(g[0, 0]) or abs(g[0, 0] - g[1, 1]) > 1e-9 * abs(g[0, 0]):
+        return None
+    return math.sqrt(abs(g[0, 0]))
+
+
+class Incidence(NamedTuple):
+    """The points that one tiling takes: point ``pidx[k]`` lies in kept
+    tile ``(ii[k], jj[k])`` of ``grid``, and ``local`` holds the points
+    in the tiling's frame."""
+
+    grid: TileGrid
+    local: np.ndarray
+    pidx: np.ndarray
+    ii: np.ndarray
+    jj: np.ndarray
+
+    def _cells(self) -> np.ndarray:
+        return (self.ii - self.grid.i0) * self.grid.nj + (self.jj - self.grid.j0)
+
+    def blocks(self) -> List[np.ndarray]:
+        """Point indices of each tile that takes any, in member order."""
+        key = self._cells()
+        order = np.argsort(key, kind="stable")
+        cuts = np.flatnonzero(np.diff(key[order])) + 1
+        return np.split(self.pidx[order], cuts) if len(key) else []
+
+    def coords(self) -> np.ndarray:
+        """Affine coordinates of each taken point in its tile."""
+        return self.grid.tile_coords(self.local[self.pidx], self.ii, self.jj)
+
+    def member_counts(self, ok: np.ndarray) -> np.ndarray:
+        """Points taken by each kept tile, in member order, counting only
+        the incidences flagged in ``ok``."""
+        counts = np.bincount(self._cells()[ok], minlength=self.grid.ni * self.grid.nj)
+        return counts if self.grid.keep is None else counts[self.grid.keep.ravel()]
+
+
+def _as_tiling(box: Parallelogram) -> FramedGroups:
+    """A loose member as the one tile of the unit square centered at the
+    origin, behind the frame that maps it back onto the member exactly."""
+    tile = make_tile_grid(1.0, 1.0, 0.0, (-0.5, -0.5, 0.5, 0.5), box.alpha, box.beta)
+    return FramedGroups(AffineMap2(tuple(map(tuple, 2.0 * box.edge_matrix)), box.center),
+                        [tile])
+
+
+def _tiles_within(part: FramedGroups, grid: TileGrid, pts: np.ndarray, tol: float):
+    """``grid.point_tiles`` at tol > 0 in world distance, tile by tile:
+    the rule for tilings behind a frame that is not a similarity."""
+    found = [(np.zeros(0, dtype=np.int64),) * 3]
+    for i, j in grid.kept_indices():
+        near = part.world_box(grid.tile(int(i), int(j))).distance(pts)
+        k = np.flatnonzero(near <= tol * (1 + 1e-12))
+        found.append((k, np.full(len(k), i), np.full(len(k), j)))
+    return tuple(np.concatenate(a) for a in zip(*found))
 
 
 @dataclass
@@ -87,45 +141,60 @@ class FlatCover:
         return sum(len(g) for p in self.parts for g in p.groups) + len(self.loose)
 
     def iter_members(self) -> Iterable[Parallelogram]:
-        for part in self.parts:
+        for part in self.tilings():
             for grid in part.groups:
                 for tile in grid.tiles():
                     yield part.world_box(tile)
-        yield from self.loose
+
+    def tilings(self) -> List[FramedGroups]:
+        """The parts, then each loose member as a one-tile tiling."""
+        return self.parts + [_as_tiling(box) for box in self.loose]
+
+    def incidences(self, points, tol: Optional[float] = None) -> Iterator[Incidence]:
+        """Which members take which points, one tiling (or loose member)
+        at a time in ``iter_members`` order.
+
+        ``tol`` is a world distance under ``TileGrid.point_tiles``' rules:
+        None takes half-open cells (a tiling's outer boundary, so a whole
+        loose member, closed), 0 the closed member with the slack of
+        ``Parallelogram.contains``, tol > 0 every point within distance
+        tol.  Behind a similarity frame tol > 0 becomes tol / scale; behind
+        any other it is decided member by member in world distance.
+        """
+        if tol is not None and tol < 0:
+            raise ValueError("tol must be non-negative")
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        for part in self.tilings():
+            local = pts if part.frame is None else part.frame.inverse().apply(pts)
+            scale = 1.0 if part.frame is None else _similarity_scale(part.frame.matrix)
+            for grid in part.groups:
+                if not tol:
+                    found = grid.point_tiles(local, tol)
+                elif scale is not None:
+                    found = grid.point_tiles(local, tol / scale)
+                else:
+                    found = _tiles_within(part, grid, pts, tol)
+                yield Incidence(grid, local, *found)
 
     def membership_counts(self, points) -> np.ndarray:
-        """How many members contain each point (tiles half-open)."""
+        """How many members take each point (``incidences`` at tol None)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(len(pts), dtype=np.int64)
-        for part in self.parts:
-            local = part.local_points(pts)
-            for grid in part.groups:
-                out += grid.count_points(local)
-        for box in self.loose:
-            x = box.affine_coords(pts)
-            out += np.all((x >= -1.0) & (x < 1.0), axis=1)
+        for inc in self.incidences(pts):
+            out += np.bincount(inc.pidx, minlength=len(pts))
         return out
 
     def sample_members(self, rng: np.random.Generator, k: int) -> List[Parallelogram]:
         """k members drawn uniformly (with replacement) from the family."""
-        sizes = []
-        handles = []
-        for part in self.parts:
-            for grid in part.groups:
-                sizes.append(len(grid))
-                handles.append((part, grid))
-        sizes.append(len(self.loose))
-        total = int(np.sum(sizes))
+        handles = [(part, grid) for part in self.tilings() for grid in part.groups]
+        cum = np.cumsum([len(grid) for _, grid in handles])
+        total = int(cum[-1]) if len(cum) else 0
         if total == 0:
             raise ValueError("cover has no members")
-        cum = np.cumsum(sizes)
         kept = {}  # slot -> kept_indices(), computed once per drawn grid
         out = []
         for r in rng.integers(0, total, size=k):
             slot = int(np.searchsorted(cum, r, side="right"))
-            if slot == len(handles):
-                out.append(self.loose[r - (cum[-2] if len(cum) > 1 else 0)])
-                continue
             part, grid = handles[slot]
             if slot not in kept:
                 kept[slot] = grid.kept_indices()
@@ -534,29 +603,28 @@ def overlap_profile(cover: FlatCover, n: int = 64) -> OverlapProfile:
 def verify_cover(
     cover: FlatCover,
     phi: BivariatePoly,
-    delta: Optional[float] = None,
     a_const: Optional[float] = None,
     n: int = 64,
-    overlap_bound: Optional[float] = None,
 ) -> VerifyReport:
     """Re-certify flatness of every member, coverage at sample
-    resolution, and the pointwise overlap bound.
+    resolution, and the pointwise overlap bound, all at the cover's own
+    delta and ``overlap_bound()``.
 
-    Each tiling is decided tile by tile by ``tiling_flatness`` and each
-    loose member by the same rule on its own: a member whose cheap
-    bracket [lo, hi] certifies flatness at ``a_const * delta`` reports
-    ``hi``; every other member reports ``flat_defect(...).defect``.
+    Each tiling, and each loose member as a one-tile tiling, is decided
+    tile by tile by ``tiling_flatness``: a member whose cheap bracket
+    [lo, hi] certifies flatness at ``a_const * delta`` reports ``hi``;
+    every other member reports ``flat_defect(...).defect``.
     ``worst_defect`` is the largest reported value (an upper bound when
     every member was certified by its bracket), ``worst_member`` the
     member that reports it, and ``min_a_flat = worst_defect / delta``.
     """
-    delta = cover.delta if delta is None else delta
+    delta = cover.delta
     a_const = cover.a_const if a_const is None else a_const
     threshold = a_const * delta
     worst = -1.0
     worst_member = None
     all_flat = True
-    for part in cover.parts:
+    for part in cover.tilings():
         for grid in part.groups:
             rep = tiling_flatness(phi, grid, delta, a_const, part.frame)
             if len(rep.defect) == 0:
@@ -573,15 +641,8 @@ def verify_cover(
             k = int(np.argmax(vals))
             if vals[k] > worst:
                 worst, worst_member = float(vals[k]), member(k)
-    for member in cover.loose:
-        _, hi = flat_defect_interval(phi, member)
-        d = hi if hi <= threshold else flat_defect(phi, member).defect
-        if d > worst:
-            worst, worst_member = d, member
-        if d > threshold:
-            all_flat = False
     prof = overlap_profile(cover, max(n, 64))
-    bound = cover.overlap_bound() if overlap_bound is None else overlap_bound
+    bound = cover.overlap_bound()
     covers = prof.min >= 1
     overlap_ok = prof.max <= bound
     min_a = worst / delta if delta > 0 else math.inf
@@ -618,24 +679,18 @@ def _det_range(phi: BivariatePoly, domain: BBox, n: int = 17):
 def _saddle_normalizer(phi: BivariatePoly) -> Tuple[AffineMap2, float]:
     """Linear map N and scale m with (phi o N)/m in saddle normal form:
     zero square coefficients and unit mixed coefficient."""
-    h11 = 2.0 * phi.coeff(2, 0)
-    h12 = phi.coeff(1, 1)
-    h22 = 2.0 * phi.coeff(0, 2)
-    det = h11 * h22 - h12 * h12
-    if not det < 0:
-        raise ValueError("saddle normalization needs det H < 0 for the quadratic part")
-    s = math.sqrt(-det)
-    denom = h12 + s
-    if denom == 0.0:
+    a, b, valid = null_direction_fields(phi, (0.0, 0.0))
+    if not valid[0]:
+        h = phi.hessian(0.0, 0.0)
+        if not h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0] < 0:
+            raise ValueError("saddle normalization needs det H < 0 for the quadratic part")
         # rotate a hair to break the degeneracy (pure anti-diagonal case)
         rot = AffineMap2.rotation(0.25)
         inner = compose_affine(phi, rot.matrix, rot.offset)
         n2, m2 = _saddle_normalizer(inner)
         return rot.compose(n2), m2
-    a = h22 / denom
-    b = h11 / denom
-    w = np.array([-a, 1.0])
-    v = np.array([1.0, -b])
+    w = np.array([-a[0], 1.0])
+    v = np.array([1.0, -b[0]])
     n_mat = np.column_stack([v / np.linalg.norm(v), w / np.linalg.norm(w)])
     composed = compose_affine(phi, n_mat, np.zeros(2))
     mixed = composed.coeff(1, 1)
@@ -726,8 +781,9 @@ def build_cover_general(
     defect of the original phase divided by the patch's scale: flat
     patches and strips by ``is_flat``; saddle tilings by the anisotropic
     builder's closed-form prefilter, with ``tiling_flatness`` on its
-    uncertain band; bowl tilings by ``tiling_flatness`` at the largest
-    dyadic side whose every tile passes.  ``verify_cover`` re-decides
+    uncertain band; bowl tilings by ``is_flat`` at the largest dyadic
+    side whose every tile passes, each smaller side tried only after a
+    tile of the larger one fails.  ``verify_cover`` re-decides
     them for the original phase.
     """
     if not (0 < delta < 1):
@@ -768,7 +824,9 @@ def build_cover_general(
                 grid = make_tile_grid(side, side, 0.0, alpha=1.0 / side, beta=0)
                 if len(grid) > 1 << 20:
                     raise RuntimeError("bowl caps found no flat dyadic side")
-                if tiling_flatness(psi, grid, target, a_const).flat.all():
+                # all() stops at the side's first tile that is not flat, so
+                # a rejected side samples none of its later tiles
+                if all(is_flat(psi, tile, target, a_const) for tile in grid.tiles()):
                     break
                 side *= 0.5
             emit_groups(frame, [grid])

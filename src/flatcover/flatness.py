@@ -393,7 +393,8 @@ def is_flat(phi: BivariatePoly, box: Parallelogram, delta: float,
 
 
 def null_directions(phi: BivariatePoly, point) -> NullDirections:
-    """Directions annihilated by the Hessian quadratic form at a saddle.
+    """Directions annihilated by the Hessian quadratic form at a saddle:
+    the one-point case of ``null_direction_fields``.
 
     Requires negative Hessian determinant at the point.  With
     ``s = sqrt(-det H)``, the slopes are ``a = H22 / (H12 + s)`` and
@@ -402,22 +403,21 @@ def null_directions(phi: BivariatePoly, point) -> NullDirections:
     """
     x, y = float(point[0]), float(point[1])
     h = phi.hessian(x, y)
-    det = float(h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0])
-    if not det < 0.0:
-        raise ValueError(
-            f"null directions need a saddle (det H < 0); det H = {det:g} at {(x, y)}"
-        )
-    s = math.sqrt(-det)
-    denom = float(h[0, 1]) + s
-    if denom == 0.0:
+    a, b, valid = null_direction_fields(phi, (x, y))
+    if not valid[0]:
+        det = float(h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0])
+        if not det < 0.0:
+            raise ValueError(
+                f"null directions need a saddle (det H < 0); det H = {det:g} at {(x, y)}"
+            )
         raise ValueError("degenerate Hessian: H12 + sqrt(|det H|) vanished")
-    a = float(h[1, 1]) / denom
-    b = float(h[0, 0]) / denom
+    a, b = float(a[0]), float(b[0])
     return NullDirections(a, b, (-a, 1.0), (1.0, -b), h)
 
 
 def null_direction_fields(phi: BivariatePoly, points):
-    """Vectorized (a, b, valid) across many points; valid = saddle."""
+    """Vectorized slopes (a, b, valid) of ``null_directions`` across many
+    points; valid = saddle with H12 + sqrt(-det H) nonzero."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     pxx, pxy, pyy = phi.hessian_polys()
     h11 = np.asarray(pxx.eval(pts[:, 0], pts[:, 1]), dtype=float)

@@ -87,6 +87,17 @@ class Parallelogram:
         x = self.affine_coords(points)
         return np.all(np.abs(x) <= 1.0 + tol, axis=-1)
 
+    def distance(self, points) -> np.ndarray:
+        """Euclidean distance from each point to the closed parallelogram."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        verts = self.vertices()
+        best = np.full(len(pts), np.inf)
+        for p0, seg in zip(verts, np.roll(verts, -1, axis=0) - verts):
+            t = np.clip(((pts - p0) @ seg) / (seg @ seg), 0.0, 1.0)
+            best = np.minimum(best, np.linalg.norm(pts - (p0 + t[:, None] * seg), axis=1))
+        best[np.all(np.abs(self.affine_coords(pts)) <= 1.0, axis=1)] = 0.0
+        return best
+
     def bounding_box(self) -> BBox:
         v = self.vertices()
         return (

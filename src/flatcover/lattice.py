@@ -20,7 +20,7 @@ import numpy as np
 
 from .cover import FlatCover
 from .geometry import _CONTAIN_TOL, Parallelogram
-from .norms import ExpSum, _parallelogram_distance, expsum_lp, product_exp_sum
+from .norms import ExpSum, expsum_lp, product_exp_sum
 from .poly2 import BivariatePoly
 
 SQRT2 = math.sqrt(2.0)
@@ -91,29 +91,15 @@ def points_in_flat_set(
     tol: float,
 ) -> int:
     """Lattice points whose lifted point lies in the tol-neighborhood of
-    the vertical slab over s and which sit in the (1+tol)-dilate of s.
-    At tol = 0 that is the closed box, with the relative slack of
-    ``Parallelogram.contains``.
+    the vertical slab over s (tol a world distance) and which sit in the
+    (1+tol)-dilate of s; at tol = 0, the points of the closed box with
+    the relative slack of ``Parallelogram.contains``.  This is the
+    one-member case of ``max_flat_multiplicity``.
 
     The slab is vertical, so the lift drops out of the distance; the
     phase argument is kept for interface symmetry with the cover side.
     """
-    del phi
-    pts = lat.points()
-    if tol == 0:
-        return int(np.count_nonzero(s.contains(pts)))
-    near = _parallelogram_distance(pts, s) <= tol * (1 + 1e-12)
-    coords = s.affine_coords(pts)
-    inside = np.all(np.abs(coords) <= 1.0 + tol, axis=1)
-    return int(np.count_nonzero(near & inside))
-
-
-def _similarity_scale(mat: np.ndarray) -> Optional[float]:
-    """Scale factor if mat is a similarity (rotation times scaling)."""
-    g = mat.T @ mat
-    if abs(g[0, 1]) > 1e-9 * abs(g[0, 0]) or abs(g[0, 0] - g[1, 1]) > 1e-9 * abs(g[0, 0]):
-        return None
-    return math.sqrt(abs(g[0, 0]))
+    return max_flat_multiplicity(FlatCover(tol, 1.0, loose=[s]), lat, phi, tol)[0]
 
 
 def max_flat_multiplicity(
@@ -122,51 +108,20 @@ def max_flat_multiplicity(
     phi: BivariatePoly,
     tol: Optional[float] = None,
 ) -> Tuple[int, Dict[int, int]]:
-    """Largest lattice count over the cover's members, with a histogram
-    count -> number of members.
-
-    Tile groups are counted wholesale through cell histograms; only
-    loose members are visited one by one.  Frames must be similarities
-    (rotations and scalings) for the neighborhood condition to transfer
-    to the local frame exactly; all built-in constructions satisfy this.
+    """Largest ``points_in_flat_set`` count over the cover's members,
+    with a histogram count -> number of members; tol (the cover's delta
+    by default) is a world distance under any frame.  Tilings are
+    counted wholesale through ``FlatCover.incidences``.
     """
+    del phi
     tol = cover.delta if tol is None else float(tol)
-    pts = lat.points()
     hist: Dict[int, int] = {}
-    best = 0
-    for part in cover.parts:
-        if part.frame is None:
-            local = pts
-            scale = 1.0
-        else:
-            scale = _similarity_scale(part.frame.matrix)
-            if scale is None:
-                for grid in part.groups:
-                    for tile in grid.tiles():
-                        c = points_in_flat_set(lat, part.world_box(tile), phi, tol)
-                        hist[c] = hist.get(c, 0) + 1
-                        best = max(best, c)
-                continue
-            local = part.frame.inverse().apply(pts)
-        for grid in part.groups:
-            # kept tiles near each point, then the (1+tol)-dilate condition
-            pidx, ii, jj = grid.point_tiles(local, tol / scale)
-            x = grid.tile_coords(local[pidx], ii, jj)
-            ok = np.max(np.abs(x), axis=1) <= 1.0 + (tol if tol > 0 else _CONTAIN_TOL)
-            key = (ii[ok] - grid.i0) * grid.nj + (jj[ok] - grid.j0)
-            counts = np.bincount(key, minlength=grid.ni * grid.nj)
-            live = counts if grid.keep is None else counts[grid.keep.ravel()]
-            if len(live) == 0:
-                continue
-            best = max(best, int(live.max()))
-            vals, freq = np.unique(live, return_counts=True)
-            for v, c in zip(vals, freq):
-                hist[int(v)] = hist.get(int(v), 0) + int(c)
-    for box in cover.loose:
-        c = points_in_flat_set(lat, box, phi, tol)
-        hist[c] = hist.get(c, 0) + 1
-        best = max(best, c)
-    return best, hist
+    for inc in cover.incidences(lat.points(), tol):
+        inside = np.max(np.abs(inc.coords()), axis=1) <= 1.0 + (tol or _CONTAIN_TOL)
+        vals, freq = np.unique(inc.member_counts(inside), return_counts=True)
+        for v, c in zip(vals, freq):
+            hist[int(v)] = hist.get(int(v), 0) + int(c)
+    return max(hist, default=0), hist
 
 
 # -- the Diophantine gap ---------------------------------------------------

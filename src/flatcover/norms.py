@@ -19,14 +19,13 @@ frequencies covers p=4 when neither route fits in memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.fft import ifftn, next_fast_len
 
 from .cover import FlatCover, _require_dyadic
-from .geometry import Parallelogram
 from .poly2 import BivariatePoly, hyperbolic_phase
 
 _FFT_BUDGET = 1 << 26  # complex entries per field, ~1 GB at complex128
@@ -190,28 +189,30 @@ def snap_lift(f: ExpSum, box_side: float) -> ExpSum:
     """Copy of the sum with heights snapped to the (1/box_side)-grid.
 
     Snapping happens once, at the source, so that the whole sum and
-    every member piece share identical (box-periodic) heights; the
-    displacement is at most half a grid step, which keeps the lifted
-    points inside the usual surface neighborhoods.  Product sums are
-    snapped factor by factor, preserving the separable fast path.
+    every member piece share identical (box-periodic) heights.  Product
+    sums are snapped factor by factor, preserving the separable fast
+    path; each factor moves by at most half a grid step, so a lifted
+    height moves by up to one full step (half a step for other sums).
     """
     r = float(box_side)
     if r <= 0:
         raise ValueError("box side must be positive")
-    if f.factors is not None:
-        f1, f2 = f.factors
-        h1 = np.round(f1.heights * r) / r
-        h2 = np.round(f2.heights * r) / r
-        lift = (h1[:, None] + h2[None, :]).ravel()
-        out = ExpSum(f.phase, f.freqs, f.weights, name=f.name, lift=lift)
-        out.factors = (
-            Factor(f1.axis, f1.values, f1.weights, h1),
-            Factor(f2.axis, f2.values, f2.weights, h2),
-        )
-        return out
-    heights = f.lifted()[:, 2]
-    out = ExpSum(f.phase, f.freqs, f.weights, name=f.name,
-                 lift=np.round(heights * r) / r)
+    if f.factors is None:
+        return ExpSum(f.phase, f.freqs, f.weights, name=f.name,
+                      lift=np.round(f.lifted()[:, 2] * r) / r)
+    out = ExpSum(f.phase, f.freqs, f.weights, name=f.name, lift=_factor_lift(f, r))
+    out.factors = tuple(replace(g, heights=np.round(g.heights * r) / r) for g in f.factors)
+    return out
+
+
+def _factor_lift(f: ExpSum, r: float) -> np.ndarray:
+    """Height of each frequency of a product sum with the factors'
+    heights snapped to the (1/r)-grid one by one."""
+    out = 0.0
+    for g in f.factors:
+        order = np.argsort(g.values)
+        k = order[np.searchsorted(g.values, f.freqs[:, g.axis], sorter=order)]
+        out = out + np.round(g.heights[k] * r) / r
     return out
 
 
@@ -427,19 +428,19 @@ def _pairs_mean_pow4(ints: np.ndarray, weights: np.ndarray) -> float:
 def _separable_mean_pow(f: ExpSum, r_side: float, q: int,
                         budget: int = _FFT_BUDGET):
     """mean |f|^{2q} for a product sum via two planar FFT fields sharing
-    the lift axis.  Returns (value, dims, snap_max)."""
+    the lift axis.  Returns (value, dims)."""
     factors = []
     for fac in f.factors:
-        ints, w, snap = _snap_merge(np.column_stack([fac.values, fac.heights]),
-                                    fac.weights, r_side)
+        ints, w, _ = _snap_merge(np.column_stack([fac.values, fac.heights]),
+                                 fac.weights, r_side)
         # the coordinate axis is the factor's own; the height axis is
         # shared, so here it is only translated, and divided below by the
         # joint gcd of both factors' heights
         ints[:, :1] = _reduce_axes(ints[:, :1])
         ints = _shear_reduce(ints)
         ints[:, 1] -= ints[:, 1].min()
-        factors.append((ints, w, snap))
-    (i1, w1, s1), (i2, w2, s2) = factors
+        factors.append((ints, w))
+    (i1, w1), (i2, w2) = factors
     heights = np.concatenate([i1[:, 1], i2[:, 1]])
     nz = heights[heights > 0]
     if len(nz):
@@ -461,16 +462,7 @@ def _separable_mean_pow(f: ExpSum, r_side: float, q: int,
 
     p_of_x3 = slice_means(i1, w1, sh1)
     q_of_x3 = slice_means(i2, w2, sh2)
-    return float(np.mean(p_of_x3 * q_of_x3)), (sh1[0], sh2[0], sh1[1]), max(s1, s2)
-
-
-def _lattice_max(f: ExpSum, r_side: float) -> Tuple[float, Tuple[int, ...]]:
-    """max |f| over a dense-enough period lattice (a lower bound for the
-    true sup, adequate for bounded-ratio checks)."""
-    ints, w, _ = _snap_merge(f.lifted(), f.weights, r_side)
-    ints = _reduce_axes(_shear_reduce(_reduce_axes(ints)))
-    g, dims = _lattice_field(ints, w, _fft_shape(_extent(ints), 4, 5))
-    return float(np.abs(g).max()), dims
+    return float(np.mean(p_of_x3 * q_of_x3)), (sh1[0], sh2[0], sh1[1])
 
 
 def expsum_lp(
@@ -484,8 +476,11 @@ def expsum_lp(
 
     Frequencies are snapped to the (1/box_side)-grid, making the sum
     periodic; for even integer p the one-period integral is then exact.
-    The method chosen (Parseval, separable FFT, pair counting, plain
-    FFT) is recorded in the report along with the worst snap distance.
+    Product sums are snapped factor by factor, as ``snap_lift`` does,
+    before any path is chosen, so every path sees the same sum.  The
+    method chosen (Parseval, separable FFT, pair counting, plain FFT) is
+    recorded in the report along with the largest displacement of a
+    lifted point.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -493,14 +488,23 @@ def expsum_lp(
     if r <= 0:
         raise ValueError("box side must be positive")
     scale = r ** (3.0 / p) if (not normalized and not math.isinf(p)) else 1.0
+    lifted = f.lifted()
+    moved = 0.0
+    if f.factors is not None:
+        # every path sees the per-factor snap that the separable path needs
+        heights = _factor_lift(f, r)
+        moved = float(np.max(np.abs(heights - lifted[:, 2]), initial=0.0))
+        lifted[:, 2] = heights
+    ints, w, snap = _snap_merge(lifted, f.weights, r)
+    snap = max(snap, moved)
+    ints = _reduce_axes(_shear_reduce(_reduce_axes(ints)))
 
     if math.isinf(p):
-        val, dims = _lattice_max(f, r)
-        return NormReport(val, p, r, normalized, False, "lattice-max", 0.0, dims,
+        # max over a dense-enough period lattice: a lower bound for the sup
+        g, dims = _lattice_field(ints, w, _fft_shape(_extent(ints), 4, 5))
+        return NormReport(float(np.abs(g).max()), p, r, normalized, False,
+                          "lattice-max", snap, dims,
                           note="max over the period lattice (lower bound of sup)")
-
-    ints, w, snap = _snap_merge(f.lifted(), f.weights, r)
-    ints = _reduce_axes(_shear_reduce(_reduce_axes(ints)))
 
     if p == 2:
         val = float(np.sqrt(np.sum(np.abs(w) ** 2)))
@@ -511,9 +515,9 @@ def expsum_lp(
         q = int(p) // 2
         if f.factors is not None:
             try:
-                mean_pow, dims, snap2 = _separable_mean_pow(f, r, q, budget)
+                mean_pow, dims = _separable_mean_pow(f, r, q, budget)
                 return NormReport(mean_pow ** (1.0 / p) * scale, p, r, normalized,
-                                  True, "separable", snap2, dims)
+                                  True, "separable", snap, dims)
             except ValueError:
                 pass
         cells = math.prod(_fft_shape(_extent(ints), q))
@@ -555,52 +559,20 @@ class DecoupleReport:
     exact: bool
 
 
-def _parallelogram_distance(pts: np.ndarray, box: Parallelogram) -> np.ndarray:
-    t = box.affine_coords(pts)
-    inside = np.all(np.abs(t) <= 1.0, axis=1)
-    verts = box.vertices()
-    best = np.full(len(pts), np.inf)
-    for a in range(4):
-        p0 = verts[a]
-        p1 = verts[(a + 1) % 4]
-        seg = p1 - p0
-        tt = np.clip(((pts - p0) @ seg) / (seg @ seg), 0.0, 1.0)
-        proj = p0 + tt[:, None] * seg
-        best = np.minimum(best, np.linalg.norm(pts - proj, axis=1))
-    best[inside] = 0.0
-    return best
-
-
 def assign_frequencies(f: ExpSum, cover: FlatCover, tol: Optional[float] = None):
     """Subsets of frequency indices per cover member whose planar slab
-    neighborhood contains the lifted point (distance at most tol, the
-    cover's delta by default).  tol = 0 means sharp half-open tiles with
-    the outer boundary of each tiling closed, so each frequency lands in
-    at most one tile per tiling.  Raises if any frequency is uncovered."""
+    neighborhood contains the lifted point: frequencies within world
+    distance tol of the member, under any frame (the cover's delta by
+    default).  tol <= 0 means sharp half-open tiles with the outer
+    boundary of each tiling closed, so each frequency lands in at most
+    one tile per tiling.  Raises if any frequency is uncovered."""
     tol = cover.delta if tol is None else tol
     pts = f.freqs
     counts = np.zeros(len(pts), dtype=np.int64)
     subsets = []
-    for part in cover.parts:
-        local = part.local_points(pts)
-        for grid in part.groups:
-            pidx, ii, jj = grid.point_tiles(local, tol if tol > 0.0 else None)
-            if len(pidx) == 0:
-                continue
-            key = (ii - grid.i0) * grid.nj + (jj - grid.j0)
-            order = np.argsort(key, kind="stable")
-            key = key[order]
-            pidx = pidx[order]
-            cuts = np.flatnonzero(np.diff(key)) + 1
-            for block in np.split(pidx, cuts):
-                subsets.append(block)
-                counts[block] += 1
-    for box in cover.loose:
-        d = _parallelogram_distance(pts, box)
-        block = np.flatnonzero(d <= tol * (1 + 1e-12))
-        if len(block):
-            subsets.append(block)
-            counts[block] += 1
+    for inc in cover.incidences(pts, tol if tol > 0.0 else None):
+        subsets.extend(inc.blocks())
+        counts += np.bincount(inc.pidx, minlength=len(pts))
     if len(pts) and counts.min() < 1:
         bad = int(np.argmin(counts))
         raise ValueError(

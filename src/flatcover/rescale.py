@@ -208,8 +208,7 @@ def pullback_cover(
     cover = FlatCover(delta, a_const, parts, loose, kind="pullback")
     cover.domain = result.L.image_bbox(UNIT_SQUARE)
     slack_delta = delta * (1 + 1e-9)
-    flat = all(tiling_flatness(phi, grid, slack_delta, a_const, part.frame).flat.all()
-               for part in cover.parts for grid in part.groups)
-    if not (flat and all(is_flat(phi, m, slack_delta, a_const) for m in loose)):
+    if not all(tiling_flatness(phi, grid, slack_delta, a_const, part.frame).flat.all()
+               for part in cover.tilings() for grid in part.groups):
         raise ValueError("pullback member failed flatness re-certification")
     return cover

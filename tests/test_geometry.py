@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flatcover.geometry import (
@@ -280,3 +280,28 @@ def test_parallelogram_json_round_trip():
 def test_make_tile_grid_rejects_bad_sides():
     with pytest.raises(ValueError):
         make_tile_grid(0.0, 0.1, 0.0)
+
+
+@settings(max_examples=40)
+@given(
+    e1=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    e2=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_parallelogram_distance_matches_sampled_boundary(e1, e2, seed):
+    """Zero inside; outside, the distance to the nearest of 4000 points
+    spread over the boundary, up to the spacing of that sample."""
+    assume(abs(e1[0] * e2[1] - e1[1] * e2[0]) >= 1e-3)
+    box = Parallelogram((0.2, -0.1), e1, e2)
+    pts = np.random.default_rng(seed).uniform(-2.5, 2.5, size=(200, 2))
+    got = box.distance(pts)
+    t = np.linspace(-1.0, 1.0, 1001)
+    c, a, b = np.asarray(box.center), np.asarray(e1), np.asarray(e2)
+    edge = np.concatenate([c + s * a + t[:, None] * b for s in (-1, 1)]
+                          + [c + t[:, None] * a + s * b for s in (-1, 1)])
+    sampled = np.min(np.linalg.norm(pts[:, None, :] - edge[None, :, :], axis=2), axis=1)
+    spacing = 0.002 * max(np.hypot(*a), np.hypot(*b))
+    inside = box.contains(pts, tol=0.0)
+    assert np.all(got[inside] == 0.0)
+    assert np.all(got[~inside] <= sampled[~inside] + 1e-12)
+    assert np.all(got[~inside] >= sampled[~inside] - spacing)

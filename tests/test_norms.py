@@ -356,3 +356,30 @@ def test_stein_tomas_scale_invariance_and_guards():
     cubic = ExpSum(BivariatePoly(3, {(3, 0): 1.0}), [[0.1, 0.1]], [1.0])
     with pytest.raises(ValueError):
         stein_tomas_ratio(cubic, delta, 4.0)
+
+
+@settings(max_examples=20)
+@given(
+    a=st.floats(0.1, 3.0), b=st.floats(-3.0, -0.1), c=st.floats(-1.0, 1.0),
+    nx=st.integers(2, 6), ny=st.integers(2, 6), r=st.sampled_from([4.0, 16.0, 12.0]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_product_sums_snap_per_factor_on_every_path(a, b, c, nx, ny, r, seed):
+    """Off-grid separable products: the separable path, the pair path it
+    falls back to under a tiny budget, and the plain FFT of the sum with
+    its lift snapped by ``snap_lift`` all see one sum."""
+    phi = BivariatePoly(3, {(2, 0): a, (0, 2): b, (3, 0): c})
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.uniform(0, 1, nx), rng.uniform(0, 1, ny)
+    f = product_exp_sum(phi, xs, ys, rng.standard_normal(nx) + 1j * rng.standard_normal(nx),
+                        rng.standard_normal(ny) + 1j * rng.standard_normal(ny))
+    sep = expsum_lp(f, 4, r)
+    pairs = expsum_lp(f, 4, r, budget=1)
+    plain = expsum_lp(ExpSum(phi, f.freqs, f.weights, lift=snap_lift(f, r).lift), 4, r)
+    assert (sep.method, pairs.method) == ("separable", "pairs")
+    assert pairs.value == pytest.approx(sep.value, rel=1e-12)
+    assert plain.value == pytest.approx(sep.value, rel=1e-12)
+    # a lifted height moves by up to one grid step, half a step per factor
+    moved = np.abs(snap_lift(f, r).lift - f.lifted()[:, 2]).max()
+    assert sep.snap_max == pairs.snap_max >= moved
+    assert moved <= 1.0 / r + 1e-12

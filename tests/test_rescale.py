@@ -101,8 +101,7 @@ def test_pullback_cover_transports_members_and_scale():
     rng = np.random.default_rng(1)
     for member in back.sample_members(rng, 10):
         assert box.contains(member.vertices(), tol=1e-9).all()
-    rep = verify_cover(back, phi, delta=back.delta, a_const=back.a_const,
-                       overlap_bound=1.0)
+    rep = verify_cover(back, phi, a_const=back.a_const)
     assert rep.all_flat
     # unit-square membership transports through L exactly
     pts = rng.uniform(0.05, 0.95, size=(100, 2))
