@@ -14,6 +14,11 @@ additively split lift (separable phases, or single-row sets) factor as
 f = g1(x1,x3) g2(x2,x3), and the norm reduces to two planar FFTs glued
 along the shared third axis.  A quadratic-count fallback via pair
 frequencies covers p=4 when neither route fits in memory.
+
+Integer rows (snapped frequencies, pair sums) are merged through packed
+keys: one int64 per row, in lexicographic row order, so merging needs
+only a 1-D sort.  The height shear is found by a k-ary bracket search
+that evaluates a few candidate shears per step in one array.
 """
 
 from __future__ import annotations
@@ -76,7 +81,8 @@ class ExpSum:
             raise ValueError("frequencies must be planar points")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
-        if len(np.unique(self.freqs, axis=0)) != len(self.freqs):
+        rows = self.freqs[np.lexsort(self.freqs.T[::-1])]
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
             raise ValueError("frequencies must be distinct")
         if self.lift is not None:
             self.lift = np.asarray(self.lift, dtype=float).ravel()
@@ -292,11 +298,49 @@ class NormReport:
     note: str = ""
 
 
+_KEY_LIMIT = 1 << 62
+
+
+def _row_keys(columns) -> np.ndarray:
+    """One int64 key per row, ordered as the rows are lexicographically.
+
+    ``columns`` yields the integer columns, first (most significant)
+    first.  Each column is shifted to start at 0 and appended as one
+    mixed-radix digit.  Before a digit could push the key past 2^62, the
+    key so far is replaced by its rank among its distinct values (and the
+    column by its rank, if it alone is that wide): ranks keep the order,
+    so the keys stay ordered and exact at any extent.
+    """
+    key = None
+    for col in columns:
+        col = np.asarray(col, dtype=np.int64)
+        if len(col) == 0:
+            return np.zeros(0, dtype=np.int64)
+        low = col.min()
+        if low:
+            col = col - low
+        radix = int(col.max()) + 1
+        if key is None:
+            key, top = col, radix
+            continue
+        if top * radix > _KEY_LIMIT:
+            uniq, key = np.unique(key, return_inverse=True)
+            top = len(uniq)
+        if top * radix > _KEY_LIMIT:
+            uniq, col = np.unique(col, return_inverse=True)
+            radix = len(uniq)
+        key = key * radix + col
+        top *= radix
+    return key
+
+
 def _snap_merge(lifted: np.ndarray, weights: np.ndarray, r_side: float):
     ints = np.round(r_side * lifted).astype(np.int64)
     snap_max = float(np.max(np.abs(ints / r_side - lifted))) if len(lifted) else 0.0
-    uniq, inv = np.unique(ints, axis=0, return_inverse=True)
-    w = np.zeros(len(uniq), dtype=complex)
+    keys, inv = np.unique(_row_keys(ints.T), return_inverse=True)
+    uniq = np.empty((len(keys), ints.shape[1]), dtype=np.int64)
+    uniq[inv] = ints  # rows sharing a key are equal: any one fills the slot
+    w = np.zeros(len(keys), dtype=complex)
     np.add.at(w, inv, weights)
     return uniq, w, snap_max
 
@@ -315,35 +359,53 @@ def _reduce_axes(ints: np.ndarray) -> np.ndarray:
     return out
 
 
+_SHEAR_BATCH = 8  # candidate shears evaluated together per search step
+
+
 def _best_shear(x: np.ndarray, h: np.ndarray) -> int:
     """Integer lam minimizing the extent of h - lam*x.
 
     The extent is convex in lam (max minus min of affine functions), so
-    a bracketed binary search around the least-squares slope finds the
-    minimizer; lam = 0 is kept when nothing improves.
+    the leftmost minimizer over the window [rs - w, rs + w] around the
+    least-squares slope rs is found by a k-ary bracket search: each step
+    evaluates up to eight candidates in one array and keeps the stretch
+    strictly between the best candidate's neighbours, about a quarter of
+    the bracket.  The first batch is rs-2..rs+2, which is the whole
+    window when w = 2.  lam = 0 is kept unless strictly beaten.
     """
     ptp = int(x.max() - x.min())
     if ptp == 0:
         return 0
 
-    def ext(lam: int) -> int:
-        r = h - lam * x
-        return int(r.max() - r.min())
+    def ext(lams: np.ndarray) -> np.ndarray:
+        r = np.multiply.outer(lams, x)
+        np.subtract(h, r, out=r)
+        return r.max(axis=1) - r.min(axis=1)
 
     xf = x.astype(float)
     hf = h.astype(float)
     xc = xf - xf.mean()
     s = float((xc * (hf - hf.mean())).sum() / (xc * xc).sum())
     rs = int(round(s))
-    w = ext(rs) // ptp + 2
+    lams = np.arange(rs - 2, rs + 3)
+    e = ext(lams)
+    w = int(e[2]) // ptp + 2
     lo, hi = rs - w, rs + w
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ext(mid) <= ext(mid + 1):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo if ext(lo) < ext(0) else 0
+    while True:
+        j = int(np.argmin(e))
+        if len(lams) == hi - lo + 1:  # the whole bracket is evaluated
+            break
+        if j > 0:
+            lo = int(lams[j - 1]) + 1
+        if j < len(lams) - 1:
+            hi = int(lams[j + 1]) - 1
+        span = hi - lo + 1
+        if span <= _SHEAR_BATCH:
+            lams = np.arange(lo, hi + 1)
+        else:  # midpoints of eight equal parts
+            lams = lo + np.arange(1, 2 * _SHEAR_BATCH, 2) * span // (2 * _SHEAR_BATCH)
+        e = ext(lams)
+    return int(lams[j]) if e[j] < int(h.max() - h.min()) else 0
 
 
 def _shear_reduce(ints: np.ndarray) -> np.ndarray:
@@ -415,11 +477,14 @@ def _fft_mean_pow(ints: np.ndarray, weights: np.ndarray, q: int,
 
 def _pairs_mean_pow4(ints: np.ndarray, weights: np.ndarray) -> float:
     """mean |f|^4 via Parseval on the pair sum f^2, exact for any
-    integer frequencies: sum of |sum_{pairs adding to k} a a'|^2."""
+    integer frequencies: sum of |sum_{pairs adding to k} a a'|^2.
+
+    Pair sums are merged by packed key, built from the per-axis pair-sum
+    columns one axis at a time (no n^2 x 3 table)."""
     n = len(ints)
-    pair_ints = (ints[:, None, :] + ints[None, :, :]).reshape(n * n, 3)
+    keys = _row_keys(np.add.outer(a, a).reshape(n * n) for a in ints.T)
     pair_w = (weights[:, None] * weights[None, :]).reshape(n * n)
-    uniq, inv = np.unique(pair_ints, axis=0, return_inverse=True)
+    uniq, inv = np.unique(keys, return_inverse=True)
     acc = np.zeros(len(uniq), dtype=complex)
     np.add.at(acc, inv, pair_w)
     return float(np.sum(np.abs(acc) ** 2))
@@ -513,13 +578,14 @@ def expsum_lp(
 
     if float(p).is_integer() and int(p) % 2 == 0:
         q = int(p) // 2
+        note = ""
         if f.factors is not None:
             try:
                 mean_pow, dims = _separable_mean_pow(f, r, q, budget)
                 return NormReport(mean_pow ** (1.0 / p) * scale, p, r, normalized,
                                   True, "separable", snap, dims)
-            except ValueError:
-                pass
+            except ValueError as exc:
+                note = f"separable path skipped: {exc}"
         cells = math.prod(_fft_shape(_extent(ints), q))
         if q == 2 and (cells > budget or len(ints) ** 2 <= min(_PAIR_BUDGET, cells)):
             if len(ints) ** 2 > _PAIR_BUDGET:
@@ -528,10 +594,10 @@ def expsum_lp(
                 )
             mean_pow = _pairs_mean_pow4(ints, w)
             return NormReport(mean_pow ** 0.25 * scale, p, r, normalized, True,
-                              "pairs", snap, ())
+                              "pairs", snap, (), note=note)
         mean_pow, dims = _fft_mean_pow(ints, w, q, budget)
         return NormReport(mean_pow ** (1.0 / p) * scale, p, r, normalized, True,
-                          "fft", snap, dims)
+                          "fft", snap, dims, note=note)
 
     # non-even p: spectrally accurate periodic quadrature, flagged inexact
     g, dims = _lattice_field(ints, w, _fft_shape(_extent(ints), int(math.ceil(p)) + 2),

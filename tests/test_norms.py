@@ -38,6 +38,24 @@ def test_exp_sum_validation():
         ExpSum(phi, [[0.0, 0.0]], [np.nan])
 
 
+def test_exp_sum_rejects_repeated_frequencies():
+    phi = hyperbolic_phase()
+    rows = [[0.5, 0.25], [0.0, 1.0], [0.25, 0.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="frequencies must be distinct"):
+        ExpSum(phi, rows, np.ones(4))
+    with pytest.raises(ValueError, match="frequencies must be distinct"):
+        ExpSum(phi, [[0.0, 1.0], [0.0, 0.5], [0.0, 1.0]], np.ones(3))
+    # +0.0 and -0.0 are one frequency
+    with pytest.raises(ValueError, match="frequencies must be distinct"):
+        ExpSum(phi, [[0.0, 0.5], [0.25, 0.5], [-0.0, 0.5]], np.ones(3))
+    with pytest.raises(ValueError, match="frequencies must be distinct"):
+        ExpSum(phi, [[0.5, -0.0], [0.5, 0.0]], np.ones(2))
+    f = ExpSum(phi, rows[:3], np.ones(3))
+    assert len(f.subset(np.array([2, 0]))) == 2
+    with pytest.raises(ValueError, match="frequencies must be distinct"):
+        f.subset(np.array([0, 2, 0]))
+
+
 def test_product_exp_sum_matches_dense_weights():
     # additively separable phase, so the product structure is recorded
     phi = BivariatePoly(2, {(2, 0): 1.0, (0, 2): -1.0})
@@ -377,6 +395,9 @@ def test_product_sums_snap_per_factor_on_every_path(a, b, c, nx, ny, r, seed):
     pairs = expsum_lp(f, 4, r, budget=1)
     plain = expsum_lp(ExpSum(phi, f.freqs, f.weights, lift=snap_lift(f, r).lift), 4, r)
     assert (sep.method, pairs.method) == ("separable", "pairs")
+    assert sep.note == ""
+    assert pairs.note == ("separable path skipped: "
+                          "separable fields exceed the FFT budget")
     assert pairs.value == pytest.approx(sep.value, rel=1e-12)
     assert plain.value == pytest.approx(sep.value, rel=1e-12)
     # a lifted height moves by up to one grid step, half a step per factor
