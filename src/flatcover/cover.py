@@ -418,6 +418,136 @@ def _normal_form_error(phi: BivariatePoly) -> Optional[str]:
     return None
 
 
+def _route_extents(
+    centers: np.ndarray,
+    z: np.ndarray,
+    a_f: np.ndarray,
+    b_f: np.ndarray,
+    e1: np.ndarray,
+    e2: np.ndarray,
+    inv_t: np.ndarray,
+    long_half: float,
+    short_half: float,
+) -> np.ndarray:
+    """The per-tile arithmetic of the comparability rule.
+
+    For tiles with the given centers (n, 2), their nine anchors ``z``
+    (n, 9, 2) and the null-direction slopes there (n, 9), returns an
+    (n, 2) array: per tile and route ("w", "v"), the largest absolute
+    coordinate of (i) a candidate-box vertex in the tile's half-edge
+    frame and (ii) a tile vertex in the candidate's half-edge frame, over
+    all nine anchors.  The route is comparable iff that extent is at
+    most 2A (NaN compares false)."""
+    n, k = a_f.shape
+    sq = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
+    zf = z.reshape(-1, 2)
+    tile_verts = (
+        centers[:, None, :]
+        + sq[None, :, 0:1] * e1[None, None, :]
+        + sq[None, :, 1:2] * e2[None, None, :]
+    )  # (n, 4, 2)
+    ext = np.empty((n, 2))
+    for r, route in enumerate(("w", "v")):
+        if route == "w":
+            d = np.stack([-a_f.ravel(), np.ones(n * k)], axis=-1)
+        else:
+            d = np.stack([np.ones(n * k), -b_f.ravel()], axis=-1)
+        d = d / np.linalg.norm(d, axis=-1, keepdims=True)
+        perp = np.stack([-d[:, 1], d[:, 0]], axis=-1)
+        f1 = long_half * d
+        f2 = short_half * perp
+        # candidate vertices in tile coordinates
+        verts = (
+            zf[:, None, :]
+            + sq[None, :, 0:1] * f1[:, None, :]
+            + sq[None, :, 1:2] * f2[:, None, :]
+        )  # (n*k, 4, 2)
+        rel = verts.reshape(n, k, 4, 2) - centers[:, None, None, :]
+        coords = np.einsum("ab,nkvb->nkva", inv_t, rel)
+        # tile vertices in candidate coordinates
+        det_z = f1[:, 0] * f2[:, 1] - f1[:, 1] * f2[:, 0]
+        rel_t = tile_verts[:, None, :, :] - z[:, :, None, :]  # (n, k, 4, 2)
+        f1r = f1.reshape(n, k, 2)
+        f2r = f2.reshape(n, k, 2)
+        detz = det_z.reshape(n, k)
+        x1 = (rel_t[..., 0] * f2r[..., 1][:, :, None] - rel_t[..., 1] * f2r[..., 0][:, :, None]) / detz[:, :, None]
+        x2 = (-rel_t[..., 0] * f1r[..., 1][:, :, None] + rel_t[..., 1] * f1r[..., 0][:, :, None]) / detz[:, :, None]
+        ext[:, r] = np.maximum(
+            np.abs(coords).max(axis=(1, 2, 3)),
+            np.maximum(np.abs(x1), np.abs(x2)).max(axis=(1, 2)),
+        )
+    return ext
+
+
+def _whole_tiling_keep(
+    proto: np.ndarray,
+    a_f: np.ndarray,
+    b_f: np.ndarray,
+    centers: np.ndarray,
+    e1: np.ndarray,
+    e2: np.ndarray,
+    inv_t: np.ndarray,
+    long_half: float,
+    short_half: float,
+    lim: float,
+) -> Optional[bool]:
+    """Every tile's comparability decision, read off the prototype (tile
+    0, whose route extents are ``proto``), or None when one decision for
+    all tiles cannot be proved.  The anchors must all be valid.
+
+    Write E = (e1, e2) for the shared half edges, o for an anchor offset,
+    s for a vertex sign pattern, L, S for the candidate's half sides and
+    d, d' for the unit null direction at the anchor and its normal.  In
+    exact arithmetic the coordinates ``_route_extents`` takes are
+
+        inv_t (o E + s1 L d + s2 S d')   and   ((s - o)E . d / L, (s - o)E . d' / S),
+
+    so they depend on the tile only through d.  Per route, two terms
+    bound how far any tile's computed coordinate lies from the
+    prototype's at the same anchor, vertex and axis:
+
+    * Slope spread.  d = (-a, 1)/|(-a, 1)| (route "v": (1, -b)/|.|) turns
+      by |arctan a - arctan a'| <= |a - a'| between slopes a and a'.  With
+      D the largest |a - a0| over all anchors (a0 the prototype's slope at
+      the same anchor), a candidate vertex moves by at most hypot(L, S) D,
+      which is g hypot(L, S) D in tile coordinates (g the largest row sum
+      of |inv_t|); a tile vertex, at distance |(s - o)E| <= 2(|e1| + |e2|)
+      from the anchor, moves by at most 2(|e1| + |e2|) D / S in candidate
+      coordinates (S <= L).  So the shift is at most
+      sigma = D max(g hypot(L, S), 2(|e1| + |e2|)/S).
+    * Rounding.  Every intermediate of the per-tile arithmetic, from the
+      anchor c + oE to the difference (c + off) - c, has components of
+      size at most m = max|c| + |e1| + |e2| + L + S (max norms), and
+      each operation rounds by a relative u = 2^-53; the scaled
+      directions L d and S d' carry <= 5u.  Counting the roundings gives
+      at most 13u m g for a tile coordinate (the product by ``inv_t``
+      included) and 34u m / S + 14u|x| for a candidate coordinate of
+      exact value x.  So each computed coordinate is within 40u (m G +
+      |x|) of its exact value, G = max(g, 1/S).  Two tiles, and |x| <= M
+      + sigma to first order (M the prototype's extent), give at most
+      81u (m G + M) + 41u sigma; the constant 128 below leaves room for
+      the float evaluation of sigma and of the comparisons.
+
+    With err = sigma + 128u (m G + M + sigma): a route with M + err < lim
+    passes on every tile, so all tiles are kept; if every route has
+    M - err > lim, the prototype's worst coordinate exceeds lim on every
+    tile, so none is kept.  Otherwise returns None.
+    """
+    g = float(np.abs(inv_t).sum(axis=1).max())
+    big_g = max(g, 1.0 / short_half)
+    m = float(np.abs(centers).max() + np.abs(e1).max() + np.abs(e2).max()) + long_half + short_half
+    turn = max(g * math.hypot(long_half, short_half),
+               2.0 * (np.linalg.norm(e1) + np.linalg.norm(e2)) / short_half)
+    spread = np.array([np.abs(a_f - a_f[0]).max(), np.abs(b_f - b_f[0]).max()])
+    sigma = spread * turn
+    err = sigma + 128.0 * 2.0 ** -53 * (m * big_g + proto + sigma)
+    if np.any(proto + err < lim):
+        return True
+    if np.all(proto - err > lim):
+        return False
+    return None
+
+
 def _comparability_keep(
     phi: BivariatePoly,
     grid: TileGrid,
@@ -425,9 +555,20 @@ def _comparability_keep(
     delta: float,
     a_const: float,
 ) -> np.ndarray:
-    """Per-tile acceptance: candidate boxes along a null direction are
-    two-sidedly comparable to the tile, uniformly over nine anchor
-    points.  Returns a boolean vector over kept tiles."""
+    """Comparability, decided per tiling: a tile is kept iff, along one
+    null-direction route ("w" or "v"), the candidate boxes anchored at
+    all nine anchor points are two-sidedly comparable to the tile (each
+    inside the other dilated by 2A).  Returns a boolean vector over the
+    kept tiles.
+
+    The slopes at every anchor of the tiling come from one
+    ``null_direction_fields`` call.  The prototype tile's route extents
+    then decide the whole tiling when ``_whole_tiling_keep`` proves the
+    decision is every tile's: all anchors valid, and the prototype's
+    margin to 2A beyond what the slope spread and rounding can move.
+    Otherwise (a near-tie, an invalid anchor, slopes that vary too much)
+    the per-tile arithmetic runs on every tile.
+    """
     centers = grid.centers()
     n = len(centers)
     if n == 0:
@@ -444,48 +585,17 @@ def _comparability_keep(
         + _NINE_OFFSETS[None, :, 0:1] * e1[None, None, :]
         + _NINE_OFFSETS[None, :, 1:2] * e2[None, None, :]
     )  # (n, k, 2)
-    zf = z.reshape(-1, 2)
-    a_f, b_f, valid = null_direction_fields(phi, zf)
+    a_f, b_f, valid = null_direction_fields(phi, z.reshape(-1, 2))
+    a_f, b_f, valid = a_f.reshape(n, k), b_f.reshape(n, k), valid.reshape(n, k)
     lim = 2.0 * a_const * (1.0 + 1e-9)
-    sq = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
-    tile_verts = (
-        centers[:, None, :]
-        + sq[None, :, 0:1] * e1[None, None, :]
-        + sq[None, :, 1:2] * e2[None, None, :]
-    )  # (n, 4, 2)
-    long_half = 0.5 / alpha
-    short_half = 0.5 * delta * alpha
-    route_ok = []
-    for route in ("w", "v"):
-        if route == "w":
-            d = np.stack([-a_f, np.ones_like(a_f)], axis=-1)
-        else:
-            d = np.stack([np.ones_like(b_f), -b_f], axis=-1)
-        d = d / np.linalg.norm(d, axis=-1, keepdims=True)
-        perp = np.stack([-d[:, 1], d[:, 0]], axis=-1)
-        f1 = long_half * d
-        f2 = short_half * perp
-        # candidate vertices inside the 2A-dilated tile
-        verts = (
-            zf[:, None, :]
-            + sq[None, :, 0:1] * f1[:, None, :]
-            + sq[None, :, 1:2] * f2[:, None, :]
-        )  # (n*k, 4, 2)
-        rel = verts.reshape(n, k, 4, 2) - centers[:, None, None, :]
-        coords = np.einsum("ab,nkvb->nkva", inv_t, rel)
-        ok1 = np.all(np.abs(coords) <= lim, axis=(2, 3))  # (n, k)
-        # tile vertices inside the 2A-dilated candidate
-        det_z = f1[:, 0] * f2[:, 1] - f1[:, 1] * f2[:, 0]
-        rel_t = tile_verts[:, None, :, :] - z[:, :, None, :]  # (n, k, 4, 2)
-        f1r = f1.reshape(n, k, 2)
-        f2r = f2.reshape(n, k, 2)
-        detz = det_z.reshape(n, k)
-        x1 = (rel_t[..., 0] * f2r[..., 1][:, :, None] - rel_t[..., 1] * f2r[..., 0][:, :, None]) / detz[:, :, None]
-        x2 = (-rel_t[..., 0] * f1r[..., 1][:, :, None] + rel_t[..., 1] * f1r[..., 0][:, :, None]) / detz[:, :, None]
-        ok2 = np.all((np.abs(x1) <= lim) & (np.abs(x2) <= lim), axis=2)  # (n, k)
-        ok = ok1 & ok2 & valid.reshape(n, k)
-        route_ok.append(np.all(ok, axis=1))
-    return route_ok[0] | route_ok[1]
+    frame = (e1, e2, inv_t, 0.5 / alpha, 0.5 * delta * alpha)
+    ext = _route_extents(centers[:1], z[:1], a_f[:1], b_f[:1], *frame)
+    if n > 1:
+        whole = _whole_tiling_keep(ext[0], a_f, b_f, centers, *frame, lim) if valid.all() else None
+        if whole is not None:
+            return np.full(n, whole)
+        ext = _route_extents(centers, z, a_f, b_f, *frame)
+    return np.any(ext <= lim, axis=1) & valid.all(axis=1)
 
 
 def _refine_keep(grid: TileGrid, keep_vec: np.ndarray) -> None:
@@ -510,7 +620,11 @@ def _build_hp_core(
     (mixed coefficient 1, no square terms beyond the class bound).  Per
     aspect, the quadratic part's closed-form defect at every angle plus
     a domain-wide tail bound sorts the tilings into sure, maybe and
-    rejected; each maybe tiling is decided tile by tile.
+    rejected.  A maybe tiling keeps the tiles ``tiling_flatness`` finds
+    flat.  Comparability is then decided per tiling by
+    ``_comparability_keep``: one prototype tile decides all tiles when
+    its margin to 2A exceeds what the slope spread and rounding can
+    move, and the tiles are decided one by one otherwise.
     """
     amax = int(math.floor(math.log2(delta ** -0.5) + 1e-9))
     groups: List[TileGrid] = []
@@ -561,6 +675,11 @@ def build_cover_hp(
     keeps a tile iff it is flat at scale a_const*delta and comparable (two-sided
     containment after dilating by 2*a_const) to the candidate boxes
     anchored at nine sample points, along one null direction uniformly.
+    Comparability is decided once per tiling from a prototype tile
+    whenever that provably decides every tile (always, for xy and the
+    perturbed normal forms at 2^-6..2^-12); a tiling where the
+    prototype's margin to 2*a_const is within the slope spread and
+    rounding error is decided tile by tile.
 
     Raises if ``phi`` is not in normal form or nothing survives.
     """

@@ -33,7 +33,7 @@ def test_criterion_02_caps_are_flat():
 
 
 def test_criterion_03_cover_overlap_logarithmic():
-    _run("overlap-log", 120.0)
+    _run("overlap-log", 30.0)
 
 
 def test_criterion_04_line_decoupling_slope_p4():

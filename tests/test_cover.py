@@ -1,11 +1,13 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flatcover import cover
 from flatcover.cover import (
     _NINE_OFFSETS,
     FlatCover,
@@ -19,7 +21,7 @@ from flatcover.cover import (
     verify_cover,
 )
 from flatcover.flatness import candidate_box, flat_defect
-from flatcover.geometry import axis_rectangle, comparable, make_tile_grid
+from flatcover.geometry import UNIT_SQUARE, axis_rectangle, comparable, make_tile_grid
 from flatcover.poly2 import (
     BivariatePoly,
     elliptic_phase,
@@ -163,6 +165,85 @@ def test_comparability_keep_matches_scalar_rule(c, e, level, near, step, a_const
     got = _comparability_keep(phi, grid, alpha, delta, a_const)
     want = [_scalar_comparable(phi, tile, alpha, delta, a_const) for tile in grid.tiles()]
     np.testing.assert_array_equal(got, want)
+
+
+# xy at 2^-6 has a tiling whose one passing route has prototype extent
+# 7.995606112438069.  At this A, 2A(1 + 1e-9) lies one ulp above it, and
+# rounding puts other tiles' extents on both sides (up to ...097), so the
+# tiling's keep mask is mixed and only the fallback decides it.
+_TIE_A_CONST = 3.9978030522212316
+
+
+def _some_tiles_flat(phi, grid, delta, a_const):
+    """Stands in for tiling_flatness: drops every third tile, so keep
+    masks reach comparability as proper subsets (and the sampled band
+    of strongly perturbed saddles costs nothing)."""
+    return SimpleNamespace(flat=np.arange(len(grid)) % 3 != 0)
+
+
+@settings(max_examples=15)
+@given(
+    scale=st.sampled_from([0.0, 1e-30, 0.05]),
+    c=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+    e=st.sampled_from([4, 5, 6]),
+    a_const=st.floats(1.5, 4.0),
+)
+@example(scale=0.0, c=[0.0] * 6, e=6, a_const=_TIE_A_CONST)
+@example(scale=0.05, c=[0.5, -0.3, 1.0, -1.0, 0.7, 0.2], e=5, a_const=4.0)
+# (x + y)^2 / 2: no anchor has null directions, so every tile is rejected
+@example(scale=0.5, c=[1.0, 1.0, 0.0, 0.0, 0.0, 0.0], e=4, a_const=4.0)
+def test_comparability_per_tiling_matches_per_tile(scale, c, e, a_const):
+    """Every comparability decision of _build_hp_core's sure and maybe
+    tilings, made per tiling, equals the per-tile rule (the fallback,
+    forced by refusing every whole-tiling decision).  scale 0 is xy,
+    1e-30 the degree-3 class bound, 0.05 the perturbed saddles of
+    build_cover_general's saddle branch, where the slopes vary."""
+    phi = BivariatePoly(3, {(1, 1): 1.0, **{t: scale * x for t, x in zip(_SADDLE_TERMS, c)}})
+    keep = cover._comparability_keep
+    whole = cover._whole_tiling_keep
+    seen = {"fallback": 0, "mixed": 0}
+
+    def counted_whole(*args):
+        out = whole(*args)
+        seen["fallback"] += out is None
+        return out
+
+    def checked_keep(phi, grid, alpha, delta, a_const):
+        got = keep(phi, grid, alpha, delta, a_const)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cover, "_whole_tiling_keep", lambda *args: None)
+            want = keep(phi, grid, alpha, delta, a_const)
+        np.testing.assert_array_equal(got, want)
+        seen["mixed"] += bool(want.any() and not want.all())
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cover, "tiling_flatness", _some_tiles_flat)
+        mp.setattr(cover, "_whole_tiling_keep", counted_whole)
+        mp.setattr(cover, "_comparability_keep", checked_keep)
+        cover._build_hp_core(phi, 2.0 ** -e, a_const, UNIT_SQUARE)
+    if a_const == _TIE_A_CONST and scale == 0.0 and e == 6:
+        assert seen["fallback"] >= 1 and seen["mixed"] >= 1
+
+
+def test_hp_covers_decide_every_tiling_whole():
+    """xy and the perturbed normal forms at 2^-6..2^-12: the per-tile
+    arithmetic runs only on prototypes (one tile), never as a fallback."""
+    rng = np.random.default_rng(0)
+    phases = [hyperbolic_phase(), perturbed_hyperbolic(3, rng), perturbed_hyperbolic(4, rng)]
+    extents = cover._route_extents
+    sizes = []
+
+    def counted(centers, *args):
+        sizes.append(len(centers))
+        return extents(centers, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cover, "_route_extents", counted)
+        for phi in phases:
+            for e in range(6, 13):
+                build_cover_hp(phi, 2.0 ** -e)
+    assert sizes and max(sizes) == 1
 
 
 def test_general_cover_on_uniformly_curved_phase():
