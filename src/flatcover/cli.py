@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import sys
+import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -267,6 +268,7 @@ def cmd_decouple_ratio(args) -> int:
             "members_used": rep.members_used,
             "exact": rep.exact,
             "snap_max": rep.snap_max,
+            "methods": rep.methods,
         },
         args.out,
     )
@@ -821,13 +823,15 @@ def cmd_reproduce(args) -> int:
         for rid in sorted(RECIPES, key=lambda r: RECIPES[r]["criterion"]):
             print(f"{rid}  (criterion {RECIPES[rid]['criterion']})")
         return 0 if args.list else 1
+    t0 = time.perf_counter()
     checks = run_recipe(args.id, quick=args.quick)
+    elapsed = time.perf_counter() - t0
     failed = 0
     for name, ok, detail in checks:
         status = "PASS" if ok else "FAIL"
         print(f"{status}  {name}: {detail}")
         failed += 0 if ok else 1
-    print(f"{args.id}: {len(checks) - failed}/{len(checks)} checks passed")
+    print(f"{args.id}: {len(checks) - failed}/{len(checks)} checks passed in {elapsed:.1f} s")
     return 0 if failed == 0 else 2
 
 

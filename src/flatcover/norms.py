@@ -19,13 +19,24 @@ Integer rows (snapped frequencies, pair sums) are merged through packed
 keys: one int64 per row, in lexicographic row order, so merging needs
 only a 1-D sort.  The height shear is found by a k-ary bracket search
 that evaluates a few candidate shears per step in one array.
+
+Members are batched.  A decoupling ratio needs one norm per cover
+member, and ``_member_norms`` computes them all in one pass: the members'
+frequency rows are laid end to end as segments, snapped and merged by one
+packed-key sort with the member number as the leading digit, translated,
+gcd-reduced and sheared per segment (``reduceat``, with every member's
+shear bracket advancing in lockstep), and evaluated by the single-sum
+method rule.  Members whose FFT fields share a shape are stacked under
+one inverse FFT.  ``expsum_lp`` is the one-member call of the same engine,
+and a member's value does not depend on the members batched with it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.fft import ifftn, next_fast_len
@@ -100,11 +111,17 @@ class ExpSum:
         return np.column_stack([self.freqs, h])
 
     def subset(self, idx: np.ndarray) -> "ExpSum":
+        """The sum on the given frequencies; a subset of a product sum that
+        is itself a product of factor positions keeps its factors."""
         sub = ExpSum(
             self.phase, self.freqs[idx], self.weights[idx], name=self.name,
             lift=None if self.lift is None else self.lift[idx],
         )
-        sub.factors = _try_product_factors(self, np.asarray(idx))
+        if self.factors is not None and len(sub):
+            pos = [np.unique(k[idx]) for k in _factor_index(self)]
+            if len(pos[0]) * len(pos[1]) == len(sub):
+                sub.factors = tuple(Factor(g.axis, g.values[u], g.weights[u], g.heights[u])
+                                    for g, u in zip(self.factors, pos))
         return sub
 
     def l2_weight(self) -> float:
@@ -169,28 +186,6 @@ def product_exp_sum(
     return out
 
 
-def _try_product_factors(parent: ExpSum, idx: np.ndarray):
-    """Factors for a subset of a product sum, if the subset is itself a
-    product of index sets; None otherwise."""
-    if parent.factors is None or len(idx) == 0:
-        return None
-    f1, f2 = parent.factors
-    k2 = len(f2.values)
-    ii = idx // k2
-    jj = idx % k2
-    iu = np.unique(ii)
-    ju = np.unique(jj)
-    if len(iu) * len(ju) != len(idx):
-        return None
-    expect = (iu[:, None] * k2 + ju[None, :]).ravel()
-    if not np.array_equal(np.sort(idx), np.sort(expect)):
-        return None
-    return (
-        Factor(f1.axis, f1.values[iu], f1.weights[iu], f1.heights[iu]),
-        Factor(f2.axis, f2.values[ju], f2.weights[ju], f2.heights[ju]),
-    )
-
-
 def snap_lift(f: ExpSum, box_side: float) -> ExpSum:
     """Copy of the sum with heights snapped to the (1/box_side)-grid.
 
@@ -206,19 +201,8 @@ def snap_lift(f: ExpSum, box_side: float) -> ExpSum:
     if f.factors is None:
         return ExpSum(f.phase, f.freqs, f.weights, name=f.name,
                       lift=np.round(f.lifted()[:, 2] * r) / r)
-    out = ExpSum(f.phase, f.freqs, f.weights, name=f.name, lift=_factor_lift(f, r))
+    out = ExpSum(f.phase, f.freqs, f.weights, name=f.name, lift=_factor_heights(f.factors, _factor_index(f), r))
     out.factors = tuple(replace(g, heights=np.round(g.heights * r) / r) for g in f.factors)
-    return out
-
-
-def _factor_lift(f: ExpSum, r: float) -> np.ndarray:
-    """Height of each frequency of a product sum with the factors'
-    heights snapped to the (1/r)-grid one by one."""
-    out = 0.0
-    for g in f.factors:
-        order = np.argsort(g.values)
-        k = order[np.searchsorted(g.values, f.freqs[:, g.axis], sorter=order)]
-        out = out + np.round(g.heights[k] * r) / r
     return out
 
 
@@ -298,7 +282,53 @@ class NormReport:
     note: str = ""
 
 
+# every path a member norm can take; "single" (one frequency, |weight|) is
+# decided by ``decoupling_report`` before the engine runs
+METHODS = ("single", "parseval", "separable", "pairs", "fft", "riemann", "lattice-max")
+_INEXACT = {
+    "riemann": "periodic trapezoid quadrature; exact only for even p",
+    "lattice-max": "max over the period lattice (lower bound of sup)",
+}
+_SEPARABLE_SKIPPED = "separable path skipped: separable fields exceed the FFT budget"
+
 _KEY_LIMIT = 1 << 62
+_STACK_CELLS = 1 << 20  # complex cells per stacked FFT batch, 16 MB at complex128
+_PAIR_CHUNK = 1 << 18  # frequency pairs per packed-key pass
+
+
+# Segments: the rows of several sums laid end to end.  ``starts`` holds
+# the first row of each (nonempty) segment; ``seg`` numbers each row's
+# segment, non-decreasing.
+
+
+def _seg_starts(lens: np.ndarray) -> np.ndarray:
+    """First row of each segment of the given positive lengths."""
+    out = np.zeros(len(lens), dtype=np.int64)
+    np.cumsum(lens[:-1], out=out[1:])
+    return out
+
+
+def _seg_lens(starts: np.ndarray, n: int) -> np.ndarray:
+    return np.diff(starts, append=n)
+
+
+def _starts_of(seg: np.ndarray) -> np.ndarray:
+    """First row of each run of equal segment numbers."""
+    return np.flatnonzero(np.diff(seg, prepend=-1))
+
+
+def _seg_take(starts: np.ndarray, lens: np.ndarray, segs: np.ndarray):
+    """Rows of the chosen segments laid end to end, and their starts there."""
+    sub = lens[segs]
+    st = _seg_starts(sub)
+    return np.arange(sub.sum()) - np.repeat(st - starts[segs], sub), st
+
+
+def _seg_sums(values: np.ndarray, starts: np.ndarray) -> list:
+    """Sum per segment.  ``np.sum`` on each slice keeps numpy's pairwise
+    summation (``np.add.reduceat`` adds in sequence), so a member's value
+    does not depend on the members batched with it."""
+    return [float(np.sum(s)) for s in np.split(values, starts[1:])]
 
 
 def _row_keys(columns) -> np.ndarray:
@@ -334,113 +364,136 @@ def _row_keys(columns) -> np.ndarray:
     return key
 
 
-def _snap_merge(lifted: np.ndarray, weights: np.ndarray, r_side: float):
-    ints = np.round(r_side * lifted).astype(np.int64)
-    snap_max = float(np.max(np.abs(ints / r_side - lifted))) if len(lifted) else 0.0
-    keys, inv = np.unique(_row_keys(ints.T), return_inverse=True)
-    uniq = np.empty((len(keys), ints.shape[1]), dtype=np.int64)
-    uniq[inv] = ints  # rows sharing a key are equal: any one fills the slot
-    w = np.zeros(len(keys), dtype=complex)
-    np.add.at(w, inv, weights)
-    return uniq, w, snap_max
-
-
-def _reduce_axes(ints: np.ndarray) -> np.ndarray:
-    out = ints.copy()
-    for ax in range(out.shape[1]):
-        col = out[:, ax]
-        col -= col.min()
-        nz = col[col > 0]
-        if len(nz):
-            g = int(np.gcd.reduce(nz))
-            if g > 1:
-                col //= g
-        out[:, ax] = col
+def _accumulate(inv: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Complex weights summed into n slots, each slot's terms added in
+    row order (the order ``np.add.at`` uses), by two real bincounts."""
+    out = np.empty(n, dtype=complex)
+    out.real = np.bincount(inv, weights.real, n)
+    out.imag = np.bincount(inv, weights.imag, n)
     return out
 
 
-_SHEAR_BATCH = 8  # candidate shears evaluated together per search step
+def _snap_merge(values: np.ndarray, weights: np.ndarray, r_side: float, seg: np.ndarray):
+    """Rows snapped to the (1/r_side)-grid, then merged where equal within
+    a segment: one packed-key sort with the segment number as the leading
+    digit.  Returns the merged integer rows in (segment, lexicographic)
+    order, their weights and their segment numbers."""
+    ints = np.round(r_side * values).astype(np.int64)
+    keys, inv = np.unique(_row_keys([seg, *ints.T]), return_inverse=True)
+    uniq = np.empty((len(keys), ints.shape[1]), dtype=np.int64)
+    uniq[inv] = ints  # rows sharing a key are equal: any one fills the slot
+    useg = np.empty(len(keys), dtype=seg.dtype)
+    useg[inv] = seg
+    return uniq, _accumulate(inv, weights, len(keys)), useg
 
 
-def _best_shear(x: np.ndarray, h: np.ndarray) -> int:
-    """Integer lam minimizing the extent of h - lam*x.
+def _reduce_axes(ints: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each column of each segment translated to start at 0 and divided
+    by the gcd of its entries."""
+    out = ints.copy()
+    lens = _seg_lens(starts, len(out))
+    for ax in range(out.shape[1]):
+        col = out[:, ax]
+        col -= np.repeat(np.minimum.reduceat(col, starts), lens)
+        g = np.repeat(np.gcd.reduceat(col, starts), lens)
+        np.floor_divide(col, g, out=col, where=g > 1)
+    return out
 
-    The extent is convex in lam (max minus min of affine functions), so
-    the leftmost minimizer over the window [rs - w, rs + w] around the
-    least-squares slope rs is found by a k-ary bracket search: each step
-    evaluates up to eight candidates in one array and keeps the stretch
-    strictly between the best candidate's neighbours, about a quarter of
-    the bracket.  The first batch is rs-2..rs+2, which is the whole
-    window when w = 2.  lam = 0 is kept unless strictly beaten.
+
+_SHEAR_BATCH = 8  # candidate shears evaluated together per segment and step
+
+
+def _best_shear(x: np.ndarray, h: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per segment, the leftmost integer lam minimizing the extent of
+    h - lam*x, or 0 when lam = 0 is a minimizer or x is constant.
+
+    The extent E is convex in lam (max minus min of affine functions), and
+    E(lam) >= |lam - rs| * ptp(x) - E(rs), so every minimizer lies in the
+    window [rs - w, rs + w] with w = 2 E(rs) // ptp(x) + 2 around the
+    rounded least-squares slope rs.  A k-ary bracket search runs on every
+    segment in lockstep: each step evaluates up to eight candidates per
+    segment in one array (max and min by ``reduceat``) and keeps the
+    stretch strictly between the best candidate's neighbours, about a
+    quarter of the bracket.  The first batch is rs-2..rs+2.
     """
-    ptp = int(x.max() - x.min())
-    if ptp == 0:
-        return 0
+    lens = _seg_lens(starts, len(x))
+    lam = np.zeros(len(starts), dtype=np.int64)
+    ptp = np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
+    act = np.flatnonzero(ptp > 0)
+    if not len(act):
+        return lam
+    rows, st = _seg_take(starts, lens, act)
+    xa, ha, na = x[rows], h[rows], lens[act]
+    owner = np.repeat(np.arange(len(act)), na)
+    xc = xa - (np.add.reduceat(xa, st) / na)[owner]
+    hc = ha - (np.add.reduceat(ha, st) / na)[owner]
+    rs = np.round(np.add.reduceat(xc * hc, st) / np.add.reduceat(xc * xc, st))
+    rs = rs.astype(np.int64)
 
-    def ext(lams: np.ndarray) -> np.ndarray:
-        r = np.multiply.outer(lams, x)
-        np.subtract(h, r, out=r)
-        return r.max(axis=1) - r.min(axis=1)
+    def ext(live: np.ndarray, lams: np.ndarray) -> np.ndarray:
+        r, s = _seg_take(st, na, live)
+        v = ha[r, None] - np.repeat(lams, na[live], axis=0) * xa[r, None]
+        return np.maximum.reduceat(v, s, axis=0) - np.minimum.reduceat(v, s, axis=0)
 
-    xf = x.astype(float)
-    hf = h.astype(float)
-    xc = xf - xf.mean()
-    s = float((xc * (hf - hf.mean())).sum() / (xc * xc).sum())
-    rs = int(round(s))
-    lams = np.arange(rs - 2, rs + 3)
-    e = ext(lams)
-    w = int(e[2]) // ptp + 2
+    batch = _SHEAR_BATCH
+    live = np.arange(len(act))
+    lams = rs[:, None] + np.arange(-2, 3)
+    e = ext(live, lams)
+    w = 2 * e[:, 2] // ptp[act] + 2
     lo, hi = rs - w, rs + w
+    count = np.full(len(act), 5)
+    best = np.zeros(len(act), dtype=np.int64)
+    best_e = np.zeros(len(act), dtype=np.int64)
     while True:
-        j = int(np.argmin(e))
-        if len(lams) == hi - lo + 1:  # the whole bracket is evaluated
+        i = np.arange(len(live))
+        j = np.argmin(e, axis=1)
+        done = count == hi[live] - lo[live] + 1  # the whole bracket is evaluated
+        best[live[done]] = lams[i, j][done]
+        best_e[live[done]] = e[i, j][done]
+        go = ~done
+        if not go.any():
             break
-        if j > 0:
-            lo = int(lams[j - 1]) + 1
-        if j < len(lams) - 1:
-            hi = int(lams[j + 1]) - 1
-        span = hi - lo + 1
-        if span <= _SHEAR_BATCH:
-            lams = np.arange(lo, hi + 1)
-        else:  # midpoints of eight equal parts
-            lams = lo + np.arange(1, 2 * _SHEAR_BATCH, 2) * span // (2 * _SHEAR_BATCH)
-        e = ext(lams)
-    return int(lams[j]) if e[j] < int(h.max() - h.min()) else 0
+        live, lams, j, count = live[go], lams[go], j[go], count[go]
+        i = np.arange(len(live))
+        last = lams.shape[1] - 1
+        lo[live] = np.where(j > 0, lams[i, np.maximum(j - 1, 0)] + 1, lo[live])
+        hi[live] = np.where(j < count - 1, lams[i, np.minimum(j + 1, last)] - 1, hi[live])
+        low = lo[live][:, None]
+        span = hi[live] - lo[live] + 1
+        count = np.minimum(span, batch)
+        lams = np.where((span <= batch)[:, None], low + np.arange(batch),
+                        low + np.arange(1, 2 * batch, 2) * span[:, None] // (2 * batch))
+        e = ext(live, lams)
+        e[np.arange(batch) >= count[:, None]] = np.iinfo(np.int64).max
+    h_ext = np.maximum.reduceat(ha, st) - np.minimum.reduceat(ha, st)
+    lam[act] = np.where(best_e < h_ext, best, 0)
+    return lam
 
 
-def _shear_reduce(ints: np.ndarray) -> np.ndarray:
-    """Shear the height column by integer multiples of the planar ones.
+def _shear_reduce(ints: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Shear the last (height) column by integer multiples of the others.
 
     Frequency shears are unimodular changes of variables on the torus:
     one-period means of |f|^p are invariant, while the height extent
     (hence the exact-quadrature grid) typically collapses by orders of
-    magnitude for lifts of smooth phases.
+    magnitude for lifts of smooth phases.  Two rounds over the source
+    columns; a segment that no shear changed in the first round is done.
     """
-    if len(ints) < 2:
-        return ints
     out = ints.copy()
     last = out.shape[1] - 1
+    lens = _seg_lens(starts, len(out))
+    segs = np.arange(len(starts))
     for _ in range(2):
-        changed = False
+        rows, st = _seg_take(starts, lens, segs)
+        changed = np.zeros(len(segs), dtype=bool)
         for src in range(last):
-            lam = _best_shear(out[:, src], out[:, last])
-            if lam != 0:
-                out[:, last] = out[:, last] - lam * out[:, src]
-                changed = True
-        if not changed:
+            lam = _best_shear(out[rows, src], out[rows, last], st)
+            out[rows, last] -= np.repeat(lam, lens[segs]) * out[rows, src]
+            changed |= lam != 0
+        segs = segs[changed]
+        if not len(segs):
             break
     return out
-
-
-def _mean_abs_pow(field: np.ndarray, p: int) -> float:
-    a = np.abs(field)
-    a **= p
-    return float(a.mean())
-
-
-def _extent(ints: np.ndarray) -> np.ndarray:
-    """Largest reduced coordinate per axis (zeros for an empty sum)."""
-    return ints.max(axis=0) if len(ints) else np.zeros(ints.shape[1], dtype=np.int64)
 
 
 def _fft_shape(ext, mult: int, pad: int = 1) -> Tuple[int, ...]:
@@ -449,85 +502,309 @@ def _fft_shape(ext, mult: int, pad: int = 1) -> Tuple[int, ...]:
     return tuple(next_fast_len(int(mult * e + pad)) if e > 0 else 1 for e in ext)
 
 
-def _lattice_field(ints: np.ndarray, weights: np.ndarray, shape: Tuple[int, ...],
-                   budget: int = _FFT_BUDGET):
-    """The sum sampled on one period of the reduced lattice: merged
-    integer frequencies scattered onto a zero-padded array of the given
-    shape, inverse-FFT over the live axes.  Returns (field, live dims)."""
-    dims = tuple(n for n in shape if n > 1)
+def _stacked_fields(shape: Tuple[int, ...], slot: np.ndarray, ints: np.ndarray,
+                    weights: np.ndarray, k: int) -> np.ndarray:
+    """k sums sampled on one period of a shared reduced lattice: row i's
+    merged integer frequency is written into the zero-padded array of
+    sum slot[i], then one inverse FFT runs over the live axes of the
+    (k, *shape) stack.  Merged rows are distinct, so no cell is written
+    twice."""
     total = math.prod(shape)
-    if total > budget:
-        raise ValueError(
-            f"reduced lattice {dims} exceeds the in-memory FFT budget; "
-            "the sum has no dense exact path at this scale"
-        )
-    z = np.zeros(shape, dtype=complex)
-    np.add.at(z, tuple(ints.T), weights)
-    live = [ax for ax, n in enumerate(shape) if n > 1]
-    return (ifftn(z, axes=live) * total if live else z), dims
+    z = np.zeros(k * total, dtype=complex)
+    z[slot * total + np.ravel_multi_index(tuple(ints.T), shape)] = weights
+    z = z.reshape((k,) + shape)
+    live = [1 + ax for ax, n in enumerate(shape) if n > 1]
+    if not live:
+        return z
+    g = ifftn(z, axes=live, overwrite_x=True)
+    g *= total
+    return g
 
 
-def _fft_mean_pow(ints: np.ndarray, weights: np.ndarray, q: int,
-                  budget: int = _FFT_BUDGET):
-    """mean |f|^{2q} over one period, exactly, via a zero-padded FFT on
-    the reduced integer lattice.  Returns (value, dims)."""
-    g, dims = _lattice_field(ints, weights, _fft_shape(_extent(ints), q), budget)
-    return _mean_abs_pow(g, 2 * q), dims
+def _field_reduce(shapes, ints, weights, starts, reduce) -> list:
+    """``reduce`` of each segment's field on the lattice of its shape.
+    Segments sharing a shape are stacked, in chunks of at most
+    _STACK_CELLS cells (one segment at least), under one inverse FFT;
+    ``reduce`` maps a (k, *shape) stack to k results.  Segments whose
+    shape is None get None."""
+    lens = _seg_lens(starts, len(ints))
+    groups = {}
+    for i, shape in enumerate(shapes):
+        if shape is not None:
+            groups.setdefault(shape, []).append(i)
+    out = [None] * len(shapes)
+    for shape, members in groups.items():
+        k = max(1, _STACK_CELLS // math.prod(shape))
+        for c in range(0, len(members), k):
+            pos = np.array(members[c:c + k])
+            rows, _ = _seg_take(starts, lens, pos)
+            slot = np.repeat(np.arange(len(pos)), lens[pos])
+            for i, v in zip(pos, reduce(_stacked_fields(shape, slot, ints[rows],
+                                                        weights[rows], len(pos)))):
+                out[i] = v
+    return out
 
 
-def _pairs_mean_pow4(ints: np.ndarray, weights: np.ndarray) -> float:
-    """mean |f|^4 via Parseval on the pair sum f^2, exact for any
-    integer frequencies: sum of |sum_{pairs adding to k} a a'|^2.
-
-    Pair sums are merged by packed key, built from the per-axis pair-sum
-    columns one axis at a time (no n^2 x 3 table)."""
-    n = len(ints)
-    keys = _row_keys(np.add.outer(a, a).reshape(n * n) for a in ints.T)
-    pair_w = (weights[:, None] * weights[None, :]).reshape(n * n)
-    uniq, inv = np.unique(keys, return_inverse=True)
-    acc = np.zeros(len(uniq), dtype=complex)
-    np.add.at(acc, inv, pair_w)
-    return float(np.sum(np.abs(acc) ** 2))
+def _abs_pow(g: np.ndarray, p: float) -> np.ndarray:
+    a = np.abs(g)
+    a **= p
+    return a
 
 
-def _separable_mean_pow(f: ExpSum, r_side: float, q: int,
-                        budget: int = _FFT_BUDGET):
-    """mean |f|^{2q} for a product sum via two planar FFT fields sharing
-    the lift axis.  Returns (value, dims)."""
-    factors = []
-    for fac in f.factors:
-        ints, w, _ = _snap_merge(np.column_stack([fac.values, fac.heights]),
-                                 fac.weights, r_side)
-        # the coordinate axis is the factor's own; the height axis is
-        # shared, so here it is only translated, and divided below by the
-        # joint gcd of both factors' heights
-        ints[:, :1] = _reduce_axes(ints[:, :1])
-        ints = _shear_reduce(ints)
-        ints[:, 1] -= ints[:, 1].min()
-        factors.append((ints, w))
-    (i1, w1), (i2, w2) = factors
-    heights = np.concatenate([i1[:, 1], i2[:, 1]])
-    nz = heights[heights > 0]
-    if len(nz):
-        g3 = int(np.gcd.reduce(nz))
-        if g3 > 1:
-            i1[:, 1] //= g3
-            i2[:, 1] //= g3
-    e3 = int(i1[:, 1].max() + i2[:, 1].max())
-    sh1 = _fft_shape((int(i1[:, 0].max()), e3), q)
-    sh2 = _fft_shape((int(i2[:, 0].max()), e3), q)
-    if math.prod(sh1) + math.prod(sh2) > 2 * budget:
-        raise ValueError("separable fields exceed the FFT budget")
+def _axis1_means(g: np.ndarray, p: float) -> np.ndarray:
+    """mean of |g|^p over axis 1 of a (k, n1, n3) field stack.
 
-    def slice_means(ints, w, shape):
-        g, _ = _lattice_field(ints, w, shape, 2 * budget)
-        a = np.abs(g)
-        a **= 2 * q
-        return a.mean(axis=0)
+    Each output column is a sum over axis 1 alone, so |g|^p is taken in
+    slabs of about _STACK_CELLS cells along the last axis and no |g|^p copy
+    of the whole stack is held.  No slab is one column wide unless n3 is
+    1: numpy sums a one-column slab pairwise instead of row by row, which
+    would move the last bits."""
+    k, n1, n3 = g.shape
+    step = max(2, _STACK_CELLS // (k * n1))
+    cuts = list(range(0, n3, step)) + [n3]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    out = np.empty((k, n3))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        out[:, lo:hi] = _abs_pow(g[:, :, lo:hi], p).mean(axis=1)
+    return out
 
-    p_of_x3 = slice_means(i1, w1, sh1)
-    q_of_x3 = slice_means(i2, w2, sh2)
-    return float(np.mean(p_of_x3 * q_of_x3)), (sh1[0], sh2[0], sh1[1])
+
+def _pairs_mean_pow4(ints: np.ndarray, weights: np.ndarray, starts: np.ndarray) -> list:
+    """Per segment, mean |f|^4 via Parseval on the pair sum f^2, exact for
+    any integer frequencies: sum of |sum_{pairs adding to k} a a'|^2.
+
+    The pairs of all segments are merged by one packed key (segment
+    number leading, then the per-axis pair sums), in chunks of at most
+    _PAIR_CHUNK pairs; each merged pair weight adds its terms in the
+    segment's own pair order."""
+    lens = _seg_lens(starts, len(ints))
+    pairs = (lens * lens).tolist()
+    cols = np.ascontiguousarray(ints.T)
+    out = []
+    first = 0
+    while first < len(starts):
+        stop, total = first + 1, pairs[first]
+        while stop < len(starts) and total + pairs[stop] <= _PAIR_CHUNK:
+            total += pairs[stop]
+            stop += 1
+        # pair (a, b) of a segment of n rows sits at a*n + b; row a's block
+        # of n pairs runs over the segment's rows b
+        n = lens[first:stop]
+        n_row = np.repeat(n, n)
+        seg_row = np.repeat(np.arange(stop - first), n)
+        lo = starts[first]
+        rows = np.arange(lo, lo + len(n_row))
+        a = np.repeat(rows, n_row)
+        b = np.arange(total) + np.repeat(starts[first:stop][seg_row] - _seg_starts(n_row),
+                                         n_row)
+        seg = np.repeat(seg_row, n_row)
+        keys = _row_keys(chain([seg], (c[a] + c[b] for c in cols)))
+        uniq, inv = np.unique(keys, return_inverse=True)
+        acc = _accumulate(inv, weights[a] * weights[b], len(uniq))
+        useg = np.empty(len(uniq), dtype=seg.dtype)
+        useg[inv] = seg
+        out.extend(_seg_sums(np.abs(acc) ** 2, _starts_of(useg)))
+        first = stop
+    return out
+
+
+def _factor_index(f: ExpSum):
+    """Per frequency of a product sum, its position in each factor."""
+    out = []
+    for g in f.factors:
+        order = np.argsort(g.values)
+        out.append(order[np.searchsorted(g.values, f.freqs[:, g.axis], sorter=order)])
+    return out
+
+
+def _factor_rows(seg: np.ndarray, k: np.ndarray, size: int, m: int):
+    """The distinct (member, factor position) pairs among the rows, by
+    member and then position: (members, positions)."""
+    mark = np.zeros(m * size, dtype=bool)
+    mark[seg * size + k] = True
+    return np.divmod(np.flatnonzero(mark), size)
+
+
+def _factor_heights(factors, fidx, r: float) -> np.ndarray:
+    """Lifted heights with each factor's height snapped to the (1/r)-grid."""
+    out = 0.0
+    for g, k in zip(factors, fidx):
+        out = out + np.round(g.heights[k] * r) / r
+    return out
+
+
+def _separable_mean_pow(factors, fidx, seg: np.ndarray, r_side: float, q: int,
+                        budget: int):
+    """mean |f|^{2q} per product member via two planar FFT fields sharing
+    the lift axis.  ``fidx`` gives each row's position in each factor and
+    ``seg`` its member (0..m-1).  Returns (mean powers, dims) per member;
+    both are None where the two fields exceed twice the budget."""
+    parts = []
+    for ax, (g, k) in enumerate(zip(factors, fidx)):
+        # a member's factor rows: its distinct positions in the factor
+        mem, pos = _factor_rows(seg, k, len(g.values), int(seg[-1]) + 1)
+        parts.append((2 * mem + ax, g.values[pos], g.heights[pos], g.weights[pos]))
+    fseg, vals, heights, wts = (np.concatenate(c) for c in zip(*parts))
+    order = np.argsort(fseg, kind="stable")
+    ints, w, fseg = _snap_merge(np.column_stack([vals[order], heights[order]]),
+                                wts[order], r_side, fseg[order])
+    st = _starts_of(fseg)
+    lens = _seg_lens(st, len(ints))
+    # the coordinate axis is the factor's own; the height axis is shared,
+    # so here it is only translated, and divided below by the joint gcd of
+    # both factors' heights
+    ints[:, :1] = _reduce_axes(ints[:, :1], st)
+    ints = _shear_reduce(ints, st)
+    col = ints[:, 1]
+    col -= np.repeat(np.minimum.reduceat(col, st), lens)
+    g3 = np.gcd.reduceat(col, st)
+    g3 = np.repeat(np.repeat(np.gcd(g3[0::2], g3[1::2]), 2), lens)
+    np.floor_divide(col, g3, out=col, where=g3 > 1)
+    xmax = np.maximum.reduceat(ints[:, 0], st)
+    hmax = np.maximum.reduceat(col, st)
+    e3 = (hmax[0::2] + hmax[1::2]).tolist()
+    shapes = []
+    for i, e in enumerate(e3):
+        sh1 = _fft_shape((int(xmax[2 * i]), e), q)
+        sh2 = _fft_shape((int(xmax[2 * i + 1]), e), q)
+        fits = math.prod(sh1) + math.prod(sh2) <= 2 * budget
+        shapes.extend((sh1, sh2) if fits else (None, None))
+    # each field's mean of |g|^{2q} over its own axis: a function of x3
+    slices = _field_reduce(shapes, ints, w, st, lambda g: _axis1_means(g, 2 * q))
+    means, dims = [None] * len(e3), [None] * len(e3)
+    by_len = {}
+    for i in range(len(e3)):
+        if shapes[2 * i] is not None:
+            by_len.setdefault(shapes[2 * i][1], []).append(i)
+            dims[i] = (shapes[2 * i][0], shapes[2 * i + 1][0], shapes[2 * i][1])
+    for members in by_len.values():
+        prods = (np.stack([slices[2 * i] for i in members])
+                 * np.stack([slices[2 * i + 1] for i in members]))
+        for i, v in zip(members, prods.mean(axis=1)):
+            means[i] = float(v)
+    return means, dims
+
+
+def _member_norms(f: ExpSum, blocks: Sequence[np.ndarray], p: float, r: float,
+                  budget: int = _FFT_BUDGET) -> List[NormReport]:
+    """Normalized reports of f restricted to each block of frequency
+    indices (each nonempty), over a box of side r, in one pass.
+
+    1. Rows: the blocks' frequencies laid end to end, tagged by member.
+       A member whose indices form a product of factor positions gets the
+       per-factor snap of its heights; other members snap the whole lift.
+    2. Separable: for even p >= 4, product members whose two factor
+       fields fit the budget take the separable path.
+    3. Snap and merge the other members: one packed-key sort, member
+       number leading; then per-member translation and gcd, and the
+       height shear.
+    4. Evaluate by the method rule of ``expsum_lp``: Parseval at p = 2;
+       for even p pairs or FFT; the lattice max at p = inf; periodic
+       quadrature otherwise.  Fields are stacked per FFT shape, one
+       inverse FFT per stack.
+
+    Raises the first member's ValueError (in block order) when a member
+    has no exact path within the budget.
+    """
+    m = len(blocks)
+    lens = np.array([len(b) for b in blocks], dtype=np.int64)
+    idx = np.concatenate(blocks)
+    seg = np.repeat(np.arange(m), lens)
+    starts = _seg_starts(lens)
+    lifted = f.lifted()[idx]
+    moved = np.zeros(m)
+    product = np.zeros(m, dtype=bool)
+    if f.factors is not None:
+        fidx = [k[idx] for k in _factor_index(f)]
+        distinct = [np.bincount(_factor_rows(seg, k, len(g.values), m)[0], minlength=m)
+                    for g, k in zip(f.factors, fidx)]
+        product = distinct[0] * distinct[1] == lens
+        rows = product[seg]
+        heights = _factor_heights(f.factors, fidx, r)
+        moved = np.maximum.reduceat(
+            np.where(rows, np.abs(heights - lifted[:, 2]), 0.0), starts)
+        lifted[rows, 2] = heights[rows]
+    # largest displacement of a lifted coordinate by the snap, per member
+    snap = np.maximum.reduceat(np.abs(np.round(r * lifted) / r - lifted).max(axis=1), starts)
+    snap = np.maximum(snap, moved).tolist()
+    value, method, dims, note = [0.0] * m, [""] * m, [()] * m, [""] * m
+
+    even = not math.isinf(p) and float(p).is_integer() and int(p) % 2 == 0
+    general = np.ones(m, dtype=bool)
+    if even and p != 2 and product.any():
+        rows = product[seg]
+        means, sep_dims = _separable_mean_pow(
+            f.factors, [k[rows] for k in fidx], np.cumsum(product)[seg[rows]] - 1,
+            r, int(p) // 2, budget)
+        for i, v, d in zip(np.flatnonzero(product), means, sep_dims):
+            if v is None:
+                note[i] = _SEPARABLE_SKIPPED
+            else:
+                general[i] = False
+                value[i], method[i], dims[i] = v ** (1.0 / p), "separable", d
+    members = np.flatnonzero(general)
+    if len(members):
+        rows = general[seg]
+        ints, w, useg = _snap_merge(lifted[rows], f.weights[idx[rows]], r, seg[rows])
+        st = _starts_of(useg)
+        ints = _reduce_axes(_shear_reduce(_reduce_axes(ints, st), st), st)
+        for i, v, mt, d in zip(members, *_reduced_norms(ints, w, st, p, budget)):
+            value[i], method[i], dims[i] = v, mt, d
+            note[i] = _INEXACT.get(mt, note[i])
+    return [NormReport(value[i], p, r, True, method[i] not in _INEXACT, method[i],
+                       snap[i], dims[i], note[i]) for i in range(m)]
+
+
+def _reduced_norms(ints: np.ndarray, w: np.ndarray, starts: np.ndarray, p: float,
+                   budget: int):
+    """(values, methods, dims) of the segments of merged, reduced integer
+    rows, by the method rule for sums that take no separable path; the
+    method and FFT shape of each segment are checked against the budget
+    in segment order before any field is built."""
+    ext = np.maximum.reduceat(ints, starts, axis=0).tolist()
+    nrows = _seg_lens(starts, len(ints))
+    n = len(starts)
+    even = not math.isinf(p) and float(p).is_integer() and int(p) % 2 == 0
+    if p == 2:
+        return ([math.sqrt(s) for s in _seg_sums(np.abs(w) ** 2, starts)],
+                ["parseval"] * n, [()] * n)
+    if math.isinf(p):
+        shapes = [_fft_shape(e, 4, 5) for e in ext]
+        methods = ["lattice-max"] * n
+        budget = _FFT_BUDGET
+    elif even:
+        q = int(p) // 2
+        shapes = [_fft_shape(e, q) for e in ext]
+        methods = ["pairs" if q == 2 and (math.prod(s) > budget
+                                          or k * k <= min(_PAIR_BUDGET, math.prod(s)))
+                   else "fft" for s, k in zip(shapes, nrows.tolist())]
+    else:
+        shapes = [_fft_shape(e, int(math.ceil(p)) + 2) for e in ext]
+        methods = ["riemann"] * n
+    dims = [() if mt == "pairs" else tuple(k for k in s if k > 1)
+            for s, mt in zip(shapes, methods)]
+    for k, mt, d, shape in zip(nrows.tolist(), methods, dims, shapes):
+        if mt == "pairs" and k * k > _PAIR_BUDGET:
+            raise ValueError("no exact path: FFT lattice and pair table both exceed budget")
+        if mt != "pairs" and math.prod(shape) > budget:
+            raise ValueError(f"reduced lattice {d} exceeds the in-memory FFT budget; "
+                             "the sum has no dense exact path at this scale")
+
+    fields = [None if mt == "pairs" else s for s, mt in zip(shapes, methods)]
+    if math.isinf(p):
+        return (_field_reduce(fields, ints, w, starts,
+                              lambda g: np.abs(g).reshape(len(g), -1).max(axis=1)),
+                methods, dims)
+    power = int(p) if even else p
+    means = _field_reduce(fields, ints, w, starts,
+                          lambda g: _abs_pow(g, power).reshape(len(g), -1).mean(axis=1))
+    pairs = np.flatnonzero([mt == "pairs" for mt in methods])
+    if len(pairs):
+        rows, pst = _seg_take(starts, nrows, pairs)
+        for j, v in zip(pairs, _pairs_mean_pow4(ints[rows], w[rows], pst)):
+            means[j] = v
+    return [float(v) ** (1.0 / p) for v in means], methods, dims
 
 
 def expsum_lp(
@@ -545,66 +822,18 @@ def expsum_lp(
     before any path is chosen, so every path sees the same sum.  The
     method chosen (Parseval, separable FFT, pair counting, plain FFT) is
     recorded in the report along with the largest displacement of a
-    lifted point.
+    lifted point.  This is the one-member call of the engine that
+    ``decoupling_report`` runs on all members at once.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
     r = float(box_side)
     if r <= 0:
         raise ValueError("box side must be positive")
-    scale = r ** (3.0 / p) if (not normalized and not math.isinf(p)) else 1.0
-    lifted = f.lifted()
-    moved = 0.0
-    if f.factors is not None:
-        # every path sees the per-factor snap that the separable path needs
-        heights = _factor_lift(f, r)
-        moved = float(np.max(np.abs(heights - lifted[:, 2]), initial=0.0))
-        lifted[:, 2] = heights
-    ints, w, snap = _snap_merge(lifted, f.weights, r)
-    snap = max(snap, moved)
-    ints = _reduce_axes(_shear_reduce(_reduce_axes(ints)))
-
-    if math.isinf(p):
-        # max over a dense-enough period lattice: a lower bound for the sup
-        g, dims = _lattice_field(ints, w, _fft_shape(_extent(ints), 4, 5))
-        return NormReport(float(np.abs(g).max()), p, r, normalized, False,
-                          "lattice-max", snap, dims,
-                          note="max over the period lattice (lower bound of sup)")
-
-    if p == 2:
-        val = float(np.sqrt(np.sum(np.abs(w) ** 2)))
-        return NormReport(val * scale, p, r, normalized, True, "parseval",
-                          snap, ())
-
-    if float(p).is_integer() and int(p) % 2 == 0:
-        q = int(p) // 2
-        note = ""
-        if f.factors is not None:
-            try:
-                mean_pow, dims = _separable_mean_pow(f, r, q, budget)
-                return NormReport(mean_pow ** (1.0 / p) * scale, p, r, normalized,
-                                  True, "separable", snap, dims)
-            except ValueError as exc:
-                note = f"separable path skipped: {exc}"
-        cells = math.prod(_fft_shape(_extent(ints), q))
-        if q == 2 and (cells > budget or len(ints) ** 2 <= min(_PAIR_BUDGET, cells)):
-            if len(ints) ** 2 > _PAIR_BUDGET:
-                raise ValueError(
-                    "no exact path: FFT lattice and pair table both exceed budget"
-                )
-            mean_pow = _pairs_mean_pow4(ints, w)
-            return NormReport(mean_pow ** 0.25 * scale, p, r, normalized, True,
-                              "pairs", snap, (), note=note)
-        mean_pow, dims = _fft_mean_pow(ints, w, q, budget)
-        return NormReport(mean_pow ** (1.0 / p) * scale, p, r, normalized, True,
-                          "fft", snap, dims, note=note)
-
-    # non-even p: spectrally accurate periodic quadrature, flagged inexact
-    g, dims = _lattice_field(ints, w, _fft_shape(_extent(ints), int(math.ceil(p)) + 2),
-                             budget)
-    val = _mean_abs_pow(g, p) ** (1.0 / p)
-    return NormReport(val * scale, p, r, normalized, False, "riemann", snap, dims,
-                      note="periodic trapezoid quadrature; exact only for even p")
+    rep = _member_norms(f, [np.arange(len(f))], p, r, budget)[0]
+    if normalized or math.isinf(p):
+        return replace(rep, normalized=normalized)
+    return replace(rep, value=rep.value * r ** (3.0 / p), normalized=False)
 
 
 # -- decoupling ratios -----------------------------------------------------
@@ -623,6 +852,7 @@ class DecoupleReport:
     max_memberships: int
     snap_max: float
     exact: bool
+    methods: Dict[str, int]  # members per norm path, keyed by every entry of METHODS
 
 
 def assign_frequencies(f: ExpSum, cover: FlatCover, tol: Optional[float] = None):
@@ -654,30 +884,36 @@ def decoupling_report(
     box_side: Optional[float] = None,
     tol: Optional[float] = None,
 ) -> DecoupleReport:
-    """The ratio ||f||_p / (sum_S ||f_S||_p^2)^(1/2) with full detail."""
+    """The ratio ||f||_p / (sum_S ||f_S||_p^2)^(1/2) with full detail.
+
+    A one-frequency member's norm is |weight|; all other members go
+    through the engine together (``_member_norms``), and ``methods``
+    counts the members per path."""
     r = 1.0 / cover.delta if box_side is None else float(box_side)
     subsets, counts = assign_frequencies(f, cover, tol)
     lhs_rep = expsum_lp(f, p, r)
-    exact = lhs_rep.exact
-    snap = lhs_rep.snap_max
-
-    def member_norm(idx: np.ndarray) -> float:
-        nonlocal exact, snap
+    multi = [s for s in subsets if len(s) > 1]
+    reports = iter(_member_norms(f, multi, p, r) if multi else [])
+    exact, snap = lhs_rep.exact, lhs_rep.snap_max
+    methods = dict.fromkeys(METHODS, 0)
+    norms = []
+    for idx in subsets:
         if len(idx) == 1:
-            return float(abs(f.weights[idx[0]]))
-        rep = expsum_lp(f.subset(idx), p, r)
+            norms.append(float(abs(f.weights[idx[0]])))
+            methods["single"] += 1
+            continue
+        rep = next(reports)
+        norms.append(rep.value)
+        methods[rep.method] += 1
         exact = exact and rep.exact
         snap = max(snap, rep.snap_max)
-        return rep.value
-
-    norms = [member_norm(s) for s in subsets]
     rhs = float(np.sqrt(np.sum(np.square(norms))))
     ratio = lhs_rep.value / rhs if rhs > 0 else math.inf
     return DecoupleReport(
         ratio, lhs_rep.value, rhs, p, r, cover.delta, len(norms),
         int(counts.min()) if len(counts) else 0,
         int(counts.max()) if len(counts) else 0,
-        snap, exact,
+        snap, exact, methods,
     )
 
 

@@ -41,7 +41,7 @@ def test_criterion_04_line_decoupling_slope_p4():
 
 
 def test_criterion_05_bump_decoupling_slope_p6():
-    _run("bump-slope-p6", 600.0)
+    _run("bump-slope-p6", 60.0)
 
 
 def test_criterion_06_rescaling_identity():
@@ -61,4 +61,4 @@ def test_criterion_09_weighted_restriction_slope():
 
 
 def test_criterion_10_partition_vs_overlap_contrast():
-    _run("partition-contrast", 600.0)
+    _run("partition-contrast", 60.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,9 @@ def test_decouple_ratio_line_closed_form(capsys):
     assert rep["exact"] is True
     assert rep["members_used"] == n
     assert rep["ratio"] == pytest.approx((energy / n ** 2) ** 0.25, rel=1e-10)
+    # each cap holds one frequency
+    assert rep["methods"] == {"single": n, "parseval": 0, "separable": 0, "pairs": 0,
+                              "fft": 0, "riemann": 0, "lattice-max": 0}
 
 
 def test_decouple_sweep_writes_deterministic_csv(tmp_path, capsys):
@@ -171,8 +175,13 @@ def test_reproduce_list_names_all_recipes(capsys):
 def test_reproduce_quick_recipe_passes(capsys):
     code, out, _ = run(capsys, "reproduce", "flat-closed-form", "--quick")
     assert code == 0
-    assert "checks passed" in out
     assert "FAIL" not in out
+    lines = out.splitlines()
+    checks = cli.run_recipe("flat-closed-form", quick=True)
+    # one PASS line per check, then the summary with the recipe's wall time
+    assert lines[:-1] == [f"PASS  {name}: {detail}" for name, _, detail in checks]
+    assert re.fullmatch(rf"flat-closed-form: {len(checks)}/{len(checks)} checks passed "
+                        r"in \d+\.\d s", lines[-1])
 
 
 def test_reproduce_unknown_recipe(capsys):

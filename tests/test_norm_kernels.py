@@ -1,6 +1,7 @@
-"""Property tests for the exact norm engine's integer kernels: packed row
-keys, the pair-sum Parseval count and the height-shear search, each
-against a plain reference."""
+"""Property tests for the exact norm engine's kernels: packed row keys,
+and, per segment of several sums laid end to end, the snap-merge, the
+axis reduction, the pair-sum Parseval count, the height-shear search and
+the slab-wise field means, each against a plain reference."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -52,55 +53,165 @@ def _pairs_reference(ints, weights):
     return sum(abs(v) ** 2 for v in acc.values())
 
 
+def _starts(sizes):
+    """Segment starts for the drawn segment sizes."""
+    return np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
+
+
 @settings(max_examples=120)
 @given(
-    n=st.integers(1, 14),
+    sizes=st.lists(st.integers(1, 14), min_size=1, max_size=5),
     extents=st.tuples(*[st.sampled_from([0, 1, 5, 2 ** 21 + 7, 2 ** 23]) for _ in range(3)]),
+    chunk=st.sampled_from([1, 40, 1 << 21]),
     seed=st.integers(0, 2 ** 16),
 )
-def test_pairs_mean_pow4_matches_dict_convolution(n, extents, seed):
+def test_pairs_mean_pow4_matches_dict_convolution(sizes, extents, chunk, seed):
+    """Per segment, also when segments share rows (a pair sum of one
+    segment must not merge with another's) and when the pairs of the
+    segments are split over several packed-key passes."""
     rng = np.random.default_rng(seed)
-    # few distinct values per axis, so pair sums collide
+    n = sum(sizes)
+    # few distinct values per axis, so pair sums collide within and across
+    # segments
     ints = np.column_stack([rng.choice(rng.integers(0, e + 1, size=3), size=n)
                             for e in extents]).astype(np.int64)
     weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    got = norms._pairs_mean_pow4(ints, weights)
-    want = _pairs_reference(ints, weights)
-    assert abs(got - want) <= 1e-12 * want
+    starts = _starts(sizes)
+    saved, norms._PAIR_CHUNK = norms._PAIR_CHUNK, chunk
+    try:
+        got = norms._pairs_mean_pow4(ints, weights, starts)
+    finally:
+        norms._PAIR_CHUNK = saved
+    assert len(got) == len(sizes)
+    for value, s, k in zip(got, starts, sizes):
+        want = _pairs_reference(ints[s:s + k], weights[s:s + k])
+        assert abs(value - want) <= 1e-12 * want
+
+
+def _merge_reference(ints, weights):
+    """Distinct rows in lexicographic order, each row's weights added in
+    row order."""
+    acc = {}
+    for row, w in zip(map(tuple, ints.tolist()), weights):
+        acc[row] = acc.get(row, 0) + w
+    rows = sorted(acc)
+    return np.array(rows, dtype=np.int64).reshape(-1, ints.shape[1]), np.array(
+        [acc[r] for r in rows], dtype=complex)
+
+
+@settings(max_examples=150)
+@given(
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=6),
+    r=st.sampled_from([1.0, 4.0, 12.0]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_snap_merge_matches_dict_per_segment(sizes, r, seed):
+    """Rows snap to the (1/r)-grid and merge within their segment only,
+    with each merged weight the row-order sum of its terms, bit for bit
+    (float addition is not associative, so another order shows)."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    # few grid points, small offsets: many rows of one segment snap together,
+    # and segments share rows
+    grid = rng.integers(-1, 2, size=(n, 3))
+    values = (grid + rng.uniform(-0.45, 0.45, size=(n, 3))) / r
+    weights = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, size=n) \
+        + 1j * rng.standard_normal(n)
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    ints, w, useg = norms._snap_merge(values, weights, r, seg)
+    starts = _starts(sizes)
+    for k, (s, size) in enumerate(zip(starts, sizes)):
+        part = slice(s, s + size)
+        snapped = np.round(r * values[part]).astype(np.int64)
+        want_rows, want_w = _merge_reference(snapped, weights[part])
+        mine = useg == k
+        np.testing.assert_array_equal(ints[mine], want_rows)
+        np.testing.assert_array_equal(w[mine], want_w)
+    assert np.all(np.diff(useg) >= 0)
+
+
+@settings(max_examples=100)
+@given(
+    sizes=st.lists(st.integers(1, 20), min_size=1, max_size=6),
+    scale=st.sampled_from([1, 3, 12]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_reduce_axes_per_segment(sizes, scale, seed):
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    ints = rng.integers(-3, 4, size=(n, 3)) * scale * rng.integers(1, 3, size=3) \
+        + rng.integers(-50, 50, size=3)
+    starts = _starts(sizes)
+    got = norms._reduce_axes(ints, starts)
+    for s, size in zip(starts, sizes):
+        for ax in range(3):
+            col = ints[s:s + size, ax] - ints[s:s + size, ax].min()
+            g = int(np.gcd.reduce(col)) if col.any() else 1
+            np.testing.assert_array_equal(got[s:s + size, ax], col // g)
 
 
 def _shear_reference(x, h):
-    """Leftmost minimizer of the extent of h - lam*x over the search's
-    window [rs - w, rs + w] by brute force, or 0 unless strictly better."""
-    ptp = int(x.max() - x.min())
-    if ptp == 0:
+    """Leftmost integer minimizer of the extent E of h - lam*x, or 0 when
+    lam = 0 is a minimizer (or x is constant).  E is convex and piecewise
+    linear with breakpoints where two lines h_i - lam x_i cross, so the
+    integer minimizers include the floor or ceiling of a breakpoint."""
+    x, h = x.tolist(), h.tolist()
+    if max(x) == min(x):
         return 0
-    xc = x.astype(float) - x.mean()
-    rs = int(round(float((xc * (h - h.mean())).sum() / (xc * xc).sum())))
 
     def ext(lam):
-        r = h - lam * x
-        return int(r.max() - r.min())
+        r = [hi - lam * xi for xi, hi in zip(x, h)]
+        return max(r) - min(r)
 
-    w = ext(rs) // ptp + 2
-    lams = np.arange(rs - w, rs + w + 1)
-    r = h[None, :] - lams[:, None] * x[None, :]
-    exts = r.max(axis=1) - r.min(axis=1)
-    best = int(lams[np.argmin(exts)])
-    return best if exts.min() < ext(0) else 0
+    cands = {0}
+    for i in range(len(x)):
+        for j in range(len(x)):
+            if x[i] > x[j]:
+                num, den = h[i] - h[j], x[i] - x[j]
+                cands.update((num // den, -(-num // den)))
+    best = min(cands, key=lambda lam: (ext(lam), lam))
+    return 0 if ext(0) == ext(best) else best
 
 
 @settings(max_examples=300)
 @given(
-    n=st.integers(2, 30),
-    xspan=st.sampled_from([1, 2, 7, 40]),
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=8),
+    xspan=st.sampled_from([0, 1, 2, 7, 40]),
     hspan=st.sampled_from([0, 3, 100, 5000, 50000]),
-    slope=st.integers(-300, 300),
+    slopes=st.lists(st.integers(-300, 300), min_size=8, max_size=8),
     seed=st.integers(0, 2 ** 16),
 )
-def test_best_shear_matches_brute_force_window(n, xspan, hspan, slope, seed):
-    # ptp 1 with large h noise gives windows of tens of thousands
+def test_best_shear_matches_brute_force_window(sizes, xspan, hspan, slopes, seed):
+    """Many segments of mixed sizes searched in lockstep, each with its
+    own slope; ptp 1 with large h noise gives windows of tens of
+    thousands, and one-row or constant-x segments keep lam = 0."""
     rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    seg = np.repeat(np.arange(len(sizes)), sizes)
     x = rng.integers(0, xspan + 1, size=n).astype(np.int64)
-    h = (slope * x + rng.integers(0, hspan + 1, size=n)).astype(np.int64)
-    assert norms._best_shear(x, h) == _shear_reference(x, h)
+    h = (np.array(slopes)[seg] * x + rng.integers(0, hspan + 1, size=n)).astype(np.int64)
+    starts = _starts(sizes)
+    got = norms._best_shear(x, h, starts)
+    want = [_shear_reference(x[s:s + k], h[s:s + k]) for s, k in zip(starts, sizes)]
+    assert got.tolist() == want
+
+
+@settings(max_examples=80)
+@given(
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 40), st.integers(1, 60)),
+    cells=st.sampled_from([1, 7, 64, 1 << 20]),
+    p=st.sampled_from([4, 6, 3.5]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_axis1_means_in_slabs_match_the_whole_stack(shape, cells, p, seed):
+    """Slabs along the last axis give the whole stack's axis-1 means bit
+    for bit, also when the columns do not divide evenly into slabs."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    whole = np.abs(g) ** p
+    saved, norms._STACK_CELLS = norms._STACK_CELLS, cells
+    try:
+        got = norms._axis1_means(g, p)
+    finally:
+        norms._STACK_CELLS = saved
+    np.testing.assert_array_equal(got, whole.mean(axis=1))

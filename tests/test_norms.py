@@ -1,4 +1,6 @@
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcover import norms
-from flatcover.cover import FlatCover, build_cover_hp, canonical_caps, hp_axis_family
+from flatcover.cover import (
+    FlatCover,
+    build_cover_general,
+    build_cover_hp,
+    canonical_caps,
+    hp_axis_family,
+)
 from flatcover.geometry import axis_rectangle
 from flatcover.norms import (
+    METHODS,
     Box3,
     ExpSum,
     assign_frequencies,
@@ -26,6 +35,24 @@ from flatcover.norms import (
     strip_example,
 )
 from flatcover.poly2 import BivariatePoly, hyperbolic_phase
+
+
+def _dense_fft_norm(lifted, weights, p, r, max_cells=1 << 22):
+    """Independent even-p reference: snap to the (1/r)-grid, merge equal
+    rows in row order, and take the mean of |f|^p over a dense period grid
+    of q*extent+1 points per axis (no gcd, no shear); None when too big."""
+    acc = {}
+    for row, w in zip(map(tuple, np.round(r * lifted).astype(np.int64).tolist()), weights):
+        acc[row] = acc.get(row, 0) + w
+    ints = np.array(list(acc), dtype=np.int64)
+    ints -= ints.min(axis=0)
+    shape = tuple(int(p // 2 * e + 1) for e in ints.max(axis=0))
+    if math.prod(shape) > max_cells:
+        return None
+    z = np.zeros(shape, dtype=complex)
+    z[tuple(ints.T)] = list(acc.values())
+    g = np.fft.ifftn(z) * math.prod(shape)
+    return float(np.mean(np.abs(g) ** p)) ** (1.0 / p)
 
 
 def test_exp_sum_validation():
@@ -283,10 +310,9 @@ def test_exact_paths_agree_on_separable_products(xs, ys, coeffs, p, seed):
     sep = expsum_lp(f, p, 1.0)
     assert sep.method == "separable"
     plain = ExpSum(f.phase, f.freqs, f.weights)
-    ints, w, _ = norms._snap_merge(plain.lifted(), plain.weights, 1.0)
     values = {
         "plain": expsum_lp(plain, p, 1.0).value,
-        "fft": norms._fft_mean_pow(norms._reduce_axes(ints), w, p // 2)[0] ** (1.0 / p),
+        "fft": _dense_fft_norm(plain.lifted(), plain.weights, p, 1.0),
     }
     if p == 4:
         values["pairs"] = expsum_lp(plain, p, 1.0, budget=1).value
@@ -404,3 +430,176 @@ def test_product_sums_snap_per_factor_on_every_path(a, b, c, nx, ny, r, seed):
     moved = np.abs(snap_lift(f, r).lift - f.lifted()[:, 2]).max()
     assert sep.snap_max == pairs.snap_max >= moved
     assert moved <= 1.0 / r + 1e-12
+
+
+# -- batched member norms ------------------------------------------------------
+
+SEPARABLE_SADDLE = BivariatePoly(2, {(2, 0): 1.0, (0, 2): -1.0})
+CUBIC = BivariatePoly(3, {(3, 0): 1.0, (0, 3): 1.0, (1, 1): 1.0})
+
+
+@functools.lru_cache(maxsize=None)
+def _cover(kind: str, e: int) -> FlatCover:
+    d = 2.0 ** -e
+    if kind == "caps":
+        return canonical_caps(d)
+    if kind == "axis":
+        return hp_axis_family(d)
+    if kind == "hp":
+        return build_cover_hp(hyperbolic_phase(), d, 4.0)
+    return build_cover_general(CUBIC, d)
+
+
+def _example(kind: str, e: int, snapped: bool, seed: int) -> ExpSum:
+    """product: random product weights on a separable saddle (factors
+    kept); plain: the same on xy (no factors); line: the axis line."""
+    d = 2.0 ** -e
+    rng = np.random.default_rng(seed)
+    if kind == "line":
+        f = line_example(d)
+    else:
+        f = random_product_example(SEPARABLE_SADDLE if kind == "product"
+                                   else hyperbolic_phase(), d, rng)
+    return snap_lift(f, 1.0 / d) if snapped else f
+
+
+def _check_batch(f, cov, p, r, tol, checked=48):
+    """Batched member norms against one expsum_lp per member subset (for
+    up to ``checked`` members spread over the cover), and decoupling_report
+    against the ratio from the batched norms.  Returns the batched norms,
+    the subsets and the report."""
+    subsets, _ = assign_frequencies(f, cov, tol)
+    got = norms._member_norms(f, subsets, p, r)
+    for i in range(0, len(subsets), -(-len(subsets) // checked)):
+        want = expsum_lp(f.subset(subsets[i]), p, r)
+        assert got[i].value == pytest.approx(want.value, rel=1e-12, abs=0)
+        assert got[i] == replace(want, value=got[i].value)
+
+    rep = decoupling_report(f, cov, p, box_side=r, tol=tol)
+    lhs = expsum_lp(f, p, r)
+    multi = [i for i, s in enumerate(subsets) if len(s) > 1]
+    values = [abs(f.weights[s[0]]) if len(s) == 1 else q.value for s, q in zip(subsets, got)]
+    assert rep.lhs == lhs.value
+    assert rep.rhs == pytest.approx(math.sqrt(sum(v * v for v in values)), rel=1e-12)
+    assert rep.ratio == pytest.approx(lhs.value / rep.rhs, rel=1e-12)
+    assert rep.members_used == len(subsets)
+    assert rep.exact == (lhs.exact and all(got[i].exact for i in multi))
+    assert rep.snap_max == max([lhs.snap_max] + [got[i].snap_max for i in multi])
+    want = dict.fromkeys(METHODS, 0)
+    want["single"] = len(subsets) - len(multi)
+    for i in multi:
+        want[got[i].method] += 1
+    assert list(rep.methods) == list(METHODS)
+    assert rep.methods == want
+    assert sum(rep.methods.values()) == rep.members_used
+    return got, subsets, rep
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    cover=st.sampled_from(["caps", "axis", "hp", "general"]),
+    kind=st.sampled_from(["product", "plain", "line"]),
+    snapped=st.booleans(),
+    e=st.sampled_from([4, 5]),
+    p=st.sampled_from([2, 3, 4, 6, math.inf]),
+    coarse=st.sampled_from([1, 4]),
+    sharp=st.booleans(),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_batched_member_norms_match_per_member_expsum_lp(cover, kind, snapped, e, p,
+                                                         coarse, sharp, seed):
+    """Batched member norms equal expsum_lp on each member's subset (value
+    to 1e-12, method, snap, dims, note; up to 48 members spread over each
+    cover), and the report's ratio is theirs, over caps, axis, hp and general
+    covers, product and plain sums, snapped or not.  A coarse box (r =
+    1/(4 delta)) snaps neighbouring frequencies onto one row."""
+    e = 4 if cover == "hp" else e  # 1,882 overlapping hp members at 2^-5
+    _check_batch(_example(kind, e, snapped, seed), _cover(cover, e), p, 2.0 ** e / coarse,
+                 0.0 if sharp else None)
+
+
+def test_batched_member_norms_take_every_path():
+    """Fixed cases that between them send members down every path, with
+    each batched value checked against expsum_lp per member and, for even
+    p, against a dense FFT of the member's snapped sum."""
+    seen = set()
+    for cover, kind, snapped, e, p, coarse in [
+        ("caps", "product", True, 5, 2, 1),      # parseval
+        ("caps", "product", False, 5, 4, 1),     # separable
+        ("hp", "plain", True, 4, 4, 1),          # pairs and fft
+        ("axis", "plain", True, 4, 6, 4),        # fft, rows merged by the snap
+        ("general", "plain", False, 5, 3, 1),    # riemann
+        ("axis", "product", True, 4, math.inf, 1),  # lattice-max
+        ("axis", "line", False, 6, 4, 1),        # single
+    ]:
+        f = _example(kind, e, snapped, 7)
+        r = 2.0 ** e / coarse
+        tol = 0.0 if cover in ("caps", "axis") else None
+        got, subsets, rep = _check_batch(f, _cover(cover, e), p, r, tol)
+        seen.update(m for m, c in rep.methods.items() if c)
+        if p in (4, 6):
+            for i, idx in enumerate(subsets[:12]):
+                g = snap_lift(f.subset(idx), r)
+                want = _dense_fft_norm(g.lifted(), g.weights, p, r)
+                if want is not None:
+                    assert got[i].value == pytest.approx(want, rel=1e-10)
+        if coarse > 1:
+            merged = [idx for idx in subsets if len(np.unique(
+                np.round(r * snap_lift(f.subset(idx), r).lifted()), axis=0)) < len(idx)]
+            assert merged
+    assert seen == set(METHODS)
+
+
+def test_decoupling_report_methods():
+    """Elliptic caps members take the separable path; the xy axis family's
+    members split into pairs and fft."""
+    d = 2.0 ** -6
+    f = snap_lift(bump_example(BivariatePoly(2, {(2, 0): 1.0, (0, 2): 1.0}),
+                               (0.0, 0.0, 1.0, 1.0), d), 1.0 / d)
+    rep = decoupling_report(f, canonical_caps(d), 4.0, tol=0.0)
+    assert rep.methods["separable"] == rep.members_used == 64
+    assert sum(rep.methods.values()) == rep.members_used
+    d = 2.0 ** -5
+    f = snap_lift(bump_example(hyperbolic_phase(), (0.0, 0.0, 1.0, 1.0), d), 1.0 / d)
+    rep = decoupling_report(f, hp_axis_family(d), 4.0, tol=0.0)
+    assert rep.methods["pairs"] > 0 and rep.methods["fft"] > 0
+    assert rep.methods["pairs"] + rep.methods["fft"] == rep.members_used
+    assert sum(rep.methods.values()) == rep.members_used
+
+
+def _first_error(f, subsets, p, r, budget):
+    for idx in subsets:
+        try:
+            expsum_lp(f.subset(idx), p, r, budget=budget)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("p", [4, 6, math.inf, 3])
+def test_member_over_budget_raises_the_per_member_error(p, monkeypatch):
+    """With a budget some members exceed, the batch raises the ValueError
+    that the first such member raises on its own."""
+    d = 2.0 ** -4
+    f = _example("plain", 4, True, 3)
+    subsets, _ = assign_frequencies(f, _cover("axis", 4), 0.0)
+    subsets = [s for s in subsets if len(s) > 1]
+    reports = [expsum_lp(f.subset(s), p, 1.0 / d) for s in subsets]
+    if p == 4:
+        # pairs everywhere once no field fits; the pair table is the limit
+        budget = 1
+        sizes = sorted(len(np.unique(np.round(snap_lift(f.subset(s), 1 / d).lifted() / d),
+                                     axis=0)) ** 2 for s in subsets)
+        monkeypatch.setattr(norms, "_PAIR_BUDGET", sizes[len(sizes) // 2])
+    else:
+        cells = sorted(math.prod(q.lattice_dims) for q in reports)
+        budget = cells[len(cells) // 2]
+    if math.isinf(p):
+        # the lattice max is held to the module budget, not the argument
+        monkeypatch.setattr(norms, "_FFT_BUDGET", budget)
+    failing = [_first_error(f, [s], p, 1.0 / d, budget) is not None for s in subsets]
+    assert 0 < sum(failing) < len(subsets)
+    want = _first_error(f, subsets, p, 1.0 / d, budget)
+    with pytest.raises(ValueError) as exc:
+        norms._member_norms(f, subsets, p, 1.0 / d, budget)
+    assert str(exc.value) == want
