@@ -406,110 +406,9 @@ def cmd_lattice_pell(args) -> int:
 
 # -- reproduction recipes ----------------------------------------------------
 #
-# Each recipe is data: the experiment kind, its pinned parameters, and the
+# Each recipe is data: its runner, its pinned parameters, and the
 # expectations with tolerances.  "quick" holds reduced-cost overrides used
 # by --quick; expectations stay identical.
-
-RECIPES: Dict[str, dict] = {
-    "flat-closed-form": {
-        "criterion": 1,
-        "kind": "flat_closed_form",
-        "rects": 200,
-        "seed": 20260825,
-        "sample_m": 65,
-        "closed_tol": 1e-12,
-        "sample_rel_tol": 0.01,
-        "quick": {"rects": 50},
-    },
-    "caps-flat": {
-        "criterion": 2,
-        "kind": "caps_flat",
-        "exponents": [6, 7, 8, 9, 10, 11, 12],
-        "a_model": 2.0,
-        "a_perturbed": 4.0,
-        "phases": 20,
-        "degrees": [2, 3, 4],
-        "seed": 1107,
-        "quick": {"exponents": [6, 8, 10], "phases": 5},
-    },
-    "overlap-log": {
-        "criterion": 3,
-        "kind": "overlap_log",
-        "exponents": [6, 7, 8, 9, 10, 11, 12, 13, 14],
-        "a_const": 4.0,
-        "samples": 96,
-        "quick": {"exponents": [6, 7, 8, 9, 10]},
-    },
-    "line-slope-p4": {
-        "criterion": 4,
-        "kind": "line_slope",
-        "exponents": [6, 8, 10, 12],
-        "p": 4.0,
-        "slope_caps": 0.125,
-        "slope_caps_tol": 0.05,
-        "slope_axis_max": 0.03,
-        "quick": {"exponents": [4, 6, 8, 10]},
-    },
-    "bump-slope-p6": {
-        "criterion": 5,
-        "kind": "bump_slope",
-        "exponents": [6, 7, 8, 9, 10],
-        "slope_p6": 0.16666666666666666,
-        "slope_p6_tol": 0.06,
-        "slope_p4_max": 0.04,
-        "quick": {"exponents": [5, 6, 7, 8]},
-    },
-    "rescale-identity": {
-        "criterion": 6,
-        "kind": "rescale_identity",
-        "pairs": 500,
-        "exponents": [6, 8, 10],
-        "identity_tol": 1e-9,
-        "audit_factor": 100.0,
-        "seed": 2605,
-        "quick": {"pairs": 100},
-    },
-    "pell-multiplicity": {
-        "criterion": 7,
-        "kind": "pell_multiplicity",
-        "exponents": [4, 5, 6],
-        "max_mult": 3,
-        "contrast_factor": 0.25,
-        "pell_bmax": 100000,
-        "pell_eps": 0.1,
-        "pell_floor": 0.2,
-        "quick": {"exponents": [4, 5], "pell_bmax": 10000},
-    },
-    "restriction-slope": {
-        "criterion": 8,
-        "kind": "restriction_slope",
-        "exponents_saddle": [3, 4, 5, 6],
-        "exponents_elliptic": [4, 5, 6, 7, 8],
-        "d": 3,
-        "slope_max": 0.05,
-        "p2_tol": 0.02,
-        "seed": 907,
-        "quick": {"exponents_elliptic": [4, 5, 6, 7]},
-    },
-    "stein-tomas": {
-        "criterion": 9,
-        "kind": "stein_tomas",
-        "exponents": [4, 5, 6, 7, 8],
-        "p": 4.0,
-        "seeds": [101, 102, 103],
-        "slope_max": 0.03,
-        "quick": {"exponents": [4, 5, 6, 7], "seeds": [101]},
-    },
-    "partition-contrast": {
-        "criterion": 10,
-        "kind": "partition_contrast",
-        "exponents": [6, 7, 8, 9, 10, 11, 12],
-        "p": 4.0,
-        "slope_caps_min": 0.05,
-        "slope_axis_max": 0.03,
-        "quick": {"exponents": [6, 7, 8, 9]},
-    },
-}
 
 Check = Tuple[str, bool, str]
 
@@ -593,6 +492,8 @@ def _run_overlap_log(cfg: dict) -> List[Check]:
 
 
 def _sweep(make_point, exponents) -> Tuple[List[Tuple[float, float]], float]:
+    """(delta, make_point(delta)) at delta = 2^-e per exponent, and the
+    fitted slope."""
     points = []
     for e in exponents:
         d = 2.0 ** -e
@@ -600,23 +501,21 @@ def _sweep(make_point, exponents) -> Tuple[List[Tuple[float, float]], float]:
     return points, slope_fit(points).slope
 
 
+def _slope_text(slope: float, points) -> str:
+    return f"slope {slope:.4f}, points {[(f'{d:g}', f'{r:.4g}') for d, r in points]}"
+
+
 def _run_line_slope(cfg: dict) -> List[Check]:
-    p = cfg["p"]
+    def against(family):
+        return lambda d: decoupling_report(line_example(d), family(d), cfg["p"],
+                                           box_side=d ** -1.5, tol=0.0).ratio
 
-    def caps_point(d):
-        return decoupling_report(line_example(d), canonical_caps(d), p,
-                                 box_side=d ** -1.5, tol=0.0).ratio
-
-    def axis_point(d):
-        return decoupling_report(line_example(d), hp_axis_family(d), p,
-                                 box_side=d ** -1.5, tol=0.0).ratio
-
-    pts_c, slope_c = _sweep(caps_point, cfg["exponents"])
-    pts_a, slope_a = _sweep(axis_point, cfg["exponents"])
+    pts_c, slope_c = _sweep(against(canonical_caps), cfg["exponents"])
+    pts_a, slope_a = _sweep(against(hp_axis_family), cfg["exponents"])
     return [
         (f"line vs caps slope = {cfg['slope_caps']:g} +- {cfg['slope_caps_tol']:g}",
          abs(slope_c - cfg["slope_caps"]) <= cfg["slope_caps_tol"],
-         f"slope {slope_c:.4f}, points {[(f'{d:g}', f'{r:.4g}') for d, r in pts_c]}"),
+         _slope_text(slope_c, pts_c)),
         (f"line vs overlapping family slope <= {cfg['slope_axis_max']:g}",
          slope_a <= cfg["slope_axis_max"],
          f"slope {slope_a:.4f}"),
@@ -636,7 +535,7 @@ def _run_bump_slope(cfg: dict) -> List[Check]:
     return [
         (f"bump p=6 slope = 1/6 +- {cfg['slope_p6_tol']:g}",
          abs(slope6 - cfg["slope_p6"]) <= cfg["slope_p6_tol"],
-         f"slope {slope6:.4f}, points {[(f'{d:g}', f'{r:.4g}') for d, r in pts6]}"),
+         _slope_text(slope6, pts6)),
         (f"bump p=4 slope <= {cfg['slope_p4_max']:g}",
          slope4 <= cfg["slope_p4_max"],
          f"slope {slope4:.4f}"),
@@ -719,17 +618,11 @@ def _run_restriction_slope(cfg: dict) -> List[Check]:
     ]
     checks: List[Check] = []
     for label, phi, alpha, exps in cases:
-        points = []
-        for e in exps:
-            d = 2.0 ** -e
-            lat = lambda_grid(d, alpha)
-            points.append((d, discrete_restriction_ratio(lat, None, phi, 4,
-                                                         d=cfg["d"])))
-        slope = slope_fit(points).slope
+        points, slope = _sweep(lambda d: discrete_restriction_ratio(
+            lambda_grid(d, alpha), None, phi, 4, d=cfg["d"]), exps)
         checks.append(
             (f"p=4 restriction slope <= {cfg['slope_max']:g} ({label})",
-             slope <= cfg["slope_max"],
-             f"slope {slope:.4f}, points {[(f'{d:g}', f'{r:.4g}') for d, r in points]}"),
+             slope <= cfg["slope_max"], _slope_text(slope, points)),
         )
     rng = np.random.default_rng(cfg["seed"])
     d = 2.0 ** -cfg["exponents_saddle"][-1]
@@ -747,61 +640,131 @@ def _run_stein_tomas(cfg: dict) -> List[Check]:
     phi = BivariatePoly(2, {(2, 0): 1.0, (0, 2): -1.0})
     checks: List[Check] = []
     for seed in cfg["seeds"]:
-        points = []
-        for e in cfg["exponents"]:
-            d = 2.0 ** -e
-            rng = np.random.default_rng(seed)
-            f = random_product_example(phi, d, rng)
-            points.append((d, stein_tomas_ratio(f, d, cfg["p"])))
-        slope = slope_fit(points).slope
+        points, slope = _sweep(lambda d: stein_tomas_ratio(
+            random_product_example(phi, d, np.random.default_rng(seed)), d, cfg["p"]),
+            cfg["exponents"])
         checks.append(
             (f"stein-tomas slope <= {cfg['slope_max']:g} (seed {seed})",
-             slope <= cfg["slope_max"],
-             f"slope {slope:.4f}, points {[(f'{d:g}', f'{r:.4g}') for d, r in points]}"),
+             slope <= cfg["slope_max"], _slope_text(slope, points)),
         )
     return checks
 
 
 def _run_partition_contrast(cfg: dict) -> List[Check]:
-    p = cfg["p"]
+    def against(family):
+        return lambda d: decoupling_report(strip_example(d, int(round(1.0 / d / 4))),
+                                           family(d), cfg["p"], box_side=d ** -2,
+                                           tol=0.0).ratio
 
-    def ratios(d):
-        a = int(round(1.0 / d / 4))
-        f = strip_example(d, a)
-        box = d ** -2
-        rc = decoupling_report(f, canonical_caps(d), p, box_side=box, tol=0.0).ratio
-        ra = decoupling_report(f, hp_axis_family(d), p, box_side=box, tol=0.0).ratio
-        return rc, ra
-
-    pts_c, pts_a = [], []
-    for e in cfg["exponents"]:
-        d = 2.0 ** -e
-        rc, ra = ratios(d)
-        pts_c.append((d, rc))
-        pts_a.append((d, ra))
-    slope_c = slope_fit(pts_c).slope
-    slope_a = slope_fit(pts_a).slope
+    pts_c, slope_c = _sweep(against(canonical_caps), cfg["exponents"])
+    pts_a, slope_a = _sweep(against(hp_axis_family), cfg["exponents"])
     return [
         (f"strip vs partition slope >= {cfg['slope_caps_min']:g}",
-         slope_c >= cfg["slope_caps_min"],
-         f"slope {slope_c:.4f}, points {[(f'{d:g}', f'{r:.4g}') for d, r in pts_c]}"),
+         slope_c >= cfg["slope_caps_min"], _slope_text(slope_c, pts_c)),
         (f"strip vs overlapping family slope <= {cfg['slope_axis_max']:g}",
          slope_a <= cfg["slope_axis_max"],
          f"slope {slope_a:.4f}"),
     ]
 
 
-_RUNNERS = {
-    "flat_closed_form": _run_flat_closed_form,
-    "caps_flat": _run_caps_flat,
-    "overlap_log": _run_overlap_log,
-    "line_slope": _run_line_slope,
-    "bump_slope": _run_bump_slope,
-    "rescale_identity": _run_rescale_identity,
-    "pell_multiplicity": _run_pell_multiplicity,
-    "restriction_slope": _run_restriction_slope,
-    "stein_tomas": _run_stein_tomas,
-    "partition_contrast": _run_partition_contrast,
+RECIPES: Dict[str, dict] = {
+    "flat-closed-form": {
+        "criterion": 1,
+        "run": _run_flat_closed_form,
+        "rects": 200,
+        "seed": 20260825,
+        "sample_m": 65,
+        "closed_tol": 1e-12,
+        "sample_rel_tol": 0.01,
+        "quick": {"rects": 50},
+    },
+    "caps-flat": {
+        "criterion": 2,
+        "run": _run_caps_flat,
+        "exponents": [6, 7, 8, 9, 10, 11, 12],
+        "a_model": 2.0,
+        "a_perturbed": 4.0,
+        "phases": 20,
+        "degrees": [2, 3, 4],
+        "seed": 1107,
+        "quick": {"exponents": [6, 8, 10], "phases": 5},
+    },
+    "overlap-log": {
+        "criterion": 3,
+        "run": _run_overlap_log,
+        "exponents": [6, 7, 8, 9, 10, 11, 12, 13, 14],
+        "a_const": 4.0,
+        "samples": 96,
+        "quick": {"exponents": [6, 7, 8, 9, 10]},
+    },
+    "line-slope-p4": {
+        "criterion": 4,
+        "run": _run_line_slope,
+        "exponents": [6, 8, 10, 12],
+        "p": 4.0,
+        "slope_caps": 0.125,
+        "slope_caps_tol": 0.05,
+        "slope_axis_max": 0.03,
+        "quick": {"exponents": [4, 6, 8, 10]},
+    },
+    "bump-slope-p6": {
+        "criterion": 5,
+        "run": _run_bump_slope,
+        "exponents": [6, 7, 8, 9, 10],
+        "slope_p6": 0.16666666666666666,
+        "slope_p6_tol": 0.06,
+        "slope_p4_max": 0.04,
+        "quick": {"exponents": [5, 6, 7, 8]},
+    },
+    "rescale-identity": {
+        "criterion": 6,
+        "run": _run_rescale_identity,
+        "pairs": 500,
+        "exponents": [6, 8, 10],
+        "identity_tol": 1e-9,
+        "audit_factor": 100.0,
+        "seed": 2605,
+        "quick": {"pairs": 100},
+    },
+    "pell-multiplicity": {
+        "criterion": 7,
+        "run": _run_pell_multiplicity,
+        "exponents": [4, 5, 6],
+        "max_mult": 3,
+        "contrast_factor": 0.25,
+        "pell_bmax": 100000,
+        "pell_eps": 0.1,
+        "pell_floor": 0.2,
+        "quick": {"exponents": [4, 5], "pell_bmax": 10000},
+    },
+    "restriction-slope": {
+        "criterion": 8,
+        "run": _run_restriction_slope,
+        "exponents_saddle": [3, 4, 5, 6],
+        "exponents_elliptic": [4, 5, 6, 7, 8],
+        "d": 3,
+        "slope_max": 0.05,
+        "p2_tol": 0.02,
+        "seed": 907,
+    },
+    "stein-tomas": {
+        "criterion": 9,
+        "run": _run_stein_tomas,
+        "exponents": [4, 5, 6, 7, 8],
+        "p": 4.0,
+        "seeds": [101, 102, 103],
+        "slope_max": 0.03,
+        "quick": {"exponents": [4, 5, 6, 7], "seeds": [101]},
+    },
+    "partition-contrast": {
+        "criterion": 10,
+        "run": _run_partition_contrast,
+        "exponents": [6, 7, 8, 9, 10, 11, 12],
+        "p": 4.0,
+        "slope_caps_min": 0.05,
+        "slope_axis_max": 0.03,
+        "quick": {"exponents": [6, 7, 8, 9]},
+    },
 }
 
 
@@ -812,10 +775,11 @@ def run_recipe(recipe_id: str, quick: bool = False) -> List[Check]:
             f"unknown recipe {recipe_id!r}; known: {', '.join(sorted(RECIPES))}"
         )
     cfg = dict(RECIPES[recipe_id])
+    run = cfg.pop("run")
     overrides = cfg.pop("quick", {})
     if quick:
         cfg.update(overrides)
-    return _RUNNERS[cfg["kind"]](cfg)
+    return run(cfg)
 
 
 def cmd_reproduce(args) -> int:

@@ -185,7 +185,9 @@ class FlatCover:
         return out
 
     def sample_members(self, rng: np.random.Generator, k: int) -> List[Parallelogram]:
-        """k members drawn uniformly (with replacement) from the family."""
+        """k >= 1 members drawn uniformly (with replacement) from the family."""
+        if k < 1:
+            raise ValueError(f"member count must be at least 1, got {k}")
         handles = [(part, grid) for part in self.tilings() for grid in part.groups]
         cum = np.cumsum([len(grid) for _, grid in handles])
         total = int(cum[-1]) if len(cum) else 0
@@ -311,7 +313,6 @@ class VerifyReport:
     max_overlap: int
     overlap_bound: float
     worst_defect: float
-    worst_member: Optional[Parallelogram]
     min_a_flat: float  # smallest A for which every member would pass
 
     @property
@@ -734,14 +735,13 @@ def verify_cover(
     [lo, hi] certifies flatness at ``a_const * delta`` reports ``hi``;
     every other member reports ``flat_defect(...).defect``.
     ``worst_defect`` is the largest reported value (an upper bound when
-    every member was certified by its bracket), ``worst_member`` the
-    member that reports it, and ``min_a_flat = worst_defect / delta``.
+    every member was certified by its bracket), and ``min_a_flat =
+    worst_defect / delta``.
     """
     delta = cover.delta
     a_const = cover.a_const if a_const is None else a_const
     threshold = a_const * delta
     worst = -1.0
-    worst_member = None
     all_flat = True
     for part in cover.tilings():
         for grid in part.groups:
@@ -749,33 +749,27 @@ def verify_cover(
             if len(rep.defect) == 0:
                 continue
             idx = grid.kept_indices()
-
-            def member(k: int) -> Parallelogram:
-                return part.world_box(grid.tile(int(idx[k, 0]), int(idx[k, 1])))
-
             vals = rep.defect
             for k in np.flatnonzero(rep.lo > threshold):
-                vals[k] = flat_defect(phi, member(k)).defect
+                tile = grid.tile(int(idx[k, 0]), int(idx[k, 1]))
+                vals[k] = flat_defect(phi, part.world_box(tile)).defect
             all_flat = all_flat and bool(rep.flat.all())
-            k = int(np.argmax(vals))
-            if vals[k] > worst:
-                worst, worst_member = float(vals[k]), member(k)
+            worst = max(worst, float(vals.max()))
     prof = overlap_profile(cover, max(n, 64))
     bound = cover.overlap_bound()
     covers = prof.min >= 1
     overlap_ok = prof.max <= bound
     min_a = worst / delta if delta > 0 else math.inf
-    return VerifyReport(
-        all_flat, covers, overlap_ok, prof.max, bound, worst, worst_member, min_a
-    )
+    return VerifyReport(all_flat, covers, overlap_ok, prof.max, bound, worst, min_a)
 
 
 # -- the general construction ----------------------------------------------
 
 
-def _det_range(phi: BivariatePoly, domain: BBox, n: int = 17):
+def _det_range(phi: BivariatePoly, domain: BBox):
     """(certified min |det H|, sign at center) over the domain, via a
-    sample grid padded by a Lipschitz bound."""
+    17 x 17 sample grid padded by a Lipschitz bound."""
+    n = 17
     det_poly = phi.hessian_det_poly()
     pts = _sample_points(domain, n)
     vals = np.asarray(det_poly.eval(pts[:, 0], pts[:, 1]))

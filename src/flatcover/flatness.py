@@ -60,18 +60,15 @@ class FlatnessReport:
 
 @dataclass(frozen=True)
 class NullDirections:
-    """Hessian data at a saddle point of the phase.
+    """The null directions of the Hessian at a saddle point of the phase.
 
     ``w = (-a, 1)`` and ``v = (1, -b)`` span the two directions in which
-    the quadratic form of the Hessian vanishes; ``a`` and ``b`` are the
-    off-axis slopes.  Both are tiny for phases close to the model saddle.
+    the quadratic form of the Hessian vanishes; the off-axis slopes ``a``
+    and ``b`` are tiny for phases close to the model saddle.
     """
 
-    a: float
-    b: float
     w: Tuple[float, float]
     v: Tuple[float, float]
-    hessian: np.ndarray
 
 
 def default_a_const(phi: BivariatePoly) -> float:
@@ -295,10 +292,13 @@ def flat_defect(
     ``method`` is "auto" (closed form for quadratics, sampling plus
     bounds otherwise), "closed" (force the quadratic path; errors on
     higher degree), or "sample" (force the grid estimate, used as an
-    independent brute-force oracle in tests).
+    independent brute-force oracle in tests).  The grid estimate samples
+    each box axis at ``m >= 2`` points.
     """
     if method not in ("auto", "closed", "sample"):
         raise ValueError(f"unknown method {method!r}")
+    if m < 2:
+        raise ValueError(f"m must be at least 2, got {m}")
     deg = phi.support_degree()
     if method == "closed" and deg > 2:
         raise ValueError("closed form requires a quadratic phase")
@@ -313,7 +313,7 @@ def flat_defect(
             sampled, u, v = polished, u2, v2
     # the true maximum exceeds the sampled one by at most a Lipschitz
     # bound of the integrand times the sample spacing
-    spacing = 2.0 / (m - 1) if m > 1 else 2.0
+    spacing = 2.0 / (m - 1)
     e_norms = np.linalg.norm(box.edge_matrix, axis=0)
     op = float(_hessian_op_bound(phi, box.bounding_box()))
     lower, upper = sampled, sampled + op * box.diameter() * spacing * float(e_norms.sum())
@@ -402,9 +402,9 @@ def null_directions(phi: BivariatePoly, point) -> NullDirections:
     satisfy ``w^T H w = v^T H v = 0`` identically.
     """
     x, y = float(point[0]), float(point[1])
-    h = phi.hessian(x, y)
     a, b, valid = null_direction_fields(phi, (x, y))
     if not valid[0]:
+        h = phi.hessian(x, y)
         det = float(h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0])
         if not det < 0.0:
             raise ValueError(
@@ -412,7 +412,7 @@ def null_directions(phi: BivariatePoly, point) -> NullDirections:
             )
         raise ValueError("degenerate Hessian: H12 + sqrt(|det H|) vanished")
     a, b = float(a[0]), float(b[0])
-    return NullDirections(a, b, (-a, 1.0), (1.0, -b), h)
+    return NullDirections((-a, 1.0), (1.0, -b))
 
 
 def null_direction_fields(phi: BivariatePoly, points):

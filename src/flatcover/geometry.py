@@ -59,10 +59,6 @@ class Parallelogram:
             2.0 * float(np.hypot(*self.e2)),
         )
 
-    def area(self) -> float:
-        m = self.edge_matrix
-        return 4.0 * abs(float(np.linalg.det(m)))
-
     def diameter(self) -> float:
         v = self.vertices()
         c = np.asarray(self.center)

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .cover import FlatCover
-from .geometry import _CONTAIN_TOL, Parallelogram
+from .geometry import _CONTAIN_TOL
 from .norms import ExpSum, expsum_lp, product_exp_sum
 from .poly2 import BivariatePoly
 
@@ -52,21 +52,14 @@ class FrequencyLattice:
     def n_values(self) -> np.ndarray:
         return np.unique(self.mn[:, 1])
 
-    def to_exp_sum(
-        self,
-        phi: BivariatePoly,
-        weights: Union[None, np.ndarray, Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> ExpSum:
-        """Exponential sum on the lattice; product weights (or unit
-        weights) keep the separable fast path available."""
-        xs = self.m_values() * self.delta
-        ys = self.n_values() * (self.alpha * self.delta)
+    def to_exp_sum(self, phi: BivariatePoly, weights: Optional[np.ndarray] = None) -> ExpSum:
+        """Exponential sum on the lattice; unit weights keep the separable
+        fast path available."""
         if weights is None:
-            return product_exp_sum(phi, xs, ys, name="lattice")
-        if isinstance(weights, tuple):
-            return product_exp_sum(phi, xs, ys, weights[0], weights[1], name="lattice")
-        return ExpSum(phi, self.points(), np.asarray(weights, dtype=complex),
-                      name="lattice")
+            xs = self.m_values() * self.delta
+            ys = self.n_values() * (self.alpha * self.delta)
+            return product_exp_sum(phi, xs, ys)
+        return ExpSum(phi, self.points(), np.asarray(weights, dtype=complex))
 
 
 def lambda_grid(delta: float, alpha: float) -> FrequencyLattice:
@@ -84,34 +77,22 @@ def lambda_grid(delta: float, alpha: float) -> FrequencyLattice:
     return FrequencyLattice(delta, alpha, np.column_stack([mm.ravel(), nn.ravel()]))
 
 
-def points_in_flat_set(
-    lat: FrequencyLattice,
-    s: Parallelogram,
-    phi: BivariatePoly,
-    tol: float,
-) -> int:
-    """Lattice points whose lifted point lies in the tol-neighborhood of
-    the vertical slab over s (tol a world distance) and which sit in the
-    (1+tol)-dilate of s; at tol = 0, the points of the closed box with
-    the relative slack of ``Parallelogram.contains``.  This is the
-    one-member case of ``max_flat_multiplicity``.
-
-    The slab is vertical, so the lift drops out of the distance; the
-    phase argument is kept for interface symmetry with the cover side.
-    """
-    return max_flat_multiplicity(FlatCover(tol, 1.0, loose=[s]), lat, phi, tol)[0]
-
-
 def max_flat_multiplicity(
     cover: FlatCover,
     lat: FrequencyLattice,
     phi: BivariatePoly,
     tol: Optional[float] = None,
 ) -> Tuple[int, Dict[int, int]]:
-    """Largest ``points_in_flat_set`` count over the cover's members,
-    with a histogram count -> number of members; tol (the cover's delta
-    by default) is a world distance under any frame.  Tilings are
-    counted wholesale through ``FlatCover.incidences``.
+    """Largest count of lattice points per cover member, with a
+    histogram count -> number of members.
+
+    A member takes the points within world distance tol (the cover's
+    delta by default) of the vertical slab over it, under any frame, that
+    also sit in its (1+tol)-dilate; at tol = 0, the points of the closed
+    member with the relative slack of ``Parallelogram.contains``.  The
+    slab is vertical, so the lift drops out of the distance and ``phi``
+    is not read.  Tilings are counted wholesale through
+    ``FlatCover.incidences``.
     """
     del phi
     tol = cover.delta if tol is None else float(tol)
@@ -136,7 +117,6 @@ class PellGap:
     a: int
     b: int
     gap: float
-    eps: float
 
 
 def pell_gap(b_max: int, eps_prime: float) -> PellGap:
@@ -150,7 +130,7 @@ def pell_gap(b_max: int, eps_prime: float) -> PellGap:
     gap = num / (SQRT2 * b - a)
     prod = gap * np.power(b.astype(float), 1.0 + eps_prime)
     k = int(np.argmin(prod))
-    return PellGap(float(prod[k]), int(a[k]), int(b[k]), float(gap[k]), eps_prime)
+    return PellGap(float(prod[k]), int(a[k]), int(b[k]), float(gap[k]))
 
 
 def pell_convergents(b_max: int):
@@ -168,7 +148,7 @@ def pell_convergents(b_max: int):
 
 def discrete_restriction_ratio(
     lat: FrequencyLattice,
-    weights: Union[None, np.ndarray, Tuple[np.ndarray, np.ndarray]],
+    weights: Optional[np.ndarray],
     phi: BivariatePoly,
     p: float,
     d: int = 3,

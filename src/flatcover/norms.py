@@ -33,6 +33,7 @@ and a member's value does not depend on the members batched with it.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -79,7 +80,6 @@ class ExpSum:
     phase: BivariatePoly
     freqs: np.ndarray
     weights: np.ndarray
-    name: str = ""
     factors: Optional[Tuple[Factor, Factor]] = None
     lift: Optional[np.ndarray] = None
 
@@ -113,10 +113,8 @@ class ExpSum:
     def subset(self, idx: np.ndarray) -> "ExpSum":
         """The sum on the given frequencies; a subset of a product sum that
         is itself a product of factor positions keeps its factors."""
-        sub = ExpSum(
-            self.phase, self.freqs[idx], self.weights[idx], name=self.name,
-            lift=None if self.lift is None else self.lift[idx],
-        )
+        sub = ExpSum(self.phase, self.freqs[idx], self.weights[idx],
+                     lift=None if self.lift is None else self.lift[idx])
         if self.factors is not None and len(sub):
             pos = [np.unique(k[idx]) for k in _factor_index(self)]
             if len(pos[0]) * len(pos[1]) == len(sub):
@@ -148,7 +146,6 @@ def product_exp_sum(
     ys: np.ndarray,
     x_weights: Optional[np.ndarray] = None,
     y_weights: Optional[np.ndarray] = None,
-    name: str = "",
 ) -> ExpSum:
     """Exponential sum on the product set xs x ys with product weights.
 
@@ -181,7 +178,7 @@ def product_exp_sum(
                 Factor(0, xs, xw, split[0](xs)),
                 Factor(1, ys, yw, split[1](ys)),
             )
-    out = ExpSum(phase, freqs, weights, name=name)
+    out = ExpSum(phase, freqs, weights)
     out.factors = factors
     return out
 
@@ -194,15 +191,18 @@ def snap_lift(f: ExpSum, box_side: float) -> ExpSum:
     sums are snapped factor by factor, preserving the separable fast
     path; each factor moves by at most half a grid step, so a lifted
     height moves by up to one full step (half a step for other sums).
+    The copy shares the frequencies and weights of ``f``, which were
+    checked when ``f`` was made, so it is not validated again.
     """
     r = float(box_side)
     if r <= 0:
         raise ValueError("box side must be positive")
+    out = copy.copy(f)
     if f.factors is None:
-        return ExpSum(f.phase, f.freqs, f.weights, name=f.name,
-                      lift=np.round(f.lifted()[:, 2] * r) / r)
-    out = ExpSum(f.phase, f.freqs, f.weights, name=f.name, lift=_factor_heights(f.factors, _factor_index(f), r))
-    out.factors = tuple(replace(g, heights=np.round(g.heights * r) / r) for g in f.factors)
+        out.lift = np.round(f.lifted()[:, 2] * r) / r
+    else:
+        out.lift = _factor_heights(f.factors, _factor_index(f), r)
+        out.factors = tuple(replace(g, heights=np.round(g.heights * r) / r) for g in f.factors)
     return out
 
 
@@ -253,17 +253,14 @@ def sample_exp_sum(f: ExpSum, box: Box3, n: int) -> GridField:
     return GridField(box, n, vals)
 
 
-def lp_norm(field: GridField, p: float, normalized: bool = True) -> float:
-    """Riemann L^p norm of the sampled field; L^p_# when normalized."""
+def lp_norm(field: GridField, p: float) -> float:
+    """Riemann L^p_# norm of the sampled field."""
     if p < 1:
         raise ValueError("p must be at least 1")
     a = np.abs(field.values)
     if math.isinf(p):
         return float(a.max())
-    val = float(np.mean(a ** p)) ** (1.0 / p)
-    if not normalized:
-        val *= field.box.side ** (3.0 / p)
-    return val
+    return float(np.mean(a ** p)) ** (1.0 / p)
 
 
 # -- the exact reduced-lattice engine -------------------------------------
@@ -272,9 +269,6 @@ def lp_norm(field: GridField, p: float, normalized: bool = True) -> float:
 @dataclass(frozen=True)
 class NormReport:
     value: float
-    p: float
-    box_side: float
-    normalized: bool
     exact: bool
     method: str
     snap_max: float
@@ -634,12 +628,11 @@ def _factor_heights(factors, fidx, r: float) -> np.ndarray:
     return out
 
 
-def _separable_mean_pow(factors, fidx, seg: np.ndarray, r_side: float, q: int,
-                        budget: int):
+def _separable_mean_pow(factors, fidx, seg: np.ndarray, r_side: float, q: int):
     """mean |f|^{2q} per product member via two planar FFT fields sharing
     the lift axis.  ``fidx`` gives each row's position in each factor and
     ``seg`` its member (0..m-1).  Returns (mean powers, dims) per member;
-    both are None where the two fields exceed twice the budget."""
+    both are None where the two fields exceed twice _FFT_BUDGET."""
     parts = []
     for ax, (g, k) in enumerate(zip(factors, fidx)):
         # a member's factor rows: its distinct positions in the factor
@@ -668,7 +661,7 @@ def _separable_mean_pow(factors, fidx, seg: np.ndarray, r_side: float, q: int,
     for i, e in enumerate(e3):
         sh1 = _fft_shape((int(xmax[2 * i]), e), q)
         sh2 = _fft_shape((int(xmax[2 * i + 1]), e), q)
-        fits = math.prod(sh1) + math.prod(sh2) <= 2 * budget
+        fits = math.prod(sh1) + math.prod(sh2) <= 2 * _FFT_BUDGET
         shapes.extend((sh1, sh2) if fits else (None, None))
     # each field's mean of |g|^{2q} over its own axis: a function of x3
     slices = _field_reduce(shapes, ints, w, st, lambda g: _axis1_means(g, 2 * q))
@@ -686,8 +679,8 @@ def _separable_mean_pow(factors, fidx, seg: np.ndarray, r_side: float, q: int,
     return means, dims
 
 
-def _member_norms(f: ExpSum, blocks: Sequence[np.ndarray], p: float, r: float,
-                  budget: int = _FFT_BUDGET) -> List[NormReport]:
+def _member_norms(f: ExpSum, blocks: Sequence[np.ndarray], p: float,
+                  r: float) -> List[NormReport]:
     """Normalized reports of f restricted to each block of frequency
     indices (each nonempty), over a box of side r, in one pass.
 
@@ -695,7 +688,7 @@ def _member_norms(f: ExpSum, blocks: Sequence[np.ndarray], p: float, r: float,
        A member whose indices form a product of factor positions gets the
        per-factor snap of its heights; other members snap the whole lift.
     2. Separable: for even p >= 4, product members whose two factor
-       fields fit the budget take the separable path.
+       fields fit _FFT_BUDGET take the separable path.
     3. Snap and merge the other members: one packed-key sort, member
        number leading; then per-member translation and gcd, and the
        height shear.
@@ -705,7 +698,7 @@ def _member_norms(f: ExpSum, blocks: Sequence[np.ndarray], p: float, r: float,
        inverse FFT per stack.
 
     Raises the first member's ValueError (in block order) when a member
-    has no exact path within the budget.
+    has no exact path within _FFT_BUDGET.
     """
     m = len(blocks)
     lens = np.array([len(b) for b in blocks], dtype=np.int64)
@@ -736,7 +729,7 @@ def _member_norms(f: ExpSum, blocks: Sequence[np.ndarray], p: float, r: float,
         rows = product[seg]
         means, sep_dims = _separable_mean_pow(
             f.factors, [k[rows] for k in fidx], np.cumsum(product)[seg[rows]] - 1,
-            r, int(p) // 2, budget)
+            r, int(p) // 2)
         for i, v, d in zip(np.flatnonzero(product), means, sep_dims):
             if v is None:
                 note[i] = _SEPARABLE_SKIPPED
@@ -749,18 +742,17 @@ def _member_norms(f: ExpSum, blocks: Sequence[np.ndarray], p: float, r: float,
         ints, w, useg = _snap_merge(lifted[rows], f.weights[idx[rows]], r, seg[rows])
         st = _starts_of(useg)
         ints = _reduce_axes(_shear_reduce(_reduce_axes(ints, st), st), st)
-        for i, v, mt, d in zip(members, *_reduced_norms(ints, w, st, p, budget)):
+        for i, v, mt, d in zip(members, *_reduced_norms(ints, w, st, p)):
             value[i], method[i], dims[i] = v, mt, d
             note[i] = _INEXACT.get(mt, note[i])
-    return [NormReport(value[i], p, r, True, method[i] not in _INEXACT, method[i],
-                       snap[i], dims[i], note[i]) for i in range(m)]
+    return [NormReport(value[i], method[i] not in _INEXACT, method[i], snap[i], dims[i],
+                       note[i]) for i in range(m)]
 
 
-def _reduced_norms(ints: np.ndarray, w: np.ndarray, starts: np.ndarray, p: float,
-                   budget: int):
+def _reduced_norms(ints: np.ndarray, w: np.ndarray, starts: np.ndarray, p: float):
     """(values, methods, dims) of the segments of merged, reduced integer
     rows, by the method rule for sums that take no separable path; the
-    method and FFT shape of each segment are checked against the budget
+    method and FFT shape of each segment are checked against _FFT_BUDGET
     in segment order before any field is built."""
     ext = np.maximum.reduceat(ints, starts, axis=0).tolist()
     nrows = _seg_lens(starts, len(ints))
@@ -772,11 +764,10 @@ def _reduced_norms(ints: np.ndarray, w: np.ndarray, starts: np.ndarray, p: float
     if math.isinf(p):
         shapes = [_fft_shape(e, 4, 5) for e in ext]
         methods = ["lattice-max"] * n
-        budget = _FFT_BUDGET
     elif even:
         q = int(p) // 2
         shapes = [_fft_shape(e, q) for e in ext]
-        methods = ["pairs" if q == 2 and (math.prod(s) > budget
+        methods = ["pairs" if q == 2 and (math.prod(s) > _FFT_BUDGET
                                           or k * k <= min(_PAIR_BUDGET, math.prod(s)))
                    else "fft" for s, k in zip(shapes, nrows.tolist())]
     else:
@@ -787,7 +778,7 @@ def _reduced_norms(ints: np.ndarray, w: np.ndarray, starts: np.ndarray, p: float
     for k, mt, d, shape in zip(nrows.tolist(), methods, dims, shapes):
         if mt == "pairs" and k * k > _PAIR_BUDGET:
             raise ValueError("no exact path: FFT lattice and pair table both exceed budget")
-        if mt != "pairs" and math.prod(shape) > budget:
+        if mt != "pairs" and math.prod(shape) > _FFT_BUDGET:
             raise ValueError(f"reduced lattice {d} exceeds the in-memory FFT budget; "
                              "the sum has no dense exact path at this scale")
 
@@ -807,14 +798,8 @@ def _reduced_norms(ints: np.ndarray, w: np.ndarray, starts: np.ndarray, p: float
     return [float(v) ** (1.0 / p) for v in means], methods, dims
 
 
-def expsum_lp(
-    f: ExpSum,
-    p: float,
-    box_side: float,
-    normalized: bool = True,
-    budget: int = _FFT_BUDGET,
-) -> NormReport:
-    """L^p norm of the sum over a box of side ``box_side``.
+def expsum_lp(f: ExpSum, p: float, box_side: float) -> NormReport:
+    """L^p_# norm of the sum over a box of side ``box_side``.
 
     Frequencies are snapped to the (1/box_side)-grid, making the sum
     periodic; for even integer p the one-period integral is then exact.
@@ -830,10 +815,7 @@ def expsum_lp(
     r = float(box_side)
     if r <= 0:
         raise ValueError("box side must be positive")
-    rep = _member_norms(f, [np.arange(len(f))], p, r, budget)[0]
-    if normalized or math.isinf(p):
-        return replace(rep, normalized=normalized)
-    return replace(rep, value=rep.value * r ** (3.0 / p), normalized=False)
+    return _member_norms(f, [np.arange(len(f))], p, r)[0]
 
 
 # -- decoupling ratios -----------------------------------------------------
@@ -848,8 +830,6 @@ class DecoupleReport:
     box_side: float
     delta: float
     members_used: int
-    min_memberships: int
-    max_memberships: int
     snap_max: float
     exact: bool
     methods: Dict[str, int]  # members per norm path, keyed by every entry of METHODS
@@ -890,7 +870,7 @@ def decoupling_report(
     through the engine together (``_member_norms``), and ``methods``
     counts the members per path."""
     r = 1.0 / cover.delta if box_side is None else float(box_side)
-    subsets, counts = assign_frequencies(f, cover, tol)
+    subsets, _ = assign_frequencies(f, cover, tol)
     lhs_rep = expsum_lp(f, p, r)
     multi = [s for s in subsets if len(s) > 1]
     reports = iter(_member_norms(f, multi, p, r) if multi else [])
@@ -909,12 +889,8 @@ def decoupling_report(
         snap = max(snap, rep.snap_max)
     rhs = float(np.sqrt(np.sum(np.square(norms))))
     ratio = lhs_rep.value / rhs if rhs > 0 else math.inf
-    return DecoupleReport(
-        ratio, lhs_rep.value, rhs, p, r, cover.delta, len(norms),
-        int(counts.min()) if len(counts) else 0,
-        int(counts.max()) if len(counts) else 0,
-        snap, exact, methods,
-    )
+    return DecoupleReport(ratio, lhs_rep.value, rhs, p, r, cover.delta, len(norms), snap,
+                          exact, methods)
 
 
 # -- sweeps ----------------------------------------------------------------
@@ -924,7 +900,6 @@ def decoupling_report(
 class SweepReport:
     """Least-squares exponent fit: ratio ~ C * delta^(-slope)."""
 
-    points: Tuple[Tuple[float, float], ...]
     slope: float
     intercept: float
     residual: float
@@ -940,7 +915,7 @@ def slope_fit(points: Sequence[Tuple[float, float]]) -> SweepReport:
     y = np.log2([rho for _, rho in pts])
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return SweepReport(tuple(pts), float(slope), float(intercept), resid)
+    return SweepReport(float(slope), float(intercept), resid)
 
 
 # -- extremal examples -----------------------------------------------------
@@ -952,7 +927,7 @@ def line_example(delta: float) -> ExpSum:
     _require_dyadic(delta)
     n = int(math.floor(delta ** -0.5 + 1e-9))
     xs = np.arange(n) * math.sqrt(delta)
-    return product_exp_sum(hyperbolic_phase(), xs, np.zeros(1), name="line")
+    return product_exp_sum(hyperbolic_phase(), xs, np.zeros(1))
 
 
 def bump_example(phi: BivariatePoly, region: Tuple[float, float, float, float],
@@ -963,7 +938,7 @@ def bump_example(phi: BivariatePoly, region: Tuple[float, float, float, float],
         raise ValueError("region must sit inside the unit square")
     xs = xmin + delta * np.arange(int(math.floor((xmax - xmin) / delta + 1e-9)) + 1)
     ys = ymin + delta * np.arange(int(math.floor((ymax - ymin) / delta + 1e-9)) + 1)
-    return product_exp_sum(phi, xs, ys, name="bump")
+    return product_exp_sum(phi, xs, ys)
 
 
 def strip_example(delta: float, a: int) -> ExpSum:
@@ -975,7 +950,7 @@ def strip_example(delta: float, a: int) -> ExpSum:
     _require_dyadic(delta)
     xs = delta * np.arange(int(round(inv)))
     ys = np.array([a * delta])
-    return product_exp_sum(hyperbolic_phase(), xs, ys, name=f"strip-{a}")
+    return product_exp_sum(hyperbolic_phase(), xs, ys)
 
 
 def random_product_example(
@@ -988,7 +963,7 @@ def random_product_example(
     ys = delta * np.arange(n)
     xw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     yw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return product_exp_sum(phi, xs, ys, xw, yw, name="random-product")
+    return product_exp_sum(phi, xs, ys, xw, yw)
 
 
 _ST_PHASES = (

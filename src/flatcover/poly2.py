@@ -58,9 +58,6 @@ class BivariatePoly:
         """Largest j+k with a nonzero coefficient (0 for the zero poly)."""
         return max((j + k for (j, k) in self.coeffs), default=0)
 
-    def __call__(self, x, y):
-        return self.eval(x, y)
-
     def eval(self, x, y):
         """Evaluate at scalars or numpy arrays.
 
@@ -221,9 +218,9 @@ def minus_tangent_plane(p: BivariatePoly, x: float = 0.0, y: float = 0.0) -> Biv
 # -- convenience constructors -------------------------------------------
 
 
-def hyperbolic_phase(degree: int = 2) -> BivariatePoly:
+def hyperbolic_phase() -> BivariatePoly:
     """The model saddle x*y."""
-    return BivariatePoly(max(degree, 2), {(1, 1): 1.0})
+    return BivariatePoly(2, {(1, 1): 1.0})
 
 
 def elliptic_phase() -> BivariatePoly:
@@ -231,16 +228,15 @@ def elliptic_phase() -> BivariatePoly:
     return BivariatePoly(2, {(2, 0): 1.0, (0, 2): 1.0})
 
 
-def perturbed_hyperbolic(degree: int, rng: np.random.Generator,
-                         magnitude: float | None = None) -> BivariatePoly:
+def perturbed_hyperbolic(degree: int, rng: np.random.Generator) -> BivariatePoly:
     """Random admissible perturbation of x*y.
 
     All coefficients other than the mixed one are drawn uniformly from
-    [-m, m] with the class bound m = 10^(-10*degree) unless overridden.
+    [-m, m] with the class bound m = 10^(-10*degree).
     """
     if degree < 2:
         raise ValueError("degree must be >= 2")
-    m = 10.0 ** (-10 * degree) if magnitude is None else magnitude
+    m = 10.0 ** (-10 * degree)
     coeffs: CoeffMap = {(1, 1): 1.0}
     for j in range(degree + 1):
         for k in range(degree + 1 - j):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -30,15 +30,10 @@ class CoeffAudit:
 
     worst_ratio: float
     worst_monomial: Tuple[int, int]
-    factor: float
-    ratios: Dict[Tuple[int, int], float]
 
     @property
     def ok(self) -> bool:
         return self.worst_ratio <= 1.0
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 @dataclass
@@ -53,10 +48,7 @@ class RescaleResult:
     seen through ``L``, in normal form.  ``sigma_eff`` is the exact
     factor in defect(phi, L(B)) = sigma_eff * defect(phi_tilde, B); it
     equals ``sigma`` exactly for the model saddle on an axis box and
-    stays within O(angle mismatch) of it in general.  ``split_depth``
-    records how many dyadic subdivisions of the unit square would bring
-    every degree >= 3 coefficient under the normal-form class bound
-    (pieces are metadata, never materialized).
+    stays within O(angle mismatch) of it in general.
     """
 
     L: AffineMap2
@@ -65,8 +57,6 @@ class RescaleResult:
     sigma_eff: float
     alpha: float
     b_coeffs: Dict[Tuple[int, int], float]
-    split_depth: int
-    piece_side: float
 
 
 def _edge_angle(vec: np.ndarray) -> float:
@@ -141,22 +131,13 @@ def rescale_phase(
         leftover = cleaned.pop(jk, 0.0)
         if abs(leftover) > 1e-9:
             raise ValueError(f"square coefficient {jk} survived the shear: {leftover!r}")
-    tilde = BivariatePoly(tilde.degree, cleaned)
-
-    bound = 10.0 ** (-10 * phi.degree)
-    tail = max(
-        (abs(a) for (j, k), a in tilde.coeffs.items() if j + k >= 3), default=0.0
-    )
-    split_depth = 0 if tail <= bound else int(math.ceil(math.log2(tail / bound)))
     return RescaleResult(
         L=to_axis.compose(scale_map).compose(shear),
-        phi_tilde=tilde,
+        phi_tilde=BivariatePoly(tilde.degree, cleaned),
         sigma=sigma,
         sigma_eff=abs(mixed),
         alpha=alpha,
         b_coeffs=b_coeffs,
-        split_depth=split_depth,
-        piece_side=2.0 ** -split_depth,
     )
 
 
@@ -170,7 +151,6 @@ def verify_coeff_bounds(result: RescaleResult, factor: float = 100.0) -> CoeffAu
     particular constant.
     """
     sigma, alpha = result.sigma, result.alpha
-    ratios: Dict[Tuple[int, int], float] = {}
     worst = 0.0
     worst_jk = (1, 1)
     for (j, k), b in result.b_coeffs.items():
@@ -178,28 +158,26 @@ def verify_coeff_bounds(result: RescaleResult, factor: float = 100.0) -> CoeffAu
             continue
         allowed = factor * sigma ** (1 - k) * alpha ** (j - k)
         r = abs(b) / allowed
-        ratios[(j, k)] = r
         if r > worst:
             worst, worst_jk = r, (j, k)
-    return CoeffAudit(worst, worst_jk, factor, ratios)
+    return CoeffAudit(worst, worst_jk)
 
 
 def pullback_cover(
     cover_prime: FlatCover,
     result: RescaleResult,
     phi: BivariatePoly,
-    a_const: Optional[float] = None,
 ) -> FlatCover:
     """Map a cover of the rescaled unit square back through L.
 
     A cover at scale delta' for phi_tilde becomes a cover at scale
-    sigma_eff * delta' for phi.  Every member is re-certified flat for
-    phi at a_const * delta, tiling by tiling, with a relative slack of
-    1e-9 for the rounding of L; a failure raises (it would mean the
-    defect identity was violated).
+    sigma_eff * delta' for phi, with the same constant A.  Every member
+    is re-certified flat for phi at A * delta, tiling by tiling, with a
+    relative slack of 1e-9 for the rounding of L; a failure raises (it
+    would mean the defect identity was violated).
     """
     delta = result.sigma_eff * cover_prime.delta
-    a_const = cover_prime.a_const if a_const is None else a_const
+    a_const = cover_prime.a_const
     parts = []
     for part in cover_prime.parts:
         frame = result.L if part.frame is None else result.L.compose(part.frame)

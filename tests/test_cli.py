@@ -184,6 +184,15 @@ def test_reproduce_quick_recipe_passes(capsys):
                         r"in \d+\.\d s", lines[-1])
 
 
+@pytest.mark.parametrize("recipe_id", sorted(cli.RECIPES))
+def test_every_quick_recipe_passes(recipe_id):
+    """--quick promises the full run's expectations at reduced cost."""
+    checks = cli.run_recipe(recipe_id, quick=True)
+    assert checks
+    failed = [f"{name}: {detail}" for name, ok, detail in checks if not ok]
+    assert not failed, "; ".join(failed)
+
+
 def test_reproduce_unknown_recipe(capsys):
     code, _, err = run(capsys, "reproduce", "nope")
     assert code == 1
@@ -209,7 +218,14 @@ def test_usage_errors_exit_1(capsys):
         (["lattice", "count", "--delta", "2^-4", "--alpha", "1/0"], "zero denominator"),
         (["decouple", "sweep", "--example", "line", "--deltas", "2^-4,2^-4,2^-4,2^-4"],
          "4 distinct delta values"),
+        (["rescale", "check", "--delta", "2^-4", "--count", "0"],
+         "member count must be at least 1"),
+        (["rescale", "check", "--delta", "2^-4", "--count", "-3"],
+         "member count must be at least 1"),
+        (["flat", "defect", "--rect", "0", "0", "0.25", "0.25", "--m", "0",
+          "--method", "sample"], "m must be at least 2"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert message in err
+

@@ -16,11 +16,15 @@ from flatcover.geometry import (
 )
 
 
+def area(box):
+    return 4.0 * abs(float(np.linalg.det(box.edge_matrix)))
+
+
 def test_axis_rectangle_basics():
     box = axis_rectangle(0.1, 0.2, 0.6, 0.4)
     assert box.center == pytest.approx((0.35, 0.3))
     assert box.side_lengths() == pytest.approx((0.5, 0.2))
-    assert box.area() == pytest.approx(0.1)
+    assert area(box) == pytest.approx(0.1)
     assert box.diameter() == pytest.approx(math.hypot(0.5, 0.2))
     v = box.vertices()
     assert v[:, 0].min() == pytest.approx(0.1)
@@ -31,7 +35,7 @@ def test_rotated_rectangle_geometry():
     theta = 0.3
     box = rotated_rectangle((0.5, 0.5), 0.4, 0.1, theta)
     assert box.side_lengths() == pytest.approx((0.4, 0.1))
-    assert box.area() == pytest.approx(0.04)
+    assert area(box) == pytest.approx(0.04)
     # e1 points along theta
     assert math.atan2(box.e1[1], box.e1[0]) == pytest.approx(theta)
     # vertices land where rotating an axis box would put them
@@ -57,7 +61,7 @@ def test_dilate_scales_area():
     box = rotated_rectangle((0.3, 0.4), 0.5, 0.2, 1.1)
     big = dilate(box, 3.0)
     assert big.center == box.center
-    assert big.area() == pytest.approx(9.0 * box.area())
+    assert area(big) == pytest.approx(9.0 * area(box))
     assert big.contains(np.array([box.vertices()[2]]))[0]
 
 
@@ -89,7 +93,7 @@ def test_affine_map_on_boxes_preserves_area_ratio():
     m = AffineMap2(((1.5, 0.2), (-0.1, 0.8)), (0.0, 0.3))
     det = abs(1.5 * 0.8 - 0.2 * (-0.1))
     box = rotated_rectangle((0.2, 0.7), 0.3, 0.1, 0.25)
-    assert m.apply_box(box).area() == pytest.approx(det * box.area())
+    assert area(m.apply_box(box)) == pytest.approx(det * area(box))
 
 
 def test_rotation_map_is_orthogonal():
@@ -102,7 +106,7 @@ def test_tile_grid_partitions_unit_square():
     grid = make_tile_grid(0.25, 0.125, 0.0)
     tiles = list(grid.tiles())
     assert len(tiles) == 4 * 8
-    total = sum(t.area() for t in tiles)
+    total = sum(area(t) for t in tiles)
     assert total == pytest.approx(1.0)
     # every interior point sits in exactly one half-open tile
     rng = np.random.default_rng(13)

@@ -14,7 +14,6 @@ from flatcover.lattice import (
     max_flat_multiplicity,
     pell_convergents,
     pell_gap,
-    points_in_flat_set,
 )
 from flatcover.poly2 import BivariatePoly, hyperbolic_phase
 
@@ -71,7 +70,12 @@ def brute_count(lat, box, tol):
     return hits
 
 
-def test_points_in_flat_set_matches_brute_force():
+def one_member_count(lat, box, phi, tol):
+    """``max_flat_multiplicity`` of the cover whose one member is box."""
+    return max_flat_multiplicity(FlatCover(tol, 1.0, loose=[box]), lat, phi, tol)[0]
+
+
+def test_one_member_count_matches_brute_force():
     lat = lambda_grid(2.0 ** -4, 1.0)
     rng = np.random.default_rng(6)
     for _ in range(12):
@@ -81,7 +85,7 @@ def test_points_in_flat_set_matches_brute_force():
             rng.uniform(0, math.pi),
         )
         for tol in (0.0, 2.0 ** -6, 2.0 ** -4):
-            got = points_in_flat_set(lat, box, hyperbolic_phase(), tol)
+            got = one_member_count(lat, box, hyperbolic_phase(), tol)
             assert got == brute_count(lat, box, tol)
 
 
@@ -96,7 +100,7 @@ def test_max_flat_multiplicity_grid_path_equals_member_loop():
     ]
     for cov, ph, lat in cases:
         best, hist = max_flat_multiplicity(cov, lat, ph)
-        counts = [points_in_flat_set(lat, m, ph, cov.delta)
+        counts = [one_member_count(lat, m, ph, cov.delta)
                   for m in cov.iter_members()]
         assert best == max(counts)
         want = {}
@@ -129,7 +133,7 @@ def test_zero_tol_counts_take_lattice_points_on_tile_edges(e, alpha, k1, k2):
     cov = FlatCover(delta, 1.0, [FramedGroups(None, [grid])])
     pts = lat.points()
     want = [int(np.count_nonzero(t.contains(pts))) for t in grid.tiles()]
-    got = [points_in_flat_set(lat, t, hyperbolic_phase(), 0.0) for t in grid.tiles()]
+    got = [one_member_count(lat, t, hyperbolic_phase(), 0.0) for t in grid.tiles()]
     assert got == want
     best, hist = max_flat_multiplicity(cov, lat, hyperbolic_phase(), tol=0.0)
     assert best == max(want)
