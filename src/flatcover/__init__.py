@@ -32,7 +32,6 @@ from .cover import (
 )
 from .rescale import pullback_cover, rescale_phase, verify_coeff_bounds
 from .norms import (
-    GridField,
     bump_example,
     decoupling_report,
     line_example,
@@ -55,7 +54,7 @@ __all__ = [
     "FlatCover", "build_cover_general", "build_cover_hp", "canonical_caps",
     "hp_axis_family", "normal_axis_family", "overlap_profile", "verify_cover",
     "pullback_cover", "rescale_phase", "verify_coeff_bounds",
-    "GridField", "bump_example", "decoupling_report", "line_example", "lp_norm",
+    "bump_example", "decoupling_report", "line_example", "lp_norm",
     "random_product_example", "sample_exp_sum", "slope_fit", "snap_lift",
     "stein_tomas_ratio", "strip_example",
     "discrete_restriction_ratio", "lambda_grid", "max_flat_multiplicity", "pell_gap",

@@ -25,7 +25,6 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .flatness import (
-    flat_defect,
     flat_defect_interval,
     is_flat,
     null_direction_fields,
@@ -643,7 +642,7 @@ def _build_hp_core(
         q, _ = quad_defect(phi, edges)
         # a tile meeting the domain lies in the domain padded by its diameter
         diam = math.hypot(w, h)
-        rem = float(tail_bound(phi, (xmin - diam, ymin - diam, xmax + diam, ymax + diam), diam))
+        rem = tail_bound(phi, (xmin - diam, ymin - diam, xmax + diam, ymax + diam), edges)
         sure = q + rem <= threshold
         maybe = (~sure) & (q - rem <= threshold)
         for beta in np.flatnonzero(sure | maybe):
@@ -731,30 +730,23 @@ def verify_cover(
     delta and ``overlap_bound()``.
 
     Each tiling, and each loose member as a one-tile tiling, is decided
-    tile by tile by ``tiling_flatness``: a member whose cheap bracket
-    [lo, hi] certifies flatness at ``a_const * delta`` reports ``hi``;
-    every other member reports ``flat_defect(...).defect``.
-    ``worst_defect`` is the largest reported value (an upper bound when
-    every member was certified by its bracket), and ``min_a_flat =
-    worst_defect / delta``.
+    by ``tiling_flatness``'s certified bracket alone: a member is flat iff
+    its upper end ``hi`` is at most ``a_const * delta``.  ``worst_defect``
+    is the largest ``hi``, a certified upper bound on every member's
+    defect, and ``min_a_flat = worst_defect / delta`` is the smallest A at
+    which every member passes.
     """
     delta = cover.delta
     a_const = cover.a_const if a_const is None else a_const
-    threshold = a_const * delta
     worst = -1.0
     all_flat = True
     for part in cover.tilings():
         for grid in part.groups:
             rep = tiling_flatness(phi, grid, delta, a_const, part.frame)
-            if len(rep.defect) == 0:
+            if len(rep.hi) == 0:
                 continue
-            idx = grid.kept_indices()
-            vals = rep.defect
-            for k in np.flatnonzero(rep.lo > threshold):
-                tile = grid.tile(int(idx[k, 0]), int(idx[k, 1]))
-                vals[k] = flat_defect(phi, part.world_box(tile)).defect
             all_flat = all_flat and bool(rep.flat.all())
-            worst = max(worst, float(vals.max()))
+            worst = max(worst, float(rep.hi.max()))
     prof = overlap_profile(cover, max(n, 64))
     bound = cover.overlap_bound()
     covers = prof.min >= 1
@@ -891,13 +883,14 @@ def build_cover_general(
 
     Every member is decided flat at scale a_const*delta as it is
     emitted, in its patch's frame, where the normalized phase has the
-    defect of the original phase divided by the patch's scale: flat
-    patches and strips by ``is_flat``; saddle tilings by the anisotropic
-    builder's closed-form prefilter, with ``tiling_flatness`` on its
-    uncertain band; bowl tilings by ``is_flat`` at the largest dyadic
-    side whose every tile passes, each smaller side tried only after a
-    tile of the larger one fails.  ``verify_cover`` re-decides
-    them for the original phase.
+    defect of the original phase divided by the patch's scale, and
+    every decision is the certified bracket's: a box is flat iff its
+    upper end is at most the threshold, so no defect is sampled.  Flat
+    patches and strips are decided by ``is_flat``; saddle tilings by the
+    anisotropic builder's closed-form prefilter, with ``tiling_flatness``
+    on its uncertain band; bowl tilings by ``tiling_flatness`` at the
+    largest dyadic side whose every tile passes.  ``verify_cover``
+    re-decides them for the original phase by the same rule.
     """
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
@@ -937,9 +930,7 @@ def build_cover_general(
                 grid = make_tile_grid(side, side, 0.0, alpha=1.0 / side, beta=0)
                 if len(grid) > 1 << 20:
                     raise RuntimeError("bowl caps found no flat dyadic side")
-                # all() stops at the side's first tile that is not flat, so
-                # a rejected side samples none of its later tiles
-                if all(is_flat(psi, tile, target, a_const) for tile in grid.tiles()):
+                if tiling_flatness(psi, grid, target, a_const).flat.all():
                     break
                 side *= 0.5
             emit_groups(frame, [grid])

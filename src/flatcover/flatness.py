@@ -11,21 +11,23 @@ graph over a flat box lies inside a slab of thickness ``2 delta``.
 For quadratic phases the defect has a closed form: with the full-edge
 matrix E of S and Hessian H, it equals ``max |t^T (E^T H E) t| / 2`` over
 the unit square in t-coordinates, a maximization handled exactly by
-checking vertices and edge critical points.  For higher degree the sup
-is bracketed by grid sampling with a Lipschitz remainder plus an exact
-quadratic-part bound with a cubic-tail correction; the two brackets are
-intersected.
+checking vertices and edge critical points.  For higher degree the
+certified bracket [lo, hi] is the quadratic part's closed form widened
+by ``tail_bound``, a bound on what the degree >= 3 terms can add.
 
-``tiling_flatness`` makes the flatness decision for all kept tiles of a
-tiling at once; ``flat_defect_interval`` and ``is_flat`` are its one-box
-case.
+Every flatness decision reads that bracket alone: a box is flat iff
+hi <= A delta.  ``tiling_flatness`` decides all kept tiles of a tiling at
+once; ``flat_defect_interval`` and ``is_flat`` are its one-box case.
+Sampling lives only in ``flat_defect``, the estimate behind the CLI's
+``flat defect`` and the independent oracle of the tests: a grid of
+point pairs with a Lipschitz remainder, polished by a local ascent and
+intersected with the bracket.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import optimize
@@ -111,10 +113,10 @@ def quad_defect(phi: BivariatePoly, edges):
     return 0.5 * best, np.where((best > 0)[..., None], t, 0.0)
 
 
-def _hessian_op_bound(phi: BivariatePoly, bboxes, min_total_degree: int = 2):
-    """Operator-norm bound for the Hessian over axis boxes ``(xmin, ymin,
-    xmax, ymax)`` (shape (..., 4)), from entrywise sup bounds restricted
-    to monomials of total degree >= min_total_degree."""
+def _hessian_bounds(phi: BivariatePoly, bboxes, min_total_degree: int = 2):
+    """Entrywise sup bounds (b11, b12, b22) of |H| over axis boxes
+    ``(xmin, ymin, xmax, ymax)`` (shape (..., 4)), restricted to monomials
+    of total degree >= min_total_degree."""
     bb = np.asarray(bboxes, dtype=float)
     rx = np.maximum(np.maximum(np.abs(bb[..., 0]), np.abs(bb[..., 2])), 1e-300)
     ry = np.maximum(np.maximum(np.abs(bb[..., 1]), np.abs(bb[..., 3])), 1e-300)
@@ -129,14 +131,29 @@ def _hessian_op_bound(phi: BivariatePoly, bboxes, min_total_degree: int = 2):
             b12 = b12 + mag * j * k * rx ** (j - 1) * ry ** (k - 1)
         if k >= 2:
             b22 = b22 + mag * k * (k - 1) * rx ** j * ry ** (k - 2)
-    return np.maximum(b11, b22) + b12
+    return b11, b12, b22
 
 
-def tail_bound(phi: BivariatePoly, bboxes, diam: float):
+def tail_bound(phi: BivariatePoly, bboxes, edges):
     """Bound on what the degree >= 3 terms of ``phi`` add to the defect
-    of any box of diameter ``diam`` inside each axis box (shape (..., 4)):
-    half the Hessian norm bound of those terms times diam^2."""
-    return 0.5 * _hessian_op_bound(phi, bboxes, min_total_degree=3) * diam * diam
+    of boxes with half-edge matrices ``edges`` (shape (..., 2, 2)) lying
+    inside the axis boxes ``bboxes`` (shape (..., 4)).
+
+    The defect integrand is the integral over t in [0, 1] of
+    (1 - t) d^T H(u + t d) d with d = v - u, and |d_x| <= 2 h_x, |d_y| <=
+    2 h_y for the box's bounding-box half extents (h_x, h_y).  With the
+    entrywise Hessian bounds b_ij of those terms that gives
+    2 (b11 h_x^2 + 2 b12 h_x h_y + b22 h_y^2); the bound returned is the
+    smaller of that and half the operator-norm bound times diam^2.
+    """
+    b11, b12, b22 = _hessian_bounds(phi, bboxes, min_total_degree=3)
+    e = np.asarray(edges, dtype=float)
+    e1, e2 = e[..., :, 0], e[..., :, 1]
+    hx = np.abs(e1[..., 0]) + np.abs(e2[..., 0])
+    hy = np.abs(e1[..., 1]) + np.abs(e2[..., 1])
+    diam = 2.0 * np.maximum(np.linalg.norm(e1 + e2, axis=-1), np.linalg.norm(e1 - e2, axis=-1))
+    axis_form = 2.0 * (b11 * hx * hx + 2.0 * b12 * hx * hy + b22 * hy * hy)
+    return np.minimum(axis_form, 0.5 * (np.maximum(b11, b22) + b12) * diam * diam)
 
 
 def _bracket(phi: BivariatePoly, edges: np.ndarray, centers):
@@ -155,8 +172,7 @@ def _bracket(phi: BivariatePoly, edges: np.ndarray, centers):
     e1, e2 = edges[:, 0], edges[:, 1]
     verts = np.stack([c - e1 - e2, c + e1 - e2, c + e1 + e2, c - e1 + e2], axis=1)
     bboxes = np.concatenate([verts.min(axis=1), verts.max(axis=1)], axis=1)
-    diam = 2.0 * max(math.hypot(*(e1 + e2)), math.hypot(*(e1 - e2)))
-    d = tail_bound(phi, bboxes, diam)
+    d = tail_bound(phi, bboxes, edges)
     return np.maximum(q - d, 0.0), q + d, t
 
 
@@ -263,21 +279,19 @@ class TilingFlatness:
     """Flatness of congruent boxes (the kept tiles of a tiling, or one
     box) at the threshold ``a_const * delta``.
 
-    ``lo`` and ``hi`` bracket each box's defect without sampling.
-    ``defect`` is the value each decision rests on: ``hi`` where the
-    bracket certifies flatness (hi <= threshold), ``lo`` where it rules
-    flatness out (lo > threshold), and ``flat_defect(...).defect`` where
-    it is inconclusive.  ``flat`` is ``defect <= threshold``.
+    ``lo`` and ``hi`` bracket each box's defect without sampling.  A box
+    is flat iff its certified upper end is at most the threshold, so
+    ``flat`` is ``hi <= threshold``; a box whose bracket straddles the
+    threshold counts as not flat.
     """
 
     lo: np.ndarray
     hi: np.ndarray
-    defect: np.ndarray
     threshold: float
 
     @property
     def flat(self) -> np.ndarray:
-        return self.defect <= self.threshold
+        return self.hi <= self.threshold
 
 
 def flat_defect(
@@ -315,7 +329,8 @@ def flat_defect(
     # bound of the integrand times the sample spacing
     spacing = 2.0 / (m - 1)
     e_norms = np.linalg.norm(box.edge_matrix, axis=0)
-    op = float(_hessian_op_bound(phi, box.bounding_box()))
+    b11, b12, b22 = _hessian_bounds(phi, box.bounding_box())
+    op = float(max(b11, b22) + b12)
     lower, upper = sampled, sampled + op * box.diameter() * spacing * float(e_norms.sum())
     if method != "sample":
         slo, shi, su, sv = _split_interval(phi, box)
@@ -332,16 +347,6 @@ def _threshold(phi: BivariatePoly, delta: float, a_const: Optional[float]) -> fl
     return (default_a_const(phi) if a_const is None else float(a_const)) * delta
 
 
-def _decide(phi: BivariatePoly, lo: np.ndarray, hi: np.ndarray, threshold: float,
-            box_of: Callable[[int], Parallelogram]) -> TilingFlatness:
-    """Decide from the bracket where it is conclusive; run the full
-    estimator only on the boxes in between."""
-    defect = np.where(hi <= threshold, hi, lo)
-    for k in np.flatnonzero((hi > threshold) & (lo <= threshold)):
-        defect[k] = flat_defect(phi, box_of(int(k))).defect
-    return TilingFlatness(lo, hi, defect, threshold)
-
-
 def tiling_flatness(
     phi: BivariatePoly,
     grid: TileGrid,
@@ -354,23 +359,16 @@ def tiling_flatness(
 
     All tiles share one edge matrix, so the quadratic part's exact
     defect is computed once; each tile adds the tail bound over its own
-    bounding box, and only tiles whose bracket straddles the threshold
-    reach ``flat_defect``.
+    bounding box.  Nothing is sampled.
     """
     threshold = _threshold(phi, delta, a_const)
-    idx = grid.kept_indices()
     centers = grid.centers()
     proto = grid.tile(grid.i0, grid.j0)
     if frame is not None:
         centers = frame.apply(centers)
         proto = frame.apply_box(proto)
     lo, hi, _ = _bracket(phi, proto.edge_matrix, centers)
-
-    def box_of(k: int) -> Parallelogram:
-        tile = grid.tile(int(idx[k, 0]), int(idx[k, 1]))
-        return tile if frame is None else frame.apply_box(tile)
-
-    return _decide(phi, lo, hi, threshold, box_of)
+    return TilingFlatness(lo, hi, threshold)
 
 
 def flat_defect_interval(phi: BivariatePoly, box: Parallelogram):
@@ -382,11 +380,11 @@ def flat_defect_interval(phi: BivariatePoly, box: Parallelogram):
 
 def is_flat(phi: BivariatePoly, box: Parallelogram, delta: float,
             a_const: Optional[float] = None) -> bool:
-    """Whether the defect is at most ``a_const * delta``: the one-box
-    case of ``tiling_flatness``."""
+    """Whether the certified upper end of the defect is at most
+    ``a_const * delta``: the one-box case of ``tiling_flatness``."""
     threshold = _threshold(phi, delta, a_const)
-    lo, hi, _ = _bracket(phi, box.edge_matrix, [box.center])
-    return bool(_decide(phi, lo, hi, threshold, lambda k: box).flat[0])
+    _, hi, _ = _bracket(phi, box.edge_matrix, [box.center])
+    return bool(hi[0] <= threshold)
 
 
 # -- null directions and candidate boxes ---------------------------------

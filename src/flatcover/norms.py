@@ -209,17 +209,9 @@ def snap_lift(f: ExpSum, box_side: float) -> ExpSum:
 # -- grid fields (honest direct evaluation at small scale) ---------------
 
 
-@dataclass
-class GridField:
-    """Complex samples of an exponential sum on an n^3 box lattice."""
-
-    box: Box3
-    n: int
-    values: np.ndarray
-
-
-def sample_exp_sum(f: ExpSum, box: Box3, n: int) -> GridField:
-    """Evaluate the sum directly on the n^3 midpoint lattice of the box.
+def sample_exp_sum(f: ExpSum, box: Box3, n: int) -> np.ndarray:
+    """Evaluate the sum directly on the n^3 midpoint lattice of the box;
+    returns the (n, n, n) complex samples.
 
     Raises on aliasing (n below twice the box side times the largest
     lifted frequency component) and on grids too large to hold.
@@ -250,14 +242,14 @@ def sample_exp_sum(f: ExpSum, box: Box3, n: int) -> GridField:
     for i1, x1 in enumerate(axes[0]):
         head = np.exp(2j * np.pi * x1 * lifted[:, 0]) * f.weights
         vals[i1] = tail @ head
-    return GridField(box, n, vals)
+    return vals
 
 
-def lp_norm(field: GridField, p: float) -> float:
-    """Riemann L^p_# norm of the sampled field."""
+def lp_norm(field: np.ndarray, p: float) -> float:
+    """Riemann L^p_# norm of the samples ``sample_exp_sum`` returns."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    a = np.abs(field.values)
+    a = np.abs(field)
     if math.isinf(p):
         return float(a.max())
     return float(np.mean(a ** p)) ** (1.0 / p)

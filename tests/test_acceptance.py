@@ -37,7 +37,7 @@ def test_criterion_03_cover_overlap_logarithmic():
 
 
 def test_criterion_04_line_decoupling_slope_p4():
-    _run("line-slope-p4", 600.0)
+    _run("line-slope-p4", 30.0)
 
 
 def test_criterion_05_bump_decoupling_slope_p6():
@@ -53,11 +53,11 @@ def test_criterion_07_lattice_multiplicity_contrast():
 
 
 def test_criterion_08_discrete_restriction_slope():
-    _run("restriction-slope", 900.0)
+    _run("restriction-slope", 60.0)
 
 
 def test_criterion_09_weighted_restriction_slope():
-    _run("stein-tomas", 600.0)
+    _run("stein-tomas", 30.0)
 
 
 def test_criterion_10_partition_vs_overlap_contrast():

@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # Independent references: direct sampling of a sum and its Riemann norm,
 # and the scalar comparability rule the vectorized cover keep is checked
 # against.  ``candidate_box`` and ``flat_defect`` are also read by demos.
-ORACLES = {"sample_exp_sum", "lp_norm", "GridField", "comparable", "dilate", "candidate_box"}
+ORACLES = {"sample_exp_sum", "lp_norm", "comparable", "dilate", "candidate_box"}
 
 EXPORTED = [
     "BivariatePoly", "elliptic_phase", "hyperbolic_phase", "perturbed_hyperbolic",
@@ -21,7 +21,7 @@ EXPORTED = [
     "FlatCover", "build_cover_general", "build_cover_hp", "canonical_caps",
     "hp_axis_family", "normal_axis_family", "overlap_profile", "verify_cover",
     "pullback_cover", "rescale_phase", "verify_coeff_bounds",
-    "GridField", "bump_example", "decoupling_report", "line_example", "lp_norm",
+    "bump_example", "decoupling_report", "line_example", "lp_norm",
     "random_product_example", "sample_exp_sum", "slope_fit", "snap_lift",
     "stein_tomas_ratio", "strip_example",
     "discrete_restriction_ratio", "lambda_grid", "max_flat_multiplicity", "pell_gap",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flatcover import cover
+from flatcover import cover, flatness
 from flatcover.cover import (
     _NINE_OFFSETS,
     FlatCover,
@@ -20,7 +20,7 @@ from flatcover.cover import (
     overlap_profile,
     verify_cover,
 )
-from flatcover.flatness import candidate_box, flat_defect
+from flatcover.flatness import candidate_box, flat_defect, flat_defect_interval
 from flatcover.geometry import UNIT_SQUARE, axis_rectangle, comparable, make_tile_grid
 from flatcover.poly2 import (
     BivariatePoly,
@@ -314,6 +314,49 @@ def test_general_cover_members_are_flat(kind, c, e):
     for member in cov.iter_members():
         assert flat_defect(phi, member, m=13, polish=False, method="sample").defect <= limit
     assert verify_cover(cov, phi).ok
+
+
+GENERAL_PHASES = {
+    "x^3 2^-4": ({(3, 0): 1.0}, 4),
+    "x^2+0.3x^3 2^-6": ({(2, 0): 1.0, (3, 0): 0.3}, 6),
+    "bowl 2^-6": ({(2, 0): 1.0, (0, 2): 1.0, (3, 0): 0.8, (1, 2): 0.5}, 6),
+    "demo cubic 2^-8": ({(3, 0): 1.0, (0, 3): 1.0, (1, 1): 1.0}, 8),
+    "saddle cubic 2^-4": ({(1, 1): 1.0, (3, 0): 0.6, (0, 3): -0.4}, 4),
+    "mixed saddle 2^-5": ({(2, 0): 1.0, (0, 2): -0.5, (1, 1): 0.3, (3, 0): 0.1}, 5),
+}
+
+
+@pytest.mark.parametrize("name", list(GENERAL_PHASES))
+def test_general_cover_members_are_certified_without_sampling(name, monkeypatch):
+    """Every member the general builder emits has a certified upper
+    defect end at most A*delta, and neither the builder nor verify_cover
+    samples: the strip, bowl, saddle and mixed routes all decide by the
+    bracket alone."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a flatness decision sampled the defect")
+
+    monkeypatch.setattr(flatness, "_sample_grid", no_sampling)
+    monkeypatch.setattr(flatness, "_polish", no_sampling)
+    coeffs, e = GENERAL_PHASES[name]
+    phi = BivariatePoly(3, coeffs)
+    delta = 2.0 ** -e
+    cov = build_cover_general(phi, delta)
+    limit = cov.a_const * delta
+    for member in cov.iter_members():
+        assert flat_defect_interval(phi, member)[1] <= limit
+    assert verify_cover(cov, phi).ok
+
+
+@pytest.mark.parametrize("coeffs, e", [
+    ({(2, 0): 1.0, (0, 2): 1.0, (3, 0): 0.8, (1, 2): 0.5}, 4),
+    ({(3, 0): 1.0, (0, 3): 1.0, (1, 1): 1.0}, 5),
+])
+def test_verify_cover_passes_exactly_from_min_a_flat(coeffs, e):
+    phi = BivariatePoly(3, coeffs)
+    cov = build_cover_general(phi, 2.0 ** -e)
+    a_min = verify_cover(cov, phi).min_a_flat
+    assert verify_cover(cov, phi, a_const=a_min).all_flat
+    assert not verify_cover(cov, phi, a_const=a_min * (1 - 1e-9)).all_flat
 
 
 def test_cover_json_round_trip_members_and_counts():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcover.flatness import (
+    _hessian_bounds,
     candidate_box,
     default_a_const,
     flat_defect,
@@ -13,9 +14,17 @@ from flatcover.flatness import (
     is_flat,
     null_direction_fields,
     null_directions,
+    tail_bound,
     tiling_flatness,
 )
-from flatcover.geometry import AffineMap2, axis_rectangle, dilate, make_tile_grid, rotated_rectangle
+from flatcover.geometry import (
+    AffineMap2,
+    Parallelogram,
+    axis_rectangle,
+    dilate,
+    make_tile_grid,
+    rotated_rectangle,
+)
 from flatcover.poly2 import (
     BivariatePoly,
     elliptic_phase,
@@ -99,23 +108,76 @@ def test_cubic_defect_bracket_contains_sample():
         assert hi >= rep.lower * (1 - 1e-12)
 
 
+def random_higher_degree(rng, degree):
+    coeffs = {(j, k): float(rng.normal()) for j in range(3) for k in range(3 - j)}
+    coeffs.update({(j, k): float(rng.uniform(-0.3, 0.3))
+                   for j in range(degree + 1) for k in range(degree + 1 - j) if j + k >= 3})
+    return BivariatePoly(degree, coeffs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from(["rotated", "sheared", "strip"]),
+    degree=st.sampled_from([3, 4]),
+    x0=st.floats(-0.8, 0.8), y0=st.floats(-0.8, 0.8),
+    w=st.floats(0.01, 0.6), h=st.floats(0.01, 0.6),
+    theta=st.floats(0.0, math.pi), shear=st.floats(-0.9, 0.9),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_tail_bound_is_never_looser_and_brackets_the_sample(shape, degree, x0, y0, w, h,
+                                                           theta, shear, seed):
+    """The axis-extent tail bound never exceeds the diameter form, and the
+    certified upper end holds the sampled defect on rotated, sheared and
+    full-height strip boxes."""
+    phi = random_higher_degree(np.random.default_rng(seed), degree)
+    if shape == "strip":
+        box = axis_rectangle(x0, 0.0, x0 + w, 1.0)
+    elif shape == "rotated":
+        box = rotated_rectangle((x0, y0), w, h, theta)
+    else:
+        c, s = math.cos(theta), math.sin(theta)
+        box = Parallelogram((x0, y0), (0.5 * w * c, 0.5 * w * s),
+                            (0.5 * h * (shear * c - s), 0.5 * h * (shear * s + c)))
+    bbox = box.bounding_box()
+    b11, b12, b22 = _hessian_bounds(phi, bbox, min_total_degree=3)
+    diam_form = 0.5 * (max(b11, b22) + b12) * box.diameter() ** 2
+    assert tail_bound(phi, bbox, box.edge_matrix) <= diam_form * (1 + 1e-12)
+    _, hi = flat_defect_interval(phi, box)
+    sampled = flat_defect(phi, box, m=17, polish=False, method="sample").defect
+    assert sampled <= hi * (1 + 1e-9)
+
+
+@settings(max_examples=30)
+@given(x0=st.floats(0.0, 0.95), frac=st.floats(0.01, 1.0))
+def test_cubic_strip_bracket_holds_the_exact_defect(x0, frac):
+    """x^3 over [x0, x0 + L] x [0, 1] has defect L^2 (3 x0 + L), which the
+    axis-extent tail bound 3 (x0 + L) L^2 brackets; the diameter form,
+    about 3 (x0 + L)(1 + L^2), could not certify a thin strip."""
+    length = frac * (1.0 - x0)
+    lo, hi = flat_defect_interval(BivariatePoly(3, {(3, 0): 1.0}),
+                                  axis_rectangle(x0, 0.0, x0 + length, 1.0))
+    exact = length * length * (3.0 * x0 + length)
+    assert lo <= exact * (1 + 1e-12)
+    assert exact <= hi * (1 + 1e-12)
+    assert hi <= 3.0 * (x0 + length) * length * length * (1 + 1e-12)
+
+
 @settings(max_examples=15)
 @given(
-    w=st.floats(0.2, 0.6), h=st.floats(0.15, 0.5), theta=st.floats(0.0, math.pi),
+    w=st.floats(0.2, 0.6), h=st.one_of(st.floats(0.15, 0.5), st.just(1.0)),
+    theta=st.floats(0.0, math.pi),
     degree=st.sampled_from([3, 4]), framed=st.booleans(), masked=st.booleans(),
     seed=st.integers(0, 2 ** 16),
 )
 def test_tiling_flatness_matches_per_tile_bracket_and_decision(w, h, theta, degree, framed,
                                                                masked, seed):
     """The tiling helper's [lo, hi] equals flat_defect_interval on every
-    kept tile and holds the sampled defect, and its flat mask equals
-    is_flat at thresholds that certify every tile, leave one tile to the
-    sampled estimate, or rule every tile out."""
+    kept tile (full-height strips among them) and holds the sampled
+    defect, and its flat mask equals is_flat and hi <= threshold at
+    thresholds that certify every tile, leave one tile's bracket
+    straddling, or rule every tile out."""
     rng = np.random.default_rng(seed)
-    coeffs = {(j, k): float(rng.normal()) for j in range(3) for k in range(3 - j)}
-    coeffs.update({(j, k): float(rng.uniform(-0.3, 0.3))
-                   for j in range(degree + 1) for k in range(degree + 1 - j) if j + k >= 3})
-    phi = BivariatePoly(degree, coeffs)
+    phi = random_higher_degree(rng, degree)
     grid = make_tile_grid(w, h, theta)
     if masked:
         grid.keep = rng.random((grid.ni, grid.nj)) < 0.7
@@ -144,6 +206,7 @@ def test_tiling_flatness_matches_per_tile_bracket_and_decision(w, h, theta, degr
         rep = tiling_flatness(phi, grid, threshold, 1.0, frame)
         expected = [is_flat(phi, m, threshold, 1.0) for m in members]
         np.testing.assert_array_equal(rep.flat, expected)
+        np.testing.assert_array_equal(rep.flat, want[:, 1] <= threshold)
 
 
 def test_method_validation():

@@ -142,7 +142,7 @@ def test_sample_exp_sum_is_the_plain_sum():
     axes = [box.center[k] - 1.0 + 2.0 * (np.arange(12) + 0.5) / 12 for k in range(3)]
     x = np.array([axes[0][i[0]], axes[1][i[1]], axes[2][i[2]]])
     direct = np.sum(f.weights * np.exp(2j * np.pi * (f.lifted() @ x)))
-    assert field.values[i] == pytest.approx(direct, rel=1e-12)
+    assert field[i] == pytest.approx(direct, rel=1e-12)
 
 
 def test_sample_exp_sum_guards():
