@@ -283,6 +283,7 @@ class FlatCover:
                     groups.append(grid)
                 parts.append(FramedGroups(frame, groups))
             loose = [Parallelogram.from_json_dict(m) for m in obj.get("loose", [])]
+            _require_a_const(float(obj["A"]))
             return FlatCover(
                 float(obj["delta"]),
                 float(obj["A"]),
@@ -329,6 +330,11 @@ def _require_dyadic(delta: float) -> int:
     if abs(k - round(k)) > 1e-9:
         raise ValueError(f"1/delta must be a power of two, got delta={delta!r}")
     return int(round(k))
+
+
+def _require_a_const(a_const: float) -> None:
+    if not (0.0 < a_const < math.inf):
+        raise ValueError(f"A must be finite and positive, got {a_const!r}")
 
 
 def canonical_caps(delta: float) -> FlatCover:
@@ -418,183 +424,84 @@ def _normal_form_error(phi: BivariatePoly) -> Optional[str]:
     return None
 
 
-def _route_extents(
-    centers: np.ndarray,
-    z: np.ndarray,
-    a_f: np.ndarray,
-    b_f: np.ndarray,
-    e1: np.ndarray,
-    e2: np.ndarray,
-    inv_t: np.ndarray,
-    long_half: float,
-    short_half: float,
-) -> np.ndarray:
-    """The per-tile arithmetic of the comparability rule.
+def _route_extents(a_f: np.ndarray, b_f: np.ndarray, theta: float, r: float) -> np.ndarray:
+    """The comparability rule's arithmetic for tiles at angle ``theta``
+    with aspect r = h/w, from the null-direction slopes (a, b) at their
+    nine anchors, each (n, 9).  Returns an (n, 2) array: per tile and
+    route ("w", "v"), the largest absolute coordinate of (i) a candidate
+    vertex in the tile's half-edge frame and (ii) a tile vertex in the
+    candidate's, over all nine anchors.  The route is comparable iff
+    that extent is at most 2A (NaN compares false).
 
-    For tiles with the given centers (n, 2), their nine anchors ``z``
-    (n, 9, 2) and the null-direction slopes there (n, 9), returns an
-    (n, 2) array: per tile and route ("w", "v"), the largest absolute
-    coordinate of (i) a candidate-box vertex in the tile's half-edge
-    frame and (ii) a tile vertex in the candidate's half-edge frame, over
-    all nine anchors.  The route is comparable iff that extent is at
-    most 2A (NaN compares false)."""
-    n, k = a_f.shape
-    sq = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
-    zf = z.reshape(-1, 2)
-    tile_verts = (
-        centers[:, None, :]
-        + sq[None, :, 0:1] * e1[None, None, :]
-        + sq[None, :, 1:2] * e2[None, None, :]
-    )  # (n, 4, 2)
-    ext = np.empty((n, 2))
-    for r, route in enumerate(("w", "v")):
-        if route == "w":
-            d = np.stack([-a_f.ravel(), np.ones(n * k)], axis=-1)
-        else:
-            d = np.stack([np.ones(n * k), -b_f.ravel()], axis=-1)
-        d = d / np.linalg.norm(d, axis=-1, keepdims=True)
-        perp = np.stack([-d[:, 1], d[:, 0]], axis=-1)
-        f1 = long_half * d
-        f2 = short_half * perp
-        # candidate vertices in tile coordinates
-        verts = (
-            zf[:, None, :]
-            + sq[None, :, 0:1] * f1[:, None, :]
-            + sq[None, :, 1:2] * f2[:, None, :]
-        )  # (n*k, 4, 2)
-        rel = verts.reshape(n, k, 4, 2) - centers[:, None, None, :]
-        coords = np.einsum("ab,nkvb->nkva", inv_t, rel)
-        # tile vertices in candidate coordinates
-        det_z = f1[:, 0] * f2[:, 1] - f1[:, 1] * f2[:, 0]
-        rel_t = tile_verts[:, None, :, :] - z[:, :, None, :]  # (n, k, 4, 2)
-        f1r = f1.reshape(n, k, 2)
-        f2r = f2.reshape(n, k, 2)
-        detz = det_z.reshape(n, k)
-        x1 = (rel_t[..., 0] * f2r[..., 1][:, :, None] - rel_t[..., 1] * f2r[..., 0][:, :, None]) / detz[:, :, None]
-        x2 = (-rel_t[..., 0] * f1r[..., 1][:, :, None] + rel_t[..., 1] * f1r[..., 0][:, :, None]) / detz[:, :, None]
-        ext[:, r] = np.maximum(
-            np.abs(coords).max(axis=(1, 2, 3)),
-            np.maximum(np.abs(x1), np.abs(x2)).max(axis=(1, 2)),
-        )
-    return ext
+    The candidate box is congruent to the tile, with half sides w/2
+    along the unit null direction and h/2 across it.  With (c, s) that
+    direction in the tile's axes and o the anchor offset in half edges,
+    (i) has coordinates (o1 + s1 c - s2 r s, o2 + s1 s/r + s2 c) and (ii)
+    (t1 c + t2 r s, t2 c - t1 s/r) with t = sign - o, for vertex signs
+    s1, s2 = +-1.  Their largest absolute values are
 
-
-def _whole_tiling_keep(
-    proto: np.ndarray,
-    a_f: np.ndarray,
-    b_f: np.ndarray,
-    centers: np.ndarray,
-    e1: np.ndarray,
-    e2: np.ndarray,
-    inv_t: np.ndarray,
-    long_half: float,
-    short_half: float,
-    lim: float,
-) -> Optional[bool]:
-    """Every tile's comparability decision, read off the prototype (tile
-    0, whose route extents are ``proto``), or None when one decision for
-    all tiles cannot be proved.  The anchors must all be valid.
-
-    Write E = (e1, e2) for the shared half edges, o for an anchor offset,
-    s for a vertex sign pattern, L, S for the candidate's half sides and
-    d, d' for the unit null direction at the anchor and its normal.  In
-    exact arithmetic the coordinates ``_route_extents`` takes are
-
-        inv_t (o E + s1 L d + s2 S d')   and   ((s - o)E . d / L, (s - o)E . d' / S),
-
-    so they depend on the tile only through d.  Per route, two terms
-    bound how far any tile's computed coordinate lies from the
-    prototype's at the same anchor, vertex and axis:
-
-    * Slope spread.  d = (-a, 1)/|(-a, 1)| (route "v": (1, -b)/|.|) turns
-      by |arctan a - arctan a'| <= |a - a'| between slopes a and a'.  With
-      D the largest |a - a0| over all anchors (a0 the prototype's slope at
-      the same anchor), a candidate vertex moves by at most hypot(L, S) D,
-      which is g hypot(L, S) D in tile coordinates (g the largest row sum
-      of |inv_t|); a tile vertex, at distance |(s - o)E| <= 2(|e1| + |e2|)
-      from the anchor, moves by at most 2(|e1| + |e2|) D / S in candidate
-      coordinates (S <= L).  So the shift is at most
-      sigma = D max(g hypot(L, S), 2(|e1| + |e2|)/S).
-    * Rounding.  Every intermediate of the per-tile arithmetic, from the
-      anchor c + oE to the difference (c + off) - c, has components of
-      size at most m = max|c| + |e1| + |e2| + L + S (max norms), and
-      each operation rounds by a relative u = 2^-53; the scaled
-      directions L d and S d' carry <= 5u.  Counting the roundings gives
-      at most 13u m g for a tile coordinate (the product by ``inv_t``
-      included) and 34u m / S + 14u|x| for a candidate coordinate of
-      exact value x.  So each computed coordinate is within 40u (m G +
-      |x|) of its exact value, G = max(g, 1/S).  Two tiles, and |x| <= M
-      + sigma to first order (M the prototype's extent), give at most
-      81u (m G + M) + 41u sigma; the constant 128 below leaves room for
-      the float evaluation of sigma and of the comparisons.
-
-    With err = sigma + 128u (m G + M + sigma): a route with M + err < lim
-    passes on every tile, so all tiles are kept; if every route has
-    M - err > lim, the prototype's worst coordinate exceeds lim on every
-    tile, so none is kept.  Otherwise returns None.
+        max(|o1|, |o1 c + o2 r s|) + |c| + r|s|        (long sides)
+        max(|o2|, |o2 c - o1 s/r|) + |c| + |s|/r       (short sides).
     """
-    g = float(np.abs(inv_t).sum(axis=1).max())
-    big_g = max(g, 1.0 / short_half)
-    m = float(np.abs(centers).max() + np.abs(e1).max() + np.abs(e2).max()) + long_half + short_half
-    turn = max(g * math.hypot(long_half, short_half),
-               2.0 * (np.linalg.norm(e1) + np.linalg.norm(e2)) / short_half)
-    spread = np.array([np.abs(a_f - a_f[0]).max(), np.abs(b_f - b_f[0]).max()])
-    sigma = spread * turn
-    err = sigma + 128.0 * 2.0 ** -53 * (m * big_g + proto + sigma)
-    if np.any(proto + err < lim):
-        return True
-    if np.all(proto - err > lim):
-        return False
-    return None
+    ct, st = math.cos(theta), math.sin(theta)
+    o1, o2 = _NINE_OFFSETS.T
+    ext = []
+    for d1, d2 in ((-a_f, 1.0), (1.0, -b_f)):
+        norm = np.sqrt(d1 * d1 + d2 * d2)
+        c = (d1 * ct + d2 * st) / norm
+        s = (d2 * ct - d1 * st) / norm
+        base_long = np.abs(c) + r * np.abs(s)
+        base_short = np.abs(c) + np.abs(s) / r
+        long_side = np.maximum(np.abs(o1), np.abs(o1 * c + o2 * (r * s))) + base_long
+        short_side = np.maximum(np.abs(o2), np.abs(o2 * c - o1 * (s / r))) + base_short
+        ext.append(np.maximum(long_side, short_side).max(axis=1))
+    return np.stack(ext, axis=1)
 
 
-def _comparability_keep(
-    phi: BivariatePoly,
-    grid: TileGrid,
-    alpha: float,
-    delta: float,
-    a_const: float,
-) -> np.ndarray:
+def _comparability_keep(phi: BivariatePoly, grid: TileGrid, a_const: float) -> np.ndarray:
     """Comparability, decided per tiling: a tile is kept iff, along one
     null-direction route ("w" or "v"), the candidate boxes anchored at
     all nine anchor points are two-sidedly comparable to the tile (each
     inside the other dilated by 2A).  Returns a boolean vector over the
     kept tiles.
 
-    The slopes at every anchor of the tiling come from one
-    ``null_direction_fields`` call.  The prototype tile's route extents
-    then decide the whole tiling when ``_whole_tiling_keep`` proves the
-    decision is every tile's: all anchors valid, and the prototype's
-    margin to 2A beyond what the slope spread and rounding can move.
+    The slopes at every anchor come from one ``null_direction_fields``
+    call, and ``_route_extents`` reads a tile only through them, so tiles
+    with equal slopes get bit-equal decisions.  Tile 0's extents decide
+    the whole tiling when all anchors are valid and, per route, its
+    margin to 2A exceeds err = K (D + 32u), where r = h/w <= 1,
+    K = 2(1 + 1/r), u = 2^-53 and D is the largest slope difference from
+    tile 0 at the same anchor:
+
+    * The null direction's angle is 1-Lipschitz in the slope, (c, s) is
+      1-Lipschitz in the angle, and each extent term moves by at most
+      2(|dc| + |ds|/r); so exact extents of two tiles differ by <= K D.
+    * c and s are formed with absolute error <= 5u.  The terms are at
+      most 1 + 1/r, s/r carries 6u/r, and each sum rounds once more, so
+      a computed extent is within 14u + 16u/r <= 8uK of its exact value.
+      Two tiles take 16uK; the other 16uK covers rounding in err, in
+      the comparisons with 2A (extents are <= K) and at second order.
+
     Otherwise (a near-tie, an invalid anchor, slopes that vary too much)
-    the per-tile arithmetic runs on every tile.
+    ``_route_extents`` runs on every tile.
     """
-    centers = grid.centers()
-    n = len(centers)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
     ct, st = math.cos(grid.theta), math.sin(grid.theta)
     e1 = 0.5 * grid.w * np.array([ct, st])
     e2 = 0.5 * grid.h * np.array([-st, ct])
-    et = np.column_stack([e1, e2])
-    det_t = et[0, 0] * et[1, 1] - et[0, 1] * et[1, 0]
-    inv_t = np.array([[et[1, 1], -et[0, 1]], [-et[1, 0], et[0, 0]]]) / det_t
-    k = len(_NINE_OFFSETS)
-    z = (
-        centers[:, None, :]
-        + _NINE_OFFSETS[None, :, 0:1] * e1[None, None, :]
-        + _NINE_OFFSETS[None, :, 1:2] * e2[None, None, :]
-    )  # (n, k, 2)
-    a_f, b_f, valid = null_direction_fields(phi, z.reshape(-1, 2))
-    a_f, b_f, valid = a_f.reshape(n, k), b_f.reshape(n, k), valid.reshape(n, k)
+    z = grid.centers()[:, None, :] + _NINE_OFFSETS[:, :1] * e1 + _NINE_OFFSETS[:, 1:] * e2
+    fields = null_direction_fields(phi, z.reshape(-1, 2))
+    a_f, b_f, valid = (v.reshape(z.shape[:2]) for v in fields)
+    r = grid.h / grid.w
     lim = 2.0 * a_const * (1.0 + 1e-9)
-    frame = (e1, e2, inv_t, 0.5 / alpha, 0.5 * delta * alpha)
-    ext = _route_extents(centers[:1], z[:1], a_f[:1], b_f[:1], *frame)
-    if n > 1:
-        whole = _whole_tiling_keep(ext[0], a_f, b_f, centers, *frame, lim) if valid.all() else None
-        if whole is not None:
-            return np.full(n, whole)
-        ext = _route_extents(centers, z, a_f, b_f, *frame)
+    if len(z) and valid.all():
+        ext = _route_extents(a_f[:1], b_f[:1], grid.theta, r)[0]
+        spread = np.array([np.abs(a_f - a_f[0]).max(), np.abs(b_f - b_f[0]).max()])
+        err = 2.0 * (1.0 + 1.0 / r) * (spread + 32.0 * 2.0 ** -53)
+        if np.any(ext + err < lim):
+            return np.ones(len(z), dtype=bool)
+        if np.all(ext - err > lim):
+            return np.zeros(len(z), dtype=bool)
+    ext = _route_extents(a_f, b_f, grid.theta, r)
     return np.any(ext <= lim, axis=1) & valid.all(axis=1)
 
 
@@ -621,10 +528,10 @@ def _build_hp_core(
     aspect, the quadratic part's closed-form defect at every angle plus
     a domain-wide tail bound sorts the tilings into sure, maybe and
     rejected.  A maybe tiling keeps the tiles ``tiling_flatness`` finds
-    flat.  Comparability is then decided per tiling by
-    ``_comparability_keep``: one prototype tile decides all tiles when
-    its margin to 2A exceeds what the slope spread and rounding can
-    move, and the tiles are decided one by one otherwise.
+    flat.  Each candidate box is congruent to its tile, so
+    ``_comparability_keep`` decides comparability from the null
+    direction's angle in the tile's axes alone: once per tiling when the
+    slopes barely vary, tile by tile otherwise.
     """
     amax = int(math.floor(math.log2(delta ** -0.5) + 1e-9))
     groups: List[TileGrid] = []
@@ -653,7 +560,7 @@ def _build_hp_core(
                 if not flat_vec.any():
                     continue
                 _refine_keep(grid, flat_vec)
-            comp = _comparability_keep(phi, grid, alpha, delta, a_const)
+            comp = _comparability_keep(phi, grid, a_const)
             if not comp.any():
                 continue
             if not comp.all():
@@ -675,15 +582,15 @@ def build_cover_hp(
     keeps a tile iff it is flat at scale a_const*delta and comparable (two-sided
     containment after dilating by 2*a_const) to the candidate boxes
     anchored at nine sample points, along one null direction uniformly.
-    Comparability is decided once per tiling from a prototype tile
-    whenever that provably decides every tile (always, for xy and the
-    perturbed normal forms at 2^-6..2^-12); a tiling where the
-    prototype's margin to 2*a_const is within the slope spread and
-    rounding error is decided tile by tile.
+    A tile's comparability depends only on the null slopes at its
+    anchors, so the tilings of xy, where they are constant, come out
+    all kept or all dropped.
 
-    Raises if ``phi`` is not in normal form or nothing survives.
+    Raises if ``phi`` is not in normal form, a_const is not finite and
+    positive, or nothing survives.
     """
     _require_dyadic(delta)
+    _require_a_const(a_const)
     err = _normal_form_error(phi)
     if err is not None:
         raise ValueError(f"phase not in perturbed-saddle normal form: {err}")
@@ -879,7 +786,8 @@ def build_cover_general(
     scale); degenerate patches are rotated so the phase is nearly a
     function of the first variable, split into maximal flat strips, and
     each strip is zoomed to unit scale and recursed.  Depth beyond
-    4*log_M(1/delta) raises, with M = ``_M_CONST``.
+    4*log_M(1/delta) raises, with M = ``_M_CONST``, and so does an
+    a_const that is not finite and positive.
 
     Every member is decided flat at scale a_const*delta as it is
     emitted, in its patch's frame, where the normalized phase has the
@@ -894,6 +802,7 @@ def build_cover_general(
     """
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
+    _require_a_const(a_const)
     max_depth = max(8, int(4 * math.log(1.0 / delta) / math.log(_M_CONST)))
     cover = FlatCover(delta, a_const, [], [], kind="general")
 

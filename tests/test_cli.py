@@ -207,6 +207,15 @@ def test_malformed_cover_json_exits_1(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     code, _, err = run(capsys, "cover", "verify", "--cover", str(missing))
     assert code == 1
+    # an infinite A would certify any member and any overlap
+    cov = tmp_path / "caps.json"
+    run(capsys, "cover", "build", "--kind", "caps", "--delta", "2^-4", "--out", str(cov))
+    rec = json.loads(cov.read_text())
+    rec["A"] = math.inf
+    cov.write_text(json.dumps(rec))
+    code, _, err = run(capsys, "cover", "verify", "--cover", str(cov))
+    assert code == 1
+    assert "A must be finite and positive" in err
 
 
 def test_usage_errors_exit_1(capsys):
@@ -229,3 +238,15 @@ def test_usage_errors_exit_1(capsys):
         assert code == 1
         assert message in err
 
+
+
+@pytest.mark.parametrize("a_const", ["0", "-3", "nan", "inf"])
+@pytest.mark.parametrize("kind", ["hp", "general"])
+def test_cover_build_rejects_bad_a_const(tmp_path, capsys, kind, a_const):
+    out = tmp_path / "cover.json"
+    code, _, err = run(capsys, "cover", "build", "--kind", kind, "--phase",
+                       "xy" if kind == "hp" else "elliptic", "--delta", "2^-4",
+                       "--a-const", a_const, "--out", str(out))
+    assert code == 1
+    assert "A must be finite and positive" in err
+    assert not out.exists()

@@ -21,12 +21,20 @@ from flatcover.cover import (
     verify_cover,
 )
 from flatcover.flatness import candidate_box, flat_defect, flat_defect_interval
-from flatcover.geometry import UNIT_SQUARE, axis_rectangle, comparable, make_tile_grid
+from flatcover.geometry import (
+    UNIT_SQUARE,
+    axis_rectangle,
+    comparable,
+    make_tile_grid,
+    rotated_rectangle,
+)
 from flatcover.poly2 import (
     BivariatePoly,
+    compose_affine,
     elliptic_phase,
     hyperbolic_phase,
     perturbed_hyperbolic,
+    poly_scale,
 )
 
 SADDLE = BivariatePoly(2, {(2, 0): 1.0, (0, 2): -1.0})
@@ -162,15 +170,14 @@ def test_comparability_keep_matches_scalar_rule(c, e, level, near, step, a_const
     beta = min(max(round(near * beta_max) + step, 0), beta_max)
     grid = make_tile_grid(1.0 / alpha, delta * alpha, delta * alpha * alpha * beta,
                           alpha=alpha, beta=beta)
-    got = _comparability_keep(phi, grid, alpha, delta, a_const)
+    got = _comparability_keep(phi, grid, a_const)
     want = [_scalar_comparable(phi, tile, alpha, delta, a_const) for tile in grid.tiles()]
     np.testing.assert_array_equal(got, want)
 
 
-# xy at 2^-6 has a tiling whose one passing route has prototype extent
+# xy at 2^-6 has a tiling whose one passing route has extent
 # 7.995606112438069.  At this A, 2A(1 + 1e-9) lies one ulp above it, and
-# rounding puts other tiles' extents on both sides (up to ...097), so the
-# tiling's keep mask is mixed and only the fallback decides it.
+# extents formed from absolute tile positions fell on both sides of it.
 _TIE_A_CONST = 3.9978030522212316
 
 
@@ -179,6 +186,16 @@ def _some_tiles_flat(phi, grid, delta, a_const):
     masks reach comparability as proper subsets (and the sampled band
     of strongly perturbed saddles costs nothing)."""
     return SimpleNamespace(flat=np.arange(len(grid)) % 3 != 0)
+
+
+def _tile_slopes(phi, grid):
+    """Null-direction slopes (a, b, valid) at every kept tile's nine
+    anchors, each (n, 9)."""
+    tiles = list(grid.tiles())
+    anchors = np.array([np.asarray(t.center) + _NINE_OFFSETS[:, :1] * t.e1
+                        + _NINE_OFFSETS[:, 1:] * t.e2 for t in tiles]).reshape(-1, 2)
+    return tuple(v.reshape(len(tiles), 9)
+                 for v in flatness.null_direction_fields(phi, anchors))
 
 
 @settings(max_examples=15)
@@ -194,36 +211,106 @@ def _some_tiles_flat(phi, grid, delta, a_const):
 @example(scale=0.5, c=[1.0, 1.0, 0.0, 0.0, 0.0, 0.0], e=4, a_const=4.0)
 def test_comparability_per_tiling_matches_per_tile(scale, c, e, a_const):
     """Every comparability decision of _build_hp_core's sure and maybe
-    tilings, made per tiling, equals the per-tile rule (the fallback,
-    forced by refusing every whole-tiling decision).  scale 0 is xy,
-    1e-30 the degree-3 class bound, 0.05 the perturbed saddles of
-    build_cover_general's saddle branch, where the slopes vary."""
+    tilings, made per tiling, equals the per-tile rule: some route whose
+    extents over all nine anchors are at most 2A(1 + 1e-9), with every
+    anchor valid.  scale 0 is xy, 1e-30 the degree-3 class bound, 0.05
+    the perturbed saddles of build_cover_general's saddle branch, where
+    the slopes vary."""
     phi = BivariatePoly(3, {(1, 1): 1.0, **{t: scale * x for t, x in zip(_SADDLE_TERMS, c)}})
     keep = cover._comparability_keep
-    whole = cover._whole_tiling_keep
-    seen = {"fallback": 0, "mixed": 0}
+    lim = 2.0 * a_const * (1.0 + 1e-9)
+    near_ties = []
 
-    def counted_whole(*args):
-        out = whole(*args)
-        seen["fallback"] += out is None
-        return out
-
-    def checked_keep(phi, grid, alpha, delta, a_const):
-        got = keep(phi, grid, alpha, delta, a_const)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cover, "_whole_tiling_keep", lambda *args: None)
-            want = keep(phi, grid, alpha, delta, a_const)
-        np.testing.assert_array_equal(got, want)
-        seen["mixed"] += bool(want.any() and not want.all())
+    def checked_keep(phi, grid, a_const):
+        got = keep(phi, grid, a_const)
+        a_f, b_f, valid = _tile_slopes(phi, grid)
+        ext = cover._route_extents(a_f, b_f, grid.theta, grid.h / grid.w)
+        np.testing.assert_array_equal(got, np.any(ext <= lim, axis=1) & valid.all(axis=1))
+        near_ties.append(bool(np.any(np.abs(ext - lim) <= 1e-12 * lim)))
         return got
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cover, "tiling_flatness", _some_tiles_flat)
-        mp.setattr(cover, "_whole_tiling_keep", counted_whole)
         mp.setattr(cover, "_comparability_keep", checked_keep)
         cover._build_hp_core(phi, 2.0 ** -e, a_const, UNIT_SQUARE)
     if a_const == _TIE_A_CONST and scale == 0.0 and e == 6:
-        assert seen["fallback"] >= 1 and seen["mixed"] >= 1
+        assert any(near_ties)
+
+
+_TILTED_SADDLE = BivariatePoly(2, {(2, 0): 1.0, (0, 2): -0.5, (1, 1): 0.3})
+
+
+@st.composite
+def _saddle_ties(draw):
+    """(builder, e, A) with 2A(1 + 1e-9) at, or a few ulps from, the
+    route extent of one tiling of a quadratic saddle: xy through
+    build_cover_hp, or the tilted saddle through build_cover_general,
+    whose saddle branch tiles the normalized phase at delta / |mixed|."""
+    general = draw(st.booleans())
+    e = draw(st.integers(4, 6))
+    phi, delta = hyperbolic_phase(), 2.0 ** -e
+    if general:
+        nmap, mixed = cover._saddle_normalizer(_TILTED_SADDLE)
+        phi = poly_scale(compose_affine(_TILTED_SADDLE, nmap.matrix, nmap.offset), 1.0 / mixed)
+        delta /= abs(mixed)
+    a, b, _ = flatness.null_direction_fields(phi, (0.0, 0.0))  # constant on a quadratic
+    alpha = 2.0 ** draw(st.integers(0, e // 2))
+    beta = draw(st.integers(0, int(math.pi / (delta * alpha * alpha))))
+    ext = cover._route_extents(np.full((1, 9), a[0]), np.full((1, 9), b[0]),
+                               delta * alpha * alpha * beta, delta * alpha * alpha)
+    a_const = float(ext[0, draw(st.integers(0, 1))]) / (2.0 * (1.0 + 1e-9))
+    toward = draw(st.sampled_from([-math.inf, math.inf]))
+    for _ in range(draw(st.integers(0, 3))):
+        a_const = math.nextafter(a_const, toward)
+    return ("general" if general else "hp"), e, a_const
+
+
+@settings(max_examples=20, deadline=None)
+@given(tie=_saddle_ties())
+@example(tie=("hp", 6, _TIE_A_CONST))
+def test_quadratic_saddle_keep_masks_are_whole(tie):
+    """On a quadratic saddle the null slopes are the same at every
+    anchor, so each tiling is kept or dropped whole: every kept tiling's
+    mask is its domain mask, even at an A on a tie."""
+    kind, e, a_const = tie
+    try:
+        if kind == "hp":
+            cov = build_cover_hp(hyperbolic_phase(), 2.0 ** -e, a_const)
+        else:
+            cov = build_cover_general(_TILTED_SADDLE, 2.0 ** -e, a_const)
+    except ValueError as exc:  # an A below every extent drops every tiling
+        assert "empty" in str(exc)
+        return
+    for g in (g for p in cov.parts for g in p.groups):
+        rotated = abs(g.theta) % (math.pi / 2) > 1e-12
+        if g.keep is None:
+            assert not rotated
+        else:
+            np.testing.assert_array_equal(g.keep, g.domain_mask())
+
+
+@settings(max_examples=50)
+@given(
+    theta=st.floats(0.0, math.pi),
+    r=st.floats(2.0 ** -14, 1.0),
+    a=st.lists(st.floats(-100.0, 100.0), min_size=9, max_size=9),
+    b=st.lists(st.floats(-100.0, 100.0), min_size=9, max_size=9),
+)
+def test_route_extents_match_vertex_coordinates(theta, r, a, b):
+    """The closed-form extents equal the largest |affine coordinate| of
+    each box's four vertices in the other's frame, over the nine anchors,
+    for the w x h tile and the congruent candidates along (-a, 1) and
+    (1, -b)."""
+    tile = rotated_rectangle((0.3, -0.2), 1.0, r, theta)
+    got = cover._route_extents(np.array([a]), np.array([b]), theta, r)[0]
+    for route, dirs in enumerate(([(-s, 1.0) for s in a], [(1.0, -s) for s in b])):
+        want = 0.0
+        for o, d in zip(_NINE_OFFSETS, dirs):
+            z = tile.center + o @ tile.edge_matrix.T
+            cand = rotated_rectangle(z, 1.0, r, math.atan2(d[1], d[0]))
+            want = max(want, np.abs(tile.affine_coords(cand.vertices())).max(),
+                       np.abs(cand.affine_coords(tile.vertices())).max())
+        assert got[route] == pytest.approx(want, rel=1e-12)
 
 
 def test_hp_covers_decide_every_tiling_whole():
@@ -234,9 +321,9 @@ def test_hp_covers_decide_every_tiling_whole():
     extents = cover._route_extents
     sizes = []
 
-    def counted(centers, *args):
-        sizes.append(len(centers))
-        return extents(centers, *args)
+    def counted(a_f, *args):
+        sizes.append(len(a_f))
+        return extents(a_f, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cover, "_route_extents", counted)
