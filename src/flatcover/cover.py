@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .flatness import (
+    _require_a_const,
     flat_defect_interval,
     is_flat,
     null_direction_fields,
@@ -330,11 +331,6 @@ def _require_dyadic(delta: float) -> int:
     if abs(k - round(k)) > 1e-9:
         raise ValueError(f"1/delta must be a power of two, got delta={delta!r}")
     return int(round(k))
-
-
-def _require_a_const(a_const: float) -> None:
-    if not (0.0 < a_const < math.inf):
-        raise ValueError(f"A must be finite and positive, got {a_const!r}")
 
 
 def canonical_caps(delta: float) -> FlatCover:

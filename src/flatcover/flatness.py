@@ -26,11 +26,11 @@ intersected with the bracket.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from .geometry import AffineMap2, Parallelogram, TileGrid
 from .poly2 import BivariatePoly
@@ -248,7 +248,11 @@ def _sample_grid(phi: BivariatePoly, box: Parallelogram, m: int):
 
 
 def _polish(phi: BivariatePoly, box: Parallelogram, u0, v0):
-    """Local ascent of |g| from the best sampled pair, in box coordinates."""
+    """Local ascent of |g| from the best sampled pair, in box coordinates.
+    ``scipy.optimize`` is imported here, at first use: nothing else in the
+    package needs it."""
+    from scipy import optimize
+
     e = box.edge_matrix
     c = np.asarray(box.center)
 
@@ -341,10 +345,17 @@ def flat_defect(
     return FlatnessReport(lower, lower, upper, certified, u, v)
 
 
+def _require_a_const(a_const: float) -> None:
+    if not (0.0 < a_const < math.inf):
+        raise ValueError(f"A must be finite and positive, got {a_const!r}")
+
+
 def _threshold(phi: BivariatePoly, delta: float, a_const: Optional[float]) -> float:
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
-    return (default_a_const(phi) if a_const is None else float(a_const)) * delta
+    a = default_a_const(phi) if a_const is None else float(a_const)
+    _require_a_const(a)
+    return a * delta
 
 
 def tiling_flatness(

@@ -27,8 +27,9 @@ packed-key sort with the member number as the leading digit, translated,
 gcd-reduced and sheared per segment (``reduceat``, with every member's
 shear bracket advancing in lockstep), and evaluated by the single-sum
 method rule.  Members whose FFT fields share a shape are stacked under
-one inverse FFT.  ``expsum_lp`` is the one-member call of the same engine,
-and a member's value does not depend on the members batched with it.
+one FFT, a half-spectrum one when their weights are real.  ``expsum_lp``
+is the one-member call of the same engine, and a member's value does not
+depend on the members batched with it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.fft import ifftn, next_fast_len
+from scipy.fft import ifftn, next_fast_len, rfftn
 
 from .cover import FlatCover, _require_dyadic
 from .poly2 import BivariatePoly, hyperbolic_phase
@@ -183,6 +184,13 @@ def product_exp_sum(
     return out
 
 
+def _box_side(box_side: float) -> float:
+    r = float(box_side)
+    if not (0.0 < r < math.inf):
+        raise ValueError(f"box side must be finite and positive, got {box_side!r}")
+    return r
+
+
 def snap_lift(f: ExpSum, box_side: float) -> ExpSum:
     """Copy of the sum with heights snapped to the (1/box_side)-grid.
 
@@ -194,9 +202,7 @@ def snap_lift(f: ExpSum, box_side: float) -> ExpSum:
     The copy shares the frequencies and weights of ``f``, which were
     checked when ``f`` was made, so it is not validated again.
     """
-    r = float(box_side)
-    if r <= 0:
-        raise ValueError("box side must be positive")
+    r = _box_side(box_side)
     out = copy.copy(f)
     if f.factors is None:
         out.lift = np.round(f.lifted()[:, 2] * r) / r
@@ -247,7 +253,7 @@ def sample_exp_sum(f: ExpSum, box: Box3, n: int) -> np.ndarray:
 
 def lp_norm(field: np.ndarray, p: float) -> float:
     """Riemann L^p_# norm of the samples ``sample_exp_sum`` returns."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be at least 1")
     a = np.abs(field)
     if math.isinf(p):
@@ -489,44 +495,64 @@ def _fft_shape(ext, mult: int, pad: int = 1) -> Tuple[int, ...]:
 
 
 def _stacked_fields(shape: Tuple[int, ...], slot: np.ndarray, ints: np.ndarray,
-                    weights: np.ndarray, k: int) -> np.ndarray:
+                    weights: np.ndarray, k: int):
     """k sums sampled on one period of a shared reduced lattice: row i's
     merged integer frequency is written into the zero-padded array of
-    sum slot[i], then one inverse FFT runs over the live axes of the
-    (k, *shape) stack.  Merged rows are distinct, so no cell is written
-    twice."""
+    sum slot[i], then one FFT runs over the live axes of the (k, *shape)
+    stack.  Merged rows are distinct, so no cell is written twice.
+
+    Returns (g, mult).  For complex weights g is the full field and mult
+    is None.  When every weight of the stack is real, the field satisfies
+    g(-x) = conj g(x), so |g| is even and half the cells carry it all:
+    a real-input FFT (``rfftn``, which halves the last live axis, of n
+    cells, to n // 2 + 1) gives conj g on that half, and mult holds the
+    multiplicity of each index of the halved axis in the full lattice:
+    1 at index 0 and, for even n, at n // 2 (each its own mirror); 2
+    elsewhere (the index and its mirror n - index).  mult sums to n.
+    """
     total = math.prod(shape)
-    z = np.zeros(k * total, dtype=complex)
-    z[slot * total + np.ravel_multi_index(tuple(ints.T), shape)] = weights
+    real = not weights.imag.any()
+    z = np.zeros(k * total, dtype=float if real else complex)
+    z[slot * total + np.ravel_multi_index(tuple(ints.T), shape)] = (
+        weights.real if real else weights)
     z = z.reshape((k,) + shape)
     live = [1 + ax for ax, n in enumerate(shape) if n > 1]
     if not live:
-        return z
+        return z, None
+    if real:
+        n = shape[live[-1] - 1]
+        mult = np.full(n // 2 + 1, 2.0)
+        mult[0] = 1.0
+        if n % 2 == 0:
+            mult[-1] = 1.0
+        return rfftn(z, axes=live, overwrite_x=True), mult
     g = ifftn(z, axes=live, overwrite_x=True)
     g *= total
-    return g
+    return g, None
 
 
 def _field_reduce(shapes, ints, weights, starts, reduce) -> list:
     """``reduce`` of each segment's field on the lattice of its shape.
-    Segments sharing a shape are stacked, in chunks of at most
-    _STACK_CELLS cells (one segment at least), under one inverse FFT;
-    ``reduce`` maps a (k, *shape) stack to k results.  Segments whose
+    Segments sharing a shape, and whether all their weights are real, are
+    stacked, in chunks of at most _STACK_CELLS cells (one segment at
+    least), under one FFT; ``reduce`` maps a (k, ...) stack and its
+    multiplicities (``_stacked_fields``) to k results.  Segments whose
     shape is None get None."""
     lens = _seg_lens(starts, len(ints))
+    real = np.logical_and.reduceat(weights.imag == 0, starts).tolist()
     groups = {}
     for i, shape in enumerate(shapes):
         if shape is not None:
-            groups.setdefault(shape, []).append(i)
+            groups.setdefault((shape, real[i]), []).append(i)
     out = [None] * len(shapes)
-    for shape, members in groups.items():
+    for (shape, _), members in groups.items():
         k = max(1, _STACK_CELLS // math.prod(shape))
         for c in range(0, len(members), k):
             pos = np.array(members[c:c + k])
             rows, _ = _seg_take(starts, lens, pos)
             slot = np.repeat(np.arange(len(pos)), lens[pos])
-            for i, v in zip(pos, reduce(_stacked_fields(shape, slot, ints[rows],
-                                                        weights[rows], len(pos)))):
+            for i, v in zip(pos, reduce(*_stacked_fields(shape, slot, ints[rows],
+                                                         weights[rows], len(pos)))):
                 out[i] = v
     return out
 
@@ -537,15 +563,32 @@ def _abs_pow(g: np.ndarray, p: float) -> np.ndarray:
     return a
 
 
-def _axis1_means(g: np.ndarray, p: float) -> np.ndarray:
-    """mean of |g|^p over axis 1 of a (k, n1, n3) field stack.
+def _cell_mean(a: np.ndarray, mult: Optional[np.ndarray]) -> np.ndarray:
+    """Mean of each field of a (k, ...) stack of cell values over its full
+    lattice; with ``mult``, a stack is a half field whose halved axis is
+    its last axis longer than 1, and each cell counts mult times."""
+    if mult is None:
+        return a.reshape(len(a), -1).mean(axis=1)
+    rows = a.reshape(len(a), -1, len(mult))
+    return (rows @ mult).sum(axis=1) / (rows.shape[1] * mult.sum())
+
+
+def _axis1_means(g: np.ndarray, p: float,
+                 mult: Optional[np.ndarray] = None) -> np.ndarray:
+    """mean of |g|^p over axis 1 of a (k, n1, n3) field stack, per x3.
 
     Each output column is a sum over axis 1 alone, so |g|^p is taken in
     slabs of about _STACK_CELLS cells along the last axis and no |g|^p copy
     of the whole stack is held.  No slab is one column wide unless n3 is
     1: numpy sums a one-column slab pairwise instead of row by row, which
-    would move the last bits."""
+    would move the last bits.
+
+    A half field (``mult`` given) halves x3 when x3 is live: the means,
+    even in x3, are mirrored (x3 -> -x3) back to the full axis.  When x3
+    is dead, x1 is the halved axis and its cells are weighted by mult."""
     k, n1, n3 = g.shape
+    if mult is not None and n3 == 1:
+        return _cell_mean(_abs_pow(g, p), mult)[:, None]
     step = max(2, _STACK_CELLS // (k * n1))
     cuts = list(range(0, n3, step)) + [n3]
     if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
@@ -553,6 +596,10 @@ def _axis1_means(g: np.ndarray, p: float) -> np.ndarray:
     out = np.empty((k, n3))
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         out[:, lo:hi] = _abs_pow(g[:, :, lo:hi], p).mean(axis=1)
+    if mult is not None:
+        n = int(mult.sum())
+        j = np.arange(n)
+        out = out[:, np.minimum(j, n - j)]
     return out
 
 
@@ -656,7 +703,8 @@ def _separable_mean_pow(factors, fidx, seg: np.ndarray, r_side: float, q: int):
         fits = math.prod(sh1) + math.prod(sh2) <= 2 * _FFT_BUDGET
         shapes.extend((sh1, sh2) if fits else (None, None))
     # each field's mean of |g|^{2q} over its own axis: a function of x3
-    slices = _field_reduce(shapes, ints, w, st, lambda g: _axis1_means(g, 2 * q))
+    slices = _field_reduce(shapes, ints, w, st,
+                           lambda g, mult: _axis1_means(g, 2 * q, mult))
     means, dims = [None] * len(e3), [None] * len(e3)
     by_len = {}
     for i in range(len(e3)):
@@ -686,8 +734,8 @@ def _member_norms(f: ExpSum, blocks: Sequence[np.ndarray], p: float,
        height shear.
     4. Evaluate by the method rule of ``expsum_lp``: Parseval at p = 2;
        for even p pairs or FFT; the lattice max at p = inf; periodic
-       quadrature otherwise.  Fields are stacked per FFT shape, one
-       inverse FFT per stack.
+       quadrature otherwise.  Fields are stacked per FFT shape (and
+       realness of the weights), one FFT per stack.
 
     Raises the first member's ValueError (in block order) when a member
     has no exact path within _FFT_BUDGET.
@@ -776,12 +824,13 @@ def _reduced_norms(ints: np.ndarray, w: np.ndarray, starts: np.ndarray, p: float
 
     fields = [None if mt == "pairs" else s for s, mt in zip(shapes, methods)]
     if math.isinf(p):
+        # a half field holds every value of |g|: the max needs no multiplicity
         return (_field_reduce(fields, ints, w, starts,
-                              lambda g: np.abs(g).reshape(len(g), -1).max(axis=1)),
+                              lambda g, _: np.abs(g).reshape(len(g), -1).max(axis=1)),
                 methods, dims)
     power = int(p) if even else p
     means = _field_reduce(fields, ints, w, starts,
-                          lambda g: _abs_pow(g, power).reshape(len(g), -1).mean(axis=1))
+                          lambda g, mult: _cell_mean(_abs_pow(g, power), mult))
     pairs = np.flatnonzero([mt == "pairs" for mt in methods])
     if len(pairs):
         rows, pst = _seg_take(starts, nrows, pairs)
@@ -802,12 +851,9 @@ def expsum_lp(f: ExpSum, p: float, box_side: float) -> NormReport:
     lifted point.  This is the one-member call of the engine that
     ``decoupling_report`` runs on all members at once.
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be at least 1")
-    r = float(box_side)
-    if r <= 0:
-        raise ValueError("box side must be positive")
-    return _member_norms(f, [np.arange(len(f))], p, r)[0]
+    return _member_norms(f, [np.arange(len(f))], p, _box_side(box_side))[0]
 
 
 # -- decoupling ratios -----------------------------------------------------

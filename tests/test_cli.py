@@ -233,10 +233,19 @@ def test_usage_errors_exit_1(capsys):
          "member count must be at least 1"),
         (["flat", "defect", "--rect", "0", "0", "0.25", "0.25", "--m", "0",
           "--method", "sample"], "m must be at least 2"),
+        *((["flat", "defect", "--rect", "0", "0", "0.25", "0.25", "--delta", "2^-4",
+            "--a-const", a], "A must be finite and positive") for a in ("nan", "-2", "inf")),
+        (["flat", "defect", "--rect", "0", "0", "0.25", "0.25", "--delta", "nan"],
+         "delta must be positive"),
+        *((["decouple", "ratio", "--example", "bump", "--delta", "2^-4", "--box-side", b],
+           "box side must be finite and positive") for b in ("nan", "inf")),
+        (["decouple", "ratio", "--example", "bump", "--delta", "2^-4", "--p", "nan"],
+         "p must be at least 1"),
     ):
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 1
-        assert message in err
+        assert out == "", argv
+        assert message in err, argv
 
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import rfftn
 
 from flatcover import norms
 from flatcover.cover import (
@@ -602,3 +603,98 @@ def test_member_over_budget_raises_the_per_member_error(p, monkeypatch):
     with pytest.raises(ValueError) as exc:
         norms._member_norms(f, subsets, p, 1.0 / d)
     assert str(exc.value) == want
+
+
+# -- half-spectrum fields for real weights -------------------------------------
+
+LINEAR = BivariatePoly(1, {(1, 0): 1.0, (0, 1): 2.0})
+HALF_PHASES = {"elliptic": BivariatePoly(2, {(2, 0): 1.0, (0, 2): 1.0}),
+               "saddle": SEPARABLE_SADDLE, "xy": hyperbolic_phase(), "linear": LINEAR}
+
+
+def _turned(f: ExpSum, theta: float) -> ExpSum:
+    """f with every weight times one unit phase (each factor's weights
+    too): |f| is unchanged and no weight is real, so every field takes the
+    complex-to-complex FFT."""
+    u = complex(math.cos(theta), math.sin(theta))
+    if f.factors is None:
+        return replace(f, weights=f.weights * u)
+    return replace(f, weights=f.weights * u * u,
+                   factors=tuple(replace(g, weights=g.weights * u) for g in f.factors))
+
+
+def _half_spectrum_check(f: ExpSum, p: float, r: float, theta: float) -> set:
+    """expsum_lp and decoupling_report (caps at 2^-2, sharp tiles) of a
+    real-weight sum equal those of the sum turned by a unit phase, to
+    1e-12 relative.  Returns the half fields made, as (field dims, halved
+    axis, length parity); the turned sum makes none."""
+    cov = canonical_caps(0.25)
+    made = []
+
+    def spy(z, axes, **kw):
+        made.append((z.ndim - 1, axes[-1] - 1, z.shape[axes[-1]] % 2))
+        return rfftn(z, axes=axes, **kw)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(norms, "rfftn", spy)
+        a, ra = expsum_lp(f, p, r), decoupling_report(f, cov, p, box_side=r, tol=0.0)
+        half = list(made)
+        g = _turned(f, theta)
+        b, rb = expsum_lp(g, p, r), decoupling_report(g, cov, p, box_side=r, tol=0.0)
+    assert made == half
+    assert a == replace(b, value=a.value)
+    assert a.value == pytest.approx(b.value, rel=1e-12, abs=0)
+    assert ra.methods == rb.methods
+    for key in ("ratio", "lhs", "rhs"):
+        assert getattr(ra, key) == pytest.approx(getattr(rb, key), rel=1e-12, abs=0), key
+    return set(half)
+
+
+def _real_sum(kind: str, phase: str, xs, ys, unit: bool, seed: int) -> ExpSum:
+    """Real weights on xs x ys (eighths of the unit square): a product sum
+    (factors kept where the lift splits) or the same frequencies and
+    weights as a plain sum, whose members snap the whole lift."""
+    rng = np.random.default_rng(seed)
+    xs, ys = np.array(sorted(xs)) / 8.0, np.array(sorted(ys)) / 8.0
+    xw = np.ones(len(xs)) if unit else rng.standard_normal(len(xs))
+    yw = np.ones(len(ys)) if unit else rng.standard_normal(len(ys))
+    f = product_exp_sum(HALF_PHASES[phase], xs, ys, xw, yw)
+    return f if kind == "product" else ExpSum(f.phase, f.freqs, f.weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["product", "plain"]),
+    phase=st.sampled_from(sorted(HALF_PHASES)),
+    xs=st.sets(st.integers(0, 8), min_size=1, max_size=6),
+    ys=st.sets(st.integers(0, 8), min_size=1, max_size=6),
+    unit=st.booleans(),
+    p=st.sampled_from([4, 6, 3.5, math.inf]),
+    r=st.sampled_from([2.0, 3.0, 8.0, 12.0]),
+    theta=st.floats(0.1, 3.0),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_half_spectrum_fields_match_the_turned_sum(kind, phase, xs, ys, unit, p, r, theta,
+                                                   seed):
+    """Real-weight sums, whose fields are half spectra, give the norms and
+    decoupling reports of the same sums turned by a unit phase, whose
+    fields are full: separable product members and whole-lift members,
+    at p = 4, 6, 3.5 and inf."""
+    _half_spectrum_check(_real_sum(kind, phase, xs, ys, unit, seed), p, r, theta)
+
+
+def test_half_spectrum_cases_halve_every_axis_kind():
+    """Fixed cases whose half fields between them halve an odd and an even
+    axis of each kind: x3 of separable fields, x1 of separable fields with
+    x3 dead, and x3 and x1 of whole-lift fields."""
+    grid, spread = ({0, 1, 2}, {0, 1, 2, 3}), ({0, 3, 8}, {1, 2})
+    made = set()
+    for kind, (xs, ys), p, r in [
+        ("product", grid, 4, 2.0), ("product", grid, 6, 2.0),  # x3 dead: x1
+        ("product", grid, 4, 8.0), ("product", grid, 6, 8.0),  # x3
+        ("plain", grid, 6, 3.0), ("plain", grid, 6, 8.0),      # x3
+        ("plain", spread, 4, 2.0), ("plain", spread, 6, 2.0),  # x2, x3 dead: x1
+    ]:
+        made |= _half_spectrum_check(_real_sum(kind, "elliptic", xs, ys, True, 0), p, r, 0.5)
+    assert made >= {(2, 1, 0), (2, 1, 1), (2, 0, 0), (2, 0, 1),
+                    (3, 2, 0), (3, 2, 1), (3, 0, 0), (3, 0, 1)}
