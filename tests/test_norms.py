@@ -202,6 +202,19 @@ def test_expsum_lp_validates():
         expsum_lp(f, 4.0, 0.0)
 
 
+def test_each_engine_pass_returns_freed_heap(monkeypatch):
+    # what a norm leaves resident must not depend on where glibc placed its
+    # freed fields: every pass of the engine ends with one malloc_trim(0)
+    calls = []
+    monkeypatch.setattr(norms, "_malloc_trim", lambda: calls.append)
+    f = line_example(2.0 ** -4)
+    expsum_lp(f, 4.0, 16.0)
+    assert calls == [0]
+    cover = build_cover_hp(hyperbolic_phase(), 2.0 ** -4)
+    decoupling_report(f, cover, 4.0, box_side=16.0)
+    assert calls == [0, 0, 0]
+
+
 def test_assign_frequencies_sharp_partition():
     delta = 2.0 ** -4
     cov = canonical_caps(delta)
