@@ -23,6 +23,7 @@ import numpy as np
 
 from .cover import (
     FlatCover,
+    _require_dyadic,
     build_cover_general,
     build_cover_hp,
     canonical_caps,
@@ -81,11 +82,7 @@ def _parse_delta_list(text: str) -> List[float]:
     t = text.strip()
     if ".." in t:
         lo, _, hi = t.partition("..")
-        a, b = _parse_dyadic(lo), _parse_dyadic(hi)
-        ea, eb = math.log2(1 / a), math.log2(1 / b)
-        if abs(ea - round(ea)) > 1e-9 or abs(eb - round(eb)) > 1e-9:
-            raise ValueError("delta ranges must have dyadic endpoints")
-        ea, eb = int(round(ea)), int(round(eb))
+        ea, eb = _require_dyadic(_parse_dyadic(lo)), _require_dyadic(_parse_dyadic(hi))
         if eb < ea:
             ea, eb = eb, ea
         return [2.0 ** -e for e in range(ea, eb + 1)]
@@ -221,6 +218,7 @@ def cmd_flat_defect(args) -> int:
 
 def _example_sum(args, delta: float):
     """The named extremal input and its exact evaluation box."""
+    _require_dyadic(delta)  # before 1/delta is cast or divided
     name = args.example
     if name == "line":
         return line_example(delta), delta ** -1.5

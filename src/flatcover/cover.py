@@ -325,7 +325,7 @@ class VerifyReport:
 
 
 def _require_dyadic(delta: float) -> int:
-    if delta <= 0 or delta > 1:
+    if not 0 < delta <= 1:  # NaN fails too
         raise ValueError("delta must lie in (0, 1]")
     k = math.log2(1.0 / delta)
     if abs(k - round(k)) > 1e-9:

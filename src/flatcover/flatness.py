@@ -249,8 +249,8 @@ def _sample_grid(phi: BivariatePoly, box: Parallelogram, m: int):
 
 def _polish(phi: BivariatePoly, box: Parallelogram, u0, v0):
     """Local ascent of |g| from the best sampled pair, in box coordinates.
-    ``scipy.optimize`` is imported here, at first use: nothing else in the
-    package needs it."""
+    ``scipy.optimize`` is imported here, at first use: it is the
+    package's only use of scipy."""
     from scipy import optimize
 
     e = box.edge_matrix

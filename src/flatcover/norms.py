@@ -13,7 +13,9 @@ any dense spatial grid.  Product-structured frequency sets with
 additively split lift (separable phases, or single-row sets) factor as
 f = g1(x1,x3) g2(x2,x3), and the norm reduces to two planar FFTs glued
 along the shared third axis.  A quadratic-count fallback via pair
-frequencies covers p=4 when neither route fits in memory.
+frequencies covers p=4 when neither route fits in memory.  The FFTs are
+numpy.fft's, on lengths padded to the next 11-smooth integer, written
+into preallocated or input arrays so a field is held once.
 
 Integer rows (snapped frequencies, pair sums) are merged through packed
 keys: one int64 per row, in lexicographic row order, so merging needs
@@ -42,7 +44,7 @@ from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.fft import ifftn, next_fast_len, rfftn
+from numpy.fft import ifftn, rfftn
 
 from .cover import FlatCover, _require_dyadic
 from .poly2 import BivariatePoly, hyperbolic_phase
@@ -523,10 +525,25 @@ def _shear_reduce(ints: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _fast_len(n: int) -> int:
+    """Smallest integer >= n whose prime factors are all at most 11: the
+    lengths numpy.fft's pocketfft transforms fastest (scipy.fft's
+    ``next_fast_len``)."""
+    m = max(n, 1)
+    while True:
+        r = m
+        while (g := math.gcd(r, 2310)) > 1:  # 2310 = 2*3*5*7*11
+            r //= g
+        if r == 1:
+            return m
+        m += 1
+
+
 def _fft_shape(ext, mult: int, pad: int = 1) -> Tuple[int, ...]:
-    """Zero-padded FFT length per axis: next_fast_len(mult*extent + pad)
+    """Zero-padded FFT length per axis: _fast_len(mult*extent + pad)
     on live axes (positive extent), 1 on dead ones."""
-    return tuple(next_fast_len(int(mult * e + pad)) if e > 0 else 1 for e in ext)
+    return tuple(_fast_len(int(mult * e + pad)) if e > 0 else 1 for e in ext)
 
 
 def _stacked_fields(shape: Tuple[int, ...], slot: np.ndarray, ints: np.ndarray,
@@ -536,14 +553,17 @@ def _stacked_fields(shape: Tuple[int, ...], slot: np.ndarray, ints: np.ndarray,
     sum slot[i], then one FFT runs over the live axes of the (k, *shape)
     stack.  Merged rows are distinct, so no cell is written twice.
 
-    Returns (g, mult).  For complex weights g is the full field and mult
-    is None.  When every weight of the stack is real, the field satisfies
-    g(-x) = conj g(x), so |g| is even and half the cells carry it all:
-    a real-input FFT (``rfftn``, which halves the last live axis, of n
-    cells, to n // 2 + 1) gives conj g on that half, and mult holds the
-    multiplicity of each index of the halved axis in the full lattice:
-    1 at index 0 and, for even n, at n // 2 (each its own mirror); 2
-    elsewhere (the index and its mirror n - index).  mult sums to n.
+    Returns (g, mult).  For complex weights g is the full field, from an
+    unscaled inverse FFT (``numpy.fft.ifftn`` with norm="forward") run in
+    place on the padded stack, and mult is None.  When every weight of
+    the stack is real, the field satisfies g(-x) = conj g(x), so |g| is
+    even and half the cells carry it all: a real-input FFT
+    (``numpy.fft.rfftn`` into one preallocated complex array; it halves
+    the last live axis, of n cells, to n // 2 + 1) gives conj g on that
+    half, and mult holds the multiplicity of each index of the halved
+    axis in the full lattice: 1 at index 0 and, for even n, at n // 2
+    (each its own mirror); 2 elsewhere (the index and its mirror
+    n - index).  mult sums to n.
     """
     total = math.prod(shape)
     real = not weights.imag.any()
@@ -560,10 +580,10 @@ def _stacked_fields(shape: Tuple[int, ...], slot: np.ndarray, ints: np.ndarray,
         mult[0] = 1.0
         if n % 2 == 0:
             mult[-1] = 1.0
-        return rfftn(z, axes=live, overwrite_x=True), mult
-    g = ifftn(z, axes=live, overwrite_x=True)
-    g *= total
-    return g, None
+        half = list(z.shape)
+        half[live[-1]] = n // 2 + 1
+        return rfftn(z, axes=live, out=np.empty(half, dtype=complex)), mult
+    return ifftn(z, axes=live, norm="forward", out=z), None
 
 
 def _field_reduce(shapes, ints, weights, starts, reduce) -> list:
@@ -1007,6 +1027,7 @@ def line_example(delta: float) -> ExpSum:
 def bump_example(phi: BivariatePoly, region: Tuple[float, float, float, float],
                  delta: float) -> ExpSum:
     """Unit weights on the delta-net of an axis region of the square."""
+    _require_dyadic(delta)
     xmin, ymin, xmax, ymax = region
     if not (0 - 1e-9 <= xmin <= xmax <= 1 + 1e-9 and 0 - 1e-9 <= ymin <= ymax <= 1 + 1e-9):
         raise ValueError("region must sit inside the unit square")
@@ -1018,10 +1039,10 @@ def bump_example(phi: BivariatePoly, region: Tuple[float, float, float, float],
 def strip_example(delta: float, a: int) -> ExpSum:
     """Unit weights on the delta-net of the a-th horizontal delta-strip,
     lifted to the saddle: one Dirichlet row in disguise."""
+    _require_dyadic(delta)
     inv = 1.0 / delta
     if not (0 <= a < inv):
         raise ValueError("strip index a must satisfy 0 <= a < 1/delta")
-    _require_dyadic(delta)
     xs = delta * np.arange(int(round(inv)))
     ys = np.array([a * delta])
     return product_exp_sum(hyperbolic_phase(), xs, ys)
@@ -1032,6 +1053,7 @@ def random_product_example(
 ) -> ExpSum:
     """delta-net of the square with random complex product weights;
     keeps the separable fast path available at small delta."""
+    _require_dyadic(delta)
     n = int(round(1.0 / delta)) + 1
     xs = delta * np.arange(n)
     ys = delta * np.arange(n)

@@ -241,6 +241,11 @@ def test_usage_errors_exit_1(capsys):
            "box side must be finite and positive") for b in ("nan", "inf")),
         (["decouple", "ratio", "--example", "bump", "--delta", "2^-4", "--p", "nan"],
          "p must be at least 1"),
+        *((["decouple", "ratio", "--example", ex, "--delta", "nan"], "delta must lie in")
+          for ex in ("bump", "random", "line", "strip")),
+        *((["decouple", "sweep", "--example", "line", "--deltas", d], message)
+          for d, message in (("nan..2^-4", "delta must lie in"), ("0..2^-4", "delta must lie in"),
+                             ("0.3..2^-4", "1/delta must be a power of two"))),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1

@@ -1,5 +1,5 @@
-"""The package imports only what runs: ``scipy.optimize`` loads for the
-polish of ``flat defect`` alone, never for covers."""
+"""The package imports only what runs: scipy loads for the polish of
+``flat defect`` alone (``scipy.optimize``), never for covers or norms."""
 
 import json
 import os
@@ -10,12 +10,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # runs the CLI with the given arguments (none: import only), then reports
-# on stderr whether scipy.optimize was loaded
+# on stderr whether scipy.optimize, and whether any scipy module, was loaded
 _PROBE = """
 import sys
 from flatcover import cli
 code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-sys.stderr.write("\\nexit=%d optimize=%d\\n" % (code, "scipy.optimize" in sys.modules))
+scipy = any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+sys.stderr.write("\\nexit=%d optimize=%d scipy=%d\\n"
+                 % (code, "scipy.optimize" in sys.modules, scipy))
 """
 
 
@@ -30,14 +32,23 @@ def _probe(*argv):
 
 
 def test_import_and_covers_leave_scipy_optimize_unloaded(tmp_path):
-    assert _probe()[1] == "exit=0 optimize=0"
+    """Neither scipy.optimize nor any other scipy module."""
+    assert _probe()[1] == "exit=0 optimize=0 scipy=0"
     cov = tmp_path / "cover.json"
     for kind, phase in (("hp", "xy"), ("general", "elliptic")):
         _, status = _probe("cover", "build", "--kind", kind, "--phase", phase,
                            "--delta", "2^-5", "--out", str(cov))
-        assert status == "exit=0 optimize=0", kind
+        assert status == "exit=0 optimize=0 scipy=0", kind
         _, status = _probe("cover", "verify", "--cover", str(cov), "--phase", phase)
-        assert status == "exit=0 optimize=0", kind
+        assert status == "exit=0 optimize=0 scipy=0", kind
+
+
+def test_norms_load_no_scipy():
+    """The exact norm engine's FFTs are numpy.fft's: the whole sum and the
+    16 caps members here all take FFT fields (the separable path)."""
+    out, status = _probe("decouple", "ratio", "--example", "bump", "--delta", "2^-4")
+    assert status == "exit=0 optimize=0 scipy=0"
+    assert json.loads(out)["methods"]["separable"] == 16
 
 
 def test_flat_defect_on_a_cubic_still_polishes(tmp_path):
@@ -48,7 +59,7 @@ def test_flat_defect_on_a_cubic_still_polishes(tmp_path):
                                  "coeffs": [[3, 0, 1.0], [0, 3, 1.0], [1, 1, 1.0]]}))
     out, status = _probe("flat", "defect", "--phase", str(phase),
                          "--rect", "0.1", "0.2", "0.5", "0.3", "--delta", "2^-4")
-    assert status == "exit=0 optimize=1"
+    assert status == "exit=0 optimize=1 scipy=1"
     rep = json.loads(out)
     assert rep["defect"] == rep["lower"] == 0.22399999999999998
     assert rep["upper"] == 0.24976941016011037

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import rfftn
+from numpy.fft import rfftn
 
 from flatcover import norms
 from flatcover.cover import (
@@ -388,6 +388,18 @@ def test_random_product_example_is_reproducible():
     sep = random_product_example(BivariatePoly(2, {(2, 0): 1.0, (0, 2): -1.0}),
                                  2.0 ** -3, np.random.default_rng(5))
     assert sep.factors is not None
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -0.25, 2.0, 0.3])
+def test_example_builders_check_delta_before_casting(delta):
+    """Each builder of a delta-net rejects a delta that is not 2^-k with a
+    ValueError naming delta, before 1/delta is rounded to an integer."""
+    phi = hyperbolic_phase()
+    for build in (lambda: bump_example(phi, (0.0, 0.0, 1.0, 1.0), delta),
+                  lambda: random_product_example(phi, delta, np.random.default_rng(0)),
+                  lambda: line_example(delta), lambda: strip_example(delta, 0)):
+        with pytest.raises(ValueError, match="delta"):
+            build()
 
 
 def test_stein_tomas_single_frequency():
