@@ -316,6 +316,8 @@ def _identity_gap(phi: BivariatePoly, res, rbox: Parallelogram) -> float:
 
 
 def cmd_rescale_check(args) -> int:
+    if not 0.0 <= args.tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {args.tol!r}")
     phi = _phase_arg(args.phase)
     delta = _parse_dyadic(args.delta)
     rng = np.random.default_rng(args.seed)

@@ -161,8 +161,8 @@ class FlatCover:
         tol.  Behind a similarity frame tol > 0 becomes tol / scale; behind
         any other it is decided member by member in world distance.
         """
-        if tol is not None and tol < 0:
-            raise ValueError("tol must be non-negative")
+        if tol is not None and not 0.0 <= tol < math.inf:
+            raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         for part in self.tilings():
             local = pts if part.frame is None else part.frame.inverse().apply(pts)

@@ -317,8 +317,8 @@ class TileGrid:
             ci[(ci == self.i0 - 1) & (ux >= self.i0 - slack)] += 1
             cj[(cj == self.j0 - 1) & (uy >= self.j0 - slack)] += 1
             pidx, ii, jj = np.arange(len(fx)), ci, cj
-        elif tol < 0:
-            raise ValueError("tol must be non-negative")
+        elif not 0.0 <= tol < math.inf:
+            raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
         else:
             reach_i = int(math.floor(tol / self.w * (1 + 1e-9))) + 1
             reach_j = int(math.floor(tol / self.h * (1 + 1e-9))) + 1

@@ -12,10 +12,20 @@ lattice resolves the frequency extent; one small FFT per sum replaces
 any dense spatial grid.  Product-structured frequency sets with
 additively split lift (separable phases, or single-row sets) factor as
 f = g1(x1,x3) g2(x2,x3), and the norm reduces to two planar FFTs glued
-along the shared third axis.  A quadratic-count fallback via pair
-frequencies covers p=4 when neither route fits in memory.  The FFTs are
-numpy.fft's, on lengths padded to the next 11-smooth integer, written
-into preallocated or input arrays so a field is held once.
+along the shared third axis.  The FFTs are numpy.fft's, on lengths
+padded to the next 11-smooth integer, written into preallocated or input
+arrays so a field is held once.
+
+At p = 4 two counting paths compete with the fields, each by a cost rule
+written down where it is applied.  Product sums may take each factor's
+additive energy instead: int |f|^4 = sum_s D1(s) D2(-s), with D_i(s) the
+weighted count of quadruples m1 + m2 = m3 + m4 of factor i whose heights
+differ by s (``_energy_mean_pow4``), chosen where a bound on its terms is
+at most the two fields' cells (``_product_mean_pow``) or where the fields
+do not fit.  Other sums may take Parseval on the pair sum f^2
+(``_pairs_mean_pow4``), chosen where a sorted pair table of k^2 rows
+costs less than the field (``_reduced_norms``) or where the field does
+not fit.
 
 Integer rows (snapped frequencies, pair sums) are merged through packed
 keys: one int64 per row, in lexicographic row order, so merging needs
@@ -50,7 +60,8 @@ from .cover import FlatCover, _require_dyadic
 from .poly2 import BivariatePoly, hyperbolic_phase
 
 _FFT_BUDGET = 1 << 26  # complex entries per field, ~1 GB at complex128
-_PAIR_BUDGET = 12_000_000  # frequency pairs for the p=4 fallback
+_PAIR_BUDGET = 12_000_000  # pairs, or energy terms, when p=4 fields exceed _FFT_BUDGET
+_PAIR_CELLS = 4  # FFT cells a sorted frequency pair may cost (measured in _reduced_norms)
 
 
 @dataclass(frozen=True)
@@ -279,7 +290,8 @@ class NormReport:
 
 # every path a member norm can take; "single" (one frequency, |weight|) is
 # decided by ``decoupling_report`` before the engine runs
-METHODS = ("single", "parseval", "separable", "pairs", "fft", "riemann", "lattice-max")
+METHODS = ("single", "parseval", "separable", "energy", "pairs", "fft", "riemann",
+           "lattice-max")
 _INEXACT = {
     "riemann": "periodic trapezoid quadrature; exact only for even p",
     "lattice-max": "max over the period lattice (lower bound of sup)",
@@ -542,8 +554,13 @@ def _fast_len(n: int) -> int:
 
 def _fft_shape(ext, mult: int, pad: int = 1) -> Tuple[int, ...]:
     """Zero-padded FFT length per axis: _fast_len(mult*extent + pad)
-    on live axes (positive extent), 1 on dead ones."""
-    return tuple(_fast_len(int(mult * e + pad)) if e > 0 else 1 for e in ext)
+    on live axes (positive extent), 1 on dead ones.  A length past
+    _FFT_BUDGET is left unpadded: a field with such an axis holds more than
+    _FFT_BUDGET cells, and the search for an 11-smooth length there can
+    take minutes."""
+    lens = (int(mult * e + pad) for e in ext)
+    return tuple(1 if e <= 0 else n if n > _FFT_BUDGET else _fast_len(n)
+                 for e, n in zip(ext, lens))
 
 
 def _stacked_fields(shape: Tuple[int, ...], slot: np.ndarray, ints: np.ndarray,
@@ -658,18 +675,11 @@ def _axis1_means(g: np.ndarray, p: float,
     return out
 
 
-def _pairs_mean_pow4(ints: np.ndarray, weights: np.ndarray, starts: np.ndarray) -> list:
-    """Per segment, mean |f|^4 via Parseval on the pair sum f^2, exact for
-    any integer frequencies: sum of |sum_{pairs adding to k} a a'|^2.
-
-    The pairs of all segments are merged by one packed key (segment
-    number leading, then the per-axis pair sums), in chunks of at most
-    _PAIR_CHUNK pairs; each merged pair weight adds its terms in the
-    segment's own pair order."""
-    lens = _seg_lens(starts, len(ints))
+def _pair_chunks(starts: np.ndarray, lens: np.ndarray):
+    """Every ordered pair of rows (a, b) within each segment, a major.
+    Yields (a, b, seg) per run of whole segments of at most _PAIR_CHUNK
+    pairs; a segment with more runs alone."""
     pairs = (lens * lens).tolist()
-    cols = np.ascontiguousarray(ints.T)
-    out = []
     first = 0
     while first < len(starts):
         stop, total = first + 1, pairs[first]
@@ -680,20 +690,153 @@ def _pairs_mean_pow4(ints: np.ndarray, weights: np.ndarray, starts: np.ndarray) 
         # of n pairs runs over the segment's rows b
         n = lens[first:stop]
         n_row = np.repeat(n, n)
-        seg_row = np.repeat(np.arange(stop - first), n)
+        seg_row = np.repeat(np.arange(first, stop), n)
         lo = starts[first]
-        rows = np.arange(lo, lo + len(n_row))
-        a = np.repeat(rows, n_row)
-        b = np.arange(total) + np.repeat(starts[first:stop][seg_row] - _seg_starts(n_row),
-                                         n_row)
-        seg = np.repeat(seg_row, n_row)
-        keys = _row_keys(chain([seg], (c[a] + c[b] for c in cols)))
-        uniq, inv = np.unique(keys, return_inverse=True)
-        acc = _accumulate(inv, weights[a] * weights[b], len(uniq))
-        useg = np.empty(len(uniq), dtype=seg.dtype)
-        useg[inv] = seg
-        out.extend(_seg_sums(np.abs(acc) ** 2, _starts_of(useg)))
+        a = np.repeat(np.arange(lo, lo + len(n_row)), n_row)
+        b = np.arange(total) + np.repeat(starts[seg_row] - _seg_starts(n_row), n_row)
+        yield a, b, np.repeat(seg_row, n_row)
         first = stop
+
+
+def _pair_tables(ints: np.ndarray, weights: np.ndarray, starts: np.ndarray,
+                 sums: bool = False):
+    """Per segment, its pair table: every ordered pair of rows (a, b) adds
+    w_a w_b at the row sum ints_a + ints_b.  Equal sums merge by one packed
+    key (segment number leading, then the per-axis sums), each merged
+    weight adding its terms in the segment's own pair order.
+
+    Yields, per run of ``_pair_chunks``, the merged weights in (segment,
+    lexicographic sum) order, their segment numbers and, with ``sums``,
+    the summed rows."""
+    cols = np.ascontiguousarray(ints.T)
+    for a, b, seg in _pair_chunks(starts, _seg_lens(starts, len(ints))):
+        summed = [c[a] + c[b] for c in cols]
+        keys, inv = np.unique(_row_keys(chain([seg], summed)), return_inverse=True)
+        useg = np.empty(len(keys), dtype=seg.dtype)
+        useg[inv] = seg
+        rows = None
+        if sums:
+            rows = np.empty((len(keys), len(cols)), dtype=np.int64)
+            rows[inv] = np.column_stack(summed)
+        yield _accumulate(inv, weights[a] * weights[b], len(keys)), useg, rows
+
+
+def _pairs_mean_pow4(ints: np.ndarray, weights: np.ndarray, starts: np.ndarray) -> list:
+    """Per segment, mean |f|^4 via Parseval on the pair sum f^2, exact for
+    any integer frequencies: sum of |sum_{pairs adding to k} a a'|^2."""
+    out = []
+    for acc, useg, _ in _pair_tables(ints, weights, starts):
+        out.extend(_seg_sums(np.abs(acc) ** 2, _starts_of(useg)))
+    return out
+
+
+def _energy_bound(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per segment of non-negative integer coordinates, their additive
+    energy sum_k c_k^2, where c_k counts the ordered row pairs with
+    x_a + x_b = k (one bincount, no sort).  It bounds the (k, H, H') terms
+    of ``_energy_mean_pow4``, which merges the pairs of one sum k that
+    share a height H."""
+    lens = _seg_lens(starts, len(x))
+    width = 2 * np.maximum.reduceat(x, starts) + 1
+    off = _seg_starts(width)
+    out = np.empty(len(starts), dtype=np.int64)
+    for a, b, seg in _pair_chunks(starts, lens):
+        first, last = seg[0], seg[-1]
+        base = off[first]
+        c = np.bincount(off[seg] - base + x[a] + x[b],
+                        minlength=off[last] + width[last] - base)
+        out[first:last + 1] = np.add.reduceat(c * c, off[first:last + 1] - base)
+    return out
+
+
+def _term_runs(cum: np.ndarray, starts: np.ndarray) -> list:
+    """(lo, hi) row ranges of at most _PAIR_CHUNK terms, where rows
+    lo..hi-1 hold terms cum[lo]..cum[hi]-1: runs of whole segments, and a
+    segment with more terms cut alone where its own running count passes
+    the chunk (a row is never cut), so the cuts do not depend on the
+    other segments."""
+    ends = np.append(starts[1:], len(cum) - 1)
+    cum_ends = cum[ends]
+    runs, j = [], 0
+    while j < len(starts):
+        lo = starts[j]
+        stop = int(np.searchsorted(cum_ends, cum[lo] + _PAIR_CHUNK, side="right"))
+        if stop > j:
+            runs.append((lo, ends[stop - 1]))
+            j = stop
+            continue
+        while lo < ends[j]:
+            cut = int(np.searchsorted(cum, cum[lo] + _PAIR_CHUNK, side="right")) - 1
+            cut = min(ends[j], max(lo + 1, cut))
+            runs.append((lo, cut))
+            lo = cut
+        j += 1
+    return runs
+
+
+def _energy_mean_pow4(ints: np.ndarray, weights: np.ndarray, starts: np.ndarray) -> list:
+    """mean |f|^4 of product members by each factor's additive energy.
+
+    Segments 2i and 2i+1 hold member i's two factors as (coordinate,
+    height) rows, heights non-negative on one shared grid.  With P(k, H)
+    a factor's pair table (``_pair_tables``: k = m1 + m2, H = h1 + h2),
+    the mean of |g|^4 over the factor's own axis at height x3 is
+    sum_k |sum_H P(k, H) e(H x3)|^2 = sum_s D(s) e(s x3), where
+    D(s) = sum_k sum_{H - H' = s} P(k, H) conj P(k, H'), so the mean of
+    |f|^4 is sum_s D1(s) D2(-s).  As D(-s) = conj D(s), only s >= 0 is
+    formed: D(0) = sum |P|^2, each pair of table entries of one k adds
+    once to D(s > 0), and the mean is
+    D1(0) D2(0) + 2 sum_{s > 0} Re D1(s) conj D2(s).
+
+    The (k, H, H') terms go into D by a real bincount per run of
+    ``_term_runs`` (and one for the imaginary parts when some weight is
+    complex; the added zeros change no bit), so a member's value does not
+    depend on the members batched with it."""
+    acc, tseg, kh = (np.concatenate(c) for c in zip(*_pair_tables(ints, weights, starts,
+                                                                  sums=True)))
+    k, h = kh[:, 0], kh[:, 1]
+    n = len(acc)
+    p_re, p_im = acc.real, acc.imag
+    cplx = bool(p_im.any())
+    tst = _starts_of(tseg)  # every segment has a pair, so tseg[tst[j]] == j
+    d0 = _seg_sums(p_re * p_re + p_im * p_im, tst)
+    ext = np.maximum.reduceat(h, tst) - np.minimum.reduceat(h, tst)
+    off = _seg_starts(ext + 1)
+    # entries of one (segment, k) run ascend in H; each pairs with the
+    # entries after it in its run
+    new = np.ones(n, dtype=bool)
+    new[1:] = (tseg[1:] != tseg[:-1]) | (k[1:] != k[:-1])
+    run = np.flatnonzero(new)
+    cnt = np.repeat(np.append(run[1:], n), np.diff(np.append(run, n))) - 1 - np.arange(n)
+    cum = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(cnt, out=cum[1:])
+    dr = np.zeros(off[-1] + ext[-1] + 1)
+    di = np.zeros(len(dr) if cplx else 0)
+    for lo, hi in _term_runs(cum, tst):
+        total = cum[hi] - cum[lo]
+        if not total:
+            continue
+        c = cnt[lo:hi]
+        a = np.repeat(np.arange(lo, hi), c)
+        b = a + 1 + np.arange(total) - np.repeat(cum[lo:hi] - cum[lo], c)
+        base, last = off[tseg[lo]], tseg[hi - 1]
+        span = off[last] + ext[last] + 1 - base
+        slot = off[tseg[a]] - base + h[b] - h[a]
+        ra, rb = p_re[a], p_re[b]
+        if cplx:
+            ia, ib = p_im[a], p_im[b]
+            dr[base:base + span] += np.bincount(slot, rb * ra + ib * ia, span)
+            di[base:base + span] += np.bincount(slot, ib * ra - rb * ia, span)
+        else:
+            dr[base:base + span] += np.bincount(slot, rb * ra, span)
+    out = []
+    for i in range(len(tst) // 2):
+        o1, o2 = off[2 * i] + 1, off[2 * i + 1] + 1
+        s = min(ext[2 * i], ext[2 * i + 1])
+        cross = dr[o1:o1 + s] * dr[o2:o2 + s]
+        if cplx:
+            cross += di[o1:o1 + s] * di[o2:o2 + s]
+        out.append(d0[2 * i] * d0[2 * i + 1] + 2.0 * float(np.sum(cross)))
     return out
 
 
@@ -722,11 +865,33 @@ def _factor_heights(factors, fidx, r: float) -> np.ndarray:
     return out
 
 
-def _separable_mean_pow(factors, fidx, seg: np.ndarray, r_side: float, q: int):
-    """mean |f|^{2q} per product member via two planar FFT fields sharing
-    the lift axis.  ``fidx`` gives each row's position in each factor and
-    ``seg`` its member (0..m-1).  Returns (mean powers, dims) per member;
-    both are None where the two fields exceed twice _FFT_BUDGET."""
+def _product_mean_pow(factors, fidx, seg: np.ndarray, r_side: float, q: int):
+    """mean |f|^{2q} per product member by a per-factor path.  ``fidx``
+    gives each row's position in each factor and ``seg`` its member
+    (0..m-1).  Returns (mean powers, methods, dims) per member; all three
+    are None where neither path fits.
+
+    Each factor's rows are snapped, merged, translated, gcd-reduced on
+    their own axis and sheared; the height axis is shared, so its gcd is
+    the joint one of both factors.  Then, per member:
+
+    - "energy" (q = 2 only): ``_energy_mean_pow4`` on the two factors,
+      when its work is at most ``limit``: the cells of the two separable
+      fields, or _PAIR_BUDGET where they exceed twice _FFT_BUDGET.  The
+      work is the slots it counts into (2 e3 + 2 shifts for D, 2 xmax + 1
+      sums per factor for the bound) and the additive-energy bound of
+      ``_energy_bound`` on its terms; the bound is not formed where a
+      lower bound on it (n^2, and n^4 / (2 xmax + 1) by Cauchy-Schwarz)
+      already exceeds the limit.  Measured on 2 cores: x^2 + y^2 on the
+      2^-7 grid at box side 2^21 (bound 2.9e6, 8.7e6 cells) takes 0.024 s
+      against 0.22 s by fields, x^2 - y^2 on the 2^-6 sqrt2 lattice
+      0.011 s against 1.95 s; the 2^-8 elliptic bump at box side 2^8
+      (bound 2.3e7, 2.8e5 cells) keeps its fields, 0.025 s against 0.063 s
+      by energy.
+    - "separable": two planar FFT fields sharing the lift axis, each
+      reduced to its mean of |g|^{2q} over its own axis, then multiplied
+      and averaged over x3, when they fit twice _FFT_BUDGET.
+    """
     parts = []
     for ax, (g, k) in enumerate(zip(factors, fidx)):
         # a member's factor rows: its distinct positions in the factor
@@ -751,18 +916,35 @@ def _separable_mean_pow(factors, fidx, seg: np.ndarray, r_side: float, q: int):
     xmax = np.maximum.reduceat(ints[:, 0], st)
     hmax = np.maximum.reduceat(col, st)
     e3 = (hmax[0::2] + hmax[1::2]).tolist()
-    shapes = []
+    m = len(e3)
+    shapes, limit = [], np.empty(m)
     for i, e in enumerate(e3):
-        sh1 = _fft_shape((int(xmax[2 * i]), e), q)
-        sh2 = _fft_shape((int(xmax[2 * i + 1]), e), q)
-        fits = math.prod(sh1) + math.prod(sh2) <= 2 * _FFT_BUDGET
-        shapes.extend((sh1, sh2) if fits else (None, None))
+        sh = (_fft_shape((int(xmax[2 * i]), e), q), _fft_shape((int(xmax[2 * i + 1]), e), q))
+        cells = math.prod(sh[0]) + math.prod(sh[1])
+        fits = cells <= 2 * _FFT_BUDGET
+        shapes.extend(sh if fits else (None, None))
+        limit[i] = cells if fits else _PAIR_BUDGET
+    methods = ["separable" if shapes[2 * i] is not None else None for i in range(m)]
+    energy = np.zeros(m, dtype=bool)
+    if q == 2:
+        n = lens.astype(float)
+        low = np.maximum(n * n, n ** 4 / (2 * xmax + 1))
+        slots = np.maximum(2 * np.array(e3, dtype=float) + 2,
+                           2.0 * (xmax[0::2] + xmax[1::2]) + 2)
+        cand = np.flatnonzero((low[0::2] + low[1::2] <= limit) & (slots <= limit))
+        if len(cand):
+            rows, cst = _seg_take(st, lens, np.column_stack([2 * cand, 2 * cand + 1]).ravel())
+            bound = _energy_bound(ints[rows, 0], cst)
+            energy[cand] = bound[0::2] + bound[1::2] <= limit[cand]
+        for i in np.flatnonzero(energy):
+            shapes[2 * i] = shapes[2 * i + 1] = None
+            methods[i] = "energy"
+    means, dims = [None] * m, [None] * m
     # each field's mean of |g|^{2q} over its own axis: a function of x3
     slices = _field_reduce(shapes, ints, w, st,
                            lambda g, mult: _axis1_means(g, 2 * q, mult))
-    means, dims = [None] * len(e3), [None] * len(e3)
     by_len = {}
-    for i in range(len(e3)):
+    for i in range(m):
         if shapes[2 * i] is not None:
             by_len.setdefault(shapes[2 * i][1], []).append(i)
             dims[i] = (shapes[2 * i][0], shapes[2 * i + 1][0], shapes[2 * i][1])
@@ -771,7 +953,12 @@ def _separable_mean_pow(factors, fidx, seg: np.ndarray, r_side: float, q: int):
                  * np.stack([slices[2 * i + 1] for i in members]))
         for i, v in zip(members, prods.mean(axis=1)):
             means[i] = float(v)
-    return means, dims
+    chosen = np.flatnonzero(energy)
+    if len(chosen):
+        rows, cst = _seg_take(st, lens, np.column_stack([2 * chosen, 2 * chosen + 1]).ravel())
+        for i, v in zip(chosen, _energy_mean_pow4(ints[rows], w[rows], cst)):
+            means[i], dims[i] = v, ()
+    return means, methods, dims
 
 
 @_frees_heap
@@ -783,8 +970,9 @@ def _member_norms(f: ExpSum, blocks: Sequence[np.ndarray], p: float,
     1. Rows: the blocks' frequencies laid end to end, tagged by member.
        A member whose indices form a product of factor positions gets the
        per-factor snap of its heights; other members snap the whole lift.
-    2. Separable: for even p >= 4, product members whose two factor
-       fields fit _FFT_BUDGET take the separable path.
+    2. Per factor: for even p >= 4, product members take the separable
+       fields or, at p = 4, the factors' additive energy, by the rule of
+       ``_product_mean_pow``; those with neither go on as other members.
     3. Snap and merge the other members: one packed-key sort, member
        number leading; then per-member translation and gcd, and the
        height shear.
@@ -823,15 +1011,14 @@ def _member_norms(f: ExpSum, blocks: Sequence[np.ndarray], p: float,
     general = np.ones(m, dtype=bool)
     if even and p != 2 and product.any():
         rows = product[seg]
-        means, sep_dims = _separable_mean_pow(
-            f.factors, [k[rows] for k in fidx], np.cumsum(product)[seg[rows]] - 1,
-            r, int(p) // 2)
-        for i, v, d in zip(np.flatnonzero(product), means, sep_dims):
+        for i, v, mt, d in zip(np.flatnonzero(product), *_product_mean_pow(
+                f.factors, [k[rows] for k in fidx], np.cumsum(product)[seg[rows]] - 1,
+                r, int(p) // 2)):
             if v is None:
                 note[i] = _SEPARABLE_SKIPPED
             else:
                 general[i] = False
-                value[i], method[i], dims[i] = v ** (1.0 / p), "separable", d
+                value[i], method[i], dims[i] = v ** (1.0 / p), mt, d
     members = np.flatnonzero(general)
     if len(members):
         rows = general[seg]
@@ -847,9 +1034,19 @@ def _member_norms(f: ExpSum, blocks: Sequence[np.ndarray], p: float,
 
 def _reduced_norms(ints: np.ndarray, w: np.ndarray, starts: np.ndarray, p: float):
     """(values, methods, dims) of the segments of merged, reduced integer
-    rows, by the method rule for sums that take no separable path; the
+    rows, by the method rule for sums that take no per-factor path; the
     method and FFT shape of each segment are checked against _FFT_BUDGET
-    in segment order before any field is built."""
+    in segment order before any field is built.
+
+    At p = 4 a segment of k rows takes pairs when _PAIR_CELLS k^2 is at
+    most its FFT cells (and k^2 at most _PAIR_BUDGET), or when its field
+    exceeds _FFT_BUDGET.  A sorted pair costs ~90 ns against ~35 ns per
+    FFT cell: the 500 members of the xy random hp sum at 2^-5 that took
+    pairs under the rule k^2 <= cells take 0.21 s on 2.3e6 pairs, 0.12 s
+    on 3.3e6 cells.  Over the members of the xy random hp sums (2^-4,
+    2^-5) and the xy axis family (2^-5, 2^-6) the engine takes 0.53 s at
+    _PAIR_CELLS = 1, 0.38 s at 2, 0.35 s at 3, 0.37 s at 4 and 0.37 s with
+    no pairs at all (2 cores, best of nine)."""
     ext = np.maximum.reduceat(ints, starts, axis=0).tolist()
     nrows = _seg_lens(starts, len(ints))
     n = len(starts)
@@ -863,8 +1060,8 @@ def _reduced_norms(ints: np.ndarray, w: np.ndarray, starts: np.ndarray, p: float
     elif even:
         q = int(p) // 2
         shapes = [_fft_shape(e, q) for e in ext]
-        methods = ["pairs" if q == 2 and (math.prod(s) > _FFT_BUDGET
-                                          or k * k <= min(_PAIR_BUDGET, math.prod(s)))
+        methods = ["pairs" if q == 2 and (math.prod(s) > _FFT_BUDGET or (
+            k * k <= _PAIR_BUDGET and _PAIR_CELLS * k * k <= math.prod(s)))
                    else "fft" for s, k in zip(shapes, nrows.tolist())]
     else:
         shapes = [_fft_shape(e, int(math.ceil(p)) + 2) for e in ext]
@@ -902,10 +1099,10 @@ def expsum_lp(f: ExpSum, p: float, box_side: float) -> NormReport:
     periodic; for even integer p the one-period integral is then exact.
     Product sums are snapped factor by factor, as ``snap_lift`` does,
     before any path is chosen, so every path sees the same sum.  The
-    method chosen (Parseval, separable FFT, pair counting, plain FFT) is
-    recorded in the report along with the largest displacement of a
-    lifted point.  This is the one-member call of the engine that
-    ``decoupling_report`` runs on all members at once.
+    method chosen (Parseval, separable FFT, additive energy, pair
+    counting, plain FFT) is recorded in the report along with the largest
+    displacement of a lifted point.  This is the one-member call of the
+    engine that ``decoupling_report`` runs on all members at once.
     """
     if not p >= 1:
         raise ValueError("p must be at least 1")
@@ -937,6 +1134,8 @@ def assign_frequencies(f: ExpSum, cover: FlatCover, tol: Optional[float] = None)
     boundary of each tiling closed, so each frequency lands in at most
     one tile per tiling.  Raises if any frequency is uncovered."""
     tol = cover.delta if tol is None else tol
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     pts = f.freqs
     counts = np.zeros(len(pts), dtype=np.int64)
     subsets = []

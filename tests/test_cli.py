@@ -87,8 +87,8 @@ def test_decouple_ratio_line_closed_form(capsys):
     assert rep["members_used"] == n
     assert rep["ratio"] == pytest.approx((energy / n ** 2) ** 0.25, rel=1e-10)
     # each cap holds one frequency
-    assert rep["methods"] == {"single": n, "parseval": 0, "separable": 0, "pairs": 0,
-                              "fft": 0, "riemann": 0, "lattice-max": 0}
+    assert rep["methods"] == {"single": n, "parseval": 0, "separable": 0, "energy": 0,
+                              "pairs": 0, "fft": 0, "riemann": 0, "lattice-max": 0}
 
 
 def test_decouple_sweep_writes_deterministic_csv(tmp_path, capsys):
@@ -243,6 +243,12 @@ def test_usage_errors_exit_1(capsys):
          "p must be at least 1"),
         *((["decouple", "ratio", "--example", ex, "--delta", "nan"], "delta must lie in")
           for ex in ("bump", "random", "line", "strip")),
+        *((["decouple", "ratio", "--example", "bump", "--delta", "2^-4", "--assign-tol", t],
+           "tol must be finite") for t in ("nan", "inf")),
+        *((["lattice", "count", "--delta", "2^-4", "--alpha", "sqrt2", "--tol", t],
+           "tol must be finite and non-negative") for t in ("nan", "inf")),
+        *((["rescale", "check", "--delta", "2^-4", "--tol", t],
+           "tol must be finite and non-negative") for t in ("nan", "-1")),
         *((["decouple", "sweep", "--example", "line", "--deltas", d], message)
           for d, message in (("nan..2^-4", "delta must lie in"), ("0..2^-4", "delta must lie in"),
                              ("0.3..2^-4", "1/delta must be a power of two"))),

@@ -88,6 +88,33 @@ def test_pairs_mean_pow4_matches_dict_convolution(sizes, extents, chunk, seed):
         assert abs(value - want) <= 1e-12 * want
 
 
+@settings(max_examples=100)
+@given(
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+    extent=st.sampled_from([0, 1, 3, 40]),
+    chunk=st.sampled_from([1, 30, 1 << 18]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_energy_bound_counts_additive_quadruples(sizes, extent, chunk, seed):
+    """Per segment, sum_k c_k^2 with c_k the ordered pairs adding to k,
+    also when the pairs of the segments run in several passes."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, extent + 1, size=sum(sizes)).astype(np.int64)
+    starts = _starts(sizes)
+    saved, norms._PAIR_CHUNK = norms._PAIR_CHUNK, chunk
+    try:
+        got = norms._energy_bound(x, starts)
+    finally:
+        norms._PAIR_CHUNK = saved
+    for value, s, k in zip(got.tolist(), starts, sizes):
+        seg = x[s:s + k].tolist()
+        counts = {}
+        for a in seg:
+            for b in seg:
+                counts[a + b] = counts.get(a + b, 0) + 1
+        assert value == sum(c * c for c in counts.values())
+
+
 def _merge_reference(ints, weights):
     """Distinct rows in lexicographic order, each row's weights added in
     row order."""

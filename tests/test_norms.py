@@ -56,6 +56,22 @@ def _dense_fft_norm(lifted, weights, p, r, max_cells=1 << 22):
     return float(np.mean(np.abs(g) ** p)) ** (1.0 / p)
 
 
+def _on_path(path: str, f: ExpSum, p: float, r: float):
+    """expsum_lp of f with its product members sent down one path:
+    "separable" (no energy bound fits), "energy" (no field fits) or
+    "pairs" (the whole sum, its lift snapped per factor, with no field)."""
+    with pytest.MonkeyPatch.context() as m:
+        if path == "separable":
+            m.setattr(norms, "_energy_bound", lambda x, starts: np.full(len(starts), 1 << 60))
+        else:
+            m.setattr(norms, "_FFT_BUDGET", 0)
+        if path == "pairs":
+            f = ExpSum(f.phase, f.freqs, f.weights, lift=snap_lift(f, r).lift)
+        rep = expsum_lp(f, p, r)
+    assert rep.method == path
+    return rep
+
+
 def test_exp_sum_validation():
     phi = hyperbolic_phase()
     with pytest.raises(ValueError):
@@ -306,9 +322,9 @@ def test_decoupling_line_example_additive_energy():
     seed=st.integers(0, 2 ** 16),
 )
 def test_exact_paths_agree_on_separable_products(xs, ys, coeffs, p, seed):
-    """Separable, fft, pairs and brute-force sampling give one value for
-    product sums with asymmetric separable integer phases, where the two
-    factors' height gcds differ (e.g. 2x^2 + y^2 on {0,1,2}^2)."""
+    """Separable, energy, fft, pairs and brute-force sampling give one
+    value for product sums with asymmetric separable integer phases, where
+    the two factors' height gcds differ (e.g. 2x^2 + y^2 on {0,1,2}^2)."""
     a, b, c, e = coeffs
     phi = BivariatePoly(3, {(2, 0): float(a), (0, 2): 1.0, (1, 0): float(b),
                             (0, 1): float(c), (3, 0): float(e)})
@@ -318,17 +334,16 @@ def test_exact_paths_agree_on_separable_products(xs, ys, coeffs, p, seed):
                         rng.standard_normal(len(xs)) + 1j * rng.standard_normal(len(xs)),
                         rng.standard_normal(len(ys)) + 1j * rng.standard_normal(len(ys)))
     assert f.factors is not None
-    sep = expsum_lp(f, p, 1.0)
-    assert sep.method == "separable"
+    sep = _on_path("separable", f, p, 1.0)
     plain = ExpSum(f.phase, f.freqs, f.weights)
     values = {
+        "auto": expsum_lp(f, p, 1.0).value,
         "plain": expsum_lp(plain, p, 1.0).value,
         "fft": _dense_fft_norm(plain.lifted(), plain.weights, p, 1.0),
     }
     if p == 4:
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(norms, "_FFT_BUDGET", 1)
-            values["pairs"] = expsum_lp(plain, p, 1.0).value
+        values["energy"] = _on_path("energy", f, p, 1.0).value
+        values["pairs"] = _on_path("pairs", f, p, 1.0).value
     kmax = int(np.max(np.abs(f.lifted())))
     field = sample_exp_sum(f, Box3((0.5, 0.5, 0.5), 1.0), p * kmax + 1)
     values["sampled"] = lp_norm(field, p)
@@ -434,29 +449,108 @@ def test_stein_tomas_scale_invariance_and_guards():
     seed=st.integers(0, 2 ** 16),
 )
 def test_product_sums_snap_per_factor_on_every_path(a, b, c, nx, ny, r, seed):
-    """Off-grid separable products: the separable path, the pair path it
-    falls back to under a tiny FFT budget, and the plain FFT of the sum with
-    its lift snapped by ``snap_lift`` all see one sum."""
+    """Off-grid separable products: the separable path, the energy path it
+    falls back to under a tiny FFT budget, the pair path of the sum with its
+    lift snapped by ``snap_lift``, and that sum's plain FFT all see one
+    sum."""
     phi = BivariatePoly(3, {(2, 0): a, (0, 2): b, (3, 0): c})
     rng = np.random.default_rng(seed)
     xs, ys = rng.uniform(0, 1, nx), rng.uniform(0, 1, ny)
     f = product_exp_sum(phi, xs, ys, rng.standard_normal(nx) + 1j * rng.standard_normal(nx),
                         rng.standard_normal(ny) + 1j * rng.standard_normal(ny))
-    sep = expsum_lp(f, 4, r)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(norms, "_FFT_BUDGET", 1)
-        pairs = expsum_lp(f, 4, r)
+    sep, energy, pairs = (_on_path(path, f, 4, r) for path in ("separable", "energy", "pairs"))
     plain = expsum_lp(ExpSum(phi, f.freqs, f.weights, lift=snap_lift(f, r).lift), 4, r)
-    assert (sep.method, pairs.method) == ("separable", "pairs")
-    assert sep.note == ""
-    assert pairs.note == ("separable path skipped: "
-                          "separable fields exceed the FFT budget")
-    assert pairs.value == pytest.approx(sep.value, rel=1e-12)
-    assert plain.value == pytest.approx(sep.value, rel=1e-12)
+    assert sep.note == energy.note == pairs.note == ""
+    assert energy.lattice_dims == ()
+    for rep in (energy, pairs, plain):
+        assert rep.value == pytest.approx(sep.value, rel=1e-12)
     # a lifted height moves by up to one grid step, half a step per factor
     moved = np.abs(snap_lift(f, r).lift - f.lifted()[:, 2]).max()
-    assert sep.snap_max == pairs.snap_max >= moved
+    assert sep.snap_max == energy.snap_max >= moved
     assert moved <= 1.0 / r + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.integers(1, 6), ny=st.integers(1, 6),
+    coeffs=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)),
+    flat=st.booleans(), ongrid=st.booleans(),
+    r=st.sampled_from([2.0, 4.0, 8.0, 12.0]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_energy_path_matches_brute_force_and_the_other_paths(nx, ny, coeffs, flat, ongrid,
+                                                             r, seed):
+    """The energy path equals brute force on the sum the engine sees
+    (heights snapped per factor by ``snap_lift``), the separable path and
+    whole-sum pairs, to 1e-12 relative: complex weights, values on the
+    (1/r)-grid (sampled directly) or off it (a dense FFT of the snapped
+    rows), singleton factors, and a linear phase, whose heights shear to
+    zero extent."""
+    a, b, c = coeffs
+    phi = (BivariatePoly(1, {(1, 0): 1.0, (0, 1): 2.0}) if flat
+           else BivariatePoly(3, {(2, 0): a, (0, 2): b, (3, 0): c}))
+    rng = np.random.default_rng(seed)
+    if ongrid:
+        xs, ys = (rng.choice(int(r) + 1, min(n, int(r) + 1), replace=False) / r
+                  for n in (nx, ny))
+    else:
+        xs, ys = rng.uniform(0, 1, nx), rng.uniform(0, 1, ny)
+    nx, ny = len(xs), len(ys)
+    f = product_exp_sum(phi, xs, ys, rng.standard_normal(nx) + 1j * rng.standard_normal(nx),
+                        rng.standard_normal(ny) + 1j * rng.standard_normal(ny))
+    energy = _on_path("energy", f, 4, r)
+    auto = expsum_lp(f, 4, r)
+    assert auto.method in ("energy", "separable")
+    g = ExpSum(phi, f.freqs, f.weights, lift=snap_lift(f, r).lift)
+    values = {"auto": auto.value, "separable": _on_path("separable", f, 4, r).value,
+              "pairs": _on_path("pairs", f, 4, r).value}
+    lifted = g.lifted()
+    n = 2 * int(np.ceil(r * 2 * np.abs(lifted).max())) + 1
+    if ongrid and n <= 120:
+        values["sampled"] = lp_norm(sample_exp_sum(g, Box3((0.0, 0.0, 0.0), r), n), 4)
+    else:
+        values["dense"] = _dense_fft_norm(lifted, g.weights, 4, r)
+    for name, v in values.items():
+        if v is not None:
+            assert v == pytest.approx(energy.value, rel=1e-12, abs=0), name
+
+
+def test_energy_member_values_do_not_depend_on_the_batch():
+    """With no field fitting, every product member takes energy; its value
+    is bit-equal alone, batched with all members, and batched in reverse
+    order, and stays within 1e-12 when the terms run in chunks of a few."""
+    e = 4
+    f = _example("product", e, True, 5)
+    r = 2.0 ** e
+    subsets = [s for s in assign_frequencies(f, _cover("caps", e), 0.0)[0] if len(s) > 1]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(norms, "_FFT_BUDGET", 1)
+        batched = norms._member_norms(f, subsets, 4, r)
+        backward = norms._member_norms(f, subsets[::-1], 4, r)[::-1]
+        alone = [norms._member_norms(f, [s], 4, r)[0] for s in subsets]
+        for chunk in (1, 7, 60):
+            m.setattr(norms, "_PAIR_CHUNK", chunk)
+            small = norms._member_norms(f, subsets, 4, r)
+            for q, want in zip(small, batched):
+                assert q.value == pytest.approx(want.value, rel=1e-12, abs=0)
+    assert {q.method for q in batched} == {"energy"}
+    assert [q.value for q in batched] == [q.value for q in alone] == [q.value for q in backward]
+
+
+def test_huge_boxes_take_a_counting_path_without_a_padding_search():
+    """A small product sum at box sides 2^20, 2^30 and 2^50: no field fits,
+    and from 2^30 on the energy path would count into more slots than
+    _PAIR_BUDGET, so the sum takes whole-sum pairs.  Lattice lengths past
+    the FFT budget are not padded (the 11-smooth search there takes
+    minutes).  Generic unit-weight factors of three values have
+    int |F_i|^4 = 2 * 3^2 - 3 = 15 each."""
+    rng = np.random.default_rng(0)
+    f = product_exp_sum(BivariatePoly(2, {(2, 0): 1.0, (0, 2): 1.0}),
+                        rng.uniform(0, 1, 3), rng.uniform(0, 1, 3))
+    for r, method in ((2.0 ** 20, "energy"), (2.0 ** 30, "pairs"), (2.0 ** 50, "pairs")):
+        rep = expsum_lp(f, 4, r)
+        assert rep.method == method
+        assert rep.value ** 4 == pytest.approx(225.0, rel=1e-12)
 
 
 # -- batched member norms ------------------------------------------------------
@@ -553,7 +647,8 @@ def test_batched_member_norms_take_every_path():
     for cover, kind, snapped, e, p, coarse in [
         ("caps", "product", True, 5, 2, 1),      # parseval
         ("caps", "product", False, 5, 4, 1),     # separable
-        ("hp", "plain", True, 4, 4, 1),          # pairs and fft
+        ("hp", "product", True, 4, 4, 4),        # energy, rows merged by the snap
+        ("hp", "product", True, 4, 4, 1),        # pairs: few rows, sparse lattice
         ("axis", "plain", True, 4, 6, 4),        # fft, rows merged by the snap
         ("general", "plain", False, 5, 3, 1),    # riemann
         ("axis", "product", True, 4, math.inf, 1),  # lattice-max
@@ -578,8 +673,8 @@ def test_batched_member_norms_take_every_path():
 
 
 def test_decoupling_report_methods():
-    """Elliptic caps members take the separable path; the xy axis family's
-    members split into pairs and fft."""
+    """Elliptic caps members take the separable path; every member of the
+    xy axis family takes fft (pairs cost more than their fields)."""
     d = 2.0 ** -6
     f = snap_lift(bump_example(BivariatePoly(2, {(2, 0): 1.0, (0, 2): 1.0}),
                                (0.0, 0.0, 1.0, 1.0), d), 1.0 / d)
@@ -589,8 +684,7 @@ def test_decoupling_report_methods():
     d = 2.0 ** -5
     f = snap_lift(bump_example(hyperbolic_phase(), (0.0, 0.0, 1.0, 1.0), d), 1.0 / d)
     rep = decoupling_report(f, hp_axis_family(d), 4.0, tol=0.0)
-    assert rep.methods["pairs"] > 0 and rep.methods["fft"] > 0
-    assert rep.methods["pairs"] + rep.methods["fft"] == rep.members_used
+    assert rep.methods["fft"] == rep.members_used == 200
     assert sum(rep.methods.values()) == rep.members_used
 
 
