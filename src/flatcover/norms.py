@@ -21,11 +21,11 @@ written down where it is applied.  Product sums may take each factor's
 additive energy instead: int |f|^4 = sum_s D1(s) D2(-s), with D_i(s) the
 weighted count of quadruples m1 + m2 = m3 + m4 of factor i whose heights
 differ by s (``_energy_mean_pow4``), chosen where a bound on its terms is
-at most the two fields' cells (``_product_mean_pow``) or where the fields
-do not fit.  Other sums may take Parseval on the pair sum f^2
-(``_pairs_mean_pow4``), chosen where a sorted pair table of k^2 rows
-costs less than the field (``_reduced_norms``) or where the field does
-not fit.
+at most _ENERGY_TERMS times the two fields' cells (``_product_mean_pow``)
+or where the fields do not fit.  Other sums may take Parseval on the pair
+sum f^2 (``_pairs_mean_pow4``), chosen where a sorted pair table of k^2
+rows costs less than the field, _PAIR_CELLS cells a pair
+(``_reduced_norms``), or where the field does not fit.
 
 Integer rows (snapped frequencies, pair sums) are merged through packed
 keys: one int64 per row, in lexicographic row order, so merging needs
@@ -61,7 +61,8 @@ from .poly2 import BivariatePoly, hyperbolic_phase
 
 _FFT_BUDGET = 1 << 26  # complex entries per field, ~1 GB at complex128
 _PAIR_BUDGET = 12_000_000  # pairs, or energy terms, when p=4 fields exceed _FFT_BUDGET
-_PAIR_CELLS = 4  # FFT cells a sorted frequency pair may cost (measured in _reduced_norms)
+_PAIR_CELLS = 3  # FFT cells a sorted frequency pair may cost (measured in _reduced_norms)
+_ENERGY_TERMS = 1  # energy-bound terms one FFT cell may cost (measured in _product_mean_pow)
 
 
 @dataclass(frozen=True)
@@ -554,13 +555,8 @@ def _fast_len(n: int) -> int:
 
 def _fft_shape(ext, mult: int, pad: int = 1) -> Tuple[int, ...]:
     """Zero-padded FFT length per axis: _fast_len(mult*extent + pad)
-    on live axes (positive extent), 1 on dead ones.  A length past
-    _FFT_BUDGET is left unpadded: a field with such an axis holds more than
-    _FFT_BUDGET cells, and the search for an 11-smooth length there can
-    take minutes."""
-    lens = (int(mult * e + pad) for e in ext)
-    return tuple(1 if e <= 0 else n if n > _FFT_BUDGET else _fast_len(n)
-                 for e, n in zip(ext, lens))
+    on live axes (positive extent), 1 on dead ones."""
+    return tuple(_fast_len(int(mult * e + pad)) if e > 0 else 1 for e in ext)
 
 
 def _stacked_fields(shape: Tuple[int, ...], slot: np.ndarray, ints: np.ndarray,
@@ -876,18 +872,29 @@ def _product_mean_pow(factors, fidx, seg: np.ndarray, r_side: float, q: int):
     the joint one of both factors.  Then, per member:
 
     - "energy" (q = 2 only): ``_energy_mean_pow4`` on the two factors,
-      when its work is at most ``limit``: the cells of the two separable
-      fields, or _PAIR_BUDGET where they exceed twice _FFT_BUDGET.  The
-      work is the slots it counts into (2 e3 + 2 shifts for D, 2 xmax + 1
-      sums per factor for the bound) and the additive-energy bound of
-      ``_energy_bound`` on its terms; the bound is not formed where a
-      lower bound on it (n^2, and n^4 / (2 xmax + 1) by Cauchy-Schwarz)
-      already exceeds the limit.  Measured on 2 cores: x^2 + y^2 on the
-      2^-7 grid at box side 2^21 (bound 2.9e6, 8.7e6 cells) takes 0.024 s
-      against 0.22 s by fields, x^2 - y^2 on the 2^-6 sqrt2 lattice
-      0.011 s against 1.95 s; the 2^-8 elliptic bump at box side 2^8
-      (bound 2.3e7, 2.8e5 cells) keeps its fields, 0.025 s against 0.063 s
-      by energy.
+      when its work is at most ``limit``: _ENERGY_TERMS times the cells
+      of the two separable fields, or _PAIR_BUDGET where they exceed
+      twice _FFT_BUDGET.  The work is the slots it counts into (2 e3 + 2
+      shifts for D, 2 xmax + 1 sums per factor for the bound) and the
+      additive-energy bound of ``_energy_bound`` on its terms; the bound
+      is not formed where a lower bound on it (n^2, and n^4 / (2 xmax + 1)
+      by Cauchy-Schwarz) already exceeds the limit.  Members chosen for
+      energy run in groups of ``_size_groups``, so what one call holds
+      does not grow with the number of members.
+
+      _ENERGY_TERMS = 1 is measured on 2 cores (best of five to nine,
+      energy time over fields time against bound / cells).  Whole bump
+      sums of x^2 + y^2 at 2^-5..2^-8 over box sides 2^5..2^14: 0.23-1.05
+      at 1.3, 0.46-1.17 at 2.3-2.8, 0.84-1.8 at 4-8, 1.4-2.5 at 10-82.
+      The 781 product members of the norms workload's decoupling sums
+      (elliptic bump caps, line and strip examples), whose small fields
+      share stacked FFTs: 1.56 at 1-2, 1.22-1.37 at 2-16, 2.37 beyond, so
+      none of them takes energy, and with the pre-filter none forms the
+      bound.  Whole sums under the rule: x^2 + y^2 on the 2^-7 grid at box
+      side 2^21 (bound 2.9e6, 8.7e6 cells) takes 0.024 s against 0.22 s by
+      fields, x^2 - y^2 on the 2^-6 sqrt2 lattice 0.011 s against 1.95 s;
+      the 2^-8 elliptic bump at box side 2^8 (bound 2.3e7, 2.8e5 cells)
+      keeps its fields, 0.025 s against 0.063 s by energy.
     - "separable": two planar FFT fields sharing the lift axis, each
       reduced to its mean of |g|^{2q} over its own axis, then multiplied
       and averaged over x3, when they fit twice _FFT_BUDGET.
@@ -923,9 +930,9 @@ def _product_mean_pow(factors, fidx, seg: np.ndarray, r_side: float, q: int):
         cells = math.prod(sh[0]) + math.prod(sh[1])
         fits = cells <= 2 * _FFT_BUDGET
         shapes.extend(sh if fits else (None, None))
-        limit[i] = cells if fits else _PAIR_BUDGET
+        limit[i] = _ENERGY_TERMS * cells if fits else _PAIR_BUDGET
     methods = ["separable" if shapes[2 * i] is not None else None for i in range(m)]
-    energy = np.zeros(m, dtype=bool)
+    energy, groups = np.zeros(m, dtype=bool), []
     if q == 2:
         n = lens.astype(float)
         low = np.maximum(n * n, n ** 4 / (2 * xmax + 1))
@@ -936,6 +943,7 @@ def _product_mean_pow(factors, fidx, seg: np.ndarray, r_side: float, q: int):
             rows, cst = _seg_take(st, lens, np.column_stack([2 * cand, 2 * cand + 1]).ravel())
             bound = _energy_bound(ints[rows, 0], cst)
             energy[cand] = bound[0::2] + bound[1::2] <= limit[cand]
+        groups = _size_groups(np.flatnonzero(energy), (n * n)[0::2] + (n * n)[1::2] + slots)
         for i in np.flatnonzero(energy):
             shapes[2 * i] = shapes[2 * i + 1] = None
             methods[i] = "energy"
@@ -953,12 +961,27 @@ def _product_mean_pow(factors, fidx, seg: np.ndarray, r_side: float, q: int):
                  * np.stack([slices[2 * i + 1] for i in members]))
         for i, v in zip(members, prods.mean(axis=1)):
             means[i] = float(v)
-    chosen = np.flatnonzero(energy)
-    if len(chosen):
-        rows, cst = _seg_take(st, lens, np.column_stack([2 * chosen, 2 * chosen + 1]).ravel())
-        for i, v in zip(chosen, _energy_mean_pow4(ints[rows], w[rows], cst)):
+    for group in groups:
+        rows, cst = _seg_take(st, lens, np.column_stack([2 * group, 2 * group + 1]).ravel())
+        for i, v in zip(group, _energy_mean_pow4(ints[rows], w[rows], cst)):
             means[i], dims[i] = v, ()
     return means, methods, dims
+
+
+def _size_groups(members: np.ndarray, size) -> list:
+    """Consecutive runs of the members whose sizes add to at most
+    _PAIR_CHUNK (one member at least).  A member's size is what
+    ``_energy_mean_pow4`` holds for it at once: its pair tables (at most
+    n^2 rows per factor) and its D slots."""
+    groups, lo, used = [], 0, 0.0
+    for j, i in enumerate(members):
+        if j > lo and used + size[i] > _PAIR_CHUNK:
+            groups.append(members[lo:j])
+            lo, used = j, 0.0
+        used += size[i]
+    if len(members):
+        groups.append(members[lo:])
+    return groups
 
 
 @_frees_heap
@@ -1040,13 +1063,17 @@ def _reduced_norms(ints: np.ndarray, w: np.ndarray, starts: np.ndarray, p: float
 
     At p = 4 a segment of k rows takes pairs when _PAIR_CELLS k^2 is at
     most its FFT cells (and k^2 at most _PAIR_BUDGET), or when its field
-    exceeds _FFT_BUDGET.  A sorted pair costs ~90 ns against ~35 ns per
-    FFT cell: the 500 members of the xy random hp sum at 2^-5 that took
-    pairs under the rule k^2 <= cells take 0.21 s on 2.3e6 pairs, 0.12 s
-    on 3.3e6 cells.  Over the members of the xy random hp sums (2^-4,
-    2^-5) and the xy axis family (2^-5, 2^-6) the engine takes 0.53 s at
-    _PAIR_CELLS = 1, 0.38 s at 2, 0.35 s at 3, 0.37 s at 4 and 0.37 s with
-    no pairs at all (2 cores, best of nine)."""
+    exceeds _FFT_BUDGET.  A sorted pair costs 58-78 ns against 22-31 ns
+    per FFT cell, measured on 2 cores (best of nine) on the 3,431 members
+    of the xy random hp sums (2^-4, 2^-5) and the xy bump axis families
+    (2^-5, 2^-6), binned by cells / k^2: pairs take 5.1 times the FFT's
+    time at cells / k^2 <= 1, 2.0 in (1, 2], 1.4 in (2, 3] and 0.74 in
+    (3, 4], so _PAIR_CELLS is 3.  The old rule k^2 <= cells sent 500 of
+    the 1,882 xy random hp members at 2^-5 to pairs.  Of the norms
+    workload's members 8 take pairs (xy random hp 2^-4 and 2^-5, all in
+    (3, 4]); pairs pay off most on few rows spread over a large lattice:
+    20 random rows in [0, 100]^3 (7.5e6 cells) take 0.3 ms by pairs
+    against 0.22 s by FFT."""
     ext = np.maximum.reduceat(ints, starts, axis=0).tolist()
     nrows = _seg_lens(starts, len(ints))
     n = len(starts)

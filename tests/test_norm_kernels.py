@@ -115,6 +115,17 @@ def test_energy_bound_counts_additive_quadruples(sizes, extent, chunk, seed):
         assert value == sum(c * c for c in counts.values())
 
 
+def test_size_groups_cut_consecutive_runs_at_the_pair_chunk(monkeypatch):
+    """Members run in consecutive groups whose sizes add to at most
+    _PAIR_CHUNK; a larger member runs alone."""
+    monkeypatch.setattr(norms, "_PAIR_CHUNK", 6)
+    members = np.array([4, 7, 9, 2, 5])
+    size = np.zeros(10)
+    size[[4, 7, 9, 2, 5]] = [3, 3, 3, 10, 1]
+    assert [g.tolist() for g in norms._size_groups(members, size)] == [[4, 7], [9], [2], [5]]
+    assert norms._size_groups(members[:0], size) == []
+
+
 def _merge_reference(ints, weights):
     """Distinct rows in lexicographic order, each row's weights added in
     row order."""

@@ -58,17 +58,22 @@ def _dense_fft_norm(lifted, weights, p, r, max_cells=1 << 22):
 
 def _on_path(path: str, f: ExpSum, p: float, r: float):
     """expsum_lp of f with its product members sent down one path:
-    "separable" (no energy bound fits), "energy" (no field fits) or
-    "pairs" (the whole sum, its lift snapped per factor, with no field)."""
+    "separable" (no energy bound fits), "energy" (no field fits),
+    "fallback" (neither fits, so the product sum itself is counted by
+    whole-sum pairs) or "pairs" (the whole sum, its lift snapped per
+    factor, with no field and no factors)."""
+    def huge(x, starts):
+        return np.full(len(starts), 1 << 60)
+
     with pytest.MonkeyPatch.context() as m:
-        if path == "separable":
-            m.setattr(norms, "_energy_bound", lambda x, starts: np.full(len(starts), 1 << 60))
-        else:
+        if path in ("separable", "fallback"):
+            m.setattr(norms, "_energy_bound", huge)
+        if path != "separable":
             m.setattr(norms, "_FFT_BUDGET", 0)
         if path == "pairs":
             f = ExpSum(f.phase, f.freqs, f.weights, lift=snap_lift(f, r).lift)
         rep = expsum_lp(f, p, r)
-    assert rep.method == path
+    assert rep.method == ("pairs" if path == "fallback" else path)
     return rep
 
 
@@ -450,23 +455,26 @@ def test_stein_tomas_scale_invariance_and_guards():
 )
 def test_product_sums_snap_per_factor_on_every_path(a, b, c, nx, ny, r, seed):
     """Off-grid separable products: the separable path, the energy path it
-    falls back to under a tiny FFT budget, the pair path of the sum with its
-    lift snapped by ``snap_lift``, and that sum's plain FFT all see one
-    sum."""
+    falls back to under a tiny FFT budget, the whole-sum pairs the product
+    sum itself falls back to when energy does not fit either, the pair
+    path of the sum with its lift snapped by ``snap_lift``, and that sum's
+    plain FFT all see one sum."""
     phi = BivariatePoly(3, {(2, 0): a, (0, 2): b, (3, 0): c})
     rng = np.random.default_rng(seed)
     xs, ys = rng.uniform(0, 1, nx), rng.uniform(0, 1, ny)
     f = product_exp_sum(phi, xs, ys, rng.standard_normal(nx) + 1j * rng.standard_normal(nx),
                         rng.standard_normal(ny) + 1j * rng.standard_normal(ny))
-    sep, energy, pairs = (_on_path(path, f, 4, r) for path in ("separable", "energy", "pairs"))
+    sep, energy, fallback, pairs = (_on_path(path, f, 4, r)
+                                    for path in ("separable", "energy", "fallback", "pairs"))
     plain = expsum_lp(ExpSum(phi, f.freqs, f.weights, lift=snap_lift(f, r).lift), 4, r)
     assert sep.note == energy.note == pairs.note == ""
-    assert energy.lattice_dims == ()
-    for rep in (energy, pairs, plain):
+    assert fallback.note == norms._SEPARABLE_SKIPPED
+    assert energy.lattice_dims == fallback.lattice_dims == ()
+    for rep in (energy, fallback, pairs, plain):
         assert rep.value == pytest.approx(sep.value, rel=1e-12)
     # a lifted height moves by up to one grid step, half a step per factor
     moved = np.abs(snap_lift(f, r).lift - f.lifted()[:, 2]).max()
-    assert sep.snap_max == energy.snap_max >= moved
+    assert sep.snap_max == energy.snap_max == fallback.snap_max >= moved
     assert moved <= 1.0 / r + 1e-12
 
 
@@ -537,20 +545,17 @@ def test_energy_member_values_do_not_depend_on_the_batch():
     assert [q.value for q in batched] == [q.value for q in alone] == [q.value for q in backward]
 
 
-def test_huge_boxes_take_a_counting_path_without_a_padding_search():
-    """A small product sum at box sides 2^20, 2^30 and 2^50: no field fits,
-    and from 2^30 on the energy path would count into more slots than
-    _PAIR_BUDGET, so the sum takes whole-sum pairs.  Lattice lengths past
-    the FFT budget are not padded (the 11-smooth search there takes
-    minutes).  Generic unit-weight factors of three values have
+def test_huge_box_product_takes_energy_where_no_field_fits():
+    """A small product sum at box side 2^20: its separable fields exceed
+    the FFT budget, and the energy path, not whole-sum pairs, counts it.
+    Generic unit-weight factors of three values have
     int |F_i|^4 = 2 * 3^2 - 3 = 15 each."""
     rng = np.random.default_rng(0)
     f = product_exp_sum(BivariatePoly(2, {(2, 0): 1.0, (0, 2): 1.0}),
                         rng.uniform(0, 1, 3), rng.uniform(0, 1, 3))
-    for r, method in ((2.0 ** 20, "energy"), (2.0 ** 30, "pairs"), (2.0 ** 50, "pairs")):
-        rep = expsum_lp(f, 4, r)
-        assert rep.method == method
-        assert rep.value ** 4 == pytest.approx(225.0, rel=1e-12)
+    rep = expsum_lp(f, 4, 2.0 ** 20)
+    assert (rep.method, rep.note, rep.lattice_dims) == ("energy", "", ())
+    assert rep.value ** 4 == pytest.approx(225.0, rel=1e-12)
 
 
 # -- batched member norms ------------------------------------------------------
