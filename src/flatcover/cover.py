@@ -709,9 +709,11 @@ def _saddle_normalizer(phi: BivariatePoly) -> Tuple[AffineMap2, float]:
 
 def _strip_1d_split(
     psi: BivariatePoly, target: float, a_const: float
-) -> List[Tuple[float, float]]:
+) -> Optional[List[Tuple[float, float]]]:
     """Greedy maximal intervals I so that the strip I x [0,1] is flat at
-    scale a_const*target for psi.  Intervals partition [0, 1]."""
+    scale a_const*target for psi.  Intervals partition [0, 1].  None when
+    a strip has no certified width: its bisection ends at length 0, so not
+    even the strip 2^-40 of the remaining length wide is flat."""
     out = []
     x0 = 0.0
     while x0 < 1.0 - 1e-12:
@@ -727,6 +729,8 @@ def _strip_1d_split(
                 lo_len = mid
             else:
                 hi_len = mid
+        if lo_len == 0.0:
+            return None
         length = max(lo_len, 1e-6 * (1.0 - x0), 1e-9)
         out.append((x0, min(x0 + length, 1.0)))
         x0 += length
@@ -736,6 +740,8 @@ def _strip_1d_split(
 
 
 def _rotation_residual(phi: BivariatePoly, theta: float) -> float:
+    """Nonlinear cross-variable coefficient mass of phi rotated by theta:
+    the sum of |a_jk| over k >= 1, j + k >= 2."""
     rot = AffineMap2.rotation(theta)
     rotated = compose_affine(phi, rot.matrix, rot.offset)
     total = 0.0
@@ -745,11 +751,79 @@ def _rotation_residual(phi: BivariatePoly, theta: float) -> float:
     return total
 
 
+def _rotation_residuals(phi: BivariatePoly, thetas: np.ndarray) -> Tuple[np.ndarray, float]:
+    """``_rotation_residual`` at every angle in one numpy pass, and the
+    margin above the batched minimum within which the batched value of
+    the scalar scan's minimizer must lie.
+
+    The rotated coefficients live in dense (T, n+1, n+1) arrays, n the
+    support degree: powers of y = s u + c v, the rows sum_k a_jk y^k, and
+    Horner in x = c u - s v.  Both paths start from the same cosines and
+    sines (``AffineMap2.rotation``'s), and both compute each rotated
+    coefficient as a sum of terms a_jk times a product of j + k entries
+    of the rotation, so each is within gamma_K S of the exact residual at
+    those entries (barring underflow), where gamma_K = K eps / (1 - K eps), eps = 2^-53, K
+    bounds the roundings on any one term's path and S is the sum of the
+    terms' absolute values:
+
+    * S <= sum |a_jk| (|c| + |s|)^(j+k) <= sum |a_jk| 2^((j+k)/2).
+    * The scalar path takes <= 2 roundings per power step (2n), one
+      product and <= n additions per power product, one product and <= n
+      additions into the result, and one addition per summand of the
+      residual, at most (n+1)(n+2)/2: K <= (n^2 + 11n + 6)/2.
+    * The batched path takes 2 per power step (2n), one product and <= n
+      additions per row, 3 per Horner step (3n) and <= (n+1)^2 additions
+      in the residual: K <= n^2 + 8n + 2.
+
+    Both are below K = (n + 4)^2, so a batched and a scalar value differ
+    by at most 2 gamma_K S, and the scalar minimizer's batched value is
+    within 4 gamma_K S of the batched minimum.  The margin returned is
+    16 K eps S: its factor 4 to spare covers gamma_K > K eps and the
+    rounding of the margin itself.
+    """
+    n = phi.support_degree()
+    c = np.array([math.cos(t) for t in thetas])
+    s = np.array([math.sin(t) for t in thetas])
+
+    def times(p, a, b):  # p * (a u + b v); degrees stay <= n
+        out = np.zeros_like(p)
+        out[:, 1:, :] = a[:, None, None] * p[:, :-1, :]
+        out[:, :, 1:] += b[:, None, None] * p[:, :, :-1]
+        return out
+
+    ypow = [np.zeros((len(thetas), n + 1, n + 1))]
+    ypow[0][:, 0, 0] = 1.0
+    rows = [np.zeros_like(ypow[0]) for _ in range(n + 1)]
+    for (j, k), a in phi.coeffs.items():
+        while len(ypow) <= k:
+            ypow.append(times(ypow[-1], s, c))
+        rows[j] += a * ypow[k]
+    acc = rows[n]
+    for j in range(n - 1, -1, -1):
+        acc = times(acc, c, -s) + rows[j]
+    u, v = np.indices((n + 1, n + 1))
+    residual = np.abs(acc[:, (v >= 1) & (u + v >= 2)]).sum(axis=1)
+    mass = sum(abs(a) * 2.0 ** (0.5 * (j + k)) for (j, k), a in phi.coeffs.items())
+    return residual, 16.0 * (n + 4) ** 2 * 2.0 ** -53 * mass
+
+
 def _best_rotation(phi: BivariatePoly) -> Tuple[float, float]:
-    """Angle minimizing the nonlinear cross-variable coefficient mass."""
+    """Angle minimizing the nonlinear cross-variable coefficient mass.
+
+    181 grid angles over [-pi/2, pi/2] are scored in one batched pass;
+    every angle whose batched residual lies within the rounding margin of
+    ``_rotation_residuals`` above the batched minimum is re-scored by
+    ``_rotation_residual``, and the first exact minimum among them wins.
+    The scalar minimizer is always among the re-scored angles, so the
+    pick and its value are those of an argmin over the scalar scan.  A
+    golden-section search between the grid neighbours then refines it.
+    """
     thetas = np.linspace(-math.pi / 2, math.pi / 2, 181)
-    vals = [_rotation_residual(phi, t) for t in thetas]
-    i = int(np.argmin(vals))
+    approx, tol = _rotation_residuals(phi, thetas)
+    near = np.flatnonzero(~(approx > approx.min() + tol))  # NaN keeps every angle
+    vals = [_rotation_residual(phi, t) for t in thetas[near]]
+    best = int(np.argmin(vals))
+    i = int(near[best])
     lo = thetas[max(i - 1, 0)]
     hi = thetas[min(i + 1, len(thetas) - 1)]
     gold = (math.sqrt(5) - 1) / 2
@@ -766,7 +840,7 @@ def _best_rotation(phi: BivariatePoly) -> Tuple[float, float]:
             x2 = lo + gold * (hi - lo)
             f2 = _rotation_residual(phi, x2)
     theta = x1 if f1 <= f2 else x2
-    return float(theta), float(min(f1, f2, vals[i]))
+    return float(theta), float(min(f1, f2, vals[best]))
 
 
 def build_cover_general(
@@ -781,7 +855,9 @@ def build_cover_general(
     anisotropic construction; bowl -> square caps at the certified flat
     scale); degenerate patches are rotated so the phase is nearly a
     function of the first variable, split into maximal flat strips, and
-    each strip is zoomed to unit scale and recursed.  Depth beyond
+    each strip is zoomed to unit scale and recursed; a patch that rotates
+    badly, or has a strip with no certified width, is split into
+    M x M squares, each zoomed and recursed.  Depth beyond
     4*log_M(1/delta) raises, with M = ``_M_CONST``, and so does an
     a_const that is not finite and positive.
 
@@ -855,20 +931,22 @@ def build_cover_general(
             local = compose_affine(rotated, unit.matrix, unit.offset)
             work = max(target, 2.0 * residual / a_const)
             pieces = _strip_1d_split(local, work, a_const)
-            to_world = frame.compose(rot).compose(unit)
-            if work <= target * (1 + 1e-9):
+            # without a certified strip width, fall through to the dichotomy
+            if pieces is not None:
+                to_world = frame.compose(rot).compose(unit)
+                if work <= target * (1 + 1e-9):
+                    for (x0, x1) in pieces:
+                        emit_leaf(to_world.apply_box(axis_rectangle(x0, 0.0, x1, 1.0)))
+                    return
                 for (x0, x1) in pieces:
-                    emit_leaf(to_world.apply_box(axis_rectangle(x0, 0.0, x1, 1.0)))
+                    strip = axis_rectangle(x0, 0.0, x1, 1.0)
+                    zoom = AffineMap2(((x1 - x0, 0.0), (0.0, 1.0)), (x0, 0.0))
+                    sub = compose_affine(local, zoom.matrix, zoom.offset)
+                    lo, hi = flat_defect_interval(local, strip)
+                    norm = max(hi, target)
+                    sub_n = poly_scale(minus_tangent_plane(sub, 0.5, 0.5), 1.0 / norm)
+                    process(to_world.compose(zoom), sub_n, scale * norm, depth + 1)
                 return
-            for (x0, x1) in pieces:
-                strip = axis_rectangle(x0, 0.0, x1, 1.0)
-                zoom = AffineMap2(((x1 - x0, 0.0), (0.0, 1.0)), (x0, 0.0))
-                sub = compose_affine(local, zoom.matrix, zoom.offset)
-                lo, hi = flat_defect_interval(local, strip)
-                norm = max(hi, target)
-                sub_n = poly_scale(minus_tangent_plane(sub, 0.5, 0.5), 1.0 / norm)
-                process(to_world.compose(zoom), sub_n, scale * norm, depth + 1)
-            return
         # mixed patch: curved/flat square dichotomy, zoom each square
         side = 1.0 / _M_CONST
         f = side * side  # parabolic zoom normalizer

@@ -555,8 +555,12 @@ def _fast_len(n: int) -> int:
 
 def _fft_shape(ext, mult: int, pad: int = 1) -> Tuple[int, ...]:
     """Zero-padded FFT length per axis: _fast_len(mult*extent + pad)
-    on live axes (positive extent), 1 on dead ones."""
-    return tuple(_fast_len(int(mult * e + pad)) if e > 0 else 1 for e in ext)
+    on live axes (positive extent), 1 on dead ones.  A length past twice
+    _FFT_BUDGET, the most any rule allows two fields together, stays
+    unpadded: such a field never fits, and the search for a fast length
+    would only cost time."""
+    lens = (int(mult * e + pad) if e > 0 else 1 for e in ext)
+    return tuple(n if n > 2 * _FFT_BUDGET else _fast_len(n) for n in lens)
 
 
 def _stacked_fields(shape: Tuple[int, ...], slot: np.ndarray, ints: np.ndarray,

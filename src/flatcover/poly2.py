@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from functools import cached_property
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -29,6 +30,9 @@ class BivariatePoly:
     ``j + k <= degree``.  The declared degree may exceed the support
     (a quadratic may be declared with degree 4); it is carried so that
     normal-form bounds that depend on the degree have a stable ``d``.
+
+    Instances are treated as immutable: the Horner rows of ``eval`` and
+    the derivative polynomials are derived on first use and cached.
     """
 
     degree: int
@@ -58,29 +62,39 @@ class BivariatePoly:
         """Largest j+k with a nonzero coefficient (0 for the zero poly)."""
         return max((j + k for (j, k) in self.coeffs), default=0)
 
+    @cached_property
+    def _horner_rows(self) -> Tuple[Tuple[float, ...], ...]:
+        """Dense coefficient rows: row j holds a_jk for k = 0..kmax."""
+        if not self.coeffs:
+            return ()
+        jmax = max(j for (j, _) in self.coeffs)
+        kmax = max(k for (_, k) in self.coeffs)
+        rows = [[0.0] * (kmax + 1) for _ in range(jmax + 1)]
+        for (j, k), a in self.coeffs.items():
+            rows[j][k] = a
+        return tuple(map(tuple, rows))
+
     def eval(self, x, y):
         """Evaluate at scalars or numpy arrays.
 
         Horner in y for each x-degree, then Horner in x; one pass per
-        stored degree, no power tables.
+        stored degree, no power tables.  Two Python floats stay Python
+        floats throughout, with the same operations as the array path.
         """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if not self.coeffs:
-            return np.zeros(np.broadcast(x, y).shape) if x.shape or y.shape else 0.0
-        jmax = max(j for (j, _) in self.coeffs)
-        kmax = max(k for (_, k) in self.coeffs)
-        table = np.zeros((jmax + 1, kmax + 1))
-        for (j, k), a in self.coeffs.items():
-            table[j, k] = a
-        # Horner in y per row, then Horner in x.
+        rows = self._horner_rows
+        scalar = isinstance(x, float) and isinstance(y, float)
+        if not scalar:
+            x = np.asarray(x, dtype=float)
+            y = np.asarray(y, dtype=float)
+            if not rows and (x.shape or y.shape):
+                return np.zeros(np.broadcast(x, y).shape)
         out = 0.0
-        for j in range(jmax, -1, -1):
-            row = 0.0
-            for k in range(kmax, -1, -1):
-                row = row * y + table[j, k]
-            out = out * x + row
-        if np.ndim(out) == 0:
+        for row in reversed(rows):
+            acc = 0.0
+            for a in reversed(row):
+                acc = acc * y + a
+            out = out * x + acc
+        if scalar or np.ndim(out) == 0:
             return float(out)
         return out
 
@@ -96,16 +110,23 @@ class BivariatePoly:
                 out[(j, k - 1)] = out.get((j, k - 1), 0.0) + k * a
         return BivariatePoly(max(self.degree - 1, 0), out)
 
+    @cached_property
+    def _gradient_polys(self) -> Tuple["BivariatePoly", "BivariatePoly"]:
+        return self.diff(0), self.diff(1)
+
+    @cached_property
+    def _hessian_polys(self) -> Tuple["BivariatePoly", "BivariatePoly", "BivariatePoly"]:
+        px, py = self._gradient_polys
+        return px.diff(0), px.diff(1), py.diff(1)
+
     def gradient(self, x, y):
-        return np.stack(
-            [np.asarray(self.diff(0).eval(x, y)), np.asarray(self.diff(1).eval(x, y))],
-            axis=-1,
-        )
+        px, py = self._gradient_polys
+        return np.stack([np.asarray(px.eval(x, y)), np.asarray(py.eval(x, y))], axis=-1)
 
     def hessian_polys(self):
-        """The three second-derivative polynomials (pxx, pxy, pyy)."""
-        px, py = self.diff(0), self.diff(1)
-        return px.diff(0), px.diff(1), py.diff(1)
+        """The three second-derivative polynomials (pxx, pxy, pyy),
+        derived once per polynomial."""
+        return self._hessian_polys
 
     def hessian(self, x, y):
         pxx, pxy, pyy = self.hessian_polys()
@@ -164,44 +185,50 @@ def poly_scale(p: BivariatePoly, c: float) -> BivariatePoly:
     return BivariatePoly(p.degree, {e: c * a for e, a in p.coeffs.items()})
 
 
-def poly_mul(p: BivariatePoly, q: BivariatePoly) -> BivariatePoly:
+def _mul_coeffs(p: CoeffMap, q: CoeffMap) -> CoeffMap:
+    """Product of two coefficient maps, zero entries dropped as
+    ``BivariatePoly`` drops them."""
     out: CoeffMap = {}
-    for (j1, k1), a in p.coeffs.items():
-        for (j2, k2), b in q.coeffs.items():
+    for (j1, k1), a in p.items():
+        for (j2, k2), b in q.items():
             e = (j1 + j2, k1 + k2)
             out[e] = out.get(e, 0.0) + a * b
-    return BivariatePoly(p.degree + q.degree, out)
+    return {e: a for e, a in out.items() if a != 0.0}
+
+
+def poly_mul(p: BivariatePoly, q: BivariatePoly) -> BivariatePoly:
+    return BivariatePoly(p.degree + q.degree, _mul_coeffs(p.coeffs, q.coeffs))
+
+
+def _powers(lin: CoeffMap, top: int) -> List[CoeffMap]:
+    """Coefficient maps of lin^0 .. lin^top, zero entries dropped."""
+    out = [{(0, 0): 1.0}]
+    lin = {e: float(a) for e, a in lin.items() if a != 0.0}
+    for _ in range(top):
+        out.append(_mul_coeffs(out[-1], lin))
+    return out
 
 
 def compose_affine(p: BivariatePoly, mat, offset) -> BivariatePoly:
     """Exact coefficients of p(L(u, v)) for the affine map L = mat . + offset.
 
     Each substituted variable is an affine polynomial in (u, v); powers are
-    built by repeated exact polynomial products, so dyadic inputs stay
-    exact.  The result keeps the declared degree of ``p``.
+    built by repeated exact products of coefficient maps, so dyadic inputs
+    stay exact.  The result keeps the declared degree of ``p``.
     """
     mat = np.asarray(mat, dtype=float)
     offset = np.asarray(offset, dtype=float)
     if mat.shape != (2, 2) or offset.shape != (2,):
         raise ValueError("affine map must be a 2x2 matrix and a 2-vector")
-    lin1 = BivariatePoly(
-        1, {(1, 0): mat[0, 0], (0, 1): mat[0, 1], (0, 0): offset[0]}
-    )
-    lin2 = BivariatePoly(
-        1, {(1, 0): mat[1, 0], (0, 1): mat[1, 1], (0, 0): offset[1]}
-    )
     jmax = max((j for (j, _) in p.coeffs), default=0)
     kmax = max((k for (_, k) in p.coeffs), default=0)
-    pow1 = [BivariatePoly(0, {(0, 0): 1.0})]
-    for _ in range(jmax):
-        pow1.append(poly_mul(pow1[-1], lin1))
-    pow2 = [BivariatePoly(0, {(0, 0): 1.0})]
-    for _ in range(kmax):
-        pow2.append(poly_mul(pow2[-1], lin2))
+    pow1, pow2 = (
+        _powers({(1, 0): mat[i, 0], (0, 1): mat[i, 1], (0, 0): offset[i]}, top)
+        for i, top in ((0, jmax), (1, kmax))
+    )
     acc: CoeffMap = {}
     for (j, k), a in p.coeffs.items():
-        term = poly_mul(pow1[j], pow2[k])
-        for e, b in term.coeffs.items():
+        for e, b in _mul_coeffs(pow1[j], pow2[k]).items():
             acc[e] = acc.get(e, 0.0) + a * b
     return BivariatePoly(p.degree, acc)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from types import SimpleNamespace
@@ -432,6 +433,130 @@ def test_general_cover_members_are_certified_without_sampling(name, monkeypatch)
     for member in cov.iter_members():
         assert flat_defect_interval(phi, member)[1] <= limit
     assert verify_cover(cov, phi).ok
+
+
+def _member_digest(cov):
+    """sha256 of every member's (center, e1, e2), in iteration order."""
+    rows = np.array([m.center + m.e1 + m.e2 for m in cov.iter_members()], dtype=float)
+    return len(rows), hashlib.sha256(rows.tobytes()).hexdigest()
+
+
+_DEMO_CUBIC = {(3, 0): 1.0, (0, 3): 1.0, (1, 1): 1.0}
+_BOWL = {(2, 0): 1.0, (0, 2): 1.0, (3, 0): 0.8, (1, 2): 0.5}
+
+
+@pytest.mark.parametrize("coeffs, e, members, digest", [
+    (_DEMO_CUBIC, 5, 16, "9a72b51666f772565549a0d3716330e5eb79bebecfd7d6b6d032913095ed1d6d"),
+    (_DEMO_CUBIC, 8, 244, "fd4805592abce9afab713f9dd7c948821d56039cae9ba150c827d8fa274888bb"),
+    (_BOWL, 4, 16, "9a72b51666f772565549a0d3716330e5eb79bebecfd7d6b6d032913095ed1d6d"),
+    (_BOWL, 6, 64, "6af85f26b2882a74c64797e82b1face2bb8f824f2f9e30d2db55c09b7b33cc48"),
+], ids=["cubic-2^-5", "cubic-2^-8", "bowl-2^-4", "bowl-2^-6"])
+def test_general_cover_members_are_pinned(coeffs, e, members, digest):
+    """General covers of the demo cubic and the bowl, bit for bit: any
+    change to the builder's arithmetic or route choice moves a digest.
+    (Both coarse covers are the 4 x 4 square caps.)"""
+    cov = build_cover_general(BivariatePoly(3, coeffs), 2.0 ** -e)
+    assert _member_digest(cov) == (members, digest)
+
+
+def test_general_cover_returns_where_no_strip_width_is_certified(time_limit):
+    """A degenerate patch of this cubic rotates well, but even a full-height
+    strip 1e-9 wide is not certified flat; the patch goes to the square
+    dichotomy instead of stepping towards 100,000 uncertified strips."""
+    phi = BivariatePoly(3, {(3, 0): 0.751495474652098, (0, 3): 1.206956080884166,
+                            (1, 1): -0.26423852217696653, (1, 2): 0.2618652371052019})
+    delta = 2.0 ** -8
+    with time_limit(30):
+        cov = build_cover_general(phi, delta)
+    members = list(cov.iter_members())
+    limit = cov.a_const * delta
+    for member in members:
+        assert flat_defect(phi, member, m=9, polish=False, method="sample").defect <= limit
+    pts = cover._sample_points(UNIT_SQUARE, 64)
+    covered = np.zeros(len(pts), dtype=bool)
+    for member in members:
+        covered |= member.contains(pts)
+    assert covered.all()
+
+
+def _scan_best_rotation(phi):
+    """The rotation search scored angle by angle with
+    ``_rotation_residual``: the oracle of the batched grid."""
+    thetas = np.linspace(-math.pi / 2, math.pi / 2, 181)
+    vals = [cover._rotation_residual(phi, t) for t in thetas]
+    i = int(np.argmin(vals))
+    lo = thetas[max(i - 1, 0)]
+    hi = thetas[min(i + 1, len(thetas) - 1)]
+    gold = (math.sqrt(5) - 1) / 2
+    x1 = hi - gold * (hi - lo)
+    x2 = lo + gold * (hi - lo)
+    f1, f2 = cover._rotation_residual(phi, x1), cover._rotation_residual(phi, x2)
+    for _ in range(60):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - gold * (hi - lo)
+            f1 = cover._rotation_residual(phi, x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + gold * (hi - lo)
+            f2 = cover._rotation_residual(phi, x2)
+    theta = x1 if f1 <= f2 else x2
+    return float(theta), float(min(f1, f2, vals[i]))
+
+
+_TIE_PRONE = {
+    "x^4+y^4": (4, {(4, 0): 1.0, (0, 4): 1.0}),
+    "x^3+y^3": (3, {(3, 0): 1.0, (0, 3): 1.0}),
+    "x^2+y^2": (2, {(2, 0): 1.0, (0, 2): 1.0}),
+    "xy": (2, {(1, 1): 1.0}),
+    "x^2": (2, {(2, 0): 1.0}),
+    "zero": (3, {}),
+    "demo cubic": (3, _DEMO_CUBIC),
+    "x^4+y^4+x^2y^2": (4, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): 2.0}),
+    # mirror-symmetric phases whose grid minima come in rounded pairs:
+    # the batched minimum alone picks the wrong one of the pair
+    "x^3+y^3+c(x^2y+xy^2)": (3, {(3, 0): 1.0, (0, 3): 1.0, (2, 1): 0.15377713897352452,
+                                 (1, 2): 0.15377713897352452}),
+    "x^4+a x^2y^2+b y^4": (4, {(4, 0): 1.0, (2, 2): 2.7898064638784144,
+                               (0, 4): -0.5901826566688948}),
+}
+
+
+@pytest.mark.parametrize("name", list(_TIE_PRONE))
+def test_best_rotation_matches_scalar_scan_on_tie_prone_phases(name):
+    degree, coeffs = _TIE_PRONE[name]
+    phi = BivariatePoly(degree, coeffs)
+    assert cover._best_rotation(phi) == _scan_best_rotation(phi)
+
+
+@settings(max_examples=60)
+@given(degree=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1e-12, 1e-3, 1.0, 1e6]),
+       mirror=st.sampled_from([None, "y -> -y", "x <-> y"]))
+def test_best_rotation_matches_scalar_scan(degree, seed, scale, mirror):
+    """Batched grid plus exact re-scoring picks the scan's angle and
+    value, bit for bit, on random phases of any size, and on phases
+    symmetric under a mirror, whose residuals tie in exact arithmetic."""
+    rng = np.random.default_rng(seed)
+    coeffs = {(j, k): scale * float(rng.normal())
+              for j in range(degree + 1) for k in range(degree + 1 - j)
+              if rng.uniform() < 0.6}
+    if mirror == "y -> -y":
+        coeffs = {(j, k): a for (j, k), a in coeffs.items() if k % 2 == 0}
+    elif mirror == "x <-> y":
+        coeffs = {(j, k): coeffs.get((min(j, k), max(j, k)), 0.0) for (j, k) in
+                  [(j, k) for j in range(degree + 1) for k in range(degree + 1 - j)]}
+    phi = BivariatePoly(degree, coeffs)
+    assert cover._best_rotation(phi) == _scan_best_rotation(phi)
+
+
+def test_batched_rotation_residuals_lie_within_their_bound():
+    phi = BivariatePoly(4, {(4, 0): 1.0, (0, 4): -0.7, (3, 1): 0.3, (1, 1): 2.0, (2, 1): 0.5})
+    thetas = np.linspace(-math.pi / 2, math.pi / 2, 181)
+    approx, tol = cover._rotation_residuals(phi, thetas)
+    exact = np.array([cover._rotation_residual(phi, t) for t in thetas])
+    assert 0.0 < tol < 1e-11
+    assert np.all(np.abs(approx - exact) <= tol / 4)
 
 
 @pytest.mark.parametrize("coeffs, e", [

@@ -545,16 +545,30 @@ def test_energy_member_values_do_not_depend_on_the_batch():
     assert [q.value for q in batched] == [q.value for q in alone] == [q.value for q in backward]
 
 
+def _three_by_three_product_sum():
+    """Generic unit-weight factors of three values: int |F_i|^4 =
+    2 * 3^2 - 3 = 15 each, so int |f|^4 = 225."""
+    rng = np.random.default_rng(0)
+    return product_exp_sum(BivariatePoly(2, {(2, 0): 1.0, (0, 2): 1.0}),
+                           rng.uniform(0, 1, 3), rng.uniform(0, 1, 3))
+
+
 def test_huge_box_product_takes_energy_where_no_field_fits():
     """A small product sum at box side 2^20: its separable fields exceed
-    the FFT budget, and the energy path, not whole-sum pairs, counts it.
-    Generic unit-weight factors of three values have
-    int |F_i|^4 = 2 * 3^2 - 3 = 15 each."""
-    rng = np.random.default_rng(0)
-    f = product_exp_sum(BivariatePoly(2, {(2, 0): 1.0, (0, 2): 1.0}),
-                        rng.uniform(0, 1, 3), rng.uniform(0, 1, 3))
-    rep = expsum_lp(f, 4, 2.0 ** 20)
+    the FFT budget, and the energy path, not whole-sum pairs, counts it."""
+    rep = expsum_lp(_three_by_three_product_sum(), 4, 2.0 ** 20)
     assert (rep.method, rep.note, rep.lattice_dims) == ("energy", "", ())
+    assert rep.value ** 4 == pytest.approx(225.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("e", [30, 50])
+def test_huge_boxes_fall_back_to_pairs_without_a_padding_search(e, time_limit):
+    """The same sum at box sides 2^30 and 2^50: no field fits, so the
+    field lengths are not padded to a fast length (a linear search that
+    did not return at 2^50), and whole-sum pairs count it."""
+    with time_limit(20):
+        rep = expsum_lp(_three_by_three_product_sum(), 4, 2.0 ** e)
+    assert (rep.method, rep.note) == ("pairs", norms._SEPARABLE_SKIPPED)
     assert rep.value ** 4 == pytest.approx(225.0, rel=1e-12)
 
 

@@ -1,7 +1,10 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flatcover.poly2 import (
     BivariatePoly,
@@ -43,6 +46,28 @@ def test_eval_matches_monomial_sum():
 def test_eval_scalar_and_array_agree():
     p = random_poly(RNG, 3)
     assert p.eval(0.3, -0.7) == pytest.approx(float(p.eval([0.3], [-0.7])[0]))
+
+
+_finite = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2 ** 32 - 1), degree=st.integers(0, 5), x=_finite, y=_finite)
+def test_scalar_eval_equals_array_eval_bitwise(seed, degree, x, y):
+    """Two Python floats take the scalar Horner path; its value is the
+    array path's, bit for bit, at 0-d and 1-d inputs alike."""
+    p = random_poly(np.random.default_rng(seed), degree)
+    got = p.eval(x, y)
+    assert type(got) is float
+    assert got.hex() == float(p.eval(np.array([x]), np.array([y]))[0]).hex()
+    assert got.hex() == p.eval(np.float64(x), np.asarray(y)).hex()
+
+
+def test_hessian_polys_are_derived_once():
+    p = random_poly(RNG, 4)
+    assert p.hessian_polys() is p.hessian_polys()
+    px, py = p.diff(0), p.diff(1)
+    assert p.hessian_polys() == (px.diff(0), px.diff(1), py.diff(1))
 
 
 def test_diff_matches_finite_differences():
@@ -106,6 +131,102 @@ def test_compose_affine_is_right_composition():
     for u, v in RNG.uniform(-1, 1, size=(12, 2)):
         x, y = mat @ (u, v) + off
         assert q.eval(u, v) == pytest.approx(p.eval(x, y), rel=1e-10, abs=1e-10)
+
+
+def _compose_with_objects(p, mat, offset):
+    """compose_affine as it was written with a validated ``BivariatePoly``
+    per intermediate product: the oracle of the raw-map version."""
+    mat = np.asarray(mat, dtype=float)
+    offset = np.asarray(offset, dtype=float)
+    lin1 = BivariatePoly(1, {(1, 0): mat[0, 0], (0, 1): mat[0, 1], (0, 0): offset[0]})
+    lin2 = BivariatePoly(1, {(1, 0): mat[1, 0], (0, 1): mat[1, 1], (0, 0): offset[1]})
+
+    def mul(p, q):
+        out = {}
+        for (j1, k1), a in p.coeffs.items():
+            for (j2, k2), b in q.coeffs.items():
+                e = (j1 + j2, k1 + k2)
+                out[e] = out.get(e, 0.0) + a * b
+        return BivariatePoly(p.degree + q.degree, out)
+
+    jmax = max((j for (j, _) in p.coeffs), default=0)
+    kmax = max((k for (_, k) in p.coeffs), default=0)
+    pow1 = [BivariatePoly(0, {(0, 0): 1.0})]
+    for _ in range(jmax):
+        pow1.append(mul(pow1[-1], lin1))
+    pow2 = [BivariatePoly(0, {(0, 0): 1.0})]
+    for _ in range(kmax):
+        pow2.append(mul(pow2[-1], lin2))
+    acc = {}
+    for (j, k), a in p.coeffs.items():
+        for e, b in mul(pow1[j], pow2[k]).coeffs.items():
+            acc[e] = acc.get(e, 0.0) + a * b
+    return BivariatePoly(p.degree, acc)
+
+
+def _bits(p):
+    return p.degree, [(e, a.hex()) for e, a in p.coeffs.items()]
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2 ** 32 - 1), degree=st.integers(0, 5),
+       zeros=st.sets(st.integers(0, 5), max_size=4), small_ints=st.booleans())
+@example(seed=9, degree=4, zeros=set(), small_ints=True)  # a kept zero reorders
+def test_compose_affine_matches_object_loop_bitwise(seed, degree, zeros, small_ints):
+    """Same products, accumulation order and dropped zeros as the loop
+    over ``BivariatePoly`` objects: equal coefficients, bit for bit and in
+    the same order, for float maps with some entries exactly zero, and for
+    sparse small-integer phases and maps, whose products cancel to exact
+    zeros (kept zeros would move later coefficients in the order)."""
+    rng = np.random.default_rng(seed)
+    if small_ints:
+        monos = [(j, k) for j in range(degree + 1) for k in range(degree + 1 - j)]
+        p = BivariatePoly(degree, {e: float(rng.integers(-2, 3)) for e in monos
+                                   if rng.uniform() < 0.4})
+        entries = rng.integers(-2, 3, size=6).astype(float)
+    else:
+        p = random_poly(rng, degree)
+        entries = rng.normal(size=6)
+    entries[list(zeros)] = 0.0
+    mat, off = entries[:4].reshape(2, 2), entries[4:]
+    assert _bits(compose_affine(p, mat, off)) == _bits(_compose_with_objects(p, mat, off))
+
+
+def _fraction_compose(coeffs, mat, off):
+    """p(M (u, v) + b) expanded in exact rational arithmetic."""
+    def mul(p, q):
+        out = {}
+        for (j1, k1), a in p.items():
+            for (j2, k2), b in q.items():
+                out[(j1 + j2, k1 + k2)] = out.get((j1 + j2, k1 + k2), 0) + a * b
+        return out
+
+    lins = [{(1, 0): mat[i][0], (0, 1): mat[i][1], (0, 0): off[i]} for i in (0, 1)]
+    acc = {}
+    for (j, k), a in coeffs.items():
+        term = {(0, 0): a}
+        for lin, n in zip(lins, (j, k)):
+            for _ in range(n):
+                term = mul(term, lin)
+        for e, b in term.items():
+            acc[e] = acc.get(e, 0) + b
+    return {e: float(b) for e, b in acc.items() if b != 0}
+
+
+_dyadic = st.builds(lambda n, m: Fraction(n, 2 ** m), st.integers(-16, 16), st.integers(0, 4))
+
+
+@settings(max_examples=200)
+@given(degree=st.integers(0, 4), data=st.data())
+def test_compose_affine_is_exact_on_dyadic_inputs(degree, data):
+    monos = [(j, k) for j in range(degree + 1) for k in range(degree + 1 - j)]
+    coeffs = dict(zip(monos, data.draw(st.lists(_dyadic, min_size=len(monos),
+                                                max_size=len(monos)))))
+    mat = data.draw(st.lists(_dyadic, min_size=4, max_size=4))
+    off = data.draw(st.lists(_dyadic, min_size=2, max_size=2))
+    p = BivariatePoly(degree, {e: float(a) for e, a in coeffs.items()})
+    got = compose_affine(p, np.array(mat, dtype=float).reshape(2, 2), np.array(off, dtype=float))
+    assert got.coeffs == _fraction_compose(coeffs, [mat[:2], mat[2:]], off)
 
 
 def test_minus_tangent_plane_keeps_only_curvature():
