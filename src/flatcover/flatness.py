@@ -317,6 +317,9 @@ def flat_defect(
         raise ValueError(f"unknown method {method!r}")
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
+    if not np.isfinite([box.center, box.e1, box.e2]).all():
+        raise ValueError(f"box must be finite, got center {box.center} and half-edges "
+                         f"{box.e1}, {box.e2}")
     deg = phi.support_degree()
     if method == "closed" and deg > 2:
         raise ValueError("closed form requires a quadratic phase")

@@ -69,8 +69,8 @@ def lambda_grid(delta: float, alpha: float) -> FrequencyLattice:
     inv = 1.0 / delta
     if abs(inv - round(inv)) > 1e-9:
         raise ValueError("1/delta must be an integer")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     m_max = int(round(inv))
     n_max = int(math.floor(inv / alpha + 1e-9))
     mm, nn = np.meshgrid(np.arange(m_max + 1), np.arange(n_max + 1), indexing="ij")
@@ -124,6 +124,8 @@ def pell_gap(b_max: int, eps_prime: float) -> PellGap:
     a nonzero integer (2 is not a square), which is the whole point."""
     if not (1 <= b_max <= 10 ** 6):
         raise ValueError("b_max must lie in [1, 10^6]")
+    if not math.isfinite(eps_prime):
+        raise ValueError(f"eps must be finite, got {eps_prime!r}")
     b = np.arange(1, b_max + 1, dtype=np.int64)
     a = -np.rint(SQRT2 * b).astype(np.int64)
     num = np.abs(a * a - 2 * b * b)

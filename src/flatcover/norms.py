@@ -675,27 +675,18 @@ def _axis1_means(g: np.ndarray, p: float,
     return out
 
 
-def _pair_chunks(starts: np.ndarray, lens: np.ndarray):
-    """Every ordered pair of rows (a, b) within each segment, a major.
-    Yields (a, b, seg) per run of whole segments of at most _PAIR_CHUNK
-    pairs; a segment with more runs alone."""
-    pairs = (lens * lens).tolist()
-    first = 0
-    while first < len(starts):
-        stop, total = first + 1, pairs[first]
-        while stop < len(starts) and total + pairs[stop] <= _PAIR_CHUNK:
-            total += pairs[stop]
-            stop += 1
-        # pair (a, b) of a segment of n rows sits at a*n + b; row a's block
-        # of n pairs runs over the segment's rows b
-        n = lens[first:stop]
-        n_row = np.repeat(n, n)
-        seg_row = np.repeat(np.arange(first, stop), n)
-        lo = starts[first]
-        a = np.repeat(np.arange(lo, lo + len(n_row)), n_row)
-        b = np.arange(total) + np.repeat(starts[seg_row] - _seg_starts(n_row), n_row)
-        yield a, b, np.repeat(seg_row, n_row)
-        first = stop
+def _runs(sizes) -> list:
+    """(lo, hi) ranges cutting consecutive items greedily: a run takes the
+    next item while the run's sizes add to at most _PAIR_CHUNK, and an
+    item larger than that runs alone."""
+    cum = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=cum[1:])
+    runs, lo = [], 0
+    while lo < len(sizes):
+        hi = int(np.searchsorted(cum, cum[lo] + _PAIR_CHUNK, side="right")) - 1
+        runs.append((lo, max(hi, lo + 1)))
+        lo = runs[-1][1]
+    return runs
 
 
 def _pair_tables(ints: np.ndarray, weights: np.ndarray, starts: np.ndarray,
@@ -705,11 +696,21 @@ def _pair_tables(ints: np.ndarray, weights: np.ndarray, starts: np.ndarray,
     key (segment number leading, then the per-axis sums), each merged
     weight adding its terms in the segment's own pair order.
 
-    Yields, per run of ``_pair_chunks``, the merged weights in (segment,
-    lexicographic sum) order, their segment numbers and, with ``sums``,
-    the summed rows."""
+    Yields, per run of whole segments (``_runs`` of their pair counts),
+    the merged weights in (segment, lexicographic sum) order, their
+    segment numbers and, with ``sums``, the summed rows."""
     cols = np.ascontiguousarray(ints.T)
-    for a, b, seg in _pair_chunks(starts, _seg_lens(starts, len(ints))):
+    lens = _seg_lens(starts, len(ints))
+    for first, stop in _runs(lens * lens):
+        # pair (a, b) of a segment of n rows sits at a*n + b; row a's block
+        # of n pairs runs over the segment's rows b
+        n = lens[first:stop]
+        n_row = np.repeat(n, n)
+        seg_row = np.repeat(np.arange(first, stop), n)
+        lo = starts[first]
+        a = np.repeat(np.arange(lo, lo + len(n_row)), n_row)
+        b = np.arange(len(a)) + np.repeat(starts[seg_row] - _seg_starts(n_row), n_row)
+        seg = np.repeat(seg_row, n_row)
         summed = [c[a] + c[b] for c in cols]
         keys, inv = np.unique(_row_keys(chain([seg], summed)), return_inverse=True)
         useg = np.empty(len(keys), dtype=seg.dtype)
@@ -731,47 +732,12 @@ def _pairs_mean_pow4(ints: np.ndarray, weights: np.ndarray, starts: np.ndarray) 
 
 
 def _energy_bound(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per segment of non-negative integer coordinates, their additive
-    energy sum_k c_k^2, where c_k counts the ordered row pairs with
-    x_a + x_b = k (one bincount, no sort).  It bounds the (k, H, H') terms
-    of ``_energy_mean_pow4``, which merges the pairs of one sum k that
-    share a height H."""
-    lens = _seg_lens(starts, len(x))
-    width = 2 * np.maximum.reduceat(x, starts) + 1
-    off = _seg_starts(width)
-    out = np.empty(len(starts), dtype=np.int64)
-    for a, b, seg in _pair_chunks(starts, lens):
-        first, last = seg[0], seg[-1]
-        base = off[first]
-        c = np.bincount(off[seg] - base + x[a] + x[b],
-                        minlength=off[last] + width[last] - base)
-        out[first:last + 1] = np.add.reduceat(c * c, off[first:last + 1] - base)
-    return out
-
-
-def _term_runs(cum: np.ndarray, starts: np.ndarray) -> list:
-    """(lo, hi) row ranges of at most _PAIR_CHUNK terms, where rows
-    lo..hi-1 hold terms cum[lo]..cum[hi]-1: runs of whole segments, and a
-    segment with more terms cut alone where its own running count passes
-    the chunk (a row is never cut), so the cuts do not depend on the
-    other segments."""
-    ends = np.append(starts[1:], len(cum) - 1)
-    cum_ends = cum[ends]
-    runs, j = [], 0
-    while j < len(starts):
-        lo = starts[j]
-        stop = int(np.searchsorted(cum_ends, cum[lo] + _PAIR_CHUNK, side="right"))
-        if stop > j:
-            runs.append((lo, ends[stop - 1]))
-            j = stop
-            continue
-        while lo < ends[j]:
-            cut = int(np.searchsorted(cum, cum[lo] + _PAIR_CHUNK, side="right")) - 1
-            cut = min(ends[j], max(lo + 1, cut))
-            runs.append((lo, cut))
-            lo = cut
-        j += 1
-    return runs
+    """Per segment of integer coordinates, their additive energy
+    sum_k c_k^2, where c_k counts the ordered row pairs with x_a + x_b = k:
+    the mean |f|^4 of the segment's unit-weight sum.  It bounds the
+    (k, H, H') terms of ``_energy_mean_pow4``, which merges the pairs of
+    one sum k that share a height H."""
+    return np.array(_pairs_mean_pow4(x[:, None], np.ones(len(x)), starts))
 
 
 def _energy_mean_pow4(ints: np.ndarray, weights: np.ndarray, starts: np.ndarray) -> list:
@@ -788,8 +754,8 @@ def _energy_mean_pow4(ints: np.ndarray, weights: np.ndarray, starts: np.ndarray)
     once to D(s > 0), and the mean is
     D1(0) D2(0) + 2 sum_{s > 0} Re D1(s) conj D2(s).
 
-    The (k, H, H') terms go into D by a real bincount per run of
-    ``_term_runs`` (and one for the imaginary parts when some weight is
+    The (k, H, H') terms go into D by a real bincount per run of at most
+    _PAIR_CHUNK terms (and one for the imaginary parts when some weight is
     complex; the added zeros change no bit), so a member's value does not
     depend on the members batched with it."""
     acc, tseg, kh = (np.concatenate(c) for c in zip(*_pair_tables(ints, weights, starts,
@@ -810,9 +776,19 @@ def _energy_mean_pow4(ints: np.ndarray, weights: np.ndarray, starts: np.ndarray)
     cnt = np.repeat(np.append(run[1:], n), np.diff(np.append(run, n))) - 1 - np.arange(n)
     cum = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(cnt, out=cum[1:])
+    # runs of whole segments; a segment with more terms than a run holds is
+    # cut alone, between its rows, so no cut depends on the other segments
+    ends = np.append(tst[1:], n)
+    runs = []
+    for j, stop in _runs(np.add.reduceat(cnt, tst)):
+        lo, hi = tst[j], ends[stop - 1]
+        if cum[hi] - cum[lo] <= _PAIR_CHUNK:
+            runs.append((lo, hi))
+        else:
+            runs.extend((lo + a, lo + b) for a, b in _runs(cnt[lo:hi]))
     dr = np.zeros(off[-1] + ext[-1] + 1)
     di = np.zeros(len(dr) if cplx else 0)
-    for lo, hi in _term_runs(cum, tst):
+    for lo, hi in runs:
         total = cum[hi] - cum[lo]
         if not total:
             continue
@@ -878,13 +854,13 @@ def _product_mean_pow(factors, fidx, seg: np.ndarray, r_side: float, q: int):
     - "energy" (q = 2 only): ``_energy_mean_pow4`` on the two factors,
       when its work is at most ``limit``: _ENERGY_TERMS times the cells
       of the two separable fields, or _PAIR_BUDGET where they exceed
-      twice _FFT_BUDGET.  The work is the slots it counts into (2 e3 + 2
-      shifts for D, 2 xmax + 1 sums per factor for the bound) and the
-      additive-energy bound of ``_energy_bound`` on its terms; the bound
-      is not formed where a lower bound on it (n^2, and n^4 / (2 xmax + 1)
-      by Cauchy-Schwarz) already exceeds the limit.  Members chosen for
-      energy run in groups of ``_size_groups``, so what one call holds
-      does not grow with the number of members.
+      twice _FFT_BUDGET.  The work is the 2 e3 + 2 shifts of D it counts
+      into and the additive-energy bound of ``_energy_bound`` on its
+      terms; the bound is not formed where a lower bound on it (n^2, and
+      n^4 / (2 xmax + 1) by Cauchy-Schwarz) already exceeds the limit.
+      Members chosen for energy run in groups of at most _PAIR_CHUNK pair
+      rows and D slots (``_runs``; one member at least), so what one call
+      holds does not grow with the number of members.
 
       _ENERGY_TERMS = 1 is measured on 2 cores (best of five to nine,
       energy time over fields time against bound / cells).  Whole bump
@@ -940,15 +916,17 @@ def _product_mean_pow(factors, fidx, seg: np.ndarray, r_side: float, q: int):
     if q == 2:
         n = lens.astype(float)
         low = np.maximum(n * n, n ** 4 / (2 * xmax + 1))
-        slots = np.maximum(2 * np.array(e3, dtype=float) + 2,
-                           2.0 * (xmax[0::2] + xmax[1::2]) + 2)
+        slots = 2 * np.array(e3, dtype=np.int64) + 2
         cand = np.flatnonzero((low[0::2] + low[1::2] <= limit) & (slots <= limit))
         if len(cand):
             rows, cst = _seg_take(st, lens, np.column_stack([2 * cand, 2 * cand + 1]).ravel())
             bound = _energy_bound(ints[rows, 0], cst)
             energy[cand] = bound[0::2] + bound[1::2] <= limit[cand]
-        groups = _size_groups(np.flatnonzero(energy), (n * n)[0::2] + (n * n)[1::2] + slots)
-        for i in np.flatnonzero(energy):
+        chosen = np.flatnonzero(energy)
+        pairs = lens * lens
+        size = pairs[0::2] + pairs[1::2] + slots
+        groups = [chosen[lo:hi] for lo, hi in _runs(size[chosen])]
+        for i in chosen:
             shapes[2 * i] = shapes[2 * i + 1] = None
             methods[i] = "energy"
     means, dims = [None] * m, [None] * m
@@ -970,22 +948,6 @@ def _product_mean_pow(factors, fidx, seg: np.ndarray, r_side: float, q: int):
         for i, v in zip(group, _energy_mean_pow4(ints[rows], w[rows], cst)):
             means[i], dims[i] = v, ()
     return means, methods, dims
-
-
-def _size_groups(members: np.ndarray, size) -> list:
-    """Consecutive runs of the members whose sizes add to at most
-    _PAIR_CHUNK (one member at least).  A member's size is what
-    ``_energy_mean_pow4`` holds for it at once: its pair tables (at most
-    n^2 rows per factor) and its D slots."""
-    groups, lo, used = [], 0, 0.0
-    for j, i in enumerate(members):
-        if j > lo and used + size[i] > _PAIR_CHUNK:
-            groups.append(members[lo:j])
-            lo, used = j, 0.0
-        used += size[i]
-    if len(members):
-        groups.append(members[lo:])
-    return groups
 
 
 @_frees_heap

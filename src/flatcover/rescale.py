@@ -150,6 +150,8 @@ def verify_coeff_bounds(result: RescaleResult, factor: float = 100.0) -> CoeffAu
     reports the worst observed/allowed ratio rather than asserting a
     particular constant.
     """
+    if not 0 < factor < math.inf:
+        raise ValueError(f"factor must be finite and positive, got {factor!r}")
     sigma, alpha = result.sigma, result.alpha
     worst = 0.0
     worst_jk = (1, 1)

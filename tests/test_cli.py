@@ -252,6 +252,15 @@ def test_usage_errors_exit_1(capsys):
         *((["decouple", "sweep", "--example", "line", "--deltas", d], message)
           for d, message in (("nan..2^-4", "delta must lie in"), ("0..2^-4", "delta must lie in"),
                              ("0.3..2^-4", "1/delta must be a power of two"))),
+        (["lattice", "pell", "--bmax", "10", "--eps", "nan"], "eps must be finite, got nan"),
+        (["rescale", "check", "--delta", "2^-4", "--count", "3", "--factor", "nan"],
+         "factor must be finite and positive, got nan"),
+        (["flat", "defect", "--rot", "0.5", "0.5", "0", "0", "nan"],
+         "box must be finite, got center (0.5, 0.5) and half-edges (nan, nan)"),
+        (["flat", "defect", "--rect", "0", "0", "nan", "1"],
+         "box must be finite, got center (nan, 0.5)"),
+        (["lattice", "count", "--alpha", "nan", "--delta", "2^-4"],
+         "alpha must be finite and positive, got nan"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1

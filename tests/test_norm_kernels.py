@@ -1,10 +1,11 @@
 """Property tests for the exact norm engine's kernels: packed row keys,
 and, per segment of several sums laid end to end, the snap-merge, the
-axis reduction, the pair-sum Parseval count, the height-shear search and
-the slab-wise field means, each against a plain reference."""
+axis reduction, the pair-sum Parseval count, the greedy run cutter, the
+height-shear search and the slab-wise field means, each against a plain
+reference."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatcover import norms
@@ -91,13 +92,14 @@ def test_pairs_mean_pow4_matches_dict_convolution(sizes, extents, chunk, seed):
 @settings(max_examples=100)
 @given(
     sizes=st.lists(st.integers(1, 12), min_size=1, max_size=5),
-    extent=st.sampled_from([0, 1, 3, 40]),
+    extent=st.sampled_from([0, 1, 3, 40, 2 ** 24 + 3]),
     chunk=st.sampled_from([1, 30, 1 << 18]),
     seed=st.integers(0, 2 ** 16),
 )
 def test_energy_bound_counts_additive_quadruples(sizes, extent, chunk, seed):
     """Per segment, sum_k c_k^2 with c_k the ordered pairs adding to k,
-    also when the pairs of the segments run in several passes."""
+    also when the pairs of the segments run in several passes, and for
+    few coordinates spread over a wide extent."""
     rng = np.random.default_rng(seed)
     x = rng.integers(0, extent + 1, size=sum(sizes)).astype(np.int64)
     starts = _starts(sizes)
@@ -115,15 +117,27 @@ def test_energy_bound_counts_additive_quadruples(sizes, extent, chunk, seed):
         assert value == sum(c * c for c in counts.values())
 
 
-def test_size_groups_cut_consecutive_runs_at_the_pair_chunk(monkeypatch):
-    """Members run in consecutive groups whose sizes add to at most
-    _PAIR_CHUNK; a larger member runs alone."""
-    monkeypatch.setattr(norms, "_PAIR_CHUNK", 6)
-    members = np.array([4, 7, 9, 2, 5])
-    size = np.zeros(10)
-    size[[4, 7, 9, 2, 5]] = [3, 3, 3, 10, 1]
-    assert [g.tolist() for g in norms._size_groups(members, size)] == [[4, 7], [9], [2], [5]]
-    assert norms._size_groups(members[:0], size) == []
+@settings(max_examples=200)
+@given(sizes=st.lists(st.integers(0, 12), max_size=30), chunk=st.integers(1, 20))
+@example(sizes=[3, 3, 3, 10, 1], chunk=6)  # runs [0, 2), [2, 3), [3, 4), [4, 5)
+def test_runs_cut_greedily_at_the_pair_chunk(sizes, chunk):
+    """The runs are consecutive and cover every item once; a run adds to
+    at most _PAIR_CHUNK or is one item, and the next item would overflow
+    it.  These three properties fix the cuts: they are the greedy ones."""
+    saved, norms._PAIR_CHUNK = norms._PAIR_CHUNK, chunk
+    try:
+        runs = norms._runs(np.array(sizes, dtype=np.int64))
+    finally:
+        norms._PAIR_CHUNK = saved
+    cuts = [0] + [hi for _, hi in runs]
+    assert runs == list(zip(cuts[:-1], cuts[1:]))
+    assert cuts[-1] == len(sizes)
+    for lo, hi in runs:
+        assert hi > lo
+        total = sum(sizes[lo:hi])
+        assert total <= chunk or hi - lo == 1
+        if hi < len(sizes):
+            assert total + sizes[hi] > chunk
 
 
 def _merge_reference(ints, weights):
