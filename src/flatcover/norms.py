@@ -29,19 +29,23 @@ rows costs less than the field, _PAIR_CELLS cells a pair
 
 Integer rows (snapped frequencies, pair sums) are merged through packed
 keys: one int64 per row, in lexicographic row order, so merging needs
-only a 1-D sort.  The height shear is found by a k-ary bracket search
-that evaluates a few candidate shears per step in one array.
+only a 1-D sort.
 
 Members are batched.  A decoupling ratio needs one norm per cover
 member, and ``_member_norms`` computes them all in one pass: the members'
 frequency rows are laid end to end as segments, snapped and merged by one
-packed-key sort with the member number as the leading digit, translated,
-gcd-reduced and sheared per segment (``reduceat``, with every member's
-shear bracket advancing in lockstep), and evaluated by the single-sum
-method rule.  Members whose FFT fields share a shape are stacked under
-one FFT, a half-spectrum one when their weights are real.  ``expsum_lp``
-is the one-member call of the same engine, and a member's value does not
-depend on the members batched with it.
+packed-key sort with the member number as the leading digit, and
+translated and gcd-reduced per segment (``reduceat``).  For even p each
+segment's rows are then mapped by one unimodular matrix, from a pairwise
+Gauss reduction of their covariance run on all segments at once, and
+their axes put in one canonical order (``_lattice_reduce``); the
+per-factor and inexact paths shear only the height axis
+(``_shear_reduce``).  Each segment is evaluated by the single-sum method
+rule.  Members whose FFT fields share a shape, also those that differed
+only by axis order, are stacked under one FFT, a half-spectrum one when
+their weights are real.  ``expsum_lp`` is the one-member call of the same
+engine, and a member's value does not depend on the members batched with
+it.
 """
 
 from __future__ import annotations
@@ -520,6 +524,11 @@ def _shear_reduce(ints: np.ndarray, starts: np.ndarray) -> np.ndarray:
     (hence the exact-quadrature grid) typically collapses by orders of
     magnitude for lifts of smooth phases.  Two rounds over the source
     columns; a segment that no shear changed in the first round is done.
+
+    Even-p sums that take no per-factor path use ``_lattice_reduce``
+    instead.  This shear serves the per-factor paths, whose two factors
+    must keep the height axis they share, and the inexact paths (periodic
+    quadrature, the lattice max), whose values depend on the lattice.
     """
     out = ints.copy()
     last = out.shape[1] - 1
@@ -536,6 +545,93 @@ def _shear_reduce(ints: np.ndarray, starts: np.ndarray) -> np.ndarray:
         if not len(segs):
             break
     return out
+
+
+def _lattice_reduce(ints: np.ndarray, starts: np.ndarray, q: int) -> np.ndarray:
+    """Each segment's rows, translated and gcd-reduced per axis, then mapped
+    by one integer unimodular matrix U and put in canonical axis order.
+
+    U comes from pairwise Gauss reduction of the segment's covariance C
+    (3 x 3, from ``reduceat``): for each ordered column pair, column d
+    takes -round(C_ds / C_ss) times column s while |C_ds / C_ss| > 1/2 and
+    C_dd falls, U and C following by congruence, until no pair moves in
+    any segment.  Unlike a height shear, this flattens points along a
+    fractional slope: H ~ X/2 keeps H's extent, 2H - X does not.  A
+    segment keeps U only where it lowers the cells ``_fft_shape`` gives at
+    this q, and only while every mapped column's bound sum_s |U_sd| ext_s
+    stays below 2^62 (tested in floats before each integer step, so
+    nothing wraps).  Requiring C_dd to fall ends the loop in floats too.
+
+    The canonical order puts live axes by ascending extent, dead axes
+    last, so fields that differ only by axis order share one stacked FFT.
+
+    Unimodular maps, axis permutations and per-axis gcds keep every
+    one-period mean of |f|^{2q}, and each segment's map depends on its own
+    rows alone.
+    """
+    base = _reduce_axes(ints, starts)
+    n, c = base.shape
+    m = len(starts)
+    lens = _seg_lens(starts, n)
+    seg = np.repeat(np.arange(m), lens)
+    x = base.astype(float)
+    x -= (np.add.reduceat(x, starts, axis=0) / lens[:, None])[seg]
+    cov = np.empty((m, c, c))
+    for i in range(c):
+        for j in range(i, c):
+            cov[:, i, j] = cov[:, j, i] = np.add.reduceat(x[:, i] * x[:, j], starts)
+    ext0 = np.maximum.reduceat(base, starts, axis=0)
+    u = np.tile(np.eye(c, dtype=np.int64), (m, 1, 1))
+    # per column d of U, in floats: sum_s |U_sd| ext_s, which bounds the
+    # mapped column and, on live axes, every |U_sd|
+    extf = ext0.astype(float)
+    bound = extf.copy()
+    ok = np.ones(m, dtype=bool)
+    moved = True
+    while moved:
+        moved = False
+        for s in range(c):
+            for d in range(c):
+                if s == d:
+                    continue
+                css, cds, cdd = cov[:, s, s], cov[:, d, s], cov[:, d, d]
+                # a non-constant integer column has C_ss >= 1/2; a smaller
+                # C_ss is rounding error on a constant column
+                mu = np.divide(cds, css, out=np.zeros(m), where=css >= 0.5)
+                lam = np.round(mu)
+                go = ok & (np.abs(mu) > 0.5) & (cdd - lam * (2 * cds - lam * css) < cdd)
+                big = bound[:, d] + np.abs(lam) * np.maximum(bound[:, s], 1) >= 2.0 ** 62
+                ok &= ~(go & big)
+                i = np.flatnonzero(go & ~big)
+                if not len(i):
+                    continue
+                moved = True
+                lam = lam[i]
+                u[i, :, d] -= lam.astype(np.int64)[:, None] * u[i, :, s]
+                bound[i, d] = (np.abs(u[i, :, d]) * extf[i]).sum(axis=1)
+                cov[i, :, d] -= lam[:, None] * cov[i, :, s]
+                cov[i, d, :] -= lam[:, None] * cov[i, s, :]
+    out, ext = base, ext0.copy()
+    segs = np.flatnonzero(ok & np.any(u != np.eye(c, dtype=np.int64), axis=(1, 2)))
+    if len(segs):
+        rows, st = _seg_take(starts, lens, segs)
+        mapped = _reduce_axes(np.einsum("ns,nsd->nd", base[rows],
+                                        np.repeat(u[segs], lens[segs], axis=0)), st)
+        ext1 = np.maximum.reduceat(mapped, st, axis=0)
+        # cells before and after, as float products of the per-axis lengths
+        # (exact wherever a field can fit); extents repeat, so each distinct
+        # one is looked up once
+        uniq, inv = np.unique(np.stack([ext0[segs], ext1]), return_inverse=True)
+        lens_q = np.array([_fft_shape((e,), q)[0] for e in uniq.tolist()], dtype=float)
+        cells = lens_q[inv.reshape(2, len(segs), c)].prod(axis=2)
+        keep = cells[1] < cells[0]
+        sel = np.repeat(keep, lens[segs])
+        out = base.copy()
+        out[rows[sel]] = mapped[sel]
+        ext[segs[keep]] = ext1[keep]
+    # live axes by ascending extent, dead axes last
+    perm = np.argsort(np.where(ext > 0, ext, np.iinfo(np.int64).max), axis=1, kind="stable")
+    return np.take_along_axis(out, perm[seg], axis=1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -963,8 +1059,9 @@ def _member_norms(f: ExpSum, blocks: Sequence[np.ndarray], p: float,
        fields or, at p = 4, the factors' additive energy, by the rule of
        ``_product_mean_pow``; those with neither go on as other members.
     3. Snap and merge the other members: one packed-key sort, member
-       number leading; then per-member translation and gcd, and the
-       height shear.
+       number leading; then per-member translation and gcd, and for even
+       p one unimodular reduction and the canonical axis order
+       (``_lattice_reduce``), otherwise the height shear.
     4. Evaluate by the method rule of ``expsum_lp``: Parseval at p = 2;
        for even p pairs or FFT; the lattice max at p = inf; periodic
        quadrature otherwise.  Fields are stacked per FFT shape (and
@@ -1013,7 +1110,10 @@ def _member_norms(f: ExpSum, blocks: Sequence[np.ndarray], p: float,
         rows = general[seg]
         ints, w, useg = _snap_merge(lifted[rows], f.weights[idx[rows]], r, seg[rows])
         st = _starts_of(useg)
-        ints = _reduce_axes(_shear_reduce(_reduce_axes(ints, st), st), st)
+        if even:
+            ints = _lattice_reduce(ints, st, int(p) // 2)
+        else:
+            ints = _reduce_axes(_shear_reduce(_reduce_axes(ints, st), st), st)
         for i, v, mt, d in zip(members, *_reduced_norms(ints, w, st, p)):
             value[i], method[i], dims[i] = v, mt, d
             note[i] = _INEXACT.get(mt, note[i])
@@ -1035,9 +1135,11 @@ def _reduced_norms(ints: np.ndarray, w: np.ndarray, starts: np.ndarray, p: float
     (2^-5, 2^-6), binned by cells / k^2: pairs take 5.1 times the FFT's
     time at cells / k^2 <= 1, 2.0 in (1, 2], 1.4 in (2, 3] and 0.74 in
     (3, 4], so _PAIR_CELLS is 3.  The old rule k^2 <= cells sent 500 of
-    the 1,882 xy random hp members at 2^-5 to pairs.  Of the norms
-    workload's members 8 take pairs (xy random hp 2^-4 and 2^-5, all in
-    (3, 4]); pairs pay off most on few rows spread over a large lattice:
+    the 1,882 xy random hp members at 2^-5 to pairs.  On the lattices of
+    ``_lattice_reduce`` one of the norms workload's members takes pairs
+    (xy random hp 2^-5, in (3, 4]; 8 did on the height-sheared lattices,
+    2 of them at 2^-4); pairs pay off most on few rows spread over a large
+    lattice:
     20 random rows in [0, 100]^3 (7.5e6 cells) take 0.3 ms by pairs
     against 0.22 s by FFT."""
     ext = np.maximum.reduceat(ints, starts, axis=0).tolist()
@@ -1123,12 +1225,13 @@ def assign_frequencies(f: ExpSum, cover: FlatCover, tol: Optional[float] = None)
     """Subsets of frequency indices per cover member whose planar slab
     neighborhood contains the lifted point: frequencies within world
     distance tol of the member, under any frame (the cover's delta by
-    default).  tol <= 0 means sharp half-open tiles with the outer
+    default).  tol = 0 means sharp half-open tiles with the outer
     boundary of each tiling closed, so each frequency lands in at most
-    one tile per tiling.  Raises if any frequency is uncovered."""
+    one tile per tiling.  Raises if tol is negative or not finite, and if
+    any frequency is uncovered."""
     tol = cover.delta if tol is None else tol
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol!r}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     pts = f.freqs
     counts = np.zeros(len(pts), dtype=np.int64)
     subsets = []

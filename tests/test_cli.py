@@ -245,6 +245,10 @@ def test_usage_errors_exit_1(capsys):
           for ex in ("bump", "random", "line", "strip")),
         *((["decouple", "ratio", "--example", "bump", "--delta", "2^-4", "--assign-tol", t],
            "tol must be finite") for t in ("nan", "inf")),
+        (["decouple", "ratio", "--example", "line", "--p", "4", "--delta", "2^-4",
+          "--assign-tol", "-1"], "tol must be finite and non-negative, got -1.0"),
+        (["decouple", "sweep", "--example", "line", "--deltas", "2^-4..2^-7",
+          "--assign-tol", "-1"], "tol must be finite and non-negative, got -1.0"),
         *((["lattice", "count", "--delta", "2^-4", "--alpha", "sqrt2", "--tol", t],
            "tol must be finite and non-negative") for t in ("nan", "inf")),
         *((["rescale", "check", "--delta", "2^-4", "--tol", t],

@@ -116,7 +116,7 @@ def test_assign_frequencies_matches_per_member_rule(name, kind, drawn, seed):
     tol = resolve_tol(kind, drawn)
     f = ExpSum(hyperbolic_phase(), pts, np.ones(len(pts)))
     subsets, counts = assign_frequencies(f, cover, tol)
-    # assign_frequencies reads None as the cover's delta and tol <= 0 as sharp
+    # assign_frequencies reads None as the cover's delta and tol = 0 as sharp
     rule = cover.delta if tol is None else (tol if tol > 0 else None)
     want = [np.flatnonzero(member_takes(box, pts, rule)) for box in cover.iter_members()]
     want = [tuple(w.tolist()) for w in want if len(w)]

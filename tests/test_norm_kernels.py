@@ -1,8 +1,10 @@
 """Property tests for the exact norm engine's kernels: packed row keys,
 and, per segment of several sums laid end to end, the snap-merge, the
 axis reduction, the pair-sum Parseval count, the greedy run cutter, the
-height-shear search and the slab-wise field means, each against a plain
-reference."""
+height-shear search, the unimodular lattice reduction and the slab-wise
+field means, each against a plain reference."""
+
+import math
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -246,6 +248,103 @@ def test_best_shear_matches_brute_force_window(sizes, xspan, hspan, slopes, seed
     got = norms._best_shear(x, h, starts)
     want = [_shear_reference(x[s:s + k], h[s:s + k]) for s, k in zip(starts, sizes)]
     assert got.tolist() == want
+
+
+def _dense_mean_pow(rows, weights, q):
+    """Mean of |f|^(2q) over the torus, from one dense FFT on q * extent + 1
+    cells per axis of the translated rows."""
+    rows = rows - rows.min(axis=0)
+    z = np.zeros(tuple(q * int(e) + 1 for e in rows.max(axis=0)), dtype=complex)
+    z[tuple(rows.T)] = weights
+    return float(np.mean(np.abs(np.fft.ifftn(z, norm="forward")) ** (2 * q)))
+
+
+def _cells(rows, q):
+    return math.prod(norms._fft_shape(rows.max(axis=0).tolist(), q))
+
+
+@st.composite
+def strip_segments(draw):
+    """(rows, sizes): segments of distinct integer rows laid end to end.
+    A segment is a thin strip along a rational slope a/b (one column
+    round(a x / b) plus a little noise, another of width 0 or 1) or a
+    random cloud; its columns are then permuted, one is scaled, and all
+    are offset."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    parts = []
+    for size in draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(-4, 4)), draw(st.integers(1, 4))
+            x = rng.integers(0, 9, size=size)
+            y = rng.integers(0, draw(st.integers(0, 1)) + 1, size=size)
+            h = np.floor(a * x / b).astype(np.int64) + rng.integers(
+                0, draw(st.integers(0, 2)) + 1, size=size)
+            seg = np.column_stack([x, y, h])[:, list(draw(st.permutations(range(3))))]
+        else:
+            seg = rng.integers(0, draw(st.sampled_from([1, 3, 6])) + 1, size=(size, 3))
+        seg[:, draw(st.integers(0, 2))] *= draw(st.integers(1, 2))
+        parts.append(np.unique(seg + rng.integers(-50, 50, size=3), axis=0))
+    return np.concatenate(parts).astype(np.int64), [len(s) for s in parts]
+
+
+@settings(max_examples=150, deadline=None)
+@given(segs=strip_segments(), q=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 16))
+def test_lattice_reduce_keeps_means_and_never_grows_the_lattice(segs, q, seed):
+    """Per segment: rows stay integer and distinct, in canonical axis
+    order (live axes by ascending extent, dead axes last), on no more
+    cells than the unsheared rows; mean |f|^4 and |f|^6 equal the dense
+    FFT of the unreduced rows; the rows do not depend on the segments
+    batched beside it."""
+    rows, sizes = segs
+    weights = np.random.default_rng(seed).standard_normal((len(rows), 2)) @ [1, 1j]
+    starts = _starts(sizes)
+    got = norms._lattice_reduce(rows, starts, q)
+    assert got.dtype == np.int64
+    for s, k in zip(starts, sizes):
+        mine, raw = got[s:s + k], rows[s:s + k]
+        np.testing.assert_array_equal(mine, norms._lattice_reduce(raw, np.zeros(1, np.int64), q))
+        assert len(np.unique(mine, axis=0)) == k
+        ext = mine.max(axis=0).tolist()
+        live = [e for e in ext if e > 0]
+        assert mine.min(axis=0).tolist() == [0, 0, 0]
+        assert ext == sorted(live) + [0] * (3 - len(live))
+        assert _cells(mine, q) <= _cells(norms._reduce_axes(raw, np.zeros(1, np.int64)), q)
+        want = _dense_mean_pow(raw, weights[s:s + k], q)
+        assert abs(_dense_mean_pow(mine, weights[s:s + k], q) - want) <= 1e-12 * want
+
+
+def test_lattice_reduce_flattens_a_slope_half_strip():
+    """The xy lift of the 2^-5 grid points with y in {1/2, 17/32}: the
+    height runs along X/2, which no integer height shear flattens
+    (extents (32, 1, 17) sheared to (32, 1, 16)), while 2H - X takes the
+    strip's width.  The reduced rows span extents (1, 2, 18)."""
+    x, y = np.meshgrid(np.arange(33), [16, 17], indexing="ij")
+    rows = np.column_stack([x.ravel(), y.ravel(), np.round(x * y / 32).ravel()]).astype(np.int64)
+    one = np.zeros(1, dtype=np.int64)
+    base = norms._reduce_axes(rows, one)
+    sheared = norms._reduce_axes(norms._shear_reduce(base, one), one)
+    got = norms._lattice_reduce(rows, one, 2)
+    assert base.max(axis=0).tolist() == [32, 1, 17]
+    assert sheared.max(axis=0).tolist() == [32, 1, 16]
+    assert got.max(axis=0).tolist() == [1, 2, 18]
+    assert (_cells(got, 2), _cells(sheared, 2)) == (600, 6534)
+
+
+def test_lattice_reduce_maps_only_below_2_62():
+    """Heights 2^k x plus noise over x = 0..5: at k = 56 the map
+    flattens them; at k = 60 the heights already span more than 2^62, so
+    the rows keep their axes (in canonical order) and nothing wraps.
+    Either way the pair-sum mean |f|^4, exact on any integer rows, is
+    unchanged."""
+    one = np.zeros(1, dtype=np.int64)
+    x = np.arange(6, dtype=np.int64)
+    w = np.random.default_rng(1).standard_normal((6, 2)) @ [1, 1j]
+    for k, want in ((56, [1, 2, 5]), (60, [1, 5, 5 * 2 ** 60 + 2])):
+        rows = np.column_stack([x, [0, 1, 0, 1, 1, 0], (x << k) + [0, 1, 2, 0, 1, 2]])
+        got = norms._lattice_reduce(rows, one, 2)
+        assert got.max(axis=0).tolist() == want
+        a, b = (norms._pairs_mean_pow4(r, w, one)[0] for r in (got, rows))
+        assert abs(a - b) <= 1e-12 * b
 
 
 @settings(max_examples=80)

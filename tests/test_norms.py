@@ -824,14 +824,16 @@ def test_half_spectrum_fields_match_the_turned_sum(kind, phase, xs, ys, unit, p,
 def test_half_spectrum_cases_halve_every_axis_kind():
     """Fixed cases whose half fields between them halve an odd and an even
     axis of each kind: x3 of separable fields, x1 of separable fields with
-    x3 dead, and x3 and x1 of whole-lift fields."""
+    x3 dead, and, in the canonical axis order of whole-lift fields (live
+    axes by ascending extent, dead axes last), the third axis of fields
+    with three live axes and the first of fields with one."""
     grid, spread = ({0, 1, 2}, {0, 1, 2, 3}), ({0, 3, 8}, {1, 2})
     made = set()
     for kind, (xs, ys), p, r in [
         ("product", grid, 4, 2.0), ("product", grid, 6, 2.0),  # x3 dead: x1
         ("product", grid, 4, 8.0), ("product", grid, 6, 8.0),  # x3
-        ("plain", grid, 6, 3.0), ("plain", grid, 6, 8.0),      # x3
-        ("plain", spread, 4, 2.0), ("plain", spread, 6, 2.0),  # x2, x3 dead: x1
+        ("plain", grid, 6, 3.0), ("plain", grid, 4, 8.0),      # three live: the third
+        ("plain", spread, 4, 2.0), ("plain", spread, 6, 2.0),  # one live: the first
     ]:
         made |= _half_spectrum_check(_real_sum(kind, "elliptic", xs, ys, True, 0), p, r, 0.5)
     assert made >= {(2, 1, 0), (2, 1, 1), (2, 0, 0), (2, 0, 1),
