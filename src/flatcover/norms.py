@@ -561,6 +561,10 @@ def _lattice_reduce(ints: np.ndarray, starts: np.ndarray, q: int) -> np.ndarray:
     this q, and only while every mapped column's bound sum_s |U_sd| ext_s
     stays below 2^62 (tested in floats before each integer step, so
     nothing wraps).  Requiring C_dd to fall ends the loop in floats too.
+    U lowers the covariance, not the extents, so the height shear
+    (``_shear_reduce``) can give fewer cells; where the cells exceed
+    _FFT_BUDGET it is tried as well, so a sum that fits on sheared rows
+    fits here.
 
     The canonical order puts live axes by ascending extent, dead axes
     last, so fields that differ only by axis order share one stacked FFT.
@@ -611,24 +615,35 @@ def _lattice_reduce(ints: np.ndarray, starts: np.ndarray, q: int) -> np.ndarray:
                 bound[i, d] = (np.abs(u[i, :, d]) * extf[i]).sum(axis=1)
                 cov[i, :, d] -= lam[:, None] * cov[i, :, s]
                 cov[i, d, :] -= lam[:, None] * cov[i, s, :]
-    out, ext = base, ext0.copy()
+
+    def cells(ext: np.ndarray) -> np.ndarray:
+        # float products of the _fft_shape lengths (exact wherever a field
+        # can fit); extents repeat, so each distinct one is looked up once
+        uniq, inv = np.unique(ext, return_inverse=True)
+        lens_q = np.array([_fft_shape((e,), q)[0] for e in uniq.tolist()], dtype=float)
+        return lens_q[inv.reshape(ext.shape)].prod(axis=1)
+
+    out, ext = base.copy(), ext0.copy()
+    size = cells(ext0)
+
+    def offer(segs: np.ndarray, make) -> None:
+        """Take make's rows for the segments whose cells they lower."""
+        rows, st = _seg_take(starts, lens, segs)
+        new = _reduce_axes(make(base[rows], st), st)
+        e = np.maximum.reduceat(new, st, axis=0)
+        new_size = cells(e)
+        better = new_size < size[segs]
+        take = np.repeat(better, lens[segs])
+        out[rows[take]] = new[take]
+        ext[segs[better]], size[segs[better]] = e[better], new_size[better]
+
     segs = np.flatnonzero(ok & np.any(u != np.eye(c, dtype=np.int64), axis=(1, 2)))
     if len(segs):
-        rows, st = _seg_take(starts, lens, segs)
-        mapped = _reduce_axes(np.einsum("ns,nsd->nd", base[rows],
-                                        np.repeat(u[segs], lens[segs], axis=0)), st)
-        ext1 = np.maximum.reduceat(mapped, st, axis=0)
-        # cells before and after, as float products of the per-axis lengths
-        # (exact wherever a field can fit); extents repeat, so each distinct
-        # one is looked up once
-        uniq, inv = np.unique(np.stack([ext0[segs], ext1]), return_inverse=True)
-        lens_q = np.array([_fft_shape((e,), q)[0] for e in uniq.tolist()], dtype=float)
-        cells = lens_q[inv.reshape(2, len(segs), c)].prod(axis=2)
-        keep = cells[1] < cells[0]
-        sel = np.repeat(keep, lens[segs])
-        out = base.copy()
-        out[rows[sel]] = mapped[sel]
-        ext[segs[keep]] = ext1[keep]
+        offer(segs, lambda b, st: np.einsum("ns,nsd->nd", b,
+                                            np.repeat(u[segs], lens[segs], axis=0)))
+    segs = np.flatnonzero(size > _FFT_BUDGET)
+    if len(segs):
+        offer(segs, _shear_reduce)
     # live axes by ascending extent, dead axes last
     perm = np.argsort(np.where(ext > 0, ext, np.iinfo(np.int64).max), axis=1, kind="stable")
     return np.take_along_axis(out, perm[seg], axis=1)

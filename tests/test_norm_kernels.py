@@ -330,19 +330,35 @@ def test_lattice_reduce_flattens_a_slope_half_strip():
     assert (_cells(got, 2), _cells(sheared, 2)) == (600, 6534)
 
 
-def test_lattice_reduce_maps_only_below_2_62():
-    """Heights 2^k x plus noise over x = 0..5: at k = 56 the map
-    flattens them; at k = 60 the heights already span more than 2^62, so
-    the rows keep their axes (in canonical order) and nothing wraps.
-    Either way the pair-sum mean |f|^4, exact on any integer rows, is
-    unchanged."""
+def test_lattice_reduce_tries_the_shear_where_a_field_cannot_fit(monkeypatch):
+    """Three rows on which U leaves extents (1, 1, 1), 27 cells at q = 2,
+    and the height shear (1, 1, 0), 9 cells.  Only where the field would
+    exceed _FFT_BUDGET is the shear tried too, so a sum that fits on
+    sheared rows still fits."""
+    rows = np.array([[3, 0, 6], [3, 1, 5], [7, 0, 11]])
     one = np.zeros(1, dtype=np.int64)
-    x = np.arange(6, dtype=np.int64)
-    w = np.random.default_rng(1).standard_normal((6, 2)) @ [1, 1j]
-    for k, want in ((56, [1, 2, 5]), (60, [1, 5, 5 * 2 ** 60 + 2])):
-        rows = np.column_stack([x, [0, 1, 0, 1, 1, 0], (x << k) + [0, 1, 2, 0, 1, 2]])
+    assert norms._lattice_reduce(rows, one, 2).max(axis=0).tolist() == [1, 1, 1]
+    monkeypatch.setattr(norms, "_FFT_BUDGET", 20)
+    assert norms._lattice_reduce(rows, one, 2).max(axis=0).tolist() == [1, 1, 0]
+
+
+def test_lattice_reduce_maps_only_below_2_62():
+    """Five points near the line H = X/2.  With X spanning ~2^58 the map
+    X - 2H flattens X; with X spanning ~2^61 that map's bound |X| + 2|H|
+    passes 2^62, so the rows keep their axes (in canonical order), and
+    the height shear, tried too as the field cannot fit, does not flatten
+    a slope of 1/2.  Either way the pair-sum mean |f|^4, exact on any
+    integer rows, is unchanged."""
+    one = np.zeros(1, dtype=np.int64)
+    w = np.random.default_rng(1).standard_normal((5, 2)) @ [1, 1j]
+    for k in (58, 61):
+        x = np.array([0, 1, 2 ** k + 3, 3 * 2 ** (k - 1) + 1, 3 * 2 ** (k - 1) + 7])
+        rows = np.column_stack([x, [0, 1, 0, 1, 1], x // 2 + [0, 1, 0, 1, 0]])
         got = norms._lattice_reduce(rows, one, 2)
-        assert got.max(axis=0).tolist() == want
+        if k == 58:
+            assert got.max(axis=0).tolist()[:2] == [1, 2]
+        else:
+            np.testing.assert_array_equal(got, norms._reduce_axes(rows, one)[:, [1, 2, 0]])
         a, b = (norms._pairs_mean_pow4(r, w, one)[0] for r in (got, rows))
         assert abs(a - b) <= 1e-12 * b
 
