@@ -267,7 +267,7 @@ def _cells(rows, q):
 def strip_segments(draw):
     """(rows, sizes): segments of distinct integer rows laid end to end.
     A segment is a thin strip along a rational slope a/b (one column
-    round(a x / b) plus a little noise, another of width 0 or 1) or a
+    floor(a x / b) plus a little noise, another of width 0 or 1) or a
     random cloud; its columns are then permuted, one is scaled, and all
     are offset."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
