@@ -637,10 +637,20 @@ def _lattice_reduce(ints: np.ndarray, starts: np.ndarray, q: int) -> np.ndarray:
         out[rows[take]] = new[take]
         ext[segs[better]], size[segs[better]] = e[better], new_size[better]
 
+    def by_u(rows: np.ndarray, st: np.ndarray) -> np.ndarray:
+        # rows @ U of their segment, one nonzero entry of U at a time, so no
+        # per-row copy of U is held
+        mapped = np.zeros_like(rows)
+        for src in range(c):
+            for dst in range(c):
+                coef = u[segs, src, dst]
+                if coef.any():
+                    mapped[:, dst] += rows[:, src] * np.repeat(coef, lens[segs])
+        return mapped
+
     segs = np.flatnonzero(ok & np.any(u != np.eye(c, dtype=np.int64), axis=(1, 2)))
     if len(segs):
-        offer(segs, lambda b, st: np.einsum("ns,nsd->nd", b,
-                                            np.repeat(u[segs], lens[segs], axis=0)))
+        offer(segs, by_u)
     segs = np.flatnonzero(size > _FFT_BUDGET)
     if len(segs):
         offer(segs, _shear_reduce)
