@@ -1164,9 +1164,8 @@ def _reduced_norms(ints: np.ndarray, w: np.ndarray, starts: np.ndarray, p: float
     ``_lattice_reduce`` one of the norms workload's members takes pairs
     (xy random hp 2^-5, in (3, 4]; 8 did on the height-sheared lattices,
     2 of them at 2^-4); pairs pay off most on few rows spread over a large
-    lattice:
-    20 random rows in [0, 100]^3 (7.5e6 cells) take 0.3 ms by pairs
-    against 0.22 s by FFT."""
+    lattice: 20 random rows in [0, 100]^3 (7.5e6 cells) take 0.3 ms by
+    pairs against 0.22 s by FFT."""
     ext = np.maximum.reduceat(ints, starts, axis=0).tolist()
     nrows = _seg_lens(starts, len(ints))
     n = len(starts)
