@@ -19,13 +19,14 @@ occupy a few kilobytes and membership queries vectorize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .flatness import (
     _require_a_const,
+    _slope_spread_bound,
     flat_defect_interval,
     is_flat,
     null_direction_fields,
@@ -454,20 +455,45 @@ def _route_extents(a_f: np.ndarray, b_f: np.ndarray, theta: float, r: float) -> 
     return np.stack(ext, axis=1)
 
 
-def _comparability_keep(phi: BivariatePoly, grid: TileGrid, a_const: float) -> np.ndarray:
+def _anchor_slopes(phi: BivariatePoly, grid: TileGrid):
+    """Null-direction slopes (a, b, valid) at the nine anchors of every
+    kept tile of ``grid``, each (n, 9), from one ``null_direction_fields``
+    call."""
+    ct, st = math.cos(grid.theta), math.sin(grid.theta)
+    e1 = 0.5 * grid.w * np.array([ct, st])
+    e2 = 0.5 * grid.h * np.array([-st, ct])
+    z = grid.centers()[:, None, :] + _NINE_OFFSETS[:, :1] * e1 + _NINE_OFFSETS[:, 1:] * e2
+    return tuple(v.reshape(z.shape[:2]) for v in null_direction_fields(phi, z.reshape(-1, 2)))
+
+
+def _first_tile(grid: TileGrid) -> Optional[TileGrid]:
+    """The one-tile grid of ``grid``'s first kept tile, the first row of
+    ``kept_indices()``, found without enumerating the others; None when
+    no tile is kept."""
+    k = 0
+    if grid.keep is not None:
+        k = int(np.argmax(grid.keep))
+        if not grid.keep.flat[k]:
+            return None
+    i, j = grid.i0 + k // grid.nj, grid.j0 + k % grid.nj
+    return replace(grid, i0=i, i1=i + 1, j0=j, j1=j + 1, keep=None)
+
+
+def _comparability_keep(
+    phi: BivariatePoly, grid: TileGrid, a_const: float, slope_bound: Optional[float]
+) -> np.ndarray:
     """Comparability, decided per tiling: a tile is kept iff, along one
     null-direction route ("w" or "v"), the candidate boxes anchored at
     all nine anchor points are two-sidedly comparable to the tile (each
     inside the other dilated by 2A).  Returns a boolean vector over the
     kept tiles.
 
-    The slopes at every anchor come from one ``null_direction_fields``
-    call, and ``_route_extents`` reads a tile only through them, so tiles
-    with equal slopes get bit-equal decisions.  Tile 0's extents decide
-    the whole tiling when all anchors are valid and, per route, its
-    margin to 2A exceeds err = K (D + 32u), where r = h/w <= 1,
-    K = 2(1 + 1/r), u = 2^-53 and D is the largest slope difference from
-    tile 0 at the same anchor:
+    ``_route_extents`` reads a tile only through the float slopes at its
+    anchors, so tiles with equal slopes get bit-equal decisions.  Tile
+    0's extents decide the whole tiling when every anchor is valid and,
+    per route, its margin to 2A exceeds err = K (D + 32u), where
+    r = h/w <= 1, K = 2(1 + 1/r), u = 2^-53 and D is at least every
+    slope difference from tile 0 at the same anchor:
 
     * The null direction's angle is 1-Lipschitz in the slope, (c, s) is
       1-Lipschitz in the angle, and each extent term moves by at most
@@ -478,25 +504,39 @@ def _comparability_keep(phi: BivariatePoly, grid: TileGrid, a_const: float) -> n
       Two tiles take 16uK; the other 16uK covers rounding in err, in
       the comparisons with 2A (extents are <= K) and at second order.
 
-    Otherwise (a near-tie, an invalid anchor, slopes that vary too much)
-    ``_route_extents`` runs on every tile.
+    D comes first from ``slope_bound`` when it is given: the closed-form
+    bound of ``_slope_spread_bound`` over the grid's domain padded by the
+    tile diameter, where every anchor of a tile meeting the domain lies.
+    It also certifies every anchor valid, so only tile 0's nine anchors
+    are evaluated.  When that is inconclusive (a near-tie, or slopes that
+    may vary too much) the slopes at every anchor are computed and D is
+    their measured spread; when that is inconclusive too (or an anchor
+    is invalid) ``_route_extents`` runs on every tile.
     """
-    ct, st = math.cos(grid.theta), math.sin(grid.theta)
-    e1 = 0.5 * grid.w * np.array([ct, st])
-    e2 = 0.5 * grid.h * np.array([-st, ct])
-    z = grid.centers()[:, None, :] + _NINE_OFFSETS[:, :1] * e1 + _NINE_OFFSETS[:, 1:] * e2
-    fields = null_direction_fields(phi, z.reshape(-1, 2))
-    a_f, b_f, valid = (v.reshape(z.shape[:2]) for v in fields)
     r = grid.h / grid.w
     lim = 2.0 * a_const * (1.0 + 1e-9)
-    if len(z) and valid.all():
-        ext = _route_extents(a_f[:1], b_f[:1], grid.theta, r)[0]
-        spread = np.array([np.abs(a_f - a_f[0]).max(), np.abs(b_f - b_f[0]).max()])
+
+    def whole(a0, b0, spread) -> Optional[bool]:
+        ext = _route_extents(a0, b0, grid.theta, r)[0]
         err = 2.0 * (1.0 + 1.0 / r) * (spread + 32.0 * 2.0 ** -53)
         if np.any(ext + err < lim):
-            return np.ones(len(z), dtype=bool)
+            return True
         if np.all(ext - err > lim):
-            return np.zeros(len(z), dtype=bool)
+            return False
+        return None
+
+    first = _first_tile(grid)
+    if slope_bound is not None and first is not None:
+        a0, b0, _ = _anchor_slopes(phi, first)
+        decided = whole(a0, b0, slope_bound)
+        if decided is not None:
+            return np.full(len(grid), decided)
+    a_f, b_f, valid = _anchor_slopes(phi, grid)
+    if len(a_f) and valid.all():
+        spread = np.array([np.abs(a_f - a_f[0]).max(), np.abs(b_f - b_f[0]).max()])
+        decided = whole(a_f[:1], b_f[:1], spread)
+        if decided is not None:
+            return np.full(len(a_f), decided)
     ext = _route_extents(a_f, b_f, grid.theta, r)
     return np.any(ext <= lim, axis=1) & valid.all(axis=1)
 
@@ -526,8 +566,12 @@ def _build_hp_core(
     rejected.  A maybe tiling keeps the tiles ``tiling_flatness`` finds
     flat.  Each candidate box is congruent to its tile, so
     ``_comparability_keep`` decides comparability from the null
-    direction's angle in the tile's axes alone: once per tiling when the
-    slopes barely vary, tile by tile otherwise.
+    direction's angle in the tile's axes alone.  The slope spread over a
+    whole aspect level is bounded in closed form (``_slope_spread_bound``,
+    once per aspect), so a tiling is decided from its first tile's nine
+    anchors when that bound leaves no tie; otherwise from the measured
+    spread over every anchor, and tile by tile when that is inconclusive
+    too.
     """
     amax = int(math.floor(math.log2(delta ** -0.5) + 1e-9))
     groups: List[TileGrid] = []
@@ -545,7 +589,9 @@ def _build_hp_core(
         q, _ = quad_defect(phi, edges)
         # a tile meeting the domain lies in the domain padded by its diameter
         diam = math.hypot(w, h)
-        rem = tail_bound(phi, (xmin - diam, ymin - diam, xmax + diam, ymax + diam), edges)
+        padded = (xmin - diam, ymin - diam, xmax + diam, ymax + diam)
+        rem = tail_bound(phi, padded, edges)
+        slope_bound = _slope_spread_bound(phi, padded)
         sure = q + rem <= threshold
         maybe = (~sure) & (q - rem <= threshold)
         for beta in np.flatnonzero(sure | maybe):
@@ -556,7 +602,7 @@ def _build_hp_core(
                 if not flat_vec.any():
                     continue
                 _refine_keep(grid, flat_vec)
-            comp = _comparability_keep(phi, grid, a_const)
+            comp = _comparability_keep(phi, grid, a_const, slope_bound)
             if not comp.any():
                 continue
             if not comp.all():
@@ -684,9 +730,9 @@ def _det_range(phi: BivariatePoly, domain: BBox):
     return 0.0, 0
 
 
-def _saddle_normalizer(phi: BivariatePoly) -> Tuple[AffineMap2, float]:
-    """Linear map N and scale m with (phi o N)/m in saddle normal form:
-    zero square coefficients and unit mixed coefficient."""
+def _saddle_normalizer(phi: BivariatePoly) -> Tuple[AffineMap2, float, BivariatePoly]:
+    """Linear map N, scale m and phi o N, with (phi o N)/m in saddle
+    normal form: zero square coefficients and unit mixed coefficient."""
     a, b, valid = null_direction_fields(phi, (0.0, 0.0))
     if not valid[0]:
         h = phi.hessian(0.0, 0.0)
@@ -695,8 +741,9 @@ def _saddle_normalizer(phi: BivariatePoly) -> Tuple[AffineMap2, float]:
         # rotate a hair to break the degeneracy (pure anti-diagonal case)
         rot = AffineMap2.rotation(0.25)
         inner = compose_affine(phi, rot.matrix, rot.offset)
-        n2, m2 = _saddle_normalizer(inner)
-        return rot.compose(n2), m2
+        n2, m2, _ = _saddle_normalizer(inner)
+        nmap = rot.compose(n2)
+        return nmap, m2, compose_affine(phi, nmap.matrix, nmap.offset)
     w = np.array([-a[0], 1.0])
     v = np.array([1.0, -b[0]])
     n_mat = np.column_stack([v / np.linalg.norm(v), w / np.linalg.norm(w)])
@@ -704,7 +751,7 @@ def _saddle_normalizer(phi: BivariatePoly) -> Tuple[AffineMap2, float]:
     mixed = composed.coeff(1, 1)
     if mixed == 0.0:
         raise ValueError("degenerate quadratic part")
-    return AffineMap2(tuple(map(tuple, n_mat))), float(mixed)
+    return AffineMap2(tuple(map(tuple, n_mat))), float(mixed), composed
 
 
 def _strip_1d_split(
@@ -897,8 +944,8 @@ def build_cover_general(
             return
         min_det, sign = _det_range(psi, UNIT_SQUARE)
         if sign < 0 and min_det > 1.0 / _M_CONST:
-            nmap, mixed = _saddle_normalizer(psi)
-            chi = poly_scale(compose_affine(psi, nmap.matrix, nmap.offset), 1.0 / mixed)
+            nmap, mixed, composed = _saddle_normalizer(psi)
+            chi = poly_scale(composed, 1.0 / mixed)
             bbox = nmap.inverse().image_bbox(UNIT_SQUARE)
             groups = _build_hp_core(chi, target / abs(mixed), a_const, bbox)
             emit_groups(frame.compose(nmap), groups)

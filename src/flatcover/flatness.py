@@ -444,6 +444,53 @@ def null_direction_fields(phi: BivariatePoly, points):
     return h22 / safe, h11 / safe, valid
 
 
+def _slope_spread_bound(phi: BivariatePoly, box) -> Optional[float]:
+    """A bound D on |a(z) - a(z')| and |b(z) - b(z')| for the float slopes
+    of ``null_direction_fields`` at any two points z, z' of the axis box
+    ``box`` (xmin, ymin, xmax, ymax), every such point being valid; None
+    when the bounds below cannot certify validity.  Points within 2^-40 R
+    of the box count as in it, R its largest |coordinate|: points formed
+    by a few roundings of coordinates up to 3R stay that close.
+
+    With (B11, B12, B22) the degree >= 3 Hessian bounds of
+    ``_hessian_bounds`` over the widened box, the quadratic part gives
+    M11 = |2 c20| + B11 >= |H11|, M22 = |2 c02| + B22 >= |H22| and
+    H12 >= c11 - B12.  With n the declared degree, u = 2^-53 and
+    eta = 16 (n + 2)^2 u, the float H11, H22 are at most M11 (1 + eta),
+    M22 (1 + eta) in absolute value and the float H12 is at least
+    L = c11 (1 - eta) - B12 (1 + eta): eta covers the two roundings in
+    each Hessian coefficient, <= 4n + 2 in Horner's rule, <= n^2 / 2 + 9
+    in the bounds and one in each of M11, M22 and L.  Where L > 0 and
+    4 M11 M22 < L^2:
+
+    * fl(H11 H22) <= M11 M22 (1 + eta)^3 < L^2 (1 - u) <= fl(H12^2), so
+      det < 0, and -det >= (L^2 - 2 M11 M22)(1 - u)^2 since
+      (1 + eta)^3 <= 2 (1 - u).
+    * s = sqrt(-det) >= 0 makes H12 + s >= H12 > 0, so the point is
+      valid, and H12 + s >= Q (1 - u)^3 with Q = L + sqrt(L^2 - 2 M11 M22).
+    * |a| <= M22 (1 + eta)(1 + u) / (Q (1 - u)^3), |b| likewise with M11,
+      and two slopes differ by at most twice that.
+
+    The value returned, 2 (1 + 2 eta) max(M11, M22) / Q, is at least that
+    bound: Q's radicand is at least L^2 / 2, so Q is formed within 8u,
+    and three more roundings leave (1 + 2 eta)(1 - u)^3 / (1 + 8u) above
+    (1 + eta)(1 + u) / (1 - u)^3 for eta >= 32u.  On a normal form the
+    constant 2 (1 + 2 eta) / Q is 1 / c11 up to terms of the class bound.
+    """
+    xmin, ymin, xmax, ymax = box
+    pad = 2.0 ** -40 * max(abs(xmin), abs(ymin), abs(xmax), abs(ymax))
+    b11, b12, b22 = (float(v) for v in _hessian_bounds(
+        phi, (xmin - pad, ymin - pad, xmax + pad, ymax + pad), min_total_degree=3))
+    eta = 16.0 * (phi.degree + 2) ** 2 * 2.0 ** -53
+    m11 = abs(2.0 * phi.coeff(2, 0)) + b11
+    m22 = abs(2.0 * phi.coeff(0, 2)) + b22
+    low = phi.coeff(1, 1) * (1.0 - eta) - b12 * (1.0 + eta)
+    if not (low > 0.0 and 4.0 * m11 * m22 < low * low):
+        return None
+    q = low + math.sqrt(low * low - 2.0 * m11 * m22)
+    return 2.0 * (1.0 + 2.0 * eta) * max(m11, m22) / q
+
+
 def candidate_box(
     phi: BivariatePoly,
     point,

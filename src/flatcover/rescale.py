@@ -122,8 +122,7 @@ def rescale_phase(
 
     scale_map = AffineMap2(((long_side, 0.0), (0.0, short_side)), (0.0, 0.0))
     psi_unit = compose_affine(psi0, scale_map.matrix, scale_map.offset)
-    shear, mixed = _saddle_normalizer(psi_unit)
-    psi_sh = compose_affine(psi_unit, shear.matrix, shear.offset)
+    shear, mixed, psi_sh = _saddle_normalizer(psi_unit)
     tilde = poly_scale(minus_tangent_plane(psi_sh), 1.0 / mixed)
     # the shear zeroes the square coefficients exactly up to rounding
     cleaned = dict(tilde.coeffs)

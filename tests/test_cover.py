@@ -171,9 +171,17 @@ def test_comparability_keep_matches_scalar_rule(c, e, level, near, step, a_const
     beta = min(max(round(near * beta_max) + step, 0), beta_max)
     grid = make_tile_grid(1.0 / alpha, delta * alpha, delta * alpha * alpha * beta,
                           alpha=alpha, beta=beta)
-    got = _comparability_keep(phi, grid, a_const)
     want = [_scalar_comparable(phi, tile, alpha, delta, a_const) for tile in grid.tiles()]
-    np.testing.assert_array_equal(got, want)
+    for bound in (None, _builder_bound(phi, grid)):
+        np.testing.assert_array_equal(_comparability_keep(phi, grid, a_const, bound), want)
+
+
+def _builder_bound(phi, grid):
+    """The slope bound _build_hp_core passes for grid's aspect level: over
+    the domain padded by the tile diameter."""
+    diam = math.hypot(grid.w, grid.h)
+    xmin, ymin, xmax, ymax = grid.domain
+    return flatness._slope_spread_bound(phi, (xmin - diam, ymin - diam, xmax + diam, ymax + diam))
 
 
 # xy at 2^-6 has a tiling whose one passing route has extent
@@ -216,26 +224,34 @@ def test_comparability_per_tiling_matches_per_tile(scale, c, e, a_const):
     extents over all nine anchors are at most 2A(1 + 1e-9), with every
     anchor valid.  scale 0 is xy, 1e-30 the degree-3 class bound, 0.05
     the perturbed saddles of build_cover_general's saddle branch, where
-    the slopes vary."""
+    the slopes vary.  At the tie, the per-anchor pass must run."""
     phi = BivariatePoly(3, {(1, 1): 1.0, **{t: scale * x for t, x in zip(_SADDLE_TERMS, c)}})
-    keep = cover._comparability_keep
+    keep, fields = cover._comparability_keep, cover.null_direction_fields
     lim = 2.0 * a_const * (1.0 + 1e-9)
-    near_ties = []
+    points = [0]
+    ties_per_anchor = []
 
-    def checked_keep(phi, grid, a_const):
-        got = keep(phi, grid, a_const)
+    def counted_fields(phi, pts):
+        points[0] += len(np.atleast_2d(pts))
+        return fields(phi, pts)
+
+    def checked_keep(phi, grid, a_const, slope_bound):
+        before = points[0]
+        got = keep(phi, grid, a_const, slope_bound)
         a_f, b_f, valid = _tile_slopes(phi, grid)
         ext = cover._route_extents(a_f, b_f, grid.theta, grid.h / grid.w)
         np.testing.assert_array_equal(got, np.any(ext <= lim, axis=1) & valid.all(axis=1))
-        near_ties.append(bool(np.any(np.abs(ext - lim) <= 1e-12 * lim)))
+        ties_per_anchor.append((bool(np.any(np.abs(ext - lim) <= 1e-12 * lim)),
+                                points[0] - before > 9))
         return got
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cover, "tiling_flatness", _some_tiles_flat)
+        mp.setattr(cover, "null_direction_fields", counted_fields)
         mp.setattr(cover, "_comparability_keep", checked_keep)
         cover._build_hp_core(phi, 2.0 ** -e, a_const, UNIT_SQUARE)
     if a_const == _TIE_A_CONST and scale == 0.0 and e == 6:
-        assert any(near_ties)
+        assert any(tie and per_anchor for tie, per_anchor in ties_per_anchor)
 
 
 _TILTED_SADDLE = BivariatePoly(2, {(2, 0): 1.0, (0, 2): -0.5, (1, 1): 0.3})
@@ -251,8 +267,8 @@ def _saddle_ties(draw):
     e = draw(st.integers(4, 6))
     phi, delta = hyperbolic_phase(), 2.0 ** -e
     if general:
-        nmap, mixed = cover._saddle_normalizer(_TILTED_SADDLE)
-        phi = poly_scale(compose_affine(_TILTED_SADDLE, nmap.matrix, nmap.offset), 1.0 / mixed)
+        _, mixed, composed = cover._saddle_normalizer(_TILTED_SADDLE)
+        phi = poly_scale(composed, 1.0 / mixed)
         delta /= abs(mixed)
     a, b, _ = flatness.null_direction_fields(phi, (0.0, 0.0))  # constant on a quadratic
     alpha = 2.0 ** draw(st.integers(0, e // 2))
@@ -314,24 +330,88 @@ def test_route_extents_match_vertex_coordinates(theta, r, a, b):
         assert got[route] == pytest.approx(want, rel=1e-12)
 
 
+def _patch_bbox(phi):
+    """The domain build_cover_general's saddle branch tiles for phi."""
+    nmap, _, _ = cover._saddle_normalizer(phi)
+    return nmap.inverse().image_bbox(UNIT_SQUARE)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    scale_degree=st.sampled_from([(0.0, 3), (1e-30, 3), (1e-40, 4), (0.05, 3)]),
+    c=st.lists(st.floats(-1.0, 1.0), min_size=11, max_size=11),
+    domain=st.sampled_from(["unit", "saddle", "tilted"]),
+    e=st.sampled_from([4, 5, 6]),
+)
+# x^3 on the saddle patch, which straddles x = 0: the b slopes there span
+# more than half the bound
+@example(scale_degree=(0.05, 3), c=[0.0, 0.0, 1.0] + [0.0] * 8, domain="saddle", e=6)
+@example(scale_degree=(1e-40, 4), c=[0.0, 0.0, 1.0] + [0.0] * 8, domain="saddle", e=6)
+def test_slope_spread_bound_covers_every_anchor(scale_degree, c, domain, e):
+    """Wherever _build_hp_core passes a closed-form slope bound, every
+    anchor of the tiling is valid and the float slopes differ by at most
+    the bound, between any two anchors; on the normal-form class (scale
+    0, 1e-30, 1e-40) the bound is always there.  Domains are the unit
+    square and the saddle patches of build_cover_general."""
+    scale, degree = scale_degree
+    terms = [(j, k) for j in range(degree + 1) for k in range(degree + 1 - j)
+             if j + k >= 2 and (j, k) != (1, 1)]
+    phi = BivariatePoly(degree, {(1, 1): 1.0, **{t: scale * x for t, x in zip(terms, c)}})
+    box = {"unit": UNIT_SQUARE, "saddle": _patch_bbox(SADDLE),
+           "tilted": _patch_bbox(_TILTED_SADDLE)}[domain]
+    keep = cover._comparability_keep
+    bounds = []
+
+    def checked_keep(phi, grid, a_const, slope_bound):
+        bounds.append(slope_bound)
+        if slope_bound is not None:
+            a_f, b_f, valid = cover._anchor_slopes(phi, grid)
+            assert valid.all()
+            assert a_f.max() - a_f.min() <= slope_bound
+            assert b_f.max() - b_f.min() <= slope_bound
+        return keep(phi, grid, a_const, slope_bound)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cover, "tiling_flatness", _some_tiles_flat)
+        mp.setattr(cover, "_comparability_keep", checked_keep)
+        cover._build_hp_core(phi, 2.0 ** -e, 4.0, box)
+    assert bounds
+    if scale < 1.0e-20:
+        assert None not in bounds
+
+
 def test_hp_covers_decide_every_tiling_whole():
-    """xy and the perturbed normal forms at 2^-6..2^-12: the per-tile
-    arithmetic runs only on prototypes (one tile), never as a fallback."""
+    """xy and the perturbed normal forms at 2^-6..2^-12: every tiling is
+    decided from its first tile's nine anchors by the closed-form slope
+    bound, so neither the per-anchor pass nor the per-tile arithmetic
+    runs."""
     rng = np.random.default_rng(0)
     phases = [hyperbolic_phase(), perturbed_hyperbolic(3, rng), perturbed_hyperbolic(4, rng)]
     extents = cover._route_extents
-    sizes = []
+    keep, fields = cover._comparability_keep, cover.null_direction_fields
+    sizes, points = [], []
 
-    def counted(a_f, *args):
+    def counted_extents(a_f, *args):
         sizes.append(len(a_f))
         return extents(a_f, *args)
 
+    def counted_fields(phi, pts):
+        points[-1] += len(np.atleast_2d(pts))
+        return fields(phi, pts)
+
+    def counted_keep(*args):
+        points.append(0)
+        return keep(*args)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cover, "_route_extents", counted)
+        mp.setattr(cover, "_route_extents", counted_extents)
+        mp.setattr(cover, "null_direction_fields", counted_fields)
+        mp.setattr(cover, "_comparability_keep", counted_keep)
         for phi in phases:
             for e in range(6, 13):
                 build_cover_hp(phi, 2.0 ** -e)
     assert sizes and max(sizes) == 1
+    assert points and max(points) <= 9
 
 
 def test_general_cover_on_uniformly_curved_phase():
