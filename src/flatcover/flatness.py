@@ -459,8 +459,8 @@ def _slope_spread_bound(phi: BivariatePoly, box) -> Optional[float]:
     eta = 16 (n + 2)^2 u, the float H11, H22 are at most M11 (1 + eta),
     M22 (1 + eta) in absolute value and the float H12 is at least
     L = c11 (1 - eta) - B12 (1 + eta): eta covers the two roundings in
-    each Hessian coefficient, <= 4n + 2 in Horner's rule, <= n^2 / 2 + 9
-    in the bounds and one in each of M11, M22 and L.  Where L > 0 and
+    each Hessian coefficient, <= 4n + 2 in Horner's rule, <= (n + 2)^2 / 2
+    + 8 in the bounds and one in each of M11, M22 and L.  Where L > 0 and
     4 M11 M22 < L^2:
 
     * fl(H11 H22) <= M11 M22 (1 + eta)^3 < L^2 (1 - u) <= fl(H12^2), so

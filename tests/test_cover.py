@@ -343,10 +343,10 @@ def _patch_bbox(phi):
     domain=st.sampled_from(["unit", "saddle", "tilted"]),
     e=st.sampled_from([4, 5, 6]),
 )
-# x^3 on the saddle patch, which straddles x = 0: the b slopes there span
-# more than half the bound
+# x y^2 alone on the saddle patch, which straddles x = 0: H22 = 2 c12 x, so
+# the a slopes there span more than half the bound
 @example(scale_degree=(0.05, 3), c=[0.0, 0.0, 1.0] + [0.0] * 8, domain="saddle", e=6)
-@example(scale_degree=(1e-40, 4), c=[0.0, 0.0, 1.0] + [0.0] * 8, domain="saddle", e=6)
+@example(scale_degree=(1e-40, 4), c=[0.0, 0.0, 0.0, 1.0] + [0.0] * 7, domain="saddle", e=6)
 def test_slope_spread_bound_covers_every_anchor(scale_degree, c, domain, e):
     """Wherever _build_hp_core passes a closed-form slope bound, every
     anchor of the tiling is valid and the float slopes differ by at most
