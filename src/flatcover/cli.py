@@ -117,12 +117,18 @@ def _phase_arg(text: Optional[str], default: str = "xy") -> BivariatePoly:
 
 
 def _emit_json(obj: dict, path: Optional[str]) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Write obj as strict JSON; a non-finite value raises ValueError."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _p_json(p: float):
+    """An exponent as a JSON value: the sup norm's p = inf as "inf"."""
+    return "inf" if p == math.inf else p
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
@@ -257,7 +263,7 @@ def cmd_decouple_ratio(args) -> int:
             "schema": SCHEMA,
             "example": args.example,
             "cover": args.cover_kind,
-            "p": rep.p,
+            "p": _p_json(rep.p),
             "delta": rep.delta,
             "box_side": rep.box_side,
             "ratio": rep.ratio,
@@ -292,7 +298,7 @@ def cmd_decouple_sweep(args) -> int:
             "schema": SCHEMA,
             "example": args.example,
             "cover": args.cover_kind,
-            "p": args.p,
+            "p": _p_json(args.p),
             "points": [[d, r] for d, r in points],
             "slope": fit.slope,
             "intercept": fit.intercept,

@@ -19,7 +19,7 @@ occupy a few kilobytes and membership queries vectorize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -421,14 +421,15 @@ def _normal_form_error(phi: BivariatePoly) -> Optional[str]:
     return None
 
 
-def _route_extents(a_f: np.ndarray, b_f: np.ndarray, theta: float, r: float) -> np.ndarray:
-    """The comparability rule's arithmetic for tiles at angle ``theta``
-    with aspect r = h/w, from the null-direction slopes (a, b) at their
-    nine anchors, each (n, 9).  Returns an (n, 2) array: per tile and
-    route ("w", "v"), the largest absolute coordinate of (i) a candidate
-    vertex in the tile's half-edge frame and (ii) a tile vertex in the
-    candidate's, over all nine anchors.  The route is comparable iff
-    that extent is at most 2A (NaN compares false).
+def _route_extents(a_f: np.ndarray, b_f: np.ndarray, theta, r: float) -> np.ndarray:
+    """The comparability rule's arithmetic for tiles with aspect r = h/w,
+    from the null-direction slopes (a, b) at their nine anchors, each
+    (n, 9), at the angle ``theta``: one for every tile, or one per row.
+    Returns an (n, 2) array: per tile and route ("w", "v"), the largest
+    absolute coordinate of (i) a candidate vertex in the tile's
+    half-edge frame and (ii) a tile vertex in the candidate's, over all
+    nine anchors.  The route is comparable iff that extent is at most 2A
+    (NaN compares false).
 
     The candidate box is congruent to the tile, with half sides w/2
     along the unit null direction and h/2 across it.  With (c, s) that
@@ -440,7 +441,9 @@ def _route_extents(a_f: np.ndarray, b_f: np.ndarray, theta: float, r: float) -> 
         max(|o1|, |o1 c + o2 r s|) + |c| + r|s|        (long sides)
         max(|o2|, |o2 c - o1 s/r|) + |c| + |s|/r       (short sides).
     """
-    ct, st = math.cos(theta), math.sin(theta)
+    thetas = np.atleast_1d(theta)
+    ct = np.array([math.cos(t) for t in thetas])[:, None]
+    st = np.array([math.sin(t) for t in thetas])[:, None]
     o1, o2 = _NINE_OFFSETS.T
     ext = []
     for d1, d2 in ((-a_f, 1.0), (1.0, -b_f)):
@@ -466,88 +469,65 @@ def _anchor_slopes(phi: BivariatePoly, grid: TileGrid):
     return tuple(v.reshape(z.shape[:2]) for v in null_direction_fields(phi, z.reshape(-1, 2)))
 
 
-def _first_tile(grid: TileGrid) -> Optional[TileGrid]:
-    """The one-tile grid of ``grid``'s first kept tile, the first row of
-    ``kept_indices()``, found without enumerating the others; None when
-    no tile is kept."""
-    k = 0
-    if grid.keep is not None:
-        k = int(np.argmax(grid.keep))
-        if not grid.keep.flat[k]:
-            return None
-    i, j = grid.i0 + k // grid.nj, grid.j0 + k % grid.nj
-    return replace(grid, i0=i, i1=i + 1, j0=j, j1=j + 1, keep=None)
-
-
-def _comparability_keep(
-    phi: BivariatePoly, grid: TileGrid, a_const: float, slope_bound: Optional[float]
-) -> np.ndarray:
-    """Comparability, decided per tiling: a tile is kept iff, along one
-    null-direction route ("w" or "v"), the candidate boxes anchored at
-    all nine anchor points are two-sidedly comparable to the tile (each
-    inside the other dilated by 2A).  Returns a boolean vector over the
-    kept tiles.
+def _whole_comparability(
+    a_z: float, b_z: float, thetas: np.ndarray, r: float, a_const: float,
+    spread: Optional[float],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Comparability of whole tilings of one aspect level, decided in
+    closed form: masks (kept, dropped) over ``thetas``, flagging the
+    angles at which ``_comparability_keep`` would keep every tile, or
+    drop every tile.  Neither is set where the test below is
+    inconclusive, or everywhere when ``spread`` is None.
 
     ``_route_extents`` reads a tile only through the float slopes at its
-    anchors, so tiles with equal slopes get bit-equal decisions.  Tile
-    0's extents decide the whole tiling when every anchor is valid and,
-    per route, its margin to 2A exceeds err = K (D + 32u), where
-    r = h/w <= 1, K = 2(1 + 1/r), u = 2^-53 and D is at least every
-    slope difference from tile 0 at the same anchor:
+    anchors.  Each angle's virtual tile has the slopes (a_z, b_z) of one
+    point z at all nine anchors, and its extents decide every tile of
+    the tiling when, per route, their margin to 2A exceeds
+    err = K (D + 32u), where r = h/w <= 1, K = 2(1 + 1/r), u = 2^-53 and
+    ``spread`` = D is at least every difference between the slopes at z
+    and at an anchor of a tile, with every anchor valid:
 
     * The null direction's angle is 1-Lipschitz in the slope, (c, s) is
-      1-Lipschitz in the angle, and each extent term moves by at most
-      2(|dc| + |ds|/r); so exact extents of two tiles differ by <= K D.
+      1-Lipschitz in the angle, and each anchor's extent term moves by
+      at most 2(|dc| + |ds|/r); so the exact extents of a tile and of
+      the virtual tile differ by <= K D.
     * c and s are formed with absolute error <= 5u.  The terms are at
       most 1 + 1/r, s/r carries 6u/r, and each sum rounds once more, so
       a computed extent is within 14u + 16u/r <= 8uK of its exact value.
       Two tiles take 16uK; the other 16uK covers rounding in err, in
       the comparisons with 2A (extents are <= K) and at second order.
 
-    D comes first from ``slope_bound`` when it is given: the closed-form
-    bound of ``_slope_spread_bound`` over the grid's domain padded by the
-    tile diameter, where every anchor of a tile meeting the domain lies.
-    It also certifies every anchor valid, so only tile 0's nine anchors
-    are evaluated.  When that is inconclusive (a near-tie, or slopes that
-    may vary too much) the slopes at every anchor are computed and D is
-    their measured spread; when that is inconclusive too (or an anchor
-    is invalid) ``_route_extents`` runs on every tile.
+    ``_build_hp_core`` passes the bound of ``_slope_spread_bound`` over
+    the domain padded by the tile diameter, a box that holds z (the
+    domain's corner) and every anchor of a tile meeting the domain, and
+    that bound also certifies every such point valid.
     """
-    r = grid.h / grid.w
+    none = np.zeros(len(thetas), dtype=bool)
+    if spread is None:
+        return none, none
+    ext = _route_extents(np.full((len(thetas), 9), a_z), np.full((len(thetas), 9), b_z),
+                         thetas, r)
+    err = 2.0 * (1.0 + 1.0 / r) * (spread + 32.0 * 2.0 ** -53)
     lim = 2.0 * a_const * (1.0 + 1e-9)
+    return np.any(ext + err < lim, axis=1), np.all(ext - err > lim, axis=1)
 
-    def whole(a0, b0, spread) -> Optional[bool]:
-        ext = _route_extents(a0, b0, grid.theta, r)[0]
-        err = 2.0 * (1.0 + 1.0 / r) * (spread + 32.0 * 2.0 ** -53)
-        if np.any(ext + err < lim):
-            return True
-        if np.all(ext - err > lim):
-            return False
-        return None
 
-    first = _first_tile(grid)
-    if slope_bound is not None and first is not None:
-        a0, b0, _ = _anchor_slopes(phi, first)
-        decided = whole(a0, b0, slope_bound)
-        if decided is not None:
-            return np.full(len(grid), decided)
+def _comparability_keep(phi: BivariatePoly, grid: TileGrid, a_const: float) -> np.ndarray:
+    """Comparability, tile by tile: a tile is kept iff, along one
+    null-direction route ("w" or "v"), the candidate boxes anchored at
+    all nine anchor points are two-sidedly comparable to the tile (each
+    inside the other dilated by 2A), every anchor having null
+    directions.  Returns a boolean vector over the kept tiles."""
     a_f, b_f, valid = _anchor_slopes(phi, grid)
-    if len(a_f) and valid.all():
-        spread = np.array([np.abs(a_f - a_f[0]).max(), np.abs(b_f - b_f[0]).max()])
-        decided = whole(a_f[:1], b_f[:1], spread)
-        if decided is not None:
-            return np.full(len(a_f), decided)
-    ext = _route_extents(a_f, b_f, grid.theta, r)
-    return np.any(ext <= lim, axis=1) & valid.all(axis=1)
+    ext = _route_extents(a_f, b_f, grid.theta, grid.h / grid.w)
+    return np.any(ext <= 2.0 * a_const * (1.0 + 1e-9), axis=1) & valid.all(axis=1)
 
 
 def _refine_keep(grid: TileGrid, keep_vec: np.ndarray) -> None:
     """Restrict the grid's keep mask to the tiles flagged in keep_vec
     (ordered as kept_indices())."""
-    idx = grid.kept_indices()
-    mask = np.zeros((grid.ni, grid.nj), dtype=bool)
-    sel = idx[keep_vec]
-    mask[sel[:, 0] - grid.i0, sel[:, 1] - grid.j0] = True
+    mask = np.ones((grid.ni, grid.nj), dtype=bool) if grid.keep is None else grid.keep
+    mask[mask] = keep_vec
     grid.keep = mask
 
 
@@ -560,23 +540,23 @@ def _build_hp_core(
     """Angle/aspect enumeration behind build_cover_hp.
 
     Assumes the quadratic part of ``phi`` is the saddle normal form
-    (mixed coefficient 1, no square terms beyond the class bound).  Per
-    aspect, the quadratic part's closed-form defect at every angle plus
-    a domain-wide tail bound sorts the tilings into sure, maybe and
-    rejected.  A maybe tiling keeps the tiles ``tiling_flatness`` finds
-    flat.  Each candidate box is congruent to its tile, so
-    ``_comparability_keep`` decides comparability from the null
-    direction's angle in the tile's axes alone.  The slope spread over a
-    whole aspect level is bounded in closed form (``_slope_spread_bound``,
-    once per aspect), so a tiling is decided from its first tile's nine
-    anchors when that bound leaves no tie; otherwise from the measured
-    spread over every anchor, and tile by tile when that is inconclusive
-    too.
+    (mixed coefficient 1, no square terms beyond the class bound).  Each
+    aspect level is decided in two passes.  The closed-form pass covers
+    every angle at once: the quadratic part's defect plus a domain-wide
+    tail bound sorts the tilings into sure, maybe and rejected flat, and
+    ``_whole_comparability`` keeps or drops the sure and maybe ones whole
+    from the null slopes at the domain's corner, evaluated once per
+    cover, and the closed-form slope spread over the level
+    (``_slope_spread_bound``).  The per-tile pass runs only where that
+    leaves a doubt: a maybe tiling keeps the tiles ``tiling_flatness``
+    finds flat, and an undecided angle the tiles ``_comparability_keep``
+    finds comparable.  Dropped angles build no grid.
     """
     amax = int(math.floor(math.log2(delta ** -0.5) + 1e-9))
     groups: List[TileGrid] = []
     threshold = a_const * delta
     xmin, ymin, xmax, ymax = domain
+    a_z, b_z, _ = null_direction_fields(phi, (xmin, ymin))
     for aexp in range(amax + 1):
         alpha = float(2 ** aexp)
         w = 1.0 / alpha
@@ -591,10 +571,12 @@ def _build_hp_core(
         diam = math.hypot(w, h)
         padded = (xmin - diam, ymin - diam, xmax + diam, ymax + diam)
         rem = tail_bound(phi, padded, edges)
-        slope_bound = _slope_spread_bound(phi, padded)
         sure = q + rem <= threshold
         maybe = (~sure) & (q - rem <= threshold)
-        for beta in np.flatnonzero(sure | maybe):
+        betas = np.flatnonzero(sure | maybe)
+        kept, dropped = _whole_comparability(
+            a_z[0], b_z[0], thetas[betas], h / w, a_const, _slope_spread_bound(phi, padded))
+        for beta, whole in zip(betas[~dropped], kept[~dropped]):
             theta = float(thetas[beta])
             grid = make_tile_grid(w, h, theta, domain, alpha=alpha, beta=int(beta))
             if maybe[beta]:
@@ -602,11 +584,12 @@ def _build_hp_core(
                 if not flat_vec.any():
                     continue
                 _refine_keep(grid, flat_vec)
-            comp = _comparability_keep(phi, grid, a_const, slope_bound)
-            if not comp.any():
-                continue
-            if not comp.all():
-                _refine_keep(grid, comp)
+            if not whole:
+                comp = _comparability_keep(phi, grid, a_const)
+                if not comp.any():
+                    continue
+                if not comp.all():
+                    _refine_keep(grid, comp)
             groups.append(grid)
     return groups
 
@@ -624,9 +607,10 @@ def build_cover_hp(
     keeps a tile iff it is flat at scale a_const*delta and comparable (two-sided
     containment after dilating by 2*a_const) to the candidate boxes
     anchored at nine sample points, along one null direction uniformly.
-    A tile's comparability depends only on the null slopes at its
-    anchors, so the tilings of xy, where they are constant, come out
-    all kept or all dropped.
+    Each aspect level takes one closed-form pass over all its angles,
+    which keeps or drops tilings whole, and a per-tile pass on those it
+    leaves in doubt: tilings whose flatness is uncertain, and those
+    whose route extents lie too near 2A for the slope spread.
 
     Raises if ``phi`` is not in normal form, a_const is not finite and
     positive, or nothing survives.

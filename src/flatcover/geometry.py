@@ -304,7 +304,8 @@ class TileGrid:
         lands in every tile that contains it.  The cells tried around a
         point's own cell reach floor(tol / w) + 1 columns and
         floor(tol / h) + 1 rows each way, enough to find every tile at
-        distance up to tol.
+        distance up to tol; offsets that put no point's cell inside the
+        index range are skipped.
         """
         fx, fy = self._frame_coords(points)
         ux, uy = fx / self.w, fy / self.h
@@ -323,12 +324,16 @@ class TileGrid:
             reach_i = int(math.floor(tol / self.w * (1 + 1e-9))) + 1
             reach_j = int(math.floor(tol / self.h * (1 + 1e-9))) + 1
             slack = 0.5 * _CONTAIN_TOL if tol == 0 else 0.0
-            found = []
-            for di in range(-reach_i, reach_i + 1):
+            # only the offsets that can put some point's cell in the index range
+            lo_i, hi_i = (int(ci.min()), int(ci.max())) if len(ci) else (self.i1, self.i0)
+            lo_j, hi_j = (int(cj.min()), int(cj.max())) if len(cj) else (self.j1, self.j0)
+            found = [(ci[:0],) * 3]
+            for di in range(max(-reach_i, self.i0 - hi_i), min(reach_i, self.i1 - 1 - lo_i) + 1):
                 ii = ci + di
                 dx = np.maximum(np.maximum(ii * self.w - fx, fx - (ii + 1) * self.w)
                                 - slack * self.w, 0.0)
-                for dj in range(-reach_j, reach_j + 1):
+                for dj in range(max(-reach_j, self.j0 - hi_j),
+                                min(reach_j, self.j1 - 1 - lo_j) + 1):
                     jj = cj + dj
                     dy = np.maximum(np.maximum(jj * self.h - fy, fy - (jj + 1) * self.h)
                                     - slack * self.h, 0.0)

@@ -10,9 +10,16 @@ from flatcover.cover import FlatCover
 from flatcover.lattice import pell_convergents
 
 
+def _reject_constant(name):
+    raise ValueError(f"stdout is not strict JSON: it holds {name}")
+
+
 def run(capsys, *argv):
+    """Run the CLI; a stdout that is JSON must be strict JSON."""
     code = cli.main(list(argv))
     out = capsys.readouterr()
+    if out.out.lstrip().startswith(("{", "[")):
+        json.loads(out.out, parse_constant=_reject_constant)
     return code, out.out, out.err
 
 
@@ -106,6 +113,19 @@ def test_decouple_sweep_writes_deterministic_csv(tmp_path, capsys):
     header = csv1.read_text().splitlines()[0]
     assert header == "delta,ratio,lhs,rhs,members,exact"
     assert len(csv1.read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("command, deltas", [("ratio", ("--delta", "2^-4")),
+                                             ("sweep", ("--deltas", "2^-3..2^-6"))])
+def test_decouple_sup_norm_prints_strict_json(capsys, command, deltas):
+    code, out, _ = run(capsys, "decouple", command, "--example", "line", "--p", "inf", *deltas)
+    assert code == 0
+    assert json.loads(out)["p"] == "inf"
+
+
+def test_non_finite_report_values_are_refused():
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._emit_json({"ratio": math.nan}, None)
 
 
 def test_decouple_sweep_needs_enough_points(capsys):

@@ -161,9 +161,10 @@ def _scalar_comparable(phi, tile, alpha, delta, a_const):
 @example(c=[0.03, 0.0, 0.03, 0.04, 0.03, -0.04], e=4, level=0, near=1.0, step=0, a_const=2.5)
 def test_comparability_keep_matches_scalar_rule(c, e, level, near, step, a_const):
     """The vectorized keep rule of build_cover_hp agrees tile by tile with
-    comparable(tile, candidate_box(...)) on perturbed saddles.  Angles
-    are drawn near the null directions of xy (0, pi/2, pi), where keep
-    masks come out mixed."""
+    comparable(tile, candidate_box(...)) on perturbed saddles, and where
+    the closed-form pass decides the grid's angle whole, every tile goes
+    that way.  Angles are drawn near the null directions of xy (0, pi/2,
+    pi), where keep masks come out mixed."""
     phi = BivariatePoly(3, {(1, 1): 1.0, **dict(zip(_SADDLE_TERMS, c))})
     delta = 2.0 ** -e
     alpha = float(2 ** min(level, e // 2))
@@ -172,8 +173,14 @@ def test_comparability_keep_matches_scalar_rule(c, e, level, near, step, a_const
     grid = make_tile_grid(1.0 / alpha, delta * alpha, delta * alpha * alpha * beta,
                           alpha=alpha, beta=beta)
     want = [_scalar_comparable(phi, tile, alpha, delta, a_const) for tile in grid.tiles()]
-    for bound in (None, _builder_bound(phi, grid)):
-        np.testing.assert_array_equal(_comparability_keep(phi, grid, a_const, bound), want)
+    np.testing.assert_array_equal(_comparability_keep(phi, grid, a_const), want)
+    a, b, _ = flatness.null_direction_fields(phi, grid.domain[:2])
+    kept, dropped = cover._whole_comparability(
+        a[0], b[0], np.array([grid.theta]), grid.h / grid.w, a_const, _builder_bound(phi, grid))
+    if kept[0]:
+        assert all(want)
+    if dropped[0]:
+        assert not any(want)
 
 
 def _builder_bound(phi, grid):
@@ -182,6 +189,27 @@ def _builder_bound(phi, grid):
     diam = math.hypot(grid.w, grid.h)
     xmin, ymin, xmax, ymax = grid.domain
     return flatness._slope_spread_bound(phi, (xmin - diam, ymin - diam, xmax + diam, ymax + diam))
+
+
+def _recorded_levels(delta, domain):
+    """(recorded, calls, grids): a stand-in for _whole_comparability that
+    appends each aspect level's call to calls, and grids(call), which
+    yields (k, grid) for the call's k-th angle, tiled over domain."""
+    whole = cover._whole_comparability
+    calls = []
+
+    def recorded(a_z, b_z, thetas, r, a_const, spread):
+        kept, dropped = whole(a_z, b_z, thetas, r, a_const, spread)
+        calls.append(SimpleNamespace(a_z=a_z, b_z=b_z, thetas=thetas, r=r, spread=spread,
+                                     kept=kept, dropped=dropped))
+        return kept, dropped
+
+    def grids(call):
+        alpha = math.sqrt(call.r / delta)  # exact: r = delta alpha^2, both dyadic
+        for k, theta in enumerate(call.thetas):
+            yield k, make_tile_grid(1.0 / alpha, delta * alpha, float(theta), domain)
+
+    return recorded, calls, grids
 
 
 # xy at 2^-6 has a tiling whose one passing route has extent
@@ -220,38 +248,44 @@ def _tile_slopes(phi, grid):
 @example(scale=0.5, c=[1.0, 1.0, 0.0, 0.0, 0.0, 0.0], e=4, a_const=4.0)
 def test_comparability_per_tiling_matches_per_tile(scale, c, e, a_const):
     """Every comparability decision of _build_hp_core's sure and maybe
-    tilings, made per tiling, equals the per-tile rule: some route whose
-    extents over all nine anchors are at most 2A(1 + 1e-9), with every
-    anchor valid.  scale 0 is xy, 1e-30 the degree-3 class bound, 0.05
-    the perturbed saddles of build_cover_general's saddle branch, where
-    the slopes vary.  At the tie, the per-anchor pass must run."""
+    tilings equals the per-tile rule: some route whose extents over all
+    nine anchors are at most 2A(1 + 1e-9), with every anchor valid.
+    Angles decided whole by the closed-form pass keep or drop every tile
+    of their grid; the rest reach _comparability_keep, whose anchors
+    match the tiles'.  scale 0 is xy, 1e-30 the degree-3 class bound,
+    0.05 the perturbed saddles of build_cover_general's saddle branch,
+    where the slopes vary.  At the tie, the per-tile rule must run."""
     phi = BivariatePoly(3, {(1, 1): 1.0, **{t: scale * x for t, x in zip(_SADDLE_TERMS, c)}})
-    keep, fields = cover._comparability_keep, cover.null_direction_fields
+    delta = 2.0 ** -e
     lim = 2.0 * a_const * (1.0 + 1e-9)
-    points = [0]
-    ties_per_anchor = []
+    keep = cover._comparability_keep
+    recorded, calls, grids = _recorded_levels(delta, UNIT_SQUARE)
+    ties_per_tile = []
 
-    def counted_fields(phi, pts):
-        points[0] += len(np.atleast_2d(pts))
-        return fields(phi, pts)
-
-    def checked_keep(phi, grid, a_const, slope_bound):
-        before = points[0]
-        got = keep(phi, grid, a_const, slope_bound)
+    def per_tile(grid):
         a_f, b_f, valid = _tile_slopes(phi, grid)
         ext = cover._route_extents(a_f, b_f, grid.theta, grid.h / grid.w)
-        np.testing.assert_array_equal(got, np.any(ext <= lim, axis=1) & valid.all(axis=1))
-        ties_per_anchor.append((bool(np.any(np.abs(ext - lim) <= 1e-12 * lim)),
-                                points[0] - before > 9))
+        return np.any(ext <= lim, axis=1) & valid.all(axis=1), ext
+
+    def checked_keep(phi, grid, a_const):
+        got = keep(phi, grid, a_const)
+        want, ext = per_tile(grid)
+        np.testing.assert_array_equal(got, want)
+        ties_per_tile.append(bool(np.any(np.abs(ext - lim) <= 1e-12 * lim)))
         return got
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cover, "tiling_flatness", _some_tiles_flat)
-        mp.setattr(cover, "null_direction_fields", counted_fields)
+        mp.setattr(cover, "_whole_comparability", recorded)
         mp.setattr(cover, "_comparability_keep", checked_keep)
-        cover._build_hp_core(phi, 2.0 ** -e, a_const, UNIT_SQUARE)
+        cover._build_hp_core(phi, delta, a_const, UNIT_SQUARE)
+    for call in calls:
+        for k, grid in grids(call):
+            if call.kept[k] or call.dropped[k]:
+                want, _ = per_tile(grid)
+                assert want.all() if call.kept[k] else not want.any()
     if a_const == _TIE_A_CONST and scale == 0.0 and e == 6:
-        assert any(tie and per_anchor for tie, per_anchor in ties_per_anchor)
+        assert any(ties_per_tile)
 
 
 _TILTED_SADDLE = BivariatePoly(2, {(2, 0): 1.0, (0, 2): -0.5, (1, 1): 0.3})
@@ -349,69 +383,63 @@ def _patch_bbox(phi):
 @example(scale_degree=(1e-40, 4), c=[0.0, 0.0, 0.0, 1.0] + [0.0] * 7, domain="saddle", e=6)
 def test_slope_spread_bound_covers_every_anchor(scale_degree, c, domain, e):
     """Wherever _build_hp_core passes a closed-form slope bound, every
-    anchor of the tiling is valid and the float slopes differ by at most
-    the bound, between any two anchors; on the normal-form class (scale
-    0, 1e-30, 1e-40) the bound is always there.  Domains are the unit
-    square and the saddle patches of build_cover_general."""
+    anchor of every candidate tiling is valid, and the float slopes
+    differ by at most the bound between any two anchors, and between
+    any anchor and the domain's corner, where the closed-form pass takes
+    its slopes; on the normal-form class (scale 0, 1e-30, 1e-40) the
+    bound is always there.  Domains are the unit square and the saddle
+    patches of build_cover_general."""
     scale, degree = scale_degree
     terms = [(j, k) for j in range(degree + 1) for k in range(degree + 1 - j)
              if j + k >= 2 and (j, k) != (1, 1)]
     phi = BivariatePoly(degree, {(1, 1): 1.0, **{t: scale * x for t, x in zip(terms, c)}})
     box = {"unit": UNIT_SQUARE, "saddle": _patch_bbox(SADDLE),
            "tilted": _patch_bbox(_TILTED_SADDLE)}[domain]
-    keep = cover._comparability_keep
-    bounds = []
-
-    def checked_keep(phi, grid, a_const, slope_bound):
-        bounds.append(slope_bound)
-        if slope_bound is not None:
-            a_f, b_f, valid = cover._anchor_slopes(phi, grid)
-            assert valid.all()
-            assert a_f.max() - a_f.min() <= slope_bound
-            assert b_f.max() - b_f.min() <= slope_bound
-        return keep(phi, grid, a_const, slope_bound)
-
+    recorded, calls, grids = _recorded_levels(2.0 ** -e, box)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cover, "tiling_flatness", _some_tiles_flat)
-        mp.setattr(cover, "_comparability_keep", checked_keep)
+        mp.setattr(cover, "_whole_comparability", recorded)
         cover._build_hp_core(phi, 2.0 ** -e, 4.0, box)
-    assert bounds
+    assert calls
     if scale < 1.0e-20:
-        assert None not in bounds
+        assert all(call.spread is not None for call in calls)
+    for call in (call for call in calls if call.spread is not None):
+        for _, grid in grids(call):
+            a_f, b_f, valid = cover._anchor_slopes(phi, grid)
+            assert valid.all()
+            for f, at_z in ((a_f, call.a_z), (b_f, call.b_z)):
+                assert f.max() - f.min() <= call.spread
+                assert np.abs(f - at_z).max() <= call.spread
 
 
 def test_hp_covers_decide_every_tiling_whole():
-    """xy and the perturbed normal forms at 2^-6..2^-12: every tiling is
-    decided from its first tile's nine anchors by the closed-form slope
-    bound, so neither the per-anchor pass nor the per-tile arithmetic
-    runs."""
+    """xy and the perturbed normal forms at 2^-6..2^-12: the closed-form
+    pass decides every tiling from the slopes at one point per cover, so
+    the per-tile rule never runs."""
     rng = np.random.default_rng(0)
     phases = [hyperbolic_phase(), perturbed_hyperbolic(3, rng), perturbed_hyperbolic(4, rng)]
-    extents = cover._route_extents
-    keep, fields = cover._comparability_keep, cover.null_direction_fields
-    sizes, points = [], []
+    core, fields = cover._build_hp_core, cover.null_direction_fields
+    points = []
 
-    def counted_extents(a_f, *args):
-        sizes.append(len(a_f))
-        return extents(a_f, *args)
+    def counted_core(*args):
+        points.append(0)
+        return core(*args)
 
     def counted_fields(phi, pts):
         points[-1] += len(np.atleast_2d(pts))
         return fields(phi, pts)
 
-    def counted_keep(*args):
-        points.append(0)
-        return keep(*args)
+    def per_tile(*args):
+        raise AssertionError("the per-tile comparability rule ran")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cover, "_route_extents", counted_extents)
+        mp.setattr(cover, "_build_hp_core", counted_core)
         mp.setattr(cover, "null_direction_fields", counted_fields)
-        mp.setattr(cover, "_comparability_keep", counted_keep)
+        mp.setattr(cover, "_comparability_keep", per_tile)
         for phi in phases:
             for e in range(6, 13):
                 build_cover_hp(phi, 2.0 ** -e)
-    assert sizes and max(sizes) == 1
-    assert points and max(points) <= 9
+    assert points == [1] * 21
 
 
 def test_general_cover_on_uniformly_curved_phase():

@@ -229,6 +229,19 @@ def test_point_tiles_matches_per_tile_check_on_rotated_grids(w, h, theta, tol_ki
         assert _kernel_triples(grid, generic, sharp) == _brute_point_tiles(grid, generic, sharp)
 
 
+def test_point_tiles_at_a_huge_tol_pairs_every_point_with_every_kept_tile(time_limit):
+    """Only offsets that can land a point's cell in the index range are
+    tried, so a tol far beyond the grid costs no more than the grid."""
+    grid = make_tile_grid(0.25, 0.125, 0.4)
+    pts = np.random.default_rng(3).uniform(-0.5, 1.5, size=(30, 2))
+    with time_limit(10):
+        got = _kernel_triples(grid, pts, 1e6)
+        empty = grid.point_tiles(np.zeros((0, 2)), 1e6)
+    kept = grid.kept_indices().tolist()
+    assert got == {(p, i, j) for p in range(len(pts)) for i, j in kept}
+    assert all(len(a) == 0 for a in empty)
+
+
 @settings(max_examples=40)
 @given(
     w=st.floats(0.1, 0.6), h=st.floats(0.1, 0.6), theta=st.floats(0.0, math.pi),
