@@ -27,6 +27,7 @@ import numpy as np
 from .flatness import (
     _require_a_const,
     _slope_spread_bound,
+    boxes_flatness,
     flat_defect_interval,
     is_flat,
     null_direction_fields,
@@ -36,12 +37,14 @@ from .flatness import (
     tiling_flatness,
 )
 from .geometry import (
+    _CONTAIN_TOL,
     AffineMap2,
     BBox,
     Parallelogram,
     TileGrid,
     UNIT_SQUARE,
     axis_rectangle,
+    box_distances,
     make_tile_grid,
 )
 from .poly2 import BivariatePoly, compose_affine, minus_tangent_plane, poly_scale
@@ -49,6 +52,9 @@ from .poly2 import BivariatePoly, compose_affine, minus_tangent_plane, poly_scal
 # Patches split into _M_CONST x _M_CONST squares; saddle and bowl patches
 # need |det H| > 1/_M_CONST; recursion depth is capped at 4*log_M(1/delta).
 _M_CONST = 4
+
+# point-member pairs per chunk of the loose members' incidence pass
+_LOOSE_PAIRS = 8192
 
 _NINE_OFFSETS = np.array(
     [(0.0, 0.0), (1, 1), (1, -1), (-1, 1), (-1, -1), (1, 0), (-1, 0), (0, 1), (0, -1)]
@@ -108,12 +114,74 @@ class Incidence(NamedTuple):
         return counts if self.grid.keep is None else counts[self.grid.keep.ravel()]
 
 
+def _unit_tile(alpha: Optional[float] = None, beta: Optional[int] = None) -> TileGrid:
+    """The one tile of the unit square centered at the origin."""
+    return make_tile_grid(1.0, 1.0, 0.0, (-0.5, -0.5, 0.5, 0.5), alpha, beta)
+
+
 def _as_tiling(box: Parallelogram) -> FramedGroups:
-    """A loose member as the one tile of the unit square centered at the
-    origin, behind the frame that maps it back onto the member exactly."""
-    tile = make_tile_grid(1.0, 1.0, 0.0, (-0.5, -0.5, 0.5, 0.5), box.alpha, box.beta)
+    """A loose member as the unit tile, behind the frame (2E, c) that maps
+    it back onto the member exactly: E its edge matrix, c its center."""
     return FramedGroups(AffineMap2(tuple(map(tuple, 2.0 * box.edge_matrix)), box.center),
-                        [tile])
+                        [_unit_tile(box.alpha, box.beta)])
+
+
+def _loose_incidences(boxes: List[Parallelogram], pts: np.ndarray,
+                      tol: Optional[float]) -> Iterator[Incidence]:
+    """``FlatCover.incidences`` for the loose members, one ``Incidence``
+    per member in order, from one pass over chunks of at most
+    ``_LOOSE_PAIRS`` point-member pairs (and at least one member).
+
+    Each member is the unit tile of ``_as_tiling`` behind its frame.  The
+    stacked inverse and matmul form every member's frame coordinates with
+    the float operations of ``frame.inverse().apply`` (numpy runs the
+    same product member by member), which matters: sample midpoints fall
+    exactly on the dyadic edges of deep patches.  The unit tile's one
+    cell is [0, 1]^2 in its anchor coordinates f, so ``point_tiles``' tests
+    reduce to closed form:
+
+    * tol None: f in [-s, 1 + s]^2, s = 1e-12 the outer boundary's slack;
+    * tol = 0, and tol > 0 behind a similarity of scale m: per axis
+      d = max(max(0 - f, f - 1) - slack, 0), slack = 5e-10 at tol = 0,
+      and d.d <= t^2 (1 + 1e-12) with t = tol / m, in ``point_tiles``'
+      order: cell offsets ascending, so cells (floor f) descending, then
+      point index;
+    * tol > 0 behind any other frame: world distance to the member at
+      most tol (1 + 1e-12), as ``_tiles_within`` decides it.
+    """
+    unit = _unit_tile()
+    centers = np.array([b.center for b in boxes], dtype=float)
+    e1 = np.array([b.e1 for b in boxes], dtype=float)
+    e2 = np.array([b.e2 for b in boxes], dtype=float)
+    frames = 2.0 * np.stack([e1, e2], axis=-1)
+    inv = np.linalg.inv(frames)
+    off = np.matmul(-inv, centers[:, :, None])[:, :, 0]
+    scales = [_similarity_scale(f) for f in frames] if tol else [1.0] * len(boxes)
+    world = np.array([m is None for m in scales])
+    lim = np.array([(tol or 0.0) / (m or 1.0) for m in scales])
+    lim = lim * lim * (1 + 1e-12)
+    slack = 0.5 * _CONTAIN_TOL if tol == 0 else 0.0
+    step = max(1, _LOOSE_PAIRS // max(len(pts), 1))
+    for lo in range(0, len(boxes), step):
+        hi = min(lo + step, len(boxes))
+        local = np.matmul(pts, inv[lo:hi].transpose(0, 2, 1)) + off[lo:hi, None, :]
+        f = local + 0.5
+        if tol is None:
+            inside = (f >= -1e-12) & (f <= 1 + 1e-12)
+            take = inside[..., 0] & inside[..., 1]
+        else:
+            d = np.maximum(np.maximum(0.0 - f, f - 1.0) - slack, 0.0)
+            take = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] <= lim[lo:hi, None]
+            far = np.flatnonzero(world[lo:hi])
+            if len(far):
+                take[far] = box_distances(centers[lo + far], e1[lo + far], e2[lo + far],
+                                          pts) <= tol * (1 + 1e-12)
+        for r in range(hi - lo):
+            k = np.flatnonzero(take[r])
+            if tol is not None and not world[lo + r]:
+                k = k[np.lexsort((k, -np.floor(f[r, k, 1]), -np.floor(f[r, k, 0])))]
+            cell = np.zeros(len(k), dtype=np.int64)
+            yield Incidence(unit, local[r], k, cell, cell)
 
 
 def _tiles_within(part: FramedGroups, grid: TileGrid, pts: np.ndarray, tol: float):
@@ -153,7 +221,8 @@ class FlatCover:
 
     def incidences(self, points, tol: Optional[float] = None) -> Iterator[Incidence]:
         """Which members take which points, one tiling (or loose member)
-        at a time in ``iter_members`` order.
+        at a time in ``iter_members`` order; the loose members are located
+        together, by ``_loose_incidences``.
 
         ``tol`` is a world distance under ``TileGrid.point_tiles``' rules:
         None takes half-open cells (a tiling's outer boundary, so a whole
@@ -165,7 +234,7 @@ class FlatCover:
         if tol is not None and not 0.0 <= tol < math.inf:
             raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        for part in self.tilings():
+        for part in self.parts:
             local = pts if part.frame is None else part.frame.inverse().apply(pts)
             scale = 1.0 if part.frame is None else _similarity_scale(part.frame.matrix)
             for grid in part.groups:
@@ -176,6 +245,8 @@ class FlatCover:
                 else:
                     found = _tiles_within(part, grid, pts, tol)
                 yield Incidence(grid, local, *found)
+        if self.loose:
+            yield from _loose_incidences(self.loose, pts, tol)
 
     def membership_counts(self, points) -> np.ndarray:
         """How many members take each point (``incidences`` at tol None)."""
@@ -640,7 +711,7 @@ def _sample_points(domain: BBox, n: int) -> np.ndarray:
 def overlap_profile(cover: FlatCover, n: int = 64) -> OverlapProfile:
     """Pointwise membership counts on an n x n sample grid."""
     if n < 64:
-        raise ValueError("overlap profile needs n >= 64")
+        raise ValueError(f"overlap profile needs n >= 64 samples per axis, got {n}")
     counts = cover.membership_counts(_sample_points(cover.domain, n))
     vals, freq = np.unique(counts, return_counts=True)
     return OverlapProfile(
@@ -660,27 +731,30 @@ def verify_cover(
 ) -> VerifyReport:
     """Re-certify flatness of every member, coverage at sample
     resolution, and the pointwise overlap bound, all at the cover's own
-    delta and ``overlap_bound()``.
+    delta and ``overlap_bound()``, sampling coverage and overlap on an
+    n x n grid, n >= 64.
 
-    Each tiling, and each loose member as a one-tile tiling, is decided
-    by ``tiling_flatness``'s certified bracket alone: a member is flat iff
-    its upper end ``hi`` is at most ``a_const * delta``.  ``worst_defect``
-    is the largest ``hi``, a certified upper bound on every member's
-    defect, and ``min_a_flat = worst_defect / delta`` is the smallest A at
-    which every member passes.
+    Each tiling is decided by ``tiling_flatness``'s certified bracket
+    alone, and the loose members together by ``boxes_flatness``: a member
+    is flat iff its upper end ``hi`` is at most ``a_const * delta``.
+    ``worst_defect`` is the largest ``hi``, a certified upper bound on
+    every member's defect, and ``min_a_flat = worst_defect / delta`` is
+    the smallest A at which every member passes.
     """
+    prof = overlap_profile(cover, n)
     delta = cover.delta
     a_const = cover.a_const if a_const is None else a_const
+    reps = [tiling_flatness(phi, grid, delta, a_const, part.frame)
+            for part in cover.parts for grid in part.groups]
+    if cover.loose:
+        reps.append(boxes_flatness(phi, cover.loose, delta, a_const))
     worst = -1.0
     all_flat = True
-    for part in cover.tilings():
-        for grid in part.groups:
-            rep = tiling_flatness(phi, grid, delta, a_const, part.frame)
-            if len(rep.hi) == 0:
-                continue
-            all_flat = all_flat and bool(rep.flat.all())
-            worst = max(worst, float(rep.hi.max()))
-    prof = overlap_profile(cover, max(n, 64))
+    for rep in reps:
+        if len(rep.hi) == 0:
+            continue
+        all_flat = all_flat and bool(rep.flat.all())
+        worst = max(worst, float(rep.hi.max()))
     bound = cover.overlap_bound()
     covers = prof.min >= 1
     overlap_ok = prof.max <= bound
@@ -838,19 +912,58 @@ def _rotation_residuals(phi: BivariatePoly, thetas: np.ndarray) -> Tuple[np.ndar
     return residual, 16.0 * (n + 4) ** 2 * 2.0 ** -53 * mass
 
 
-def _best_rotation(phi: BivariatePoly) -> Tuple[float, float]:
-    """Angle minimizing the nonlinear cross-variable coefficient mass.
+def _rotation_floor(phi: BivariatePoly, approx: np.ndarray, tol: float) -> float:
+    """A certified lower bound on every value the scalar scan of
+    ``_best_rotation`` can return, from the batched grid residuals
+    ``approx`` and the margin ``tol`` of ``_rotation_residuals``:
 
-    181 grid angles over [-pi/2, pi/2] are scored in one batched pass;
-    every angle whose batched residual lies within the rounding margin of
-    ``_rotation_residuals`` above the batched minimum is re-scored by
-    ``_rotation_residual``, and the first exact minimum among them wins.
-    The scalar minimizer is always among the re-scored angles, so the
-    pick and its value are those of an argmin over the scalar scan.  A
-    golden-section search between the grid neighbours then refines it.
+        min(approx) - tol - (1/2) L dtheta (1 + 1e-9),
+
+    with dtheta = pi/180 the grid step and
+    L = sum over j + k >= 2 of |a_jk| (j + k) 2^((j+k)/2).
+
+    * L bounds the slope of the exact residual R(theta).  With
+      X = c u - s v and Y = s u + c v, dX/dtheta = -Y and dY/dtheta = X,
+      so d/dtheta X^j Y^k = -j X^(j-1) Y^(k+1) + k X^(j+1) Y^(k-1).  The
+      absolute coefficients of a product of m linear forms each summing
+      to |c| + |s| <= sqrt 2 sum to at most 2^(m/2), so the rotated
+      coefficients' derivatives have absolute sum <= L (terms of degree
+      < 2 rotate into monomials the residual skips), and R, a sum of
+      their absolute values, is L-Lipschitz.
+    * The scan returns a scalar value at an angle of [-pi/2, pi/2], which
+      lies within dtheta/2 of a grid angle.  Each scalar or batched value
+      is within tol/4 of R at its angle's float cosine and sine (see
+      ``_rotation_residuals``); those entries move R by O(L eps), and the
+      grid angles sit within ulps of their exact places.  The factor
+      1 + 1e-9 covers both, and the rounding of the bound itself.
+
+    NaN in ``approx`` gives NaN, which rejects nothing.
+    """
+    lip = sum(abs(a) * (j + k) * 2.0 ** (0.5 * (j + k))
+              for (j, k), a in phi.coeffs.items() if j + k >= 2)
+    return float(approx.min()) - tol - 0.5 * lip * (math.pi / 180) * (1 + 1e-9)
+
+
+def _best_rotation(phi: BivariatePoly, limit: float) -> Optional[Tuple[float, float]]:
+    """Angle minimizing the nonlinear cross-variable coefficient mass,
+    with that mass, or None when the mass is above ``limit``: the
+    rotation route's acceptance test.
+
+    181 grid angles over [-pi/2, pi/2] are scored in one batched pass.
+    When ``_rotation_floor`` is above the limit, no angle can pass and
+    the search stops there; a rejected route's angle is never read.
+    Otherwise every angle whose batched residual lies within the
+    rounding margin of ``_rotation_residuals`` above the batched minimum
+    is re-scored by ``_rotation_residual``, and the first exact minimum
+    among them wins.  The scalar minimizer is always among the re-scored
+    angles, so the pick and its value are those of an argmin over the
+    scalar scan.  A golden-section search between the grid neighbours
+    then refines it.
     """
     thetas = np.linspace(-math.pi / 2, math.pi / 2, 181)
     approx, tol = _rotation_residuals(phi, thetas)
+    if _rotation_floor(phi, approx, tol) > limit:
+        return None
     near = np.flatnonzero(~(approx > approx.min() + tol))  # NaN keeps every angle
     vals = [_rotation_residual(phi, t) for t in thetas[near]]
     best = int(np.argmin(vals))
@@ -871,7 +984,8 @@ def _best_rotation(phi: BivariatePoly) -> Tuple[float, float]:
             x2 = lo + gold * (hi - lo)
             f2 = _rotation_residual(phi, x2)
     theta = x1 if f1 <= f2 else x2
-    return float(theta), float(min(f1, f2, vals[best]))
+    residual = float(min(f1, f2, vals[best]))
+    return (float(theta), residual) if residual <= limit else None
 
 
 def build_cover_general(
@@ -948,11 +1062,13 @@ def build_cover_general(
             emit_groups(frame, [grid])
             return
         # degenerate patch: try the rotation route on the whole patch
-        theta, residual = _best_rotation(psi)
         coeff_scale = max(
             (abs(a) for (j, k), a in psi.coeffs.items() if j + k >= 2), default=0.0
         )
-        if residual <= max(1e-3 * max(coeff_scale, 1e-30), 0.25 * a_const * target):
+        limit = max(1e-3 * max(coeff_scale, 1e-30), 0.25 * a_const * target)
+        route = _best_rotation(psi, limit)
+        if route is not None:
+            theta, residual = route
             rot = AffineMap2.rotation(theta)
             rotated = compose_affine(psi, rot.matrix, rot.offset)
             # rotated frame domain: bounding box of the rotated patch

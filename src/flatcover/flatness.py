@@ -17,7 +17,8 @@ by ``tail_bound``, a bound on what the degree >= 3 terms can add.
 
 Every flatness decision reads that bracket alone: a box is flat iff
 hi <= A delta.  ``tiling_flatness`` decides all kept tiles of a tiling at
-once; ``flat_defect_interval`` and ``is_flat`` are its one-box case.
+once, ``boxes_flatness`` boxes of any shapes in one call, and
+``flat_defect_interval`` and ``is_flat`` are their one-box case.
 Sampling lives only in ``flat_defect``, the estimate behind the CLI's
 ``flat defect`` and the independent oracle of the tests: a grid of
 point pairs with a Lipschitz remainder, polished by a local ascent and
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -157,19 +158,20 @@ def tail_bound(phi: BivariatePoly, bboxes, edges):
 
 
 def _bracket(phi: BivariatePoly, edges: np.ndarray, centers):
-    """Per-box [lo, hi] for the congruent boxes ``center + edges [-1,1]^2``
-    and the quadratic part's witness t.
+    """Per-box [lo, hi] for the boxes ``center + edges [-1,1]^2`` and the
+    quadratic part's witness t, with one edge matrix (2, 2) shared by
+    congruent boxes or one per box (n, 2, 2).
 
-    The quadratic part's defect is exact and one value for all boxes,
-    since they share the edge matrix; each box widens it by the tail
-    bound over its own bounding box.
+    The quadratic part's defect is exact: one value for congruent boxes,
+    one per box otherwise.  Each box widens it by the tail bound over its
+    own bounding box.  Every operation acts box by box, so a box's
+    bracket does not depend on the others in the call.
     """
     c = np.atleast_2d(np.asarray(centers, dtype=float))
     q, t = quad_defect(phi, edges)
-    q = float(q)
     if phi.support_degree() <= 2:
         return np.full(len(c), q), np.full(len(c), q), t
-    e1, e2 = edges[:, 0], edges[:, 1]
+    e1, e2 = edges[..., 0], edges[..., 1]
     verts = np.stack([c - e1 - e2, c + e1 - e2, c + e1 + e2, c - e1 + e2], axis=1)
     bboxes = np.concatenate([verts.min(axis=1), verts.max(axis=1)], axis=1)
     d = tail_bound(phi, bboxes, edges)
@@ -382,6 +384,22 @@ def tiling_flatness(
         centers = frame.apply(centers)
         proto = frame.apply_box(proto)
     lo, hi, _ = _bracket(phi, proto.edge_matrix, centers)
+    return TilingFlatness(lo, hi, threshold)
+
+
+def boxes_flatness(
+    phi: BivariatePoly,
+    boxes: Sequence[Parallelogram],
+    delta: float,
+    a_const: Optional[float] = None,
+) -> TilingFlatness:
+    """Flatness of boxes that need not be congruent (a cover's loose
+    members), in the order given: one bracket call with an edge matrix
+    per box, each box decided as ``is_flat`` decides it."""
+    threshold = _threshold(phi, delta, a_const)
+    edges = np.array([(b.e1, b.e2) for b in boxes], dtype=float).reshape(-1, 2, 2)
+    centers = np.array([b.center for b in boxes], dtype=float).reshape(-1, 2)
+    lo, hi, _ = _bracket(phi, edges.transpose(0, 2, 1), centers)
     return TilingFlatness(lo, hi, threshold)
 
 

@@ -69,14 +69,7 @@ class Parallelogram:
 
         Inside the closed parallelogram means max|x| <= 1.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        m = self.edge_matrix
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if det == 0.0:
-            raise ValueError("degenerate parallelogram (zero area)")
-        inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
-        rel = pts - np.asarray(self.center)
-        return rel @ inv.T
+        return box_coords([self.center], [self.e1], [self.e2], points)[0]
 
     def contains(self, points, tol: float = _CONTAIN_TOL) -> np.ndarray:
         """Closed containment with a small relative tolerance."""
@@ -85,14 +78,7 @@ class Parallelogram:
 
     def distance(self, points) -> np.ndarray:
         """Euclidean distance from each point to the closed parallelogram."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        verts = self.vertices()
-        best = np.full(len(pts), np.inf)
-        for p0, seg in zip(verts, np.roll(verts, -1, axis=0) - verts):
-            t = np.clip(((pts - p0) @ seg) / (seg @ seg), 0.0, 1.0)
-            best = np.minimum(best, np.linalg.norm(pts - (p0 + t[:, None] * seg), axis=1))
-        best[np.all(np.abs(self.affine_coords(pts)) <= 1.0, axis=1)] = 0.0
-        return best
+        return box_distances([self.center], [self.e1], [self.e2], points)[0]
 
     def bounding_box(self) -> BBox:
         v = self.vertices()
@@ -125,6 +111,41 @@ class Parallelogram:
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed parallelogram record: {exc}") from exc
+
+
+def box_coords(centers, e1, e2, points) -> np.ndarray:
+    """``Parallelogram.affine_coords`` of every point in each of the boxes
+    ``center +- e1 +- e2``, stacked along the first axis of ``centers``,
+    ``e1`` and ``e2`` (each (m, 2)): shape (m, points, 2).  numpy's
+    stacked matmul runs each box's product as it runs one box's, so a box
+    gets the same values alone as in a stack."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    c, u, w = (np.asarray(a, dtype=float).reshape(-1, 2) for a in (centers, e1, e2))
+    det = u[:, 0] * w[:, 1] - w[:, 0] * u[:, 1]
+    if np.any(det == 0.0):
+        raise ValueError("degenerate parallelogram (zero area)")
+    inv = np.empty((len(c), 2, 2))  # inverse of the edge matrix [e1 e2]
+    inv[:, 0, 0], inv[:, 0, 1] = w[:, 1], -w[:, 0]
+    inv[:, 1, 0], inv[:, 1, 1] = -u[:, 1], u[:, 0]
+    inv /= det[:, None, None]
+    return np.matmul(pts - c[:, None, :], inv.transpose(0, 2, 1))
+
+
+def box_distances(centers, e1, e2, points) -> np.ndarray:
+    """``Parallelogram.distance`` from every point to each of the boxes
+    of ``box_coords``: shape (m, points), each box's values the same
+    alone as in a stack."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    c, u, w = (np.asarray(a, dtype=float).reshape(-1, 1, 2) for a in (centers, e1, e2))
+    verts = [c - u - w, c + u - w, c + u + w, c - u + w]
+    best = np.full((len(c), len(pts)), np.inf)
+    for p0, p1 in zip(verts, verts[1:] + verts[:1]):
+        seg = p1 - p0
+        col = seg.transpose(0, 2, 1)
+        t = np.clip(np.matmul(pts - p0, col)[..., 0] / np.matmul(seg, col)[..., 0], 0.0, 1.0)
+        best = np.minimum(best, np.linalg.norm(pts - (p0 + t[..., None] * seg), axis=-1))
+    best[np.all(np.abs(box_coords(c, u, w, pts)) <= 1.0, axis=-1)] = 0.0
+    return best
 
 
 def axis_rectangle(x0: float, y0: float, x1: float, y1: float) -> Parallelogram:

@@ -19,9 +19,9 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .cover import FlatCover, FramedGroups, _saddle_normalizer
-from .flatness import is_flat, tiling_flatness
+from .flatness import boxes_flatness, is_flat, tiling_flatness
 from .geometry import UNIT_SQUARE, AffineMap2, Parallelogram
-from .poly2 import BivariatePoly, compose_affine, minus_tangent_plane, poly_scale
+from .poly2 import BivariatePoly, compose_affine, minus_tangent_plane, poly_scale, scale_axes
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def rescale_phase(
     b_coeffs = {jk: a for jk, a in b_poly.coeffs.items() if jk[0] + jk[1] >= 2}
 
     scale_map = AffineMap2(((long_side, 0.0), (0.0, short_side)), (0.0, 0.0))
-    psi_unit = compose_affine(psi0, scale_map.matrix, scale_map.offset)
+    psi_unit = scale_axes(psi0, long_side, short_side)
     shear, mixed, psi_sh = _saddle_normalizer(psi_unit)
     tilde = poly_scale(minus_tangent_plane(psi_sh), 1.0 / mixed)
     # the shear zeroes the square coefficients exactly up to rounding
@@ -173,9 +173,10 @@ def pullback_cover(
 
     A cover at scale delta' for phi_tilde becomes a cover at scale
     sigma_eff * delta' for phi, with the same constant A.  Every member
-    is re-certified flat for phi at A * delta, tiling by tiling, with a
-    relative slack of 1e-9 for the rounding of L; a failure raises (it
-    would mean the defect identity was violated).
+    is re-certified flat for phi at A * delta, tiling by tiling and the
+    loose members in one call, with a relative slack of 1e-9 for the
+    rounding of L; a failure raises (it would mean the defect identity
+    was violated).
     """
     delta = result.sigma_eff * cover_prime.delta
     a_const = cover_prime.a_const
@@ -187,7 +188,8 @@ def pullback_cover(
     cover = FlatCover(delta, a_const, parts, loose, kind="pullback")
     cover.domain = result.L.image_bbox(UNIT_SQUARE)
     slack_delta = delta * (1 + 1e-9)
-    if not all(tiling_flatness(phi, grid, slack_delta, a_const, part.frame).flat.all()
-               for part in cover.tilings() for grid in part.groups):
+    if not (all(tiling_flatness(phi, grid, slack_delta, a_const, part.frame).flat.all()
+                for part in cover.parts for grid in part.groups)
+            and boxes_flatness(phi, loose, slack_delta, a_const).flat.all()):
         raise ValueError("pullback member failed flatness re-certification")
     return cover

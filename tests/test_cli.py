@@ -64,6 +64,21 @@ def test_cover_verify_failure_exits_2(tmp_path, capsys):
     assert json.loads(out)["all_flat"] is False
 
 
+def test_cover_verify_rejects_too_few_samples(tmp_path, capsys):
+    """--samples below 64 exits 1 naming the value, as overlap_profile
+    does, instead of verifying at 64 samples."""
+    cov_path = tmp_path / "caps.json"
+    run(capsys, "cover", "build", "--kind", "caps", "--delta", "2^-4",
+        "--out", str(cov_path))
+    for n in ("-5", "0", "63"):
+        code, out, err = run(capsys, "cover", "verify", "--cover", str(cov_path),
+                             "--samples", n)
+        assert code == 1 and out == ""
+        assert f"got {n}" in err
+    code, _, _ = run(capsys, "cover", "verify", "--cover", str(cov_path), "--samples", "64")
+    assert code == 0
+
+
 def test_flat_defect_reports_known_value(capsys):
     code, out, _ = run(capsys, "flat", "defect", "--rect",
                        "0", "0", "0.25", "0.25")

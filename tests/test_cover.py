@@ -634,7 +634,7 @@ _TIE_PRONE = {
 def test_best_rotation_matches_scalar_scan_on_tie_prone_phases(name):
     degree, coeffs = _TIE_PRONE[name]
     phi = BivariatePoly(degree, coeffs)
-    assert cover._best_rotation(phi) == _scan_best_rotation(phi)
+    assert cover._best_rotation(phi, math.inf) == _scan_best_rotation(phi)
 
 
 @settings(max_examples=60)
@@ -655,7 +655,31 @@ def test_best_rotation_matches_scalar_scan(degree, seed, scale, mirror):
         coeffs = {(j, k): coeffs.get((min(j, k), max(j, k)), 0.0) for (j, k) in
                   [(j, k) for j in range(degree + 1) for k in range(degree + 1 - j)]}
     phi = BivariatePoly(degree, coeffs)
-    assert cover._best_rotation(phi) == _scan_best_rotation(phi)
+    assert cover._best_rotation(phi, math.inf) == _scan_best_rotation(phi)
+
+
+@settings(max_examples=60)
+@given(degree=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_rotation_floor_never_exceeds_the_scan(degree, seed):
+    """The floor of the batched grid is at most the residual the scalar
+    scan returns, on random phases with coefficients of size 1e-3..10;
+    and ``_best_rotation`` gives no route exactly when that residual is
+    above the limit, the scan's angle and value otherwise."""
+    rng = np.random.default_rng(seed)
+    coeffs = {(j, k): float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 1.0))
+              for j in range(degree + 1) for k in range(degree + 1 - j)
+              if rng.uniform() < 0.6}
+    phi = BivariatePoly(degree, coeffs)
+    approx, tol = cover._rotation_residuals(phi, np.linspace(-math.pi / 2, math.pi / 2, 181))
+    floor = cover._rotation_floor(phi, approx, tol)
+    theta, residual = _scan_best_rotation(phi)
+    assert floor <= residual
+    for limit in (floor, residual, math.nextafter(residual, -math.inf), 0.5 * residual,
+                  2.0 * residual, 0.25):
+        if not limit >= 0.0:
+            continue
+        want = (theta, residual) if residual <= limit else None
+        assert cover._best_rotation(phi, limit) == want
 
 
 def test_batched_rotation_residuals_lie_within_their_bound():

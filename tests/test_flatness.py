@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcover.flatness import (
+    _bracket,
     _hessian_bounds,
+    boxes_flatness,
     candidate_box,
     default_a_const,
     flat_defect,
@@ -207,6 +209,37 @@ def test_tiling_flatness_matches_per_tile_bracket_and_decision(w, h, theta, degr
         expected = [is_flat(phi, m, threshold, 1.0) for m in members]
         np.testing.assert_array_equal(rep.flat, expected)
         np.testing.assert_array_equal(rep.flat, want[:, 1] <= threshold)
+
+
+@settings(max_examples=20)
+@given(degree=st.sampled_from([2, 3, 4]), n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       dyadic=st.booleans())
+def test_stacked_bracket_matches_one_box_calls_bitwise(degree, n, seed, dyadic):
+    """``_bracket`` over per-box edge matrices (n, 2, 2) gives each box
+    the [lo, hi] of its one-box call bit for bit, and ``boxes_flatness``
+    decides each box as ``is_flat`` does: on random parallelograms, and
+    on axis rectangles with dyadic corners like a cover's loose members."""
+    rng = np.random.default_rng(seed)
+    phi = (random_quadratic(rng) if degree == 2 else random_higher_degree(rng, degree))
+    boxes = []
+    for _ in range(n):
+        if dyadic:
+            x0, y0 = rng.integers(0, 16, size=2) / 16.0
+            w, h = rng.integers(1, 9, size=2) / 64.0
+            boxes.append(axis_rectangle(x0, y0, x0 + w, y0 + h))
+        else:
+            boxes.append(Parallelogram(tuple(rng.uniform(-1.0, 1.0, 2)),
+                                       tuple(rng.normal(0.0, 0.2, 2)),
+                                       tuple(rng.normal(0.0, 0.2, 2))))
+    edges = np.array([b.edge_matrix for b in boxes])
+    lo, hi, _ = _bracket(phi, edges, [b.center for b in boxes])
+    for k, box in enumerate(boxes):
+        lo1, hi1, _ = _bracket(phi, box.edge_matrix, [box.center])
+        assert (lo[k].hex(), hi[k].hex()) == (lo1[0].hex(), hi1[0].hex())
+    threshold = float(np.median(hi))
+    rep = boxes_flatness(phi, boxes, threshold, 1.0)
+    assert (rep.lo.tobytes(), rep.hi.tobytes()) == (lo.tobytes(), hi.tobytes())
+    assert rep.flat.tolist() == [is_flat(phi, b, threshold, 1.0) for b in boxes]
 
 
 def test_method_validation():

@@ -15,14 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatcover import cover as cover_mod
 from flatcover.cover import (
+    FlatCover,
+    FramedGroups,
+    _sample_points,
     build_cover_general,
     build_cover_hp,
     canonical_caps,
     hp_axis_family,
     normal_axis_family,
 )
-from flatcover.geometry import _CONTAIN_TOL, axis_rectangle
+from flatcover.geometry import _CONTAIN_TOL, UNIT_SQUARE, axis_rectangle
 from flatcover.lattice import lambda_grid, max_flat_multiplicity
 from flatcover.norms import ExpSum, assign_frequencies
 from flatcover.poly2 import BivariatePoly, hyperbolic_phase
@@ -31,7 +35,7 @@ from flatcover.rescale import pullback_cover, rescale_phase
 SADDLE = BivariatePoly(2, {(2, 0): 1.0, (0, 2): -1.0})
 CUBIC = BivariatePoly(3, {(3, 0): 1.0, (0, 3): 1.0, (1, 1): 1.0})
 
-COVER_NAMES = ["caps", "axis", "hp", "normal", "general", "pullback"]
+COVER_NAMES = ["caps", "axis", "hp", "normal", "general", "pullback", "loose"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -49,9 +53,22 @@ def cover_of(name: str):
         return demo_cubic_cover(), None
     # pullback: one frame that is not a similarity (it stretches x 16 times
     # more than y)
-    res = rescale_phase(hyperbolic_phase(), axis_rectangle(0.25, 0.5, 0.75, 0.5 + 2.0 ** -5),
-                        2.0 ** -6)
-    return pullback_cover(canonical_caps(2.0 ** -4), res, hyperbolic_phase()), res.L
+    res = pullback_map()
+    if name == "pullback":
+        return pullback_cover(canonical_caps(2.0 ** -4), res, hyperbolic_phase()), res.L
+    # loose: the general cover mapped by the same L, so its loose members
+    # sit behind frames that are not similarities
+    general = demo_cubic_cover()
+    parts = [FramedGroups(res.L.compose(p.frame), p.groups) for p in general.parts]
+    loose = [res.L.apply_box(b) for b in general.loose]
+    return FlatCover(general.delta, general.a_const, parts, loose, kind="pullback",
+                     domain=res.L.image_bbox(UNIT_SQUARE)), res.L
+
+
+@functools.lru_cache(maxsize=None)
+def pullback_map():
+    return rescale_phase(hyperbolic_phase(), axis_rectangle(0.25, 0.5, 0.75, 0.5 + 2.0 ** -5),
+                         2.0 ** -6)
 
 
 @functools.lru_cache(maxsize=None)
@@ -71,6 +88,11 @@ def test_test_covers_have_every_frame_kind():
     back, _ = cover_of("pullback")
     g = back.parts[0].frame.matrix.T @ back.parts[0].frame.matrix
     assert abs(g[0, 1]) > 1e-3 * g[0, 0] or abs(g[0, 0] - g[1, 1]) > 1e-3 * g[0, 0]
+    # loose members behind similarities (general) and behind other maps (loose)
+    for name, similar in (("general", True), ("loose", False)):
+        cover, _ = cover_of(name)
+        scales = [cover_mod._similarity_scale(2.0 * b.edge_matrix) for b in cover.loose]
+        assert cover.loose and all((m is not None) == similar for m in scales)
 
 
 def member_takes(box, pts, tol):
@@ -156,3 +178,46 @@ def test_assign_frequencies_under_zoom_frames_uses_world_distance():
     assert (len(cover), len(cover.loose)) == (244, 112)
     assert len(subsets) == 218
     assert int(counts.sum()) == 494
+
+
+@pytest.mark.parametrize("tol", [None, 0.0, 2.0 ** -9, 0.03])
+@pytest.mark.parametrize("name", ["general", "loose"])
+def test_loose_members_are_located_as_one_tile_tilings(name, tol):
+    """The one batched pass over the loose members yields, member by
+    member, the incidence of that member as the one-tile tiling of
+    ``_as_tiling`` located on its own: the same frame coordinates,
+    points, cells and order, bit for bit.  Behind similarity frames
+    (general) and other maps (loose), on random points, on the overlap
+    profile's midpoints (odd/128, which fall exactly on the dyadic edges
+    of deep patches) and on the members' own vertices and edge midpoints,
+    also pushed out by 1e-10 of a half edge, where the slack of each tol
+    decides."""
+    cover, to_region = cover_of(name)
+    pts = np.concatenate([np.random.default_rng(3).uniform(0.0, 1.0, size=(300, 2)),
+                          _sample_points(UNIT_SQUARE, 64)])
+    if to_region is not None:
+        pts = to_region.apply(pts)
+    rims = []
+    for box in cover.loose:
+        v = box.vertices()
+        rim = np.vstack([v, 0.5 * (v + np.roll(v, 1, axis=0))])
+        rims += [rim, box.center + (rim - box.center) * (1.0 + 1e-10)]
+    pts = np.concatenate([pts] + rims)
+    got = list(cover.incidences(pts, tol))[-len(cover.loose):]
+    assert len(got) == len(cover.loose)
+    taken = 0
+    for inc, box in zip(got, cover.loose):
+        part = cover_mod._as_tiling(box)
+        grid = part.groups[0]
+        local = part.frame.inverse().apply(pts)
+        scale = cover_mod._similarity_scale(part.frame.matrix)
+        if not tol:
+            want = grid.point_tiles(local, tol)
+        elif scale is not None:
+            want = grid.point_tiles(local, tol / scale)
+        else:
+            want = cover_mod._tiles_within(part, grid, pts, tol)
+        assert inc.local.tobytes() == local.tobytes()
+        assert [a.tolist() for a in (inc.pidx, inc.ii, inc.jj)] == [b.tolist() for b in want]
+        taken += len(inc.pidx)
+    assert taken > 0

@@ -17,6 +17,7 @@ from flatcover.poly2 import (
     poly_mul,
     poly_scale,
     poly_sub,
+    scale_axes,
 )
 
 RNG = np.random.default_rng(41)
@@ -190,6 +191,20 @@ def test_compose_affine_matches_object_loop_bitwise(seed, degree, zeros, small_i
     entries[list(zeros)] = 0.0
     mat, off = entries[:4].reshape(2, 2), entries[4:]
     assert _bits(compose_affine(p, mat, off)) == _bits(_compose_with_objects(p, mat, off))
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2 ** 32 - 1), degree=st.integers(0, 6),
+       tiny=st.booleans())
+def test_scale_axes_matches_compose_affine_bitwise(seed, degree, tiny):
+    """p(sx u, sy v) by per-axis powers equals ``compose_affine`` on the
+    diagonal map: same coefficients bit for bit and in the same order,
+    also where powers of tiny sides underflow and drop coefficients."""
+    rng = np.random.default_rng(seed)
+    p = random_poly(rng, degree)
+    sx, sy = rng.uniform(1e-3, 2.0, size=2) * (1e-60 if tiny else 1.0)
+    want = compose_affine(p, np.diag([sx, sy]), np.zeros(2))
+    assert _bits(scale_axes(p, sx, sy)) == _bits(want)
 
 
 def _fraction_compose(coeffs, mat, off):
