@@ -77,6 +77,26 @@ def _parse_dyadic(text: str) -> float:
     return float(t)
 
 
+def _finite(name: str, positive: bool = False):
+    """argparse type for a float that must be finite (and positive, when
+    ``positive``); a refused value exits 1 with a message naming it."""
+
+    def parse(text: str) -> float:
+        try:
+            x = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be a number, got {text!r}") from None
+        if not math.isfinite(x) or (positive and x <= 0):
+            rule = "finite and positive" if positive else "finite"
+            raise argparse.ArgumentTypeError(f"{name} must be {rule}, got {text}")
+        return x
+
+    return parse
+
+
+_A_CONST = _finite("A", positive=True)
+
+
 def _parse_delta_list(text: str) -> List[float]:
     """'2^-6..2^-12' expands over dyadic exponents; commas list values."""
     t = text.strip()
@@ -827,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
     cb.add_argument("--phase", help="phase polynomial file or name (xy, saddle-diag, elliptic)")
     cb.add_argument("--delta", required=True, help="scale, e.g. 2^-8")
     cb.add_argument("--kind", default="hp", choices=["caps", "axis", "hp", "general"])
-    cb.add_argument("--a-const", type=float, default=4.0)
+    cb.add_argument("--a-const", type=_A_CONST, default=4.0)
     cb.add_argument("--out", help="output JSON path (default stdout)")
     cb.set_defaults(func=cmd_cover_build)
     cv = cover_sub.add_parser("verify", help="re-certify a cover from JSON")
@@ -847,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
     fd.add_argument("--m", type=int, default=33)
     fd.add_argument("--method", default="auto", choices=["auto", "closed", "sample"])
     fd.add_argument("--delta", help="also report is_flat at this scale")
-    fd.add_argument("--a-const", type=float, default=None)
+    fd.add_argument("--a-const", type=_A_CONST, default=None)
     fd.add_argument("--out")
     fd.set_defaults(func=cmd_flat_defect)
 
@@ -860,10 +880,10 @@ def build_parser() -> argparse.ArgumentParser:
         dp.add_argument("--p", type=float, default=4.0)
         dp.add_argument("--cover-kind", default="caps",
                         choices=["caps", "axis", "hp"])
-        dp.add_argument("--a-const", type=float, default=4.0)
+        dp.add_argument("--a-const", type=_A_CONST, default=4.0)
         dp.add_argument("--phase", help="phase for bump/random examples")
         dp.add_argument("--a", type=int, help="strip row index")
-        dp.add_argument("--region", nargs=4, type=float,
+        dp.add_argument("--region", nargs=4, type=_finite("region coordinates"),
                         metavar=("X0", "Y0", "X1", "Y1"))
         dp.add_argument("--seed", type=int, default=0)
         dp.add_argument("--box-side", help="override the evaluation box side")
@@ -886,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--delta", required=True)
     rc.add_argument("--count", type=int, default=100)
     rc.add_argument("--seed", type=int, default=0)
-    rc.add_argument("--a-const", type=float, default=4.0)
+    rc.add_argument("--a-const", type=_A_CONST, default=4.0)
     rc.add_argument("--factor", type=float, default=100.0)
     rc.add_argument("--tol", type=float, default=1e-9)
     rc.add_argument("--out")

@@ -45,7 +45,10 @@ from .geometry import (
     UNIT_SQUARE,
     axis_rectangle,
     box_distances,
+    domain_masks,
     make_tile_grid,
+    tile_grids,
+    tile_ranges,
 )
 from .poly2 import BivariatePoly, compose_affine, minus_tangent_plane, poly_scale
 
@@ -114,28 +117,18 @@ class Incidence(NamedTuple):
         return counts if self.grid.keep is None else counts[self.grid.keep.ravel()]
 
 
-def _unit_tile(alpha: Optional[float] = None, beta: Optional[int] = None) -> TileGrid:
-    """The one tile of the unit square centered at the origin."""
-    return make_tile_grid(1.0, 1.0, 0.0, (-0.5, -0.5, 0.5, 0.5), alpha, beta)
-
-
-def _as_tiling(box: Parallelogram) -> FramedGroups:
-    """A loose member as the unit tile, behind the frame (2E, c) that maps
-    it back onto the member exactly: E its edge matrix, c its center."""
-    return FramedGroups(AffineMap2(tuple(map(tuple, 2.0 * box.edge_matrix)), box.center),
-                        [_unit_tile(box.alpha, box.beta)])
-
-
 def _loose_incidences(boxes: List[Parallelogram], pts: np.ndarray,
                       tol: Optional[float]) -> Iterator[Incidence]:
     """``FlatCover.incidences`` for the loose members, one ``Incidence``
     per member in order, from one pass over chunks of at most
     ``_LOOSE_PAIRS`` point-member pairs (and at least one member).
 
-    Each member is the unit tile of ``_as_tiling`` behind its frame.  The
-    stacked inverse and matmul form every member's frame coordinates with
-    the float operations of ``frame.inverse().apply`` (numpy runs the
-    same product member by member), which matters: sample midpoints fall
+    Each member is the one tile of the unit square centered at the
+    origin, behind the frame (2E, c) that maps it onto the member
+    exactly: E its edge matrix, c its center.  The stacked inverse and
+    matmul form every member's frame coordinates with the float
+    operations of ``frame.inverse().apply`` (numpy runs the same product
+    member by member), which matters: sample midpoints fall
     exactly on the dyadic edges of deep patches.  The unit tile's one
     cell is [0, 1]^2 in its anchor coordinates f, so ``point_tiles``' tests
     reduce to closed form:
@@ -149,7 +142,7 @@ def _loose_incidences(boxes: List[Parallelogram], pts: np.ndarray,
     * tol > 0 behind any other frame: world distance to the member at
       most tol (1 + 1e-12), as ``_tiles_within`` decides it.
     """
-    unit = _unit_tile()
+    unit = make_tile_grid(1.0, 1.0, 0.0, (-0.5, -0.5, 0.5, 0.5))
     centers = np.array([b.center for b in boxes], dtype=float)
     e1 = np.array([b.e1 for b in boxes], dtype=float)
     e2 = np.array([b.e2 for b in boxes], dtype=float)
@@ -195,6 +188,63 @@ def _tiles_within(part: FramedGroups, grid: TileGrid, pts: np.ndarray, tol: floa
     return tuple(np.concatenate(a) for a in zip(*found))
 
 
+def _partition_margins(grids: List[TileGrid]) -> List[Optional[float]]:
+    """Per grid, a margin if it is a partition tiling, else None.
+
+    A partition tiling is anchored at its domain's lower-left corner, has
+    the index range ``tile_ranges`` gives its domain D, and keeps every
+    cell or exactly its domain mask.  This is decided from the grid alone
+    on every call, with one ``tile_ranges`` and one ``domain_masks`` pass
+    per (w, h, domain) group.  Its margin is mu = 1e-9 (S + 1/L), with
+    S = 1 + max |coordinate of D| + w + h and L the shorter side of D, or
+    a wider one: the widest among the grids that share its domain.
+
+    Such a tiling takes each point p at least mu inside D (in each axis)
+    exactly once under ``point_tiles`` at tol None.  That rule gives p
+    one candidate cell, the floor of its frame coordinates, so at most
+    once.  Every quantity below is formed from numbers of size at most
+    3S, each to within 64uS, u = 2^-53 (times |n| for the products with
+    an edge normal n).  So the candidate's closed cell holds a point q
+    within 64uS of p, and q lies at least mu - 64uS inside D along every
+    unit direction.  The range covers D's projections up to a pad of
+    1e-12, so the candidate is in range and no outer-boundary rule moves
+    it.  Each separating-axis test of ``domain_masks`` asks for a gap of
+    1e-12 along a frame axis, or 1e-12 / |n| in distance along an edge
+    normal n, whose length is a side of the rotated domain, at least
+    L (1 - 1e-15).  The gap q offers, mu - 64uS, exceeds either slack
+    plus 128uS of rounding by a factor above 100 (S >= 1).  So the cell
+    meets D by every test, lies in the mask, and is kept.
+    """
+    groups: dict = {}
+    for k, grid in enumerate(grids):
+        groups.setdefault((grid.w, grid.h, tuple(grid.domain)), []).append(k)
+    out: List[Optional[float]] = [None] * len(grids)
+    for (w, h, domain), ks in groups.items():
+        xmin, ymin, xmax, ymax = domain
+        side = min(xmax - xmin, ymax - ymin)
+        if not (np.all(np.isfinite(domain)) and side > 0):
+            continue
+        ranges = tile_ranges(w, h, [grids[k].theta for k in ks], domain)
+        same = [(k, r) for k, r in zip(ks, ranges)
+                if tuple(grids[k].anchor) == (xmin, ymin)
+                and (grids[k].i0, grids[k].i1, grids[k].j0, grids[k].j1) == tuple(r)]
+        masked = [(k, r) for k, r in same if grids[k].keep is not None]
+        masks = domain_masks(w, h, [grids[k].theta for k, _ in masked], domain,
+                             [r for _, r in masked]) if masked else []
+        margin = 1e-9 * (1.0 + max(abs(v) for v in domain) + w + h + 1.0 / side)
+        for k, _ in same:
+            out[k] = margin
+        for (k, _), mask in zip(masked, masks):
+            if not np.array_equal(grids[k].keep, mask):
+                out[k] = None
+    # a wider margin serves too: one margin per domain, the widest
+    widest: dict = {}
+    for grid, margin in zip(grids, out):
+        if margin is not None:
+            widest[tuple(grid.domain)] = max(margin, widest.get(tuple(grid.domain), 0.0))
+    return [None if m is None else widest[tuple(g.domain)] for g, m in zip(grids, out)]
+
+
 @dataclass
 class FlatCover:
     """A family of parallelograms tagged with its construction scale."""
@@ -210,14 +260,13 @@ class FlatCover:
         return sum(len(g) for p in self.parts for g in p.groups) + len(self.loose)
 
     def iter_members(self) -> Iterable[Parallelogram]:
-        for part in self.tilings():
+        """Every kept tile of every tiling in world coordinates, then the
+        loose members."""
+        for part in self.parts:
             for grid in part.groups:
                 for tile in grid.tiles():
                     yield part.world_box(tile)
-
-    def tilings(self) -> List[FramedGroups]:
-        """The parts, then each loose member as a one-tile tiling."""
-        return self.parts + [_as_tiling(box) for box in self.loose]
+        yield from self.loose
 
     def incidences(self, points, tol: Optional[float] = None) -> Iterator[Incidence]:
         """Which members take which points, one tiling (or loose member)
@@ -249,10 +298,34 @@ class FlatCover:
             yield from _loose_incidences(self.loose, pts, tol)
 
     def membership_counts(self, points) -> np.ndarray:
-        """How many members take each point (``incidences`` at tol None)."""
+        """How many members take each point (``incidences`` at tol None).
+
+        A partition tiling (``_partition_margins``) takes each point lying
+        inside its domain by its margin exactly once, so it adds 1 there
+        without locating the point; ``point_tiles`` places only the other
+        points, and every point for the other tilings and loose members.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(len(pts), dtype=np.int64)
-        for inc in self.incidences(pts):
+        for part in self.parts:
+            local = pts if part.frame is None else part.frame.inverse().apply(pts)
+            split = {}  # domain -> (inside by its margin, indices of the rest)
+            for grid, margin in zip(part.groups, _partition_margins(part.groups)):
+                if margin is None:
+                    out += np.bincount(grid.point_tiles(local)[0], minlength=len(pts))
+                    continue
+                key = tuple(grid.domain)
+                if key not in split:
+                    lo = np.array(grid.domain[:2], dtype=float) + margin
+                    hi = np.array(grid.domain[2:], dtype=float) - margin
+                    inside = np.all((local > lo) & (local < hi), axis=1)
+                    split[key] = (inside, np.flatnonzero(~inside))
+                inside, rest = split[key]
+                out += inside
+                if len(rest):
+                    out += np.bincount(rest[grid.point_tiles(local[rest])[0]],
+                                       minlength=len(pts))
+        for inc in _loose_incidences(self.loose, pts, None) if self.loose else ():
             out += np.bincount(inc.pidx, minlength=len(pts))
         return out
 
@@ -260,8 +333,8 @@ class FlatCover:
         """k >= 1 members drawn uniformly (with replacement) from the family."""
         if k < 1:
             raise ValueError(f"member count must be at least 1, got {k}")
-        handles = [(part, grid) for part in self.tilings() for grid in part.groups]
-        cum = np.cumsum([len(grid) for _, grid in handles])
+        handles = [(part, grid) for part in self.parts for grid in part.groups]
+        cum = np.cumsum([len(grid) for _, grid in handles] + [1] * len(self.loose))
         total = int(cum[-1]) if len(cum) else 0
         if total == 0:
             raise ValueError("cover has no members")
@@ -269,6 +342,9 @@ class FlatCover:
         out = []
         for r in rng.integers(0, total, size=k):
             slot = int(np.searchsorted(cum, r, side="right"))
+            if slot >= len(handles):
+                out.append(self.loose[slot - len(handles)])
+                continue
             part, grid = handles[slot]
             if slot not in kept:
                 kept[slot] = grid.kept_indices()
@@ -647,9 +723,9 @@ def _build_hp_core(
         betas = np.flatnonzero(sure | maybe)
         kept, dropped = _whole_comparability(
             a_z[0], b_z[0], thetas[betas], h / w, a_const, _slope_spread_bound(phi, padded))
-        for beta, whole in zip(betas[~dropped], kept[~dropped]):
-            theta = float(thetas[beta])
-            grid = make_tile_grid(w, h, theta, domain, alpha=alpha, beta=int(beta))
+        live = [int(b) for b in betas[~dropped]]
+        grids = tile_grids(w, h, thetas[live], domain, alpha, live)
+        for beta, whole, grid in zip(live, kept[~dropped], grids):
             if maybe[beta]:
                 flat_vec = tiling_flatness(phi, grid, delta, a_const).flat
                 if not flat_vec.any():

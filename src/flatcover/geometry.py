@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -18,6 +18,9 @@ BBox = Tuple[float, float, float, float]
 UNIT_SQUARE: BBox = (0.0, 0.0, 1.0, 1.0)
 
 _CONTAIN_TOL = 1e-9  # relative slack for closed containment tests
+
+# angle-cell pairs per chunk of one batched domain-mask pass
+_MASK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -417,40 +420,126 @@ class TileGrid:
         return np.bincount(pidx, minlength=len(np.atleast_2d(points))).astype(np.int64)
 
     def domain_mask(self) -> np.ndarray:
-        """Boolean (ni, nj): which cells meet the domain with positive area.
+        """Boolean (ni, nj): which cells meet the domain with positive area
+        (``domain_masks`` over the grid's own range and anchor)."""
+        return domain_masks(self.w, self.h, [self.theta], self.domain,
+                            [(self.i0, self.i1, self.j0, self.j1)], self.anchor)[0]
 
-        Separating-axis test between each frame-aligned cell and the
-        rotated image of the axis-aligned domain.
-        """
-        xmin, ymin, xmax, ymax = self.domain
-        corners = np.array(
-            [[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]], dtype=float
-        )
-        fc = self.to_frame(corners)  # rotated domain, convex quad in frame coords
-        u0, v0 = self.frame_origin()
-        iis = np.arange(self.i0, self.i1)
-        jjs = np.arange(self.j0, self.j1)
-        ulo = u0 + iis * self.w
-        uhi = ulo + self.w
-        vlo = v0 + jjs * self.h
-        vhi = vlo + self.h
+
+def _rotated_domain(thetas, domain: BBox, anchor) -> Tuple[np.ndarray, np.ndarray]:
+    """The domain's corners in the frame of each angle, (n, 4, 2), and the
+    anchor's, (n, 2), formed as ``TileGrid.to_frame`` and
+    ``frame_origin`` form them one angle at a time: numpy's stacked
+    matmul runs each angle's product as it runs one angle's."""
+    thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    c = np.array([math.cos(t) for t in thetas])
+    s = np.array([math.sin(t) for t in thetas])
+    rot = np.empty((len(thetas), 2, 2))  # world -> frame
+    rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = c, s, -s, c
+    xmin, ymin, xmax, ymax = domain
+    corners = np.array([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]], dtype=float)
+    return (np.matmul(corners, rot.transpose(0, 2, 1)),
+            np.matmul(rot, np.asarray(anchor, dtype=float)))
+
+
+def tile_ranges(w: float, h: float, thetas, domain: BBox = UNIT_SQUARE) -> np.ndarray:
+    """Index ranges (i0, i1, j0, j1), one row per angle, of the grids of
+    w x h tiles anchored at the domain's lower-left corner that cover the
+    domain: every cell the rotated domain reaches by more than 1e-12.
+
+    Raises ValueError where a range cannot be indexed in int64: its
+    bounds or its cell count reach 2^62 (or are not finite)."""
+    if not (w > 0 and h > 0):
+        raise ValueError("tile sides must be positive")
+    fc, origin = _rotated_domain(thetas, domain, domain[:2])
+    rel = fc - origin[:, None, :]
+    pad = 1e-12
+    lo = np.floor((rel.min(axis=1) + pad) / np.array([w, h]))
+    hi = np.maximum(np.ceil((rel.max(axis=1) - pad) / np.array([w, h])), lo + 1)
+    cells = (hi - lo).prod(axis=1)
+    bad = ~(np.all(np.abs(lo) < 2.0 ** 62, axis=1) & np.all(np.abs(hi) < 2.0 ** 62, axis=1)
+            & (cells < 2.0 ** 62))
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"a tiling of {w:g} x {h:g} tiles over {tuple(domain)} cannot be "
+                         f"indexed in int64 ({cells[k]:.3g} cells)")
+    return np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]], axis=1).astype(np.int64)
+
+
+def domain_masks(w: float, h: float, thetas, domain: BBox, ranges,
+                 anchor=None) -> List[np.ndarray]:
+    """Domain masks of the grids of w x h tiles at each angle, over the
+    index ranges ``ranges`` (rows (i0, i1, j0, j1)), anchored at
+    ``anchor`` (the domain's lower-left corner by default): boolean
+    (ni, nj) per angle, true on the cells that meet the domain with
+    positive area.
+
+    Separating-axis test between each frame-aligned cell and the rotated
+    image of the axis-aligned domain, with 1e-12 of slack per test: the
+    frame axes, then the quadrilateral's four edge normals.  All angles
+    run through one pass over cells padded to the largest range, in
+    chunks of at most ``_MASK_CELLS`` angle-cell pairs; every value is
+    formed elementwise, or by stacked matmuls, exactly as for one angle.
+    """
+    thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    ranges = np.asarray(ranges, dtype=np.int64).reshape(-1, 4)
+    fc, origin = _rotated_domain(thetas, domain, domain[:2] if anchor is None else anchor)
+    ni, nj = ranges[:, 1] - ranges[:, 0], ranges[:, 3] - ranges[:, 2]
+    step = max(1, _MASK_CELLS // max(int(ni.max(initial=0)) * int(nj.max(initial=0)), 1))
+    out = []
+    for a in range(0, len(thetas), step):
+        k = slice(a, a + step)
+        f, r = fc[k], ranges[k]
+        ulo = origin[k, :1] + (r[:, :1] + np.arange(ni[k].max())) * w
+        uhi = ulo + w
+        vlo = origin[k, 1:] + (r[:, 2:3] + np.arange(nj[k].max())) * h
+        vhi = vlo + h
         # axis checks (frame axes)
-        ok_u = (ulo[:, None] < fc[:, 0].max() - 1e-12) & (uhi[:, None] > fc[:, 0].min() + 1e-12)
-        ok_v = (vlo[None, :] < fc[:, 1].max() - 1e-12) & (vhi[None, :] > fc[:, 1].min() + 1e-12)
-        mask = ok_u & ok_v  # (ni, nj) via broadcasting of (ni,1) & (1,nj)
+        ok_u = (ulo < f[:, :, 0].max(axis=1)[:, None] - 1e-12) \
+            & (uhi > f[:, :, 0].min(axis=1)[:, None] + 1e-12)
+        ok_v = (vlo < f[:, :, 1].max(axis=1)[:, None] - 1e-12) \
+            & (vhi > f[:, :, 1].min(axis=1)[:, None] + 1e-12)
+        mask = ok_u[:, :, None] & ok_v[:, None, :]
         # edge-normal checks of the quad
+        mid = f.mean(axis=1)
         for t in range(4):
-            p, q = fc[t], fc[(t + 1) % 4]
-            n = np.array([q[1] - p[1], p[0] - q[0]])  # outward or inward, fix sign below
-            if np.dot(n, fc.mean(axis=0) - p) > 0:
-                n = -n  # make n the outward normal
-            c0 = np.dot(n, p)
+            p, q = f[:, t], f[:, (t + 1) % 4]
+            n = np.stack([q[:, 1] - p[:, 1], p[:, 0] - q[:, 0]], axis=1)
+            inward = np.matmul(n[:, None, :], (mid - p)[:, :, None])[:, 0, 0] > 0
+            n[inward] = -n[inward]  # make n the outward normal
+            c0 = np.matmul(n[:, None, :], p[:, :, None])[:, 0, 0]
             # min of n.x over cell corners; cell outside iff min > c0
-            ui = np.where(n[0] < 0, uhi, ulo)
-            vj = np.where(n[1] < 0, vhi, vlo)
-            m = n[0] * ui[:, None] + n[1] * vj[None, :]
-            mask &= m < c0 - 1e-12
-        return mask
+            ui = np.where(n[:, :1] < 0, uhi, ulo)
+            vj = np.where(n[:, 1:] < 0, vhi, vlo)
+            m = n[:, 0, None, None] * ui[:, :, None] + n[:, 1, None, None] * vj[:, None, :]
+            mask &= m < (c0 - 1e-12)[:, None, None]
+        out.extend(mask[b, :ni[a + b], :nj[a + b]].copy() for b in range(len(mask)))
+    return out
+
+
+def tile_grids(
+    w: float,
+    h: float,
+    thetas,
+    domain: BBox = UNIT_SQUARE,
+    alpha: Optional[float] = None,
+    betas=None,
+) -> List[TileGrid]:
+    """The rotated grids covering the domain, one per angle of one aspect
+    level (labelled by ``betas``): ranges from ``tile_ranges``, and keep
+    masks from one ``domain_masks`` pass over the angles that are not a
+    multiple of pi/2 (the others keep every cell)."""
+    thetas = [float(t) for t in np.asarray(thetas, dtype=float).reshape(-1)]
+    betas = [None] * len(thetas) if betas is None else list(betas)
+    ranges = tile_ranges(w, h, thetas, domain)
+    rotated = [k for k, t in enumerate(thetas) if abs(t) % (math.pi / 2) > 1e-12]
+    keep: List[Optional[np.ndarray]] = [None] * len(thetas)
+    if rotated:
+        masks = domain_masks(w, h, [thetas[k] for k in rotated], domain, ranges[rotated])
+        for k, mask in zip(rotated, masks):
+            keep[k] = mask
+    return [TileGrid(w, h, t, (domain[0], domain[1]), *(int(v) for v in r), domain,
+                     alpha, b, m) for t, r, b, m in zip(thetas, ranges, betas, keep)]
 
 
 def make_tile_grid(
@@ -461,21 +550,6 @@ def make_tile_grid(
     alpha: Optional[float] = None,
     beta: Optional[int] = None,
 ) -> TileGrid:
-    """Index ranges for the rotated grid covering the domain."""
-    if w <= 0 or h <= 0:
-        raise ValueError("tile sides must be positive")
-    xmin, ymin, xmax, ymax = domain
-    corners = np.array(
-        [[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]], dtype=float
-    )
-    grid = TileGrid(w, h, float(theta), (xmin, ymin), 0, 0, 0, 0, domain, alpha, beta)
-    fc = grid.to_frame(corners) - grid.frame_origin()
-    pad = 1e-12
-    i0 = int(math.floor((fc[:, 0].min() + pad) / w))
-    i1 = int(math.ceil((fc[:, 0].max() - pad) / w))
-    j0 = int(math.floor((fc[:, 1].min() + pad) / h))
-    j1 = int(math.ceil((fc[:, 1].max() - pad) / h))
-    grid.i0, grid.i1, grid.j0, grid.j1 = i0, max(i1, i0 + 1), j0, max(j1, j0 + 1)
-    if abs(theta) % (math.pi / 2) > 1e-12:
-        grid.keep = grid.domain_mask()
-    return grid
+    """Index ranges for the rotated grid covering the domain: the
+    one-angle case of ``tile_grids``."""
+    return tile_grids(w, h, [theta], domain, alpha, [beta])[0]

@@ -308,6 +308,49 @@ def test_usage_errors_exit_1(capsys):
 
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--example", "line", "--a-const", "nan"], "A must be finite and positive, got nan"),
+    (["--example", "random", "--a-const", "-5"], "A must be finite and positive, got -5"),
+    (["--example", "random", "--a-const", "0"], "A must be finite and positive, got 0"),
+    (["--example", "line", "--a-const", "four"], "A must be a number, got 'four'"),
+    (["--example", "random", "--region", "0", "0", "nan", "1"],
+     "region coordinates must be finite, got nan"),
+    (["--example", "bump", "--region", "0", "0", "inf", "1"],
+     "region coordinates must be finite, got inf"),
+])
+@pytest.mark.parametrize("command", ["ratio", "sweep"])
+def test_decouple_refuses_bad_a_const_and_region(capsys, command, argv, message):
+    """--a-const is finite and positive and --region finite on every
+    example, also where the value would go unread."""
+    scale = ["--delta", "2^-4"] if command == "ratio" else ["--deltas", "2^-3..2^-5"]
+    code, out, err = run(capsys, "decouple", command, *argv, *scale)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rescale", "check", "--delta", "2^-4", "--a-const", "nan"],
+    ["flat", "defect", "--rect", "0", "0", "0.25", "0.25", "--a-const", "-1"],
+    ["cover", "build", "--kind", "caps", "--delta", "2^-4", "--a-const", "inf"],
+])
+def test_every_a_const_is_checked_by_the_parser(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "argument --a-const: A must be finite and positive" in err
+
+
+def test_lattice_count_refuses_a_cover_too_fine_to_index(capsys):
+    """At d = 100 the default cover's tilings have ~1e120 cells: a message,
+    not an overflow traceback."""
+    code, out, err = run(capsys, "lattice", "count", "--alpha", "sqrt2", "--delta", "2^-4",
+                         "--d", "100")
+    assert code == 1
+    assert out == ""
+    assert "cannot be indexed in int64" in err
+    assert "Traceback" not in err
+
 @pytest.mark.parametrize("a_const", ["0", "-3", "nan", "inf"])
 @pytest.mark.parametrize("kind", ["hp", "general"])
 def test_cover_build_rejects_bad_a_const(tmp_path, capsys, kind, a_const):

@@ -1,6 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import runpy
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flatcover import cover, flatness
+from flatcover import cli, cover, flatness
 from flatcover.cover import (
     _NINE_OFFSETS,
     FlatCover,
@@ -24,6 +28,7 @@ from flatcover.cover import (
 from flatcover.flatness import candidate_box, flat_defect, flat_defect_interval
 from flatcover.geometry import (
     UNIT_SQUARE,
+    TileGrid,
     axis_rectangle,
     comparable,
     make_tile_grid,
@@ -771,3 +776,31 @@ def test_verify_cover_sees_loose_members():
 def test_overlap_profile_guards_resolution():
     with pytest.raises(ValueError):
         overlap_profile(canonical_caps(2.0 ** -4), n=8)
+
+
+def test_recipe_and_demo_tilings_keep_their_domain_masks(monkeypatch):
+    """Every tiling built while the quick recipes and the demos run keeps
+    exactly its domain mask (every cell, at a multiple of pi/2), so each
+    is a partition tiling that ``membership_counts`` counts per tiling."""
+    made = []
+    init = TileGrid.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(TileGrid, "__init__", record)
+    for recipe in sorted(cli.RECIPES):
+        cli.run_recipe(recipe, quick=True)
+    for demo in sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py")):
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_path(str(demo), run_name="__main__")
+    monkeypatch.undo()
+    rotated = [abs(g.theta) % (math.pi / 2) > 1e-12 for g in made]
+    assert sum(rotated) > 500
+    for g, turned in zip(made, rotated):
+        if turned:
+            np.testing.assert_array_equal(g.keep, g.domain_mask())
+        else:
+            assert g.keep is None
+    assert None not in cover._partition_margins(made)

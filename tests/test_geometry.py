@@ -11,8 +11,11 @@ from flatcover.geometry import (
     axis_rectangle,
     comparable,
     dilate,
+    domain_masks,
     make_tile_grid,
     rotated_rectangle,
+    tile_grids,
+    tile_ranges,
 )
 
 
@@ -322,3 +325,91 @@ def test_parallelogram_distance_matches_sampled_boundary(e1, e2, seed):
     assert np.all(got[inside] == 0.0)
     assert np.all(got[~inside] <= sampled[~inside] + 1e-12)
     assert np.all(got[~inside] >= sampled[~inside] - spacing)
+
+
+def _range_oracle(w, h, theta, domain):
+    """The index range of the rotated grid covering the domain, one angle
+    at a time, as ``make_tile_grid`` formed it before ranges were batched."""
+    xmin, ymin, xmax, ymax = domain
+    corners = np.array([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]], dtype=float)
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.array([[c, s], [-s, c]])
+    fc = corners @ rot.T - rot @ np.asarray((xmin, ymin))
+    pad = 1e-12
+    i0 = int(math.floor((fc[:, 0].min() + pad) / w))
+    i1 = int(math.ceil((fc[:, 0].max() - pad) / w))
+    j0 = int(math.floor((fc[:, 1].min() + pad) / h))
+    j1 = int(math.ceil((fc[:, 1].max() - pad) / h))
+    return i0, max(i1, i0 + 1), j0, max(j1, j0 + 1)
+
+
+def _mask_oracle(grid):
+    """The separating-axis domain mask of one grid, cell by cell against
+    the rotated domain: the per-grid loop that the batched
+    ``domain_masks`` replaced."""
+    xmin, ymin, xmax, ymax = grid.domain
+    corners = np.array([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]], dtype=float)
+    fc = grid.to_frame(corners)
+    u0, v0 = grid.frame_origin()
+    ulo = u0 + np.arange(grid.i0, grid.i1) * grid.w
+    uhi = ulo + grid.w
+    vlo = v0 + np.arange(grid.j0, grid.j1) * grid.h
+    vhi = vlo + grid.h
+    ok_u = (ulo[:, None] < fc[:, 0].max() - 1e-12) & (uhi[:, None] > fc[:, 0].min() + 1e-12)
+    ok_v = (vlo[None, :] < fc[:, 1].max() - 1e-12) & (vhi[None, :] > fc[:, 1].min() + 1e-12)
+    mask = ok_u & ok_v
+    for t in range(4):
+        p, q = fc[t], fc[(t + 1) % 4]
+        n = np.array([q[1] - p[1], p[0] - q[0]])
+        if np.dot(n, fc.mean(axis=0) - p) > 0:
+            n = -n
+        c0 = np.dot(n, p)
+        ui = np.where(n[0] < 0, uhi, ulo)
+        vj = np.where(n[1] < 0, vhi, vlo)
+        mask &= n[0] * ui[:, None] + n[1] * vj[None, :] < c0 - 1e-12
+    return mask
+
+
+@settings(max_examples=60)
+@given(
+    w=st.sampled_from([1.0, 0.5, 0.25, 0.3, 0.21]),
+    h=st.sampled_from([2.0 ** -6, 2.0 ** -4, 0.17, 0.11]),
+    thetas=st.lists(st.floats(-1.0, 7.0), min_size=1, max_size=12),
+    steps=st.integers(0, 3),
+    corner=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    size=st.tuples(st.floats(0.05, 1.5), st.floats(0.05, 1.5)),
+)
+def test_batched_ranges_and_masks_match_the_per_grid_oracle(w, h, thetas, steps, corner, size):
+    """One batched pass gives every angle of a level the range and the
+    domain mask the per-grid computation gives it, bit for bit; dyadic
+    angles (hp tilts, multiples of pi/2) are mixed in."""
+    domain = (corner[0], corner[1], corner[0] + size[0], corner[1] + size[1])
+    thetas = thetas + [2.0 ** -6 * k for k in range(steps * 50)] + [0.0, math.pi / 2, math.pi]
+    grids = tile_grids(w, h, thetas, domain, 1.0, list(range(len(thetas))))
+    np.testing.assert_array_equal(tile_ranges(w, h, thetas, domain),
+                                  [_range_oracle(w, h, t, domain) for t in thetas])
+    for theta, grid in zip(thetas, grids):
+        assert (grid.i0, grid.i1, grid.j0, grid.j1) == _range_oracle(w, h, theta, domain)
+        want = _mask_oracle(grid)
+        np.testing.assert_array_equal(grid.domain_mask(), want)
+        if abs(theta) % (math.pi / 2) > 1e-12:
+            np.testing.assert_array_equal(grid.keep, want)
+        else:
+            assert grid.keep is None
+    # another anchor, and ranges not derived from the domain
+    grid = grids[0]
+    grid.anchor = (grid.anchor[0] + 0.3 * w, grid.anchor[1] - 0.7 * h)
+    grid.i0, grid.j1 = grid.i0 - 1, grid.j1 + 2
+    np.testing.assert_array_equal(grid.domain_mask(), _mask_oracle(grid))
+    assert domain_masks(w, h, [], domain, np.zeros((0, 4))) == []
+
+
+@pytest.mark.parametrize("w, h, domain", [
+    (2.0 ** -200, 1.0, (0.0, 0.0, 1.0, 1.0)),
+    (2.0 ** -31, 2.0 ** -32, (0.0, 0.0, 1.0, 1.0)),
+    (0.1, 0.1, (0.0, 0.0, math.inf, 1.0)),
+    (0.1, 0.1, (0.0, 0.0, math.nan, 1.0)),
+])
+def test_tilings_too_large_to_index_are_refused(w, h, domain):
+    with pytest.raises(ValueError, match="cannot be indexed in int64"):
+        make_tile_grid(w, h, 0.3, domain)

@@ -8,6 +8,7 @@ uniformly, so the walk's closed outer boundaries at tol = None differ
 from the half-open reference only on a null set."""
 
 import functools
+import json
 import math
 
 import numpy as np
@@ -26,7 +27,14 @@ from flatcover.cover import (
     hp_axis_family,
     normal_axis_family,
 )
-from flatcover.geometry import _CONTAIN_TOL, UNIT_SQUARE, axis_rectangle
+from flatcover.geometry import (
+    _CONTAIN_TOL,
+    UNIT_SQUARE,
+    AffineMap2,
+    axis_rectangle,
+    make_tile_grid,
+    tile_grids,
+)
 from flatcover.lattice import lambda_grid, max_flat_multiplicity
 from flatcover.norms import ExpSum, assign_frequencies
 from flatcover.poly2 import BivariatePoly, hyperbolic_phase
@@ -93,6 +101,15 @@ def test_test_covers_have_every_frame_kind():
         cover, _ = cover_of(name)
         scales = [cover_mod._similarity_scale(2.0 * b.edge_matrix) for b in cover.loose]
         assert cover.loose and all((m is not None) == similar for m in scales)
+
+
+def _as_tiling(box):
+    """A loose member as the one tile of the unit square centered at the
+    origin, behind the frame (2E, c) that maps it back onto the member
+    exactly: E its edge matrix, c its center."""
+    return FramedGroups(AffineMap2(tuple(map(tuple, 2.0 * box.edge_matrix)), box.center),
+                        [make_tile_grid(1.0, 1.0, 0.0, (-0.5, -0.5, 0.5, 0.5),
+                                        box.alpha, box.beta)])
 
 
 def member_takes(box, pts, tol):
@@ -207,7 +224,7 @@ def test_loose_members_are_located_as_one_tile_tilings(name, tol):
     assert len(got) == len(cover.loose)
     taken = 0
     for inc, box in zip(got, cover.loose):
-        part = cover_mod._as_tiling(box)
+        part = _as_tiling(box)
         grid = part.groups[0]
         local = part.frame.inverse().apply(pts)
         scale = cover_mod._similarity_scale(part.frame.matrix)
@@ -221,3 +238,75 @@ def test_loose_members_are_located_as_one_tile_tilings(name, tol):
         assert [a.tolist() for a in (inc.pidx, inc.ii, inc.jj)] == [b.tolist() for b in want]
         taken += len(inc.pidx)
     assert taken > 0
+
+
+_FRAMES = {
+    "none": None,
+    # a similarity of scale 1/4, as the general cover's zoom frames
+    "similarity": AffineMap2(((0.25 * math.cos(0.6), -0.25 * math.sin(0.6)),
+                              (0.25 * math.sin(0.6), 0.25 * math.cos(0.6))), (0.3, 0.55)),
+    "shear": AffineMap2(((2.0, 0.5), (0.1, 0.8)), (0.3, -0.2)),
+}
+
+
+@settings(max_examples=40)
+@given(
+    w=st.floats(0.1, 0.5), h=st.floats(0.05, 0.3),
+    thetas=st.lists(st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi / 2])),
+                    min_size=1, max_size=4),
+    corner=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    size=st.tuples(st.floats(0.2, 1.2), st.floats(0.2, 1.2)),
+    frame=st.sampled_from(sorted(_FRAMES)),
+    edit=st.sampled_from(["built", "refined", "all", "copied"]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_overlap_per_tiling_matches_per_member_rule(w, h, thetas, corner, size, frame, edit,
+                                                    seed):
+    """``membership_counts`` adds a partition tiling's 1 to the points
+    well inside its domain without locating them; the counts still equal
+    the walk of ``incidences`` on every point, and the per-member rule on
+    every point that no member edge passes within 1e-9 (in member
+    coordinates).  Points sit inside, on the domain's edges and corners,
+    5e-10 and 5e-9 inside and outside them (around the margin), and
+    outside; angles that are multiples of pi/2 put domain edges on cell
+    edges.  The first tiling is left as built, refined to a proper
+    subset, set to keep every cell, or given a copy of its domain mask;
+    a JSON round trip counts the same."""
+    xmin, ymin = corner
+    xmax, ymax = xmin + size[0], ymin + size[1]
+    domain = (xmin, ymin, xmax, ymax)
+    grids = tile_grids(w, h, thetas, domain)
+    if edit == "refined":
+        cover_mod._refine_keep(grids[0], np.arange(len(grids[0])) % 3 != 0)
+    elif edit == "all":
+        grids[0].keep = None
+    elif edit == "copied":
+        grids[0].keep = grids[0].domain_mask().copy()
+    margins = cover_mod._partition_margins(grids)
+    assert (margins[0] is None) == (edit == "refined")
+    cover = FlatCover(2.0 ** -4, 4.0, [FramedGroups(_FRAMES[frame], grids)],
+                      domain=domain)
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, 1.0, size=(30, 1))
+    lo, hi = np.array([xmin, ymin]), np.array([xmax, ymax])
+    rim = np.concatenate([lo + t * [hi[0] - lo[0], 0.0], lo + t * [0.0, hi[1] - lo[1]],
+                          hi - t * [hi[0] - lo[0], 0.0], hi - t * [0.0, hi[1] - lo[1]],
+                          [lo, hi, [xmin, ymax], [xmax, ymin]]])
+    mid = 0.5 * (lo + hi)
+    local = np.concatenate(
+        [rng.uniform(lo, hi, size=(200, 2)), rng.uniform(lo - 0.5, hi + 0.5, size=(100, 2)), rim]
+        + [mid + (rim - mid) * (1.0 + f) for f in (-1e-8, -1e-9, 1e-9, 1e-8)])
+    frame_map = _FRAMES[frame]
+    pts = local if frame_map is None else frame_map.apply(local)
+    got = cover.membership_counts(pts)
+    walk = sum(np.bincount(inc.pidx, minlength=len(pts)) for inc in cover.incidences(pts))
+    np.testing.assert_array_equal(got, walk)
+    members = list(cover.iter_members())
+    want = sum(member_takes(box, pts, None).astype(np.int64) for box in members)
+    edge = np.zeros(len(pts), dtype=bool)
+    for box in members:
+        edge |= np.abs(np.max(np.abs(box.affine_coords(pts)), axis=1) - 1.0) <= 1e-9
+    assert np.count_nonzero(~edge) > len(pts) // 2
+    np.testing.assert_array_equal(got[~edge], want[~edge])
+    back = FlatCover.from_json_dict(json.loads(json.dumps(cover.to_json_dict())))
+    np.testing.assert_array_equal(back.membership_counts(pts), got)
