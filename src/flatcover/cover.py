@@ -309,6 +309,7 @@ class FlatCover:
         out = np.zeros(len(pts), dtype=np.int64)
         for part in self.parts:
             local = pts if part.frame is None else part.frame.inverse().apply(pts)
+            x, y = local[:, 0], local[:, 1]
             split = {}  # domain -> (inside by its margin, indices of the rest)
             for grid, margin in zip(part.groups, _partition_margins(part.groups)):
                 if margin is None:
@@ -316,17 +317,18 @@ class FlatCover:
                     continue
                 key = tuple(grid.domain)
                 if key not in split:
-                    lo = np.array(grid.domain[:2], dtype=float) + margin
-                    hi = np.array(grid.domain[2:], dtype=float) - margin
-                    inside = np.all((local > lo) & (local < hi), axis=1)
+                    xmin, ymin, xmax, ymax = key
+                    inside = ((x > xmin + margin) & (x < xmax - margin)
+                              & (y > ymin + margin) & (y < ymax - margin))
                     split[key] = (inside, np.flatnonzero(~inside))
                 inside, rest = split[key]
                 out += inside
                 if len(rest):
                     out += np.bincount(rest[grid.point_tiles(local[rest])[0]],
                                        minlength=len(pts))
-        for inc in _loose_incidences(self.loose, pts, None) if self.loose else ():
-            out += np.bincount(inc.pidx, minlength=len(pts))
+        if self.loose:
+            taken = [inc.pidx for inc in _loose_incidences(self.loose, pts, None)]
+            out += np.bincount(np.concatenate(taken), minlength=len(pts))
         return out
 
     def sample_members(self, rng: np.random.Generator, k: int) -> List[Parallelogram]:
