@@ -50,7 +50,7 @@ from .geometry import (
     tile_grids,
     tile_ranges,
 )
-from .poly2 import BivariatePoly, compose_affine, minus_tangent_plane, poly_scale
+from .poly2 import _compose_coeffs, BivariatePoly, compose_affine, minus_tangent_plane, poly_scale
 
 # Patches split into _M_CONST x _M_CONST squares; saddle and bowl patches
 # need |det H| > 1/_M_CONST; recursion depth is capped at 4*log_M(1/delta).
@@ -117,32 +117,36 @@ class Incidence(NamedTuple):
         return counts if self.grid.keep is None else counts[self.grid.keep.ravel()]
 
 
-def _loose_incidences(boxes: List[Parallelogram], pts: np.ndarray,
-                      tol: Optional[float]) -> Iterator[Incidence]:
-    """``FlatCover.incidences`` for the loose members, one ``Incidence``
-    per member in order, from one pass over chunks of at most
-    ``_LOOSE_PAIRS`` point-member pairs (and at least one member).
+def _near_chunks(centers, e1, e2, pts: np.ndarray, tol: float):
+    """(lo, near) per chunk of at most ``_LOOSE_PAIRS`` box-point pairs
+    (and at least one box), by one stacked ``box_distances`` pass: point p
+    lies within world distance tol (1 + 1e-12) of box lo + r iff near[r, p]."""
+    step = max(1, _LOOSE_PAIRS // max(len(pts), 1))
+    for lo in range(0, len(centers), step):
+        hi = lo + step
+        yield lo, box_distances(centers[lo:hi], e1[lo:hi], e2[lo:hi], pts) <= tol * (1 + 1e-12)
 
-    Each member is the one tile of the unit square centered at the
-    origin, behind the frame (2E, c) that maps it onto the member
+
+def _loose_takes(boxes: List[Parallelogram], pts: np.ndarray, tol: Optional[float]):
+    """Per chunk of at most ``_LOOSE_PAIRS`` point-member pairs (and at
+    least one member): frame coordinates ``local``, f = local + 1/2, which
+    members take which points (``take``) and which are decided in world
+    distance.  Each member is the one tile of the unit square centered at
+    the origin, behind the frame (2E, c) that maps it onto the member
     exactly: E its edge matrix, c its center.  The stacked inverse and
     matmul form every member's frame coordinates with the float
     operations of ``frame.inverse().apply`` (numpy runs the same product
-    member by member), which matters: sample midpoints fall
-    exactly on the dyadic edges of deep patches.  The unit tile's one
-    cell is [0, 1]^2 in its anchor coordinates f, so ``point_tiles``' tests
-    reduce to closed form:
+    member by member), which matters: sample midpoints fall exactly on
+    the dyadic edges of deep patches.  The unit tile's one cell is
+    [0, 1]^2 in f, so ``point_tiles``' tests reduce to closed form:
 
     * tol None: f in [-s, 1 + s]^2, s = 1e-12 the outer boundary's slack;
     * tol = 0, and tol > 0 behind a similarity of scale m: per axis
       d = max(max(0 - f, f - 1) - slack, 0), slack = 5e-10 at tol = 0,
-      and d.d <= t^2 (1 + 1e-12) with t = tol / m, in ``point_tiles``'
-      order: cell offsets ascending, so cells (floor f) descending, then
-      point index;
+      and d.d <= t^2 (1 + 1e-12) with t = tol / m;
     * tol > 0 behind any other frame: world distance to the member at
-      most tol (1 + 1e-12), as ``_tiles_within`` decides it.
+      most tol (1 + 1e-12), by ``_near_chunks``.
     """
-    unit = make_tile_grid(1.0, 1.0, 0.0, (-0.5, -0.5, 0.5, 0.5))
     centers = np.array([b.center for b in boxes], dtype=float)
     e1 = np.array([b.e1 for b in boxes], dtype=float)
     e2 = np.array([b.e2 for b in boxes], dtype=float)
@@ -165,27 +169,27 @@ def _loose_incidences(boxes: List[Parallelogram], pts: np.ndarray,
         else:
             d = np.maximum(np.maximum(0.0 - f, f - 1.0) - slack, 0.0)
             take = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] <= lim[lo:hi, None]
-            far = np.flatnonzero(world[lo:hi])
-            if len(far):
-                take[far] = box_distances(centers[lo + far], e1[lo + far], e2[lo + far],
-                                          pts) <= tol * (1 + 1e-12)
-        for r in range(hi - lo):
-            k = np.flatnonzero(take[r])
-            if tol is not None and not world[lo + r]:
-                k = k[np.lexsort((k, -np.floor(f[r, k, 1]), -np.floor(f[r, k, 0])))]
-            cell = np.zeros(len(k), dtype=np.int64)
-            yield Incidence(unit, local[r], k, cell, cell)
+            far = lo + np.flatnonzero(world[lo:hi])
+            for at, near in _near_chunks(centers[far], e1[far], e2[far], pts, tol):
+                take[far[at:at + len(near)] - lo] = near
+        yield local, f, take, world[lo:hi]
 
 
 def _tiles_within(part: FramedGroups, grid: TileGrid, pts: np.ndarray, tol: float):
-    """``grid.point_tiles`` at tol > 0 in world distance, tile by tile:
-    the rule for tilings behind a frame that is not a similarity."""
-    found = [(np.zeros(0, dtype=np.int64),) * 3]
-    for i, j in grid.kept_indices():
-        near = part.world_box(grid.tile(int(i), int(j))).distance(pts)
-        k = np.flatnonzero(near <= tol * (1 + 1e-12))
-        found.append((k, np.full(len(k), i), np.full(len(k), j)))
-    return tuple(np.concatenate(a) for a in zip(*found))
+    """``grid.point_tiles`` at tol > 0 in world distance (``_near_chunks``):
+    the rule for tilings behind a frame that is not a similarity.  The
+    stacked matmul gives each tile's center as ``world_box`` does."""
+    idx = grid.kept_indices()
+    edges = part.world_box(grid.tile(grid.i0, grid.j0))
+    mat = part.frame.matrix
+    centers = np.matmul(grid.centers()[:, None, :], mat.T)[:, 0, :] + part.frame.offset
+    e1, e2 = (np.broadcast_to(e, centers.shape) for e in (edges.e1, edges.e2))
+    found = [(np.zeros(0, dtype=np.int64),) * 2]
+    for lo, near in _near_chunks(centers, e1, e2, pts, tol):
+        b, k = np.nonzero(near)
+        found.append((b + lo, k))
+    b, k = (np.concatenate(a) for a in zip(*found))
+    return k, idx[b, 0], idx[b, 1]
 
 
 def _partition_margins(grids: List[TileGrid]) -> List[Optional[float]]:
@@ -271,7 +275,7 @@ class FlatCover:
     def incidences(self, points, tol: Optional[float] = None) -> Iterator[Incidence]:
         """Which members take which points, one tiling (or loose member)
         at a time in ``iter_members`` order; the loose members are located
-        together, by ``_loose_incidences``.
+        together, by ``_loose_takes``.
 
         ``tol`` is a world distance under ``TileGrid.point_tiles``' rules:
         None takes half-open cells (a tiling's outer boundary, so a whole
@@ -295,7 +299,14 @@ class FlatCover:
                     found = _tiles_within(part, grid, pts, tol)
                 yield Incidence(grid, local, *found)
         if self.loose:
-            yield from _loose_incidences(self.loose, pts, tol)
+            unit = make_tile_grid(1.0, 1.0, 0.0, (-0.5, -0.5, 0.5, 0.5))
+            for local, f, take, world in _loose_takes(self.loose, pts, tol):
+                for r in range(len(take)):
+                    k = np.flatnonzero(take[r])
+                    if tol is not None and not world[r]:  # point_tiles' order
+                        k = k[np.lexsort((k, -np.floor(f[r, k, 1]), -np.floor(f[r, k, 0])))]
+                    cell = np.zeros(len(k), dtype=np.int64)
+                    yield Incidence(unit, local[r], k, cell, cell)
 
     def membership_counts(self, points) -> np.ndarray:
         """How many members take each point (``incidences`` at tol None).
@@ -303,7 +314,8 @@ class FlatCover:
         A partition tiling (``_partition_margins``) takes each point lying
         inside its domain by its margin exactly once, so it adds 1 there
         without locating the point; ``point_tiles`` places only the other
-        points, and every point for the other tilings and loose members.
+        points, and every point for the other tilings.  The loose members'
+        counts are the column sums of ``_loose_takes``' take matrices.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(len(pts), dtype=np.int64)
@@ -327,8 +339,8 @@ class FlatCover:
                     out += np.bincount(rest[grid.point_tiles(local[rest])[0]],
                                        minlength=len(pts))
         if self.loose:
-            taken = [inc.pidx for inc in _loose_incidences(self.loose, pts, None)]
-            out += np.bincount(np.concatenate(taken), minlength=len(pts))
+            for _, _, take, _ in _loose_takes(self.loose, pts, None):
+                out += take.sum(axis=0)
         return out
 
     def sample_members(self, rng: np.random.Generator, k: int) -> List[Parallelogram]:
@@ -922,72 +934,42 @@ def _strip_1d_split(
     return out
 
 
+def _cross_mass(coeffs) -> float:
+    """Nonlinear cross-variable coefficient mass: the sum of |a_jk| over
+    k >= 1, j + k >= 2, in key order (per frame, for array entries)."""
+    return sum((abs(a) for (j, k), a in coeffs.items() if k >= 1 and j + k >= 2), 0.0)
+
+
 def _rotation_residual(phi: BivariatePoly, theta: float) -> float:
-    """Nonlinear cross-variable coefficient mass of phi rotated by theta:
-    the sum of |a_jk| over k >= 1, j + k >= 2."""
+    """``_cross_mass`` of phi rotated by theta."""
     rot = AffineMap2.rotation(theta)
-    rotated = compose_affine(phi, rot.matrix, rot.offset)
-    total = 0.0
-    for (j, k), a in rotated.coeffs.items():
-        if k >= 1 and j + k >= 2:
-            total += abs(a)
-    return total
+    return _cross_mass(compose_affine(phi, rot.matrix, rot.offset).coeffs)
 
 
 def _rotation_residuals(phi: BivariatePoly, thetas: np.ndarray) -> Tuple[np.ndarray, float]:
-    """``_rotation_residual`` at every angle in one numpy pass, and the
-    margin above the batched minimum within which the batched value of
-    the scalar scan's minimizer must lie.
+    """``_rotation_residual`` at every angle in one pass, and the margin
+    above the batched minimum within which the batched value of the
+    scalar scan's minimizer must lie.
 
-    The rotated coefficients live in dense (T, n+1, n+1) arrays, n the
-    support degree: powers of y = s u + c v, the rows sum_k a_jk y^k, and
-    Horner in x = c u - s v.  Both paths start from the same cosines and
-    sines (``AffineMap2.rotation``'s), and both compute each rotated
-    coefficient as a sum of terms a_jk times a product of j + k entries
-    of the rotation, so each is within gamma_K S of the exact residual at
-    those entries (barring underflow), where gamma_K = K eps / (1 - K eps), eps = 2^-53, K
-    bounds the roundings on any one term's path and S is the sum of the
-    terms' absolute values:
-
-    * S <= sum |a_jk| (|c| + |s|)^(j+k) <= sum |a_jk| 2^((j+k)/2).
-    * The scalar path takes <= 2 roundings per power step (2n), one
-      product and <= n additions per power product, one product and <= n
-      additions into the result, and one addition per summand of the
-      residual, at most (n+1)(n+2)/2: K <= (n^2 + 11n + 6)/2.
-    * The batched path takes 2 per power step (2n), one product and <= n
-      additions per row, 3 per Horner step (3n) and <= (n+1)^2 additions
-      in the residual: K <= n^2 + 8n + 2.
-
-    Both are below K = (n + 4)^2, so a batched and a scalar value differ
-    by at most 2 gamma_K S, and the scalar minimizer's batched value is
-    within 4 gamma_K S of the batched minimum.  The margin returned is
-    16 K eps S: its factor 4 to spare covers gamma_K > K eps and the
-    rounding of the margin itself.
+    The pass is ``compose_affine``'s expansion on arrays of the angles'
+    cosines and sines (``AffineMap2.rotation``'s).  A batched and a scalar
+    value sum the same terms, a_jk times j + k rotation entries, up to
+    order and exact zeros, so each is within gamma_K S of the exact
+    residual at those entries (barring underflow): gamma_K = K eps /
+    (1 - K eps), eps = 2^-53, S <= sum |a_jk| 2^((j+k)/2) the terms'
+    absolute sum, and K the roundings on one term's path: 2 per power
+    step, 1 + n per power product and again into the result, and one per
+    residual summand, so K <= 2n + 2(n + 1) + (n+1)(n+2)/2 < (n + 4)^2, n
+    the support degree.  The scalar minimizer's batched value is then
+    within 4 gamma_K S of the batched minimum; the margin returned,
+    16 K eps S with K = (n + 4)^2, has a factor 4 to spare for
+    gamma_K > K eps and its own rounding.
     """
-    n = phi.support_degree()
-    c = np.array([math.cos(t) for t in thetas])
-    s = np.array([math.sin(t) for t in thetas])
-
-    def times(p, a, b):  # p * (a u + b v); degrees stay <= n
-        out = np.zeros_like(p)
-        out[:, 1:, :] = a[:, None, None] * p[:, :-1, :]
-        out[:, :, 1:] += b[:, None, None] * p[:, :, :-1]
-        return out
-
-    ypow = [np.zeros((len(thetas), n + 1, n + 1))]
-    ypow[0][:, 0, 0] = 1.0
-    rows = [np.zeros_like(ypow[0]) for _ in range(n + 1)]
-    for (j, k), a in phi.coeffs.items():
-        while len(ypow) <= k:
-            ypow.append(times(ypow[-1], s, c))
-        rows[j] += a * ypow[k]
-    acc = rows[n]
-    for j in range(n - 1, -1, -1):
-        acc = times(acc, c, -s) + rows[j]
-    u, v = np.indices((n + 1, n + 1))
-    residual = np.abs(acc[:, (v >= 1) & (u + v >= 2)]).sum(axis=1)
+    c, s = (np.array([f(t) for t in thetas]) for f in (math.cos, math.sin))
+    coeffs = _compose_coeffs(phi.coeffs, ((c, -s), (s, c)), (0.0, 0.0))
+    residual = np.broadcast_to(_cross_mass(coeffs), c.shape)  # no cross terms: 0
     mass = sum(abs(a) * 2.0 ** (0.5 * (j + k)) for (j, k), a in phi.coeffs.items())
-    return residual, 16.0 * (n + 4) ** 2 * 2.0 ** -53 * mass
+    return residual, 16.0 * (phi.support_degree() + 4) ** 2 * 2.0 ** -53 * mass
 
 
 def _rotation_floor(phi: BivariatePoly, approx: np.ndarray, tol: float) -> float:

@@ -97,16 +97,17 @@ def quad_defect(phi: BivariatePoly, edges):
     g11 = h11 * a1 * a1 + 2.0 * h12 * a1 * a2 + h22 * a2 * a2
     g12 = h11 * a1 * b1 + h12 * (a1 * b2 + a2 * b1) + h22 * a2 * b2
     g22 = h11 * b1 * b1 + 2.0 * h12 * b1 * b2 + h22 * b2 * b2
-    s11 = np.where(g11 == 0, 1.0, g11)
-    s22 = np.where(g22 == 0, 1.0, g22)
     # edge t1 = 1: g11 + 2 g12 t2 + g22 t2^2 is critical at t2 = -g12/g22;
-    # edge t2 = 1 likewise at t1 = -g12/g11
+    # edge t2 = 1 likewise at t1 = -g12/g11.  |t| <= 1 needs |g| > |g12|/2,
+    # so any other g gives way to a NaN divisor, whose t fails |t| <= 1.
+    half = 0.5 * np.abs(g12)
+    s11, s22 = (np.where(np.abs(g) > half, g, np.nan) for g in (g11, g22))
     t2, t1 = -g12 / s22, -g12 / s11
     vals = np.stack([
         np.abs(g11 + g22 + 2 * g12),
         np.abs(g11 + g22 - 2 * g12),
-        np.where((g22 != 0) & (np.abs(t2) <= 1), np.abs(g11 - g12 * g12 / s22), 0.0),
-        np.where((g11 != 0) & (np.abs(t1) <= 1), np.abs(g22 - g12 * g12 / s11), 0.0),
+        np.where(np.abs(t2) <= 1, np.abs(g11 - g12 * g12 / s22), 0.0),
+        np.where(np.abs(t1) <= 1, np.abs(g22 - g12 * g12 / s11), 0.0),
     ])
     k = np.argmax(vals, axis=0)
     best = np.max(vals, axis=0)

@@ -446,9 +446,6 @@ def _reduce_axes(ints: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return out
 
 
-_SHEAR_BATCH = 8  # candidate shears evaluated together per segment and step
-
-
 def _best_shear(x: np.ndarray, h: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Per segment, the leftmost integer lam minimizing the extent of
     h - lam*x, or 0 when lam = 0 is a minimizer or x is constant.
@@ -456,11 +453,11 @@ def _best_shear(x: np.ndarray, h: np.ndarray, starts: np.ndarray) -> np.ndarray:
     The extent E is convex in lam (max minus min of affine functions), and
     E(lam) >= |lam - rs| * ptp(x) - E(rs), so every minimizer lies in the
     window [rs - w, rs + w] with w = 2 E(rs) // ptp(x) + 2 around the
-    rounded least-squares slope rs.  A k-ary bracket search runs on every
-    segment in lockstep: each step evaluates up to eight candidates per
-    segment in one array (max and min by ``reduceat``) and keeps the
-    stretch strictly between the best candidate's neighbours, about a
-    quarter of the bracket.  The first batch is rs-2..rs+2.
+    rounded least-squares slope rs.  By convexity E(lam + 1) < E(lam)
+    exactly left of the leftmost minimizer, so that minimizer is the first
+    lam of the window with E(lam + 1) >= E(lam).  A bisection over the
+    window finds it on every segment in lockstep, each step evaluating E
+    at mid and mid + 1 (max and min by ``reduceat``).
     """
     lens = _seg_lens(starts, len(x))
     lam = np.zeros(len(starts), dtype=np.int64)
@@ -481,38 +478,19 @@ def _best_shear(x: np.ndarray, h: np.ndarray, starts: np.ndarray) -> np.ndarray:
         v = ha[r, None] - np.repeat(lams, na[live], axis=0) * xa[r, None]
         return np.maximum.reduceat(v, s, axis=0) - np.minimum.reduceat(v, s, axis=0)
 
-    batch = _SHEAR_BATCH
     live = np.arange(len(act))
-    lams = rs[:, None] + np.arange(-2, 3)
-    e = ext(live, lams)
-    w = 2 * e[:, 2] // ptp[act] + 2
+    w = 2 * ext(live, rs[:, None])[:, 0] // ptp[act] + 2
     lo, hi = rs - w, rs + w
-    count = np.full(len(act), 5)
-    best = np.zeros(len(act), dtype=np.int64)
-    best_e = np.zeros(len(act), dtype=np.int64)
-    while True:
-        i = np.arange(len(live))
-        j = np.argmin(e, axis=1)
-        done = count == hi[live] - lo[live] + 1  # the whole bracket is evaluated
-        best[live[done]] = lams[i, j][done]
-        best_e[live[done]] = e[i, j][done]
-        go = ~done
-        if not go.any():
-            break
-        live, lams, j, count = live[go], lams[go], j[go], count[go]
-        i = np.arange(len(live))
-        last = lams.shape[1] - 1
-        lo[live] = np.where(j > 0, lams[i, np.maximum(j - 1, 0)] + 1, lo[live])
-        hi[live] = np.where(j < count - 1, lams[i, np.minimum(j + 1, last)] - 1, hi[live])
-        low = lo[live][:, None]
-        span = hi[live] - lo[live] + 1
-        count = np.minimum(span, batch)
-        lams = np.where((span <= batch)[:, None], low + np.arange(batch),
-                        low + np.arange(1, 2 * batch, 2) * span[:, None] // (2 * batch))
-        e = ext(live, lams)
-        e[np.arange(batch) >= count[:, None]] = np.iinfo(np.int64).max
+    while len(live):
+        mid = (lo[live] + hi[live]) // 2
+        e = ext(live, mid[:, None] + np.arange(2))
+        rising = e[:, 1] >= e[:, 0]
+        hi[live] = np.where(rising, mid, hi[live])
+        lo[live] = np.where(rising, lo[live], mid + 1)
+        live = live[lo[live] < hi[live]]
+    best_e = ext(np.arange(len(act)), lo[:, None])[:, 0]
     h_ext = np.maximum.reduceat(ha, st) - np.minimum.reduceat(ha, st)
-    lam[act] = np.where(best_e < h_ext, best, 0)
+    lam[act] = np.where(best_e < h_ext, lo, 0)
     return lam
 
 

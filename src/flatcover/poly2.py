@@ -187,13 +187,16 @@ def poly_scale(p: BivariatePoly, c: float) -> BivariatePoly:
 
 def _mul_coeffs(p: CoeffMap, q: CoeffMap) -> CoeffMap:
     """Product of two coefficient maps, zero entries dropped as
-    ``BivariatePoly`` drops them."""
+    ``BivariatePoly`` drops them; array entries (``_compose_coeffs``) stay."""
     out: CoeffMap = {}
     for (j1, k1), a in p.items():
         for (j2, k2), b in q.items():
             e = (j1 + j2, k1 + k2)
             out[e] = out.get(e, 0.0) + a * b
-    return {e: a for e, a in out.items() if a != 0.0}
+    try:
+        return {e: a for e, a in out.items() if a != 0.0}
+    except ValueError:  # an array entry has no truth value
+        return {e: a for e, a in out.items() if (a != 0.0) is not False}
 
 
 def poly_mul(p: BivariatePoly, q: BivariatePoly) -> BivariatePoly:
@@ -203,10 +206,26 @@ def poly_mul(p: BivariatePoly, q: BivariatePoly) -> BivariatePoly:
 def _powers(lin: CoeffMap, top: int) -> List[CoeffMap]:
     """Coefficient maps of lin^0 .. lin^top, zero entries dropped."""
     out = [{(0, 0): 1.0}]
-    lin = {e: float(a) for e, a in lin.items() if a != 0.0}
+    lin = {e: a for e, a in lin.items() if (a != 0.0) is not False}
     for _ in range(top):
         out.append(_mul_coeffs(out[-1], lin))
     return out
+
+
+def _compose_coeffs(coeffs: CoeffMap, mat, offset) -> CoeffMap:
+    """``compose_affine``'s coefficients; an entry of ``mat`` or ``offset`` may
+    be an array of one value per frame, whose zero products stay as zeros."""
+    jmax = max((j for (j, _) in coeffs), default=0)
+    kmax = max((k for (_, k) in coeffs), default=0)
+    pow1, pow2 = (
+        _powers({(1, 0): mat[i][0], (0, 1): mat[i][1], (0, 0): offset[i]}, top)
+        for i, top in ((0, jmax), (1, kmax))
+    )
+    acc: CoeffMap = {}
+    for (j, k), a in coeffs.items():
+        for e, b in _mul_coeffs(pow1[j], pow2[k]).items():
+            acc[e] = acc.get(e, 0.0) + a * b
+    return acc
 
 
 def compose_affine(p: BivariatePoly, mat, offset) -> BivariatePoly:
@@ -220,17 +239,7 @@ def compose_affine(p: BivariatePoly, mat, offset) -> BivariatePoly:
     offset = np.asarray(offset, dtype=float)
     if mat.shape != (2, 2) or offset.shape != (2,):
         raise ValueError("affine map must be a 2x2 matrix and a 2-vector")
-    jmax = max((j for (j, _) in p.coeffs), default=0)
-    kmax = max((k for (_, k) in p.coeffs), default=0)
-    pow1, pow2 = (
-        _powers({(1, 0): mat[i, 0], (0, 1): mat[i, 1], (0, 0): offset[i]}, top)
-        for i, top in ((0, jmax), (1, kmax))
-    )
-    acc: CoeffMap = {}
-    for (j, k), a in p.coeffs.items():
-        for e, b in _mul_coeffs(pow1[j], pow2[k]).items():
-            acc[e] = acc.get(e, 0.0) + a * b
-    return BivariatePoly(p.degree, acc)
+    return BivariatePoly(p.degree, _compose_coeffs(p.coeffs, mat.tolist(), offset.tolist()))
 
 
 def scale_axes(p: BivariatePoly, sx: float, sy: float) -> BivariatePoly:

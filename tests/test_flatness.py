@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from flatcover.flatness import (
     is_flat,
     null_direction_fields,
     null_directions,
+    quad_defect,
     tail_bound,
     tiling_flatness,
 )
@@ -94,6 +96,53 @@ def test_quadratic_defect_invariances():
     # dilation by s scales the defect by s^2, scaling the phase is linear
     assert flat_defect(phi, dilate(box, 2.0)).defect == pytest.approx(4 * base, rel=1e-9)
     assert flat_defect(poly_scale(phi, -3.0), box).defect == pytest.approx(3 * base, rel=1e-9)
+
+
+def _quad_defect_reference(phi, edges):
+    """``quad_defect`` as first written, dividing by every nonzero g11
+    and g22 (warnings silenced): the oracle of the guarded quotients."""
+    h11, h12, h22 = 2.0 * phi.coeff(2, 0), phi.coeff(1, 1), 2.0 * phi.coeff(0, 2)
+    e = 2.0 * np.asarray(edges, dtype=float)
+    a1, a2, b1, b2 = e[..., 0, 0], e[..., 1, 0], e[..., 0, 1], e[..., 1, 1]
+    g11 = h11 * a1 * a1 + 2.0 * h12 * a1 * a2 + h22 * a2 * a2
+    g12 = h11 * a1 * b1 + h12 * (a1 * b2 + a2 * b1) + h22 * a2 * b2
+    g22 = h11 * b1 * b1 + 2.0 * h12 * b1 * b2 + h22 * b2 * b2
+    with np.errstate(all="ignore"):
+        s11 = np.where(g11 == 0, 1.0, g11)
+        s22 = np.where(g22 == 0, 1.0, g22)
+        t2, t1 = -g12 / s22, -g12 / s11
+        vals = np.stack([
+            np.abs(g11 + g22 + 2 * g12),
+            np.abs(g11 + g22 - 2 * g12),
+            np.where((g22 != 0) & (np.abs(t2) <= 1), np.abs(g11 - g12 * g12 / s22), 0.0),
+            np.where((g11 != 0) & (np.abs(t1) <= 1), np.abs(g22 - g12 * g12 / s11), 0.0),
+        ])
+    k = np.argmax(vals, axis=0)
+    best = np.max(vals, axis=0)
+    t = np.stack([np.where(k == 3, t1, 1.0), np.choose(k, [1.0, -1.0, t2, 1.0])], axis=-1)
+    return 0.5 * best, np.where((best > 0)[..., None], t, 0.0)
+
+
+_edge_entry = st.one_of(
+    st.floats(-8.0, 8.0),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e-160, 1e-9]))
+
+
+@settings(max_examples=200)
+@given(h=st.lists(st.one_of(st.floats(-4.0, 4.0), st.just(0.0)), min_size=3, max_size=3),
+       edges=st.lists(_edge_entry, min_size=12, max_size=12))
+def test_quad_defect_matches_the_unguarded_quotients_bitwise(h, edges):
+    """Edge critical points taken only where the quotient can be at most
+    1: the same defects and witnesses, bit for bit, as dividing by every
+    nonzero g11 and g22, with no warning, also where an edge is nearly
+    null for the Hessian (g11 or g22 near zero, or zero)."""
+    phi = BivariatePoly(2, {(2, 0): h[0], (1, 1): h[1], (0, 2): h[2]})
+    e = np.array(edges).reshape(3, 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = quad_defect(phi, e)
+    want = _quad_defect_reference(phi, e)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
 def test_cubic_defect_bracket_contains_sample():

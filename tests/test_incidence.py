@@ -112,6 +112,17 @@ def _as_tiling(box):
                                         box.alpha, box.beta)])
 
 
+def _tiles_within(part, grid, pts, tol):
+    """``grid.point_tiles`` at tol > 0 in world distance, tile by tile
+    with ``Parallelogram.distance``: the oracle of the stacked pass."""
+    found = [(np.zeros(0, dtype=np.int64),) * 3]
+    for i, j in grid.kept_indices():
+        near = part.world_box(grid.tile(int(i), int(j))).distance(pts)
+        k = np.flatnonzero(near <= tol * (1 + 1e-12))
+        found.append((k, np.full(len(k), i), np.full(len(k), j)))
+    return tuple(np.concatenate(a) for a in zip(*found))
+
+
 def member_takes(box, pts, tol):
     """The per-member rule in world coordinates."""
     if tol is None:
@@ -233,11 +244,34 @@ def test_loose_members_are_located_as_one_tile_tilings(name, tol):
         elif scale is not None:
             want = grid.point_tiles(local, tol / scale)
         else:
-            want = cover_mod._tiles_within(part, grid, pts, tol)
+            want = _tiles_within(part, grid, pts, tol)
         assert inc.local.tobytes() == local.tobytes()
         assert [a.tolist() for a in (inc.pidx, inc.ii, inc.jj)] == [b.tolist() for b in want]
         taken += len(inc.pidx)
     assert taken > 0
+
+
+@pytest.mark.parametrize("tol", [1e-3, 2.0 ** -8, 0.05])
+@pytest.mark.parametrize("name", ["pullback", "loose"])
+def test_tilings_behind_other_maps_match_the_tile_by_tile_oracle(name, tol):
+    """Tilings behind frames that are not similarities (the caps and the
+    demo cubic cover pulled back by L) take the points within world
+    distance tol of each kept tile: the stacked pass gives the points,
+    tiles and order of the tile-by-tile ``Parallelogram.distance`` loop,
+    bit for bit."""
+    cover, to_region = cover_of(name)
+    pts = to_region.apply(np.concatenate(
+        [np.random.default_rng(5).uniform(0.0, 1.0, size=(300, 2)),
+         _sample_points(UNIT_SQUARE, 64)]))
+    handles = [(part, grid) for part in cover.parts for grid in part.groups]
+    got = list(cover.incidences(pts, tol))[:len(handles)]
+    taken = 0
+    for inc, (part, grid) in zip(got, handles):
+        assert cover_mod._similarity_scale(part.frame.matrix) is None
+        want = _tiles_within(part, grid, pts, tol)
+        assert [a.tolist() for a in (inc.pidx, inc.ii, inc.jj)] == [b.tolist() for b in want]
+        taken += len(inc.pidx)
+    assert taken > len(pts)
 
 
 _FRAMES = {

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatcover.poly2 import (
+    _compose_coeffs,
     BivariatePoly,
     compose_affine,
     elliptic_phase,
@@ -242,6 +243,27 @@ def test_compose_affine_is_exact_on_dyadic_inputs(degree, data):
     p = BivariatePoly(degree, {e: float(a) for e, a in coeffs.items()})
     got = compose_affine(p, np.array(mat, dtype=float).reshape(2, 2), np.array(off, dtype=float))
     assert got.coeffs == _fraction_compose(coeffs, [mat[:2], mat[2:]], off)
+
+
+@settings(max_examples=200)
+@given(degree=st.integers(0, 4), frames=st.integers(1, 6), data=st.data())
+def test_batched_frames_compose_as_frame_by_frame(degree, frames, data):
+    """One expansion over a batch of dyadic frames, each map entry an
+    array of the frames' values or one float they share, gives every
+    frame the coefficients ``compose_affine`` gives it alone: the nonzero
+    ones exactly, and zeros where the one-frame call drops them."""
+    monos = [(j, k) for j in range(degree + 1) for k in range(degree + 1 - j)]
+    p = BivariatePoly(degree, {e: float(data.draw(_dyadic)) for e in monos})
+    shared = data.draw(st.lists(st.booleans(), min_size=6, max_size=6))
+    entries = [float(data.draw(_dyadic)) if one else
+               np.array([float(a) for a in data.draw(st.lists(
+                   _dyadic, min_size=frames, max_size=frames))]) for one in shared]
+    got = _compose_coeffs(p.coeffs, [entries[:2], entries[2:4]], entries[4:])
+    for i in range(frames):
+        at = [np.broadcast_to(a, (frames,))[i] for a in entries]
+        want = compose_affine(p, np.reshape(at[:4], (2, 2)), at[4:]).coeffs
+        mine = {e: float(np.broadcast_to(a, (frames,))[i]) for e, a in got.items()}
+        assert {e: a for e, a in mine.items() if a != 0.0} == want
 
 
 def test_minus_tangent_plane_keeps_only_curvature():
