@@ -936,8 +936,13 @@ def _strip_1d_split(
 
 def _cross_mass(coeffs) -> float:
     """Nonlinear cross-variable coefficient mass: the sum of |a_jk| over
-    k >= 1, j + k >= 2, in key order (per frame, for array entries)."""
-    return sum((abs(a) for (j, k), a in coeffs.items() if k >= 1 and j + k >= 2), 0.0)
+    k >= 1, j + k >= 2, left to right in key order (per frame, for array
+    entries; the builtin ``sum`` compensates float sums from Python 3.12)."""
+    total = 0.0
+    for (j, k), a in coeffs.items():
+        if k >= 1 and j + k >= 2:
+            total = total + abs(a)
+    return total
 
 
 def _rotation_residual(phi: BivariatePoly, theta: float) -> float:

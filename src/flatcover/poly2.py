@@ -193,10 +193,7 @@ def _mul_coeffs(p: CoeffMap, q: CoeffMap) -> CoeffMap:
         for (j2, k2), b in q.items():
             e = (j1 + j2, k1 + k2)
             out[e] = out.get(e, 0.0) + a * b
-    try:
-        return {e: a for e, a in out.items() if a != 0.0}
-    except ValueError:  # an array entry has no truth value
-        return {e: a for e, a in out.items() if (a != 0.0) is not False}
+    return {e: a for e, a in out.items() if (a != 0.0) is not False}
 
 
 def poly_mul(p: BivariatePoly, q: BivariatePoly) -> BivariatePoly:
@@ -217,10 +214,8 @@ def _compose_coeffs(coeffs: CoeffMap, mat, offset) -> CoeffMap:
     be an array of one value per frame, whose zero products stay as zeros."""
     jmax = max((j for (j, _) in coeffs), default=0)
     kmax = max((k for (_, k) in coeffs), default=0)
-    pow1, pow2 = (
-        _powers({(1, 0): mat[i][0], (0, 1): mat[i][1], (0, 0): offset[i]}, top)
-        for i, top in ((0, jmax), (1, kmax))
-    )
+    pow1, pow2 = (_powers({(1, 0): mat[i][0], (0, 1): mat[i][1], (0, 0): offset[i]}, top)
+                  for i, top in ((0, jmax), (1, kmax)))
     acc: CoeffMap = {}
     for (j, k), a in coeffs.items():
         for e, b in _mul_coeffs(pow1[j], pow2[k]).items():

@@ -693,18 +693,33 @@ def test_rotation_floor_never_exceeds_the_scan(degree, seed):
        scale=st.sampled_from([1e-12, 1e-3, 1.0, 1e6]))
 def test_batched_rotation_residuals_lie_within_their_bound(degree, seed, scale):
     """Every batched grid value is within a quarter of the margin of the
-    scalar residual at its angle, on random phases of any size."""
+    scalar residual at its angle, on random phases of any size, and the
+    margin stays below 1e-12 sum |a_jk| (16 (n+4)^2 2^-53 2^(n/2) is
+    8.1e-13 at degree 5), so an inflated margin fails."""
     rng = np.random.default_rng(seed)
     coeffs = {(j, k): scale * float(rng.normal())
               for j in range(degree + 1) for k in range(degree + 1 - j)
               if rng.uniform() < 0.6}
     phi = BivariatePoly(degree, coeffs)
+    tol = _check_batched_residuals(phi)
+    assert (tol > 0.0) == bool(phi.coeffs)
+    assert tol <= 1e-12 * sum(abs(a) for a in phi.coeffs.values())
+
+
+def test_batched_rotation_margin_is_tight_on_a_unit_phase():
+    phi = BivariatePoly(4, {(4, 0): 1.0, (0, 4): -0.7, (3, 1): 0.3, (1, 1): 2.0, (2, 1): 0.5})
+    assert 0.0 < _check_batched_residuals(phi) < 1e-11
+
+
+def _check_batched_residuals(phi):
+    """Check the batched grid values of phi against the scalar residuals
+    and return the margin."""
     thetas = np.linspace(-math.pi / 2, math.pi / 2, 181)
     approx, tol = cover._rotation_residuals(phi, thetas)
     exact = np.array([cover._rotation_residual(phi, t) for t in thetas])
     assert approx.shape == thetas.shape
-    assert (tol > 0.0) == bool(phi.coeffs)
     assert np.all(np.abs(approx - exact) <= tol / 4)
+    return tol
 
 
 @pytest.mark.parametrize("coeffs, e", [
