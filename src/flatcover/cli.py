@@ -73,7 +73,10 @@ def _parse_dyadic(text: str) -> float:
     t = text.strip().replace("**", "^")
     if "^" in t:
         base, _, exp = t.partition("^")
-        return float(base) ** float(exp)
+        try:
+            return float(base) ** float(exp)
+        except OverflowError:
+            raise ValueError(f"{text.strip()} overflows a float") from None
     return float(t)
 
 

@@ -45,10 +45,8 @@ from .geometry import (
     UNIT_SQUARE,
     axis_rectangle,
     box_distances,
-    domain_masks,
     make_tile_grid,
     tile_grids,
-    tile_ranges,
 )
 from .poly2 import _compose_coeffs, BivariatePoly, compose_affine, minus_tangent_plane, poly_scale
 
@@ -195,13 +193,13 @@ def _tiles_within(part: FramedGroups, grid: TileGrid, pts: np.ndarray, tol: floa
 def _partition_margins(grids: List[TileGrid]) -> List[Optional[float]]:
     """Per grid, a margin if it is a partition tiling, else None.
 
-    A partition tiling is anchored at its domain's lower-left corner, has
-    the index range ``tile_ranges`` gives its domain D, and keeps every
-    cell or exactly its domain mask.  This is decided from the grid alone
-    on every call, with one ``tile_ranges`` and one ``domain_masks`` pass
-    per (w, h, domain) group.  Its margin is mu = 1e-9 (S + 1/L), with
+    A partition tiling equals the canonical tiling that ``tile_grids``
+    builds for its (w, h, theta, domain): the same anchor, index range
+    and keep mask, or every cell of that range kept.  This is decided
+    from the grid alone on every call, with one ``tile_grids`` pass per
+    (w, h, domain) group.  Its margin is mu = 1e-9 (S + 1/L), with
     S = 1 + max |coordinate of D| + w + h and L the shorter side of D, or
-    a wider one: the widest among the grids that share its domain.
+    a wider one: the widest among the grids that share its domain D.
 
     Such a tiling takes each point p at least mu inside D (in each axis)
     exactly once under ``point_tiles`` at tol None.  That rule gives p
@@ -228,19 +226,14 @@ def _partition_margins(grids: List[TileGrid]) -> List[Optional[float]]:
         side = min(xmax - xmin, ymax - ymin)
         if not (np.all(np.isfinite(domain)) and side > 0):
             continue
-        ranges = tile_ranges(w, h, [grids[k].theta for k in ks], domain)
-        same = [(k, r) for k, r in zip(ks, ranges)
-                if tuple(grids[k].anchor) == (xmin, ymin)
-                and (grids[k].i0, grids[k].i1, grids[k].j0, grids[k].j1) == tuple(r)]
-        masked = [(k, r) for k, r in same if grids[k].keep is not None]
-        masks = domain_masks(w, h, [grids[k].theta for k, _ in masked], domain,
-                             [r for _, r in masked]) if masked else []
         margin = 1e-9 * (1.0 + max(abs(v) for v in domain) + w + h + 1.0 / side)
-        for k, _ in same:
-            out[k] = margin
-        for (k, _), mask in zip(masked, masks):
-            if not np.array_equal(grids[k].keep, mask):
-                out[k] = None
+        for k, canon in zip(ks, tile_grids(w, h, [grids[k].theta for k in ks], domain)):
+            g = grids[k]
+            if ((tuple(g.anchor), g.i0, g.i1, g.j0, g.j1)
+                    == (canon.anchor, canon.i0, canon.i1, canon.j0, canon.j1)
+                    and (g.keep is None or (g.keep.all() if canon.keep is None
+                                            else np.array_equal(g.keep, canon.keep)))):
+                out[k] = margin
     # a wider margin serves too: one margin per domain, the widest
     widest: dict = {}
     for grid, margin in zip(grids, out):
@@ -930,7 +923,8 @@ def _strip_1d_split(
         out.append((x0, min(x0 + length, 1.0)))
         x0 += length
         if len(out) > 100000:
-            raise RuntimeError("strip split did not terminate")
+            raise ValueError("strip split passed 100000 strips: the phase is too steep "
+                             "for this delta")
     return out
 
 
@@ -1067,9 +1061,11 @@ def build_cover_general(
     function of the first variable, split into maximal flat strips, and
     each strip is zoomed to unit scale and recursed; a patch that rotates
     badly, or has a strip with no certified width, is split into
-    M x M squares, each zoomed and recursed.  Depth beyond
-    4*log_M(1/delta) raises, with M = ``_M_CONST``, and so does an
-    a_const that is not finite and positive.
+    M x M squares, each zoomed and recursed.  ValueError is raised for
+    an a_const that is not finite and positive, and for a phase too steep
+    for delta: depth beyond 4*log_M(1/delta), with M = ``_M_CONST``, a
+    strip split past 100000 strips, or bowl caps flat at no dyadic side
+    down to 2^-10.
 
     Every member is decided flat at scale a_const*delta as it is
     emitted, in its patch's frame, where the normalized phase has the
@@ -1100,7 +1096,8 @@ def build_cover_general(
 
     def process(frame: AffineMap2, psi: BivariatePoly, scale: float, depth: int) -> None:
         if depth > max_depth:
-            raise RuntimeError(f"cover recursion exceeded depth {max_depth}")
+            raise ValueError(f"cover recursion exceeded depth {max_depth}: the phase is "
+                             f"too steep for delta={delta:g}")
         target = delta / scale
         if is_flat(psi, patch, target, a_const):
             emit_leaf(frame.apply_box(patch))
@@ -1120,7 +1117,8 @@ def build_cover_general(
             while True:
                 grid = make_tile_grid(side, side, 0.0, alpha=1.0 / side, beta=0)
                 if len(grid) > 1 << 20:
-                    raise RuntimeError("bowl caps found no flat dyadic side")
+                    raise ValueError("bowl caps found no flat dyadic side: the phase "
+                                     f"is too steep for delta={delta:g}")
                 if tiling_flatness(psi, grid, target, a_const).flat.all():
                     break
                 side *= 0.5

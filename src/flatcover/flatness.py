@@ -537,5 +537,4 @@ def candidate_box(
         (float(point[0]), float(point[1])),
         tuple(long_half * d),
         tuple(short_half * perp),
-        alpha=alpha,
     )

@@ -9,7 +9,7 @@ to affine coordinates with respect to the edge matrix ``[e1 e2]``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -25,17 +25,11 @@ _MASK_CELLS = 1 << 16
 
 @dataclass(frozen=True)
 class Parallelogram:
-    """Center plus half-edge vectors; vertices are center +- e1 +- e2.
-
-    ``alpha`` and ``beta`` are optional labels recording which tiling of
-    a cover construction the box came from; they do not affect geometry.
-    """
+    """Center plus half-edge vectors; vertices are center +- e1 +- e2."""
 
     center: Tuple[float, float]
     e1: Tuple[float, float]
     e2: Tuple[float, float]
-    alpha: Optional[float] = None
-    beta: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
@@ -95,23 +89,13 @@ class Parallelogram:
     # -- serialization -------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        out = {"center": list(self.center), "e1": list(self.e1), "e2": list(self.e2)}
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-        if self.beta is not None:
-            out["beta"] = self.beta
-        return out
+        return {"center": list(self.center), "e1": list(self.e1), "e2": list(self.e2)}
 
     @staticmethod
     def from_json_dict(obj: dict) -> "Parallelogram":
+        """Keys other than center, e1 and e2 are ignored."""
         try:
-            return Parallelogram(
-                tuple(obj["center"]),
-                tuple(obj["e1"]),
-                tuple(obj["e2"]),
-                alpha=obj.get("alpha"),
-                beta=obj.get("beta"),
-            )
+            return Parallelogram(tuple(obj["center"]), tuple(obj["e1"]), tuple(obj["e2"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed parallelogram record: {exc}") from exc
 
@@ -160,14 +144,13 @@ def axis_rectangle(x0: float, y0: float, x1: float, y1: float) -> Parallelogram:
     )
 
 
-def rotated_rectangle(center, w: float, h: float, theta: float, **labels) -> Parallelogram:
+def rotated_rectangle(center, w: float, h: float, theta: float) -> Parallelogram:
     """Rectangle with full side w along angle theta and full side h across."""
     ct, st = math.cos(theta), math.sin(theta)
     return Parallelogram(
         tuple(center),
         (0.5 * w * ct, 0.5 * w * st),
         (-0.5 * h * st, 0.5 * h * ct),
-        **labels,
     )
 
 
@@ -175,11 +158,8 @@ def dilate(s: Parallelogram, factor: float) -> Parallelogram:
     """Scale both half-edges about the center."""
     if factor <= 0:
         raise ValueError("dilation factor must be positive")
-    return replace(
-        s,
-        e1=(factor * s.e1[0], factor * s.e1[1]),
-        e2=(factor * s.e2[0], factor * s.e2[1]),
-    )
+    return Parallelogram(s.center, (factor * s.e1[0], factor * s.e1[1]),
+                         (factor * s.e2[0], factor * s.e2[1]))
 
 
 def comparable(s1: Parallelogram, s2: Parallelogram, a_const: float) -> bool:
@@ -230,12 +210,8 @@ class AffineMap2:
 
     def apply_box(self, s: Parallelogram) -> Parallelogram:
         m = self.matrix
-        return replace(
-            s,
-            center=tuple(self.apply(np.asarray(s.center))),
-            e1=tuple(m @ np.asarray(s.e1)),
-            e2=tuple(m @ np.asarray(s.e2)),
-        )
+        return Parallelogram(tuple(self.apply(np.asarray(s.center))),
+                             tuple(m @ np.asarray(s.e1)), tuple(m @ np.asarray(s.e2)))
 
     def image_bbox(self, box: BBox) -> BBox:
         """Axis bounding box of the image of the axis box ``box``."""
@@ -383,8 +359,7 @@ class TileGrid:
         vc = v0 + (j + 0.5) * self.h
         c, s = math.cos(self.theta), math.sin(self.theta)
         center = (c * uc - s * vc, s * uc + c * vc)
-        return rotated_rectangle(center, self.w, self.h, self.theta,
-                                 alpha=self.alpha, beta=self.beta)
+        return rotated_rectangle(center, self.w, self.h, self.theta)
 
     def kept_indices(self) -> np.ndarray:
         ii, jj = np.meshgrid(

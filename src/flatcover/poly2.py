@@ -237,22 +237,6 @@ def compose_affine(p: BivariatePoly, mat, offset) -> BivariatePoly:
     return BivariatePoly(p.degree, _compose_coeffs(p.coeffs, mat.tolist(), offset.tolist()))
 
 
-def scale_axes(p: BivariatePoly, sx: float, sy: float) -> BivariatePoly:
-    """Coefficients of p(sx u, sy v): a_jk (sx^j sy^k), the powers built by
-    repeated products from 1.0.  ``compose_affine`` on the diagonal map
-    forms each coefficient by the same products, so the two agree bit
-    for bit, key order included."""
-    jmax = max((j for (j, _) in p.coeffs), default=0)
-    kmax = max((k for (_, k) in p.coeffs), default=0)
-    px, py = [1.0], [1.0]
-    for _ in range(jmax):
-        px.append(px[-1] * sx)
-    for _ in range(kmax):
-        py.append(py[-1] * sy)
-    return BivariatePoly(p.degree, {(j, k): a * (px[j] * py[k])
-                                    for (j, k), a in p.coeffs.items()})
-
-
 def minus_tangent_plane(p: BivariatePoly, x: float = 0.0, y: float = 0.0) -> BivariatePoly:
     """p minus its tangent plane at (x, y); flatness defects do not see
     the difference."""

@@ -21,7 +21,7 @@ import numpy as np
 from .cover import FlatCover, FramedGroups, _saddle_normalizer
 from .flatness import boxes_flatness, is_flat, tiling_flatness
 from .geometry import UNIT_SQUARE, AffineMap2, Parallelogram
-from .poly2 import BivariatePoly, compose_affine, minus_tangent_plane, poly_scale, scale_axes
+from .poly2 import BivariatePoly, compose_affine, minus_tangent_plane, poly_scale
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,10 @@ def rescale_phase(
     to_axis = AffineMap2(((ct, -st), (st, ct)), (float(corner[0]), float(corner[1])))
     # phase seen from the axis-aligned frame [0,long] x [0,short]
     psi0 = compose_affine(phi, to_axis.matrix, to_axis.offset)
-    b_poly = minus_tangent_plane(psi0)
-    b_coeffs = {jk: a for jk, a in b_poly.coeffs.items() if jk[0] + jk[1] >= 2}
+    b_coeffs = {jk: a for jk, a in psi0.coeffs.items() if jk[0] + jk[1] >= 2}
 
     scale_map = AffineMap2(((long_side, 0.0), (0.0, short_side)), (0.0, 0.0))
-    psi_unit = scale_axes(psi0, long_side, short_side)
+    psi_unit = compose_affine(psi0, scale_map.matrix, scale_map.offset)
     shear, mixed, psi_sh = _saddle_normalizer(psi_unit)
     tilde = poly_scale(minus_tangent_plane(psi_sh), 1.0 / mixed)
     # the shear zeroes the square coefficients exactly up to rounding

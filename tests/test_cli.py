@@ -253,7 +253,9 @@ def test_malformed_cover_json_exits_1(tmp_path, capsys):
     assert "A must be finite and positive" in err
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(capsys, tmp_path):
+    steep = tmp_path / "steep_bowl.json"  # 1e12 (x^2 + y^2)
+    steep.write_text(json.dumps({"degree": 2, "coeffs": [[2, 0, 1e12], [0, 2, 1e12]]}))
     assert cli.main(["cover", "build"]) == 1  # missing --delta
     assert cli.main(["decouple", "ratio", "--example", "line"]) == 1
     assert cli.main(["nosuchcommand"]) == 1
@@ -300,6 +302,11 @@ def test_usage_errors_exit_1(capsys):
          "box must be finite, got center (nan, 0.5)"),
         (["lattice", "count", "--alpha", "nan", "--delta", "2^-4"],
          "alpha must be finite and positive, got nan"),
+        (["cover", "build", "--delta", "2^2000"], "2^2000 overflows a float"),
+        (["decouple", "ratio", "--example", "line", "--delta", "2^-4", "--box-side", "2^5000"],
+         "2^5000 overflows a float"),
+        (["cover", "build", "--kind", "general", "--phase", str(steep), "--delta", "2^-8"],
+         "the phase is too steep for delta=0.00390625"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1

@@ -593,6 +593,82 @@ def test_general_cover_returns_where_no_strip_width_is_certified(time_limit):
     assert covered.all()
 
 
+@pytest.mark.parametrize("coeffs", [
+    {(1, 1): -1.0},
+    {(1, 1): -2.0, (0, 2): 0.5, (3, 0): 0.1},
+], ids=["-xy", "-2xy+0.5y^2+0.1x^3"])
+def test_saddle_normalizer_rotates_where_the_null_slope_is_infinite(coeffs, monkeypatch):
+    """Where H12 + sqrt(-det H) = 0 at the origin, the null-direction
+    slope has no finite value: ``_saddle_normalizer`` rotates the phase
+    and normalizes again (a nested call), and the cover still verifies."""
+    real = cover._saddle_normalizer
+    depths, active = [], [0]
+
+    def counted(phi):
+        depths.append(active[0])
+        active[0] += 1
+        try:
+            return real(phi)
+        finally:
+            active[0] -= 1
+
+    monkeypatch.setattr(cover, "_saddle_normalizer", counted)
+    phi = BivariatePoly(3, coeffs)
+    cov = build_cover_general(phi, 2.0 ** -6)
+    assert any(d > 0 for d in depths)
+    assert verify_cover(cov, phi).ok
+
+
+def test_general_cover_zooms_the_strips_of_a_rotation_route(monkeypatch):
+    """1000x^2 + 0.5xy^2 takes the rotation route twice, and the strips
+    too curved at delta are zoomed to unit scale and recursed (one
+    ``flat_defect_interval`` call each)."""
+    routes, zooms = [], []
+    best_rotation, interval = cover._best_rotation, cover.flat_defect_interval
+
+    def counted_route(*args):
+        route = best_rotation(*args)
+        routes.append(route)
+        return route
+
+    def counted_zoom(*args):
+        zooms.append(args)
+        return interval(*args)
+
+    monkeypatch.setattr(cover, "_best_rotation", counted_route)
+    monkeypatch.setattr(cover, "flat_defect_interval", counted_zoom)
+    phi = BivariatePoly(3, {(2, 0): 1000.0, (1, 2): 0.5})
+    cov = build_cover_general(phi, 2.0 ** -8)
+    assert sum(r is not None for r in routes) == 2
+    assert len(zooms) == 38
+    assert len(cov) == 597
+    assert verify_cover(cov, phi).ok
+
+
+def test_sample_members_draws_loose_members(monkeypatch):
+    """A general cover with tilings and loose members: draws that land
+    past the tilings return the loose members themselves."""
+    phi = BivariatePoly(3, {(2, 0): 1000.0, (1, 2): 0.5})
+    cov = build_cover_general(phi, 2.0 ** -8)
+    assert cov.parts and cov.loose
+
+    class CountedList(list):
+        reads = 0
+
+        def __getitem__(self, k):
+            CountedList.reads += 1
+            return super().__getitem__(k)
+
+    monkeypatch.setattr(cov, "loose", CountedList(cov.loose))
+    picks = cov.sample_members(np.random.default_rng(5), 50)
+    loose_ids = {id(m) for m in cov.loose}
+    drawn = sum(id(m) in loose_ids for m in picks)
+    assert drawn == CountedList.reads > 0
+    members = {(m.center, m.e1, m.e2) for m in cov.iter_members()}
+    assert all((m.center, m.e1, m.e2) in members for m in picks)
+    assert verify_cover(cov, phi).ok
+
+
 def _scan_best_rotation(phi):
     """The rotation search scored angle by angle with
     ``_rotation_residual``: the oracle of the batched grid."""
@@ -752,6 +828,24 @@ def test_cover_json_round_trip_members_and_counts():
         )
         blob2 = json.dumps(cov2.to_json_dict(), sort_keys=True)
         assert blob2 == blob
+
+
+def test_cover_json_loose_members_with_tiling_labels_load():
+    """Loose-member records that still carry ``alpha``/``beta`` labels
+    load with their geometry; the labels are dropped."""
+    phi = BivariatePoly(3, {(2, 0): 1000.0, (1, 2): 0.5})
+    cov = build_cover_general(phi, 2.0 ** -6)
+    assert cov.loose
+    blob = cov.to_json_dict()
+    labelled = json.loads(json.dumps(blob))
+    for k, rec in enumerate(labelled["loose"]):
+        rec["alpha"], rec["beta"] = 2.0 ** (k % 3), k % 5
+    back = FlatCover.from_json_dict(labelled)
+    assert [(m.center, m.e1, m.e2) for m in back.loose] == \
+        [(m.center, m.e1, m.e2) for m in cov.loose]
+    assert back.to_json_dict() == blob
+    pts = np.random.default_rng(2).uniform(0, 1, size=(300, 2))
+    np.testing.assert_array_equal(back.membership_counts(pts), cov.membership_counts(pts))
 
 
 def test_cover_json_rejects_malformed():

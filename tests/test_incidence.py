@@ -108,8 +108,7 @@ def _as_tiling(box):
     origin, behind the frame (2E, c) that maps it back onto the member
     exactly: E its edge matrix, c its center."""
     return FramedGroups(AffineMap2(tuple(map(tuple, 2.0 * box.edge_matrix)), box.center),
-                        [make_tile_grid(1.0, 1.0, 0.0, (-0.5, -0.5, 0.5, 0.5),
-                                        box.alpha, box.beta)])
+                        [make_tile_grid(1.0, 1.0, 0.0, (-0.5, -0.5, 0.5, 0.5))])
 
 
 def _tiles_within(part, grid, pts, tol):
