@@ -73,10 +73,11 @@ def _parse_dyadic(text: str) -> float:
     t = text.strip().replace("**", "^")
     if "^" in t:
         base, _, exp = t.partition("^")
-        try:
-            return float(base) ** float(exp)
-        except OverflowError:
-            raise ValueError(f"{text.strip()} overflows a float") from None
+        b, e = float(base), float(exp)
+        try:  # math.pow raises where ** would overflow, go complex or divide by zero
+            return math.pow(b, e)
+        except (OverflowError, ValueError):
+            raise ValueError(f"{text.strip()} has no finite real float value") from None
     return float(t)
 
 
