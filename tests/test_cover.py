@@ -831,7 +831,7 @@ def test_cover_json_round_trip_members_and_counts():
 
 
 def test_cover_json_loose_members_with_tiling_labels_load():
-    """Loose-member records that still carry ``alpha``/``beta`` labels
+    """Loose-member records that carry ``alpha``/``beta`` labels
     load with their geometry; the labels are dropped."""
     phi = BivariatePoly(3, {(2, 0): 1000.0, (1, 2): 0.5})
     cov = build_cover_general(phi, 2.0 ** -6)
