@@ -25,6 +25,8 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .flatness import (
+    TilingFlatness,
+    _bracket,
     _require_a_const,
     _slope_spread_bound,
     boxes_flatness,
@@ -48,7 +50,14 @@ from .geometry import (
     make_tile_grid,
     tile_grids,
 )
-from .poly2 import _compose_coeffs, BivariatePoly, compose_affine, minus_tangent_plane, poly_scale
+from .poly2 import (
+    BivariatePoly,
+    _compose_coeffs,
+    _minus_tangent_coeffs,
+    compose_affine,
+    minus_tangent_plane,
+    poly_scale,
+)
 
 # Patches split into _M_CONST x _M_CONST squares; saddle and bowl patches
 # need |det H| > 1/_M_CONST; recursion depth is capped at 4*log_M(1/delta).
@@ -94,12 +103,14 @@ class Incidence(NamedTuple):
     ii: np.ndarray
     jj: np.ndarray
 
-    def _cells(self) -> np.ndarray:
+    def cells(self) -> np.ndarray:
+        """Row-major cell index of each incidence's tile in the grid's
+        index range."""
         return (self.ii - self.grid.i0) * self.grid.nj + (self.jj - self.grid.j0)
 
     def blocks(self) -> List[np.ndarray]:
         """Point indices of each tile that takes any, in member order."""
-        key = self._cells()
+        key = self.cells()
         order = np.argsort(key, kind="stable")
         cuts = np.flatnonzero(np.diff(key[order])) + 1
         return np.split(self.pidx[order], cuts) if len(key) else []
@@ -107,12 +118,6 @@ class Incidence(NamedTuple):
     def coords(self) -> np.ndarray:
         """Affine coordinates of each taken point in its tile."""
         return self.grid.tile_coords(self.local[self.pidx], self.ii, self.jj)
-
-    def member_counts(self, ok: np.ndarray) -> np.ndarray:
-        """Points taken by each kept tile, in member order, counting only
-        the incidences flagged in ``ok``."""
-        counts = np.bincount(self._cells()[ok], minlength=self.grid.ni * self.grid.nj)
-        return counts if self.grid.keep is None else counts[self.grid.keep.ravel()]
 
 
 def _near_chunks(centers, e1, e2, pts: np.ndarray, tol: float):
@@ -720,11 +725,11 @@ def _build_hp_core(
         c, s = np.cos(thetas), np.sin(thetas)
         edges = np.stack([np.stack([0.5 * w * c, -0.5 * h * s], axis=-1),
                           np.stack([0.5 * w * s, 0.5 * h * c], axis=-1)], axis=-2)
-        q, _ = quad_defect(phi, edges)
+        q, _ = quad_defect(phi.coeffs, edges)
         # a tile meeting the domain lies in the domain padded by its diameter
         diam = math.hypot(w, h)
         padded = (xmin - diam, ymin - diam, xmax + diam, ymax + diam)
-        rem = tail_bound(phi, padded, edges)
+        rem = tail_bound(phi.coeffs, padded, edges)
         sure = q + rem <= threshold
         maybe = (~sure) & (q - rem <= threshold)
         betas = np.flatnonzero(sure | maybe)
@@ -806,6 +811,51 @@ def overlap_profile(cover: FlatCover, n: int = 64) -> OverlapProfile:
     )
 
 
+def _members_flatness(cover: FlatCover, phi: BivariatePoly, delta: float,
+                     a_const: Optional[float]) -> Iterator[TilingFlatness]:
+    """``tiling_flatness`` of each tiling of ``cover`` in member order,
+    then the flatness of its loose members if it has any, bit for bit.
+
+    The boxes go to ``boxes_flatness`` in runs of whole tilings, each
+    call taking at most as many boxes as the largest tiling (or the loose
+    members), so memory peaks as it does for one tiling.  A call over
+    several runs gives each box its own edge matrix.
+    """
+    runs = [(part.frame, grid) for part in cover.parts for grid in part.groups]
+    step = max([len(grid) for _, grid in runs] + [len(cover.loose)])
+
+    def boxes():
+        for frame, grid in runs:
+            centers, proto = grid.centers(), grid.tile(grid.i0, grid.j0)
+            if frame is not None:
+                centers, proto = frame.apply(centers), frame.apply_box(proto)
+            yield centers, proto.edge_matrix
+        if cover.loose:
+            yield (np.array([b.center for b in cover.loose], dtype=float),
+                   np.array([b.edge_matrix for b in cover.loose], dtype=float))
+
+    def decide(chunk):
+        if len(chunk) == 1:
+            yield boxes_flatness(phi, *chunk[0], delta, a_const)
+            return
+        edges = [np.broadcast_to(e, (len(c), 2, 2)) for c, e in chunk]
+        rep = boxes_flatness(phi, np.concatenate([c for c, _ in chunk]),
+                             np.concatenate(edges), delta, a_const)
+        cuts = np.cumsum([len(c) for c, _ in chunk])[:-1]
+        for lo, hi in zip(np.split(rep.lo, cuts), np.split(rep.hi, cuts)):
+            yield TilingFlatness(lo, hi, rep.threshold)
+
+    chunk, size = [], 0
+    for run in boxes():
+        if chunk and size + len(run[0]) > step:
+            yield from decide(chunk)
+            chunk, size = [], 0
+        chunk.append(run)
+        size += len(run[0])
+    if chunk:
+        yield from decide(chunk)
+
+
 def verify_cover(
     cover: FlatCover,
     phi: BivariatePoly,
@@ -817,9 +867,9 @@ def verify_cover(
     delta and ``overlap_bound()``, sampling coverage and overlap on an
     n x n grid, n >= 64.
 
-    Each tiling is decided by ``tiling_flatness``'s certified bracket
-    alone, and the loose members together by ``boxes_flatness``: a member
-    is flat iff its upper end ``hi`` is at most ``a_const * delta``.
+    Every member is decided by the certified bracket alone, tiling by
+    tiling as ``tiling_flatness`` decides it (``_members_flatness``): a
+    member is flat iff its upper end ``hi`` is at most ``a_const * delta``.
     ``worst_defect`` is the largest ``hi``, a certified upper bound on
     every member's defect, and ``min_a_flat = worst_defect / delta`` is
     the smallest A at which every member passes.
@@ -827,13 +877,9 @@ def verify_cover(
     prof = overlap_profile(cover, n)
     delta = cover.delta
     a_const = cover.a_const if a_const is None else a_const
-    reps = [tiling_flatness(phi, grid, delta, a_const, part.frame)
-            for part in cover.parts for grid in part.groups]
-    if cover.loose:
-        reps.append(boxes_flatness(phi, cover.loose, delta, a_const))
     worst = -1.0
     all_flat = True
-    for rep in reps:
+    for rep in _members_flatness(cover, phi, delta, a_const):
         if len(rep.hi) == 0:
             continue
         all_flat = all_flat and bool(rep.flat.all())
@@ -901,7 +947,26 @@ def _strip_1d_split(
     """Greedy maximal intervals I so that the strip I x [0,1] is flat at
     scale a_const*target for psi.  Intervals partition [0, 1].  None when
     a strip has no certified width: its bisection ends at length 0, so not
-    even the strip 2^-40 of the remaining length wide is flat."""
+    even the strip 2^-40 of the remaining length wide is flat.
+
+    ValueError past ``cap`` strips, and before any bisection where that
+    is sure to come: when even the exact quadratic defect of a strip
+    0.5/cap wide is above the threshold, every strip is narrower, so the
+    split needs twice the cap; and when a strip 2^-40 wide is certified
+    flat under the tail bound of the whole patch, which bounds every
+    narrower strip's bracket, so no strip ends at length 0.
+    """
+    cap = 100000
+    threshold = a_const * target
+    wide, _ = quad_defect(psi.coeffs, axis_rectangle(0.0, 0.0, 0.5 / cap, 1.0).edge_matrix)
+    thin = axis_rectangle(0.0, 0.0, 2.0 ** -40, 1.0).edge_matrix
+    thin_q, _ = quad_defect(psi.coeffs, thin)
+    # the patch widened a hair: rounding can put a strip's corner past 1
+    thin_hi = thin_q + tail_bound(psi.coeffs, (0.0, 0.0, 1.0 + 2.0 ** -40, 1.0), thin)
+    too_steep = ValueError(f"strip split needs more than {cap} strips: the phase is too "
+                           "steep for this delta")
+    if wide > threshold and thin_hi <= threshold:
+        raise too_steep
     out = []
     x0 = 0.0
     while x0 < 1.0 - 1e-12:
@@ -922,9 +987,8 @@ def _strip_1d_split(
         length = max(lo_len, 1e-6 * (1.0 - x0), 1e-9)
         out.append((x0, min(x0 + length, 1.0)))
         x0 += length
-        if len(out) > 100000:
-            raise ValueError("strip split passed 100000 strips: the phase is too steep "
-                             "for this delta")
+        if len(out) > cap:
+            raise too_steep
     return out
 
 
@@ -1047,6 +1111,77 @@ def _best_rotation(phi: BivariatePoly, limit: float) -> Optional[Tuple[float, fl
     return (float(theta), residual) if residual <= limit else None
 
 
+def _stack(polys: List[BivariatePoly], keys) -> dict:
+    """The coefficients ``keys`` of the polynomials as one array per key,
+    0.0 where a polynomial has no such term."""
+    return {e: np.array([p.coeffs.get(e, 0.0) for p in polys]) for e in keys}
+
+
+def _groups(keys: Iterable) -> List[np.ndarray]:
+    """Indices of equal keys, one array per distinct key."""
+    out: dict = {}
+    for n, key in enumerate(keys):
+        out.setdefault(key, []).append(n)
+    return [np.array(idx) for idx in out.values()]
+
+
+def _patches_flat(psis: List[BivariatePoly], targets: np.ndarray, a_const: float) -> np.ndarray:
+    """``is_flat`` of the unit square for each phase at its own target,
+    bit for bit: one ``_bracket`` call per order of degree >= 3 monomials
+    (the terms its tail bound sums in key order) with the phases stacked."""
+    patch = axis_rectangle(*UNIT_SQUARE)
+    tails = [tuple(e for e in p.coeffs if sum(e) >= 3) for p in psis]
+    flat = np.zeros(len(psis), dtype=bool)
+    for idx in _groups(tails):
+        coeffs = _stack([psis[n] for n in idx], ((2, 0), (1, 1), (0, 2)) + tails[idx[0]])
+        _, hi, _ = _bracket(coeffs, patch.edge_matrix, np.tile(patch.center, (len(idx), 1)))
+        flat[idx] = hi <= float(a_const) * targets[idx]
+    return flat
+
+
+def _split_support(coeffs: dict):
+    """Split a stack of polynomials by their nonzero terms: (slots, the
+    stack of those slots without the terms that are zero there), so each
+    part has the keys, in order, of its polynomials as ``BivariatePoly``
+    keeps them."""
+    keys = list(coeffs)
+    nonzero = np.array([coeffs[e] != 0.0 for e in keys]).T
+    for idx in _groups(map(bytes, nonzero)):
+        yield idx, {e: coeffs[e][idx] for e, keep in zip(keys, nonzero[idx[0]]) if keep}
+
+
+def _zoom_children(psis: List[BivariatePoly], zooms: List[AffineMap2],
+                   norm: float) -> List[List[BivariatePoly]]:
+    """For each phase, its normalized child under every zoom: the phase
+    composed with the zoom, less its tangent plane at the centre (1/2, 1/2),
+    times 1/norm, bit for bit as one ``compose_affine``,
+    ``minus_tangent_plane`` and ``poly_scale`` call per child would give.
+
+    The zooms share one matrix.  Children are composed in one
+    ``_compose_coeffs`` pass per key tuple of the phases and zero pattern
+    of the offsets, since the terms a zero offset drops change the order
+    in which the composed terms appear; the tangent shift then runs once
+    per key tuple of the composed children.
+    """
+    mat = zooms[0].matrix.tolist()
+    jobs = [(n, z) for n in range(len(psis)) for z in range(len(zooms))]
+    out: List[List[Optional[BivariatePoly]]] = [[None] * len(zooms) for _ in psis]
+    for idx in _groups((tuple(psis[n].coeffs), zooms[z].off[0] == 0.0, zooms[z].off[1] == 0.0)
+                       for n, z in jobs):
+        group = [jobs[k] for k in idx]
+        parents = [psis[n] for n, _ in group]
+        offs = np.array([zooms[z].off for _, z in group])
+        offset = [0.0 if offs[0, i] == 0.0 else offs[:, i] for i in (0, 1)]
+        composed = _compose_coeffs(_stack(parents, parents[0].coeffs), mat, offset)
+        for part, sub in _split_support(composed):
+            shifted = {e: (1.0 / norm) * a for e, a in _minus_tangent_coeffs(sub, 0.5, 0.5).items()}
+            for where, slot in enumerate(part):
+                n, z = group[slot]
+                out[n][z] = BivariatePoly(max(psis[n].degree, 1),
+                                          {e: a[where] for e, a in shifted.items()})
+    return out
+
+
 def build_cover_general(
     phi: BivariatePoly,
     delta: float,
@@ -1064,52 +1199,60 @@ def build_cover_general(
     M x M squares, each zoomed and recursed.  ValueError is raised for
     an a_const that is not finite and positive, and for a phase too steep
     for delta: depth beyond 4*log_M(1/delta), with M = ``_M_CONST``, a
-    strip split past 100000 strips, or bowl caps flat at no dyadic side
-    down to 2^-10.
+    strip split needing more than 100000 strips, or bowl caps flat at no
+    dyadic side down to 2^-10.
+
+    The recursion runs one depth at a time.  Every patch of a depth's
+    frontier is the unit square in its own frame, so one stacked bracket
+    decides them all flat or not (``_patches_flat``), and the M x M
+    children of all its mixed patches are composed and normalized
+    together (``_zoom_children``); saddle, bowl and rotation patches are
+    handled one at a time, and their strips join the next frontier.  Each
+    patch carries its path of child indices from the root, and members
+    are emitted in path order: the order of a depth-first recursion.
 
     Every member is decided flat at scale a_const*delta as it is
     emitted, in its patch's frame, where the normalized phase has the
     defect of the original phase divided by the patch's scale, and
     every decision is the certified bracket's: a box is flat iff its
     upper end is at most the threshold, so no defect is sampled.  Flat
-    patches and strips are decided by ``is_flat``; saddle tilings by the
-    anisotropic builder's closed-form prefilter, with ``tiling_flatness``
-    on its uncertain band; bowl tilings by ``tiling_flatness`` at the
-    largest dyadic side whose every tile passes.  ``verify_cover``
-    re-decides them for the original phase by the same rule.
+    patches and strips are decided by ``is_flat``'s bracket; saddle
+    tilings by the anisotropic builder's closed-form prefilter, with
+    ``tiling_flatness`` on its uncertain band; bowl tilings by
+    ``tiling_flatness`` at the largest dyadic side whose every tile
+    passes.  ``verify_cover`` re-decides them for the original phase by
+    the same rule.
     """
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
     _require_a_const(a_const)
     max_depth = max(8, int(4 * math.log(1.0 / delta) / math.log(_M_CONST)))
-    cover = FlatCover(delta, a_const, [], [], kind="general")
+    side = 1.0 / _M_CONST
+    f = side * side  # parabolic zoom normalizer
+    zooms = [AffineMap2(((side, 0.0), (0.0, side)), (i * side, j * side))
+             for i in range(_M_CONST) for j in range(_M_CONST)]
+    parts: List[Tuple[tuple, FramedGroups]] = []
+    loose: List[Tuple[tuple, Parallelogram]] = []
 
-    def emit_groups(frame: Optional[AffineMap2], groups: List[TileGrid]) -> None:
+    def emit_groups(path: tuple, frame: Optional[AffineMap2], groups: List[TileGrid]) -> None:
         if groups:
-            cover.parts.append(FramedGroups(frame, groups))
+            parts.append((path, FramedGroups(frame, groups)))
 
-    def emit_leaf(box: Parallelogram) -> None:
-        cover.loose.append(box)
+    def in_path_order(emitted: list) -> list:
+        return [member for _, member in sorted(emitted, key=lambda item: item[0])]
 
-    # every patch is the unit square in its own frame
-    patch = axis_rectangle(*UNIT_SQUARE)
-
-    def process(frame: AffineMap2, psi: BivariatePoly, scale: float, depth: int) -> None:
-        if depth > max_depth:
-            raise ValueError(f"cover recursion exceeded depth {max_depth}: the phase is "
-                             f"too steep for delta={delta:g}")
-        target = delta / scale
-        if is_flat(psi, patch, target, a_const):
-            emit_leaf(frame.apply_box(patch))
-            return
+    def curved_or_strips(path, frame, psi, scale, target, frontier) -> bool:
+        """Handle a patch that is not flat, unless it is mixed: emit its
+        saddle or bowl tilings or its strips, or queue its zoomed strips
+        on ``frontier``.  False leaves the patch to the dichotomy."""
         min_det, sign = _det_range(psi, UNIT_SQUARE)
         if sign < 0 and min_det > 1.0 / _M_CONST:
             nmap, mixed, composed = _saddle_normalizer(psi)
             chi = poly_scale(composed, 1.0 / mixed)
             bbox = nmap.inverse().image_bbox(UNIT_SQUARE)
             groups = _build_hp_core(chi, target / abs(mixed), a_const, bbox)
-            emit_groups(frame.compose(nmap), groups)
-            return
+            emit_groups(path, frame.compose(nmap), groups)
+            return True
         if sign > 0 and min_det > 1.0 / _M_CONST:
             # bowl: square caps at the largest dyadic side whose whole
             # tiling is flat
@@ -1122,52 +1265,71 @@ def build_cover_general(
                 if tiling_flatness(psi, grid, target, a_const).flat.all():
                     break
                 side *= 0.5
-            emit_groups(frame, [grid])
-            return
+            emit_groups(path, frame, [grid])
+            return True
         # degenerate patch: try the rotation route on the whole patch
         coeff_scale = max(
             (abs(a) for (j, k), a in psi.coeffs.items() if j + k >= 2), default=0.0
         )
         limit = max(1e-3 * max(coeff_scale, 1e-30), 0.25 * a_const * target)
         route = _best_rotation(psi, limit)
-        if route is not None:
-            theta, residual = route
-            rot = AffineMap2.rotation(theta)
-            rotated = compose_affine(psi, rot.matrix, rot.offset)
-            # rotated frame domain: bounding box of the rotated patch
-            uxmin, uymin, uxmax, uymax = AffineMap2.rotation(-theta).image_bbox(UNIT_SQUARE)
-            span = uxmax - uxmin
-            unit = AffineMap2(((span, 0.0), (0.0, uymax - uymin)), (uxmin, uymin))
-            local = compose_affine(rotated, unit.matrix, unit.offset)
-            work = max(target, 2.0 * residual / a_const)
-            pieces = _strip_1d_split(local, work, a_const)
-            # without a certified strip width, fall through to the dichotomy
-            if pieces is not None:
-                to_world = frame.compose(rot).compose(unit)
-                if work <= target * (1 + 1e-9):
-                    for (x0, x1) in pieces:
-                        emit_leaf(to_world.apply_box(axis_rectangle(x0, 0.0, x1, 1.0)))
-                    return
-                for (x0, x1) in pieces:
-                    strip = axis_rectangle(x0, 0.0, x1, 1.0)
-                    zoom = AffineMap2(((x1 - x0, 0.0), (0.0, 1.0)), (x0, 0.0))
-                    sub = compose_affine(local, zoom.matrix, zoom.offset)
-                    lo, hi = flat_defect_interval(local, strip)
-                    norm = max(hi, target)
-                    sub_n = poly_scale(minus_tangent_plane(sub, 0.5, 0.5), 1.0 / norm)
-                    process(to_world.compose(zoom), sub_n, scale * norm, depth + 1)
-                return
-        # mixed patch: curved/flat square dichotomy, zoom each square
-        side = 1.0 / _M_CONST
-        f = side * side  # parabolic zoom normalizer
-        for i in range(_M_CONST):
-            for j in range(_M_CONST):
-                zoom = AffineMap2(((side, 0.0), (0.0, side)), (i * side, j * side))
-                sub = compose_affine(psi, zoom.matrix, zoom.offset)
-                sub_n = poly_scale(minus_tangent_plane(sub, 0.5, 0.5), 1.0 / f)
-                process(frame.compose(zoom), sub_n, scale * f, depth + 1)
+        if route is None:
+            return False
+        theta, residual = route
+        rot = AffineMap2.rotation(theta)
+        rotated = compose_affine(psi, rot.matrix, rot.offset)
+        # rotated frame domain: bounding box of the rotated patch
+        uxmin, uymin, uxmax, uymax = AffineMap2.rotation(-theta).image_bbox(UNIT_SQUARE)
+        span = uxmax - uxmin
+        unit = AffineMap2(((span, 0.0), (0.0, uymax - uymin)), (uxmin, uymin))
+        local = compose_affine(rotated, unit.matrix, unit.offset)
+        work = max(target, 2.0 * residual / a_const)
+        pieces = _strip_1d_split(local, work, a_const)
+        # without a certified strip width, fall through to the dichotomy
+        if pieces is None:
+            return False
+        to_world = frame.compose(rot).compose(unit)
+        if work <= target * (1 + 1e-9):
+            for k, (x0, x1) in enumerate(pieces):
+                loose.append((path + (k,), to_world.apply_box(axis_rectangle(x0, 0.0, x1, 1.0))))
+            return True
+        for k, (x0, x1) in enumerate(pieces):
+            strip = axis_rectangle(x0, 0.0, x1, 1.0)
+            zoom = AffineMap2(((x1 - x0, 0.0), (0.0, 1.0)), (x0, 0.0))
+            sub = compose_affine(local, zoom.matrix, zoom.offset)
+            lo, hi = flat_defect_interval(local, strip)
+            norm = max(hi, target)
+            sub_n = poly_scale(minus_tangent_plane(sub, 0.5, 0.5), 1.0 / norm)
+            frontier.append((path + (k,), to_world.compose(zoom), sub_n, scale * norm))
+        return True
 
-    process(AffineMap2.identity(), phi, 1.0, 0)
+    # (path, frame, phase, scale): every patch is the unit square in its
+    # own frame, where the phase is the original one over the patch
+    # divided by its scale
+    patch = axis_rectangle(*UNIT_SQUARE)
+    frontier = [((), AffineMap2.identity(), phi, 1.0)]
+    depth = 0
+    while frontier:
+        if depth > max_depth:
+            raise ValueError(f"cover recursion exceeded depth {max_depth}: the phase is "
+                             f"too steep for delta={delta:g}")
+        targets = np.array([delta / scale for _, _, _, scale in frontier])
+        flat = _patches_flat([psi for _, _, psi, _ in frontier], targets, a_const)
+        nxt: list = []
+        mixed = []
+        for (path, frame, psi, scale), target, ok in zip(frontier, targets.tolist(), flat):
+            if ok:
+                loose.append((path, frame.apply_box(patch)))
+            elif not curved_or_strips(path, frame, psi, scale, target, nxt):
+                mixed.append((path, frame, psi, scale))
+        if mixed:
+            kids = _zoom_children([psi for _, _, psi, _ in mixed], zooms, f)
+            for (path, frame, _, scale), subs in zip(mixed, kids):
+                for z, (zoom, sub) in enumerate(zip(zooms, subs)):
+                    nxt.append((path + (z,), frame.compose(zoom), sub, scale * f))
+        frontier = nxt
+        depth += 1
+    cover = FlatCover(delta, a_const, in_path_order(parts), in_path_order(loose), kind="general")
     if len(cover) == 0:
         raise ValueError("general cover came out empty")
     return cover

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -81,9 +81,11 @@ def default_a_const(phi: BivariatePoly) -> float:
 # -- certified brackets ---------------------------------------------------
 
 
-def quad_defect(phi: BivariatePoly, edges):
-    """Closed-form defect of the quadratic part of ``phi`` over boxes
-    with half-edge matrices ``edges`` (shape (..., 2, 2)), and a witness.
+def quad_defect(coeffs, edges):
+    """Closed-form defect of the quadratic part of the phase with
+    coefficient map ``coeffs`` over boxes with half-edge matrices
+    ``edges`` (shape (..., 2, 2)), and a witness.  A coefficient may be
+    an array of one value per box (see ``_bracket``).
 
     With the full-edge matrix E = 2 [e1 e2] and G = E^T H E, the defect
     is max |t^T G t| / 2 over t in [-1, 1]^2.  The extremum of a
@@ -91,7 +93,9 @@ def quad_defect(phi: BivariatePoly, edges):
     critical point of an edge restriction; |.| needs both the max and
     the min of the form.  Returns (defect, t), t of shape (..., 2).
     """
-    h11, h12, h22 = 2.0 * phi.coeff(2, 0), phi.coeff(1, 1), 2.0 * phi.coeff(0, 2)
+    h11 = 2.0 * coeffs.get((2, 0), 0.0)
+    h12 = coeffs.get((1, 1), 0.0)
+    h22 = 2.0 * coeffs.get((0, 2), 0.0)
     e = 2.0 * np.asarray(edges, dtype=float)
     a1, a2, b1, b2 = e[..., 0, 0], e[..., 1, 0], e[..., 0, 1], e[..., 1, 1]
     g11 = h11 * a1 * a1 + 2.0 * h12 * a1 * a2 + h22 * a2 * a2
@@ -115,15 +119,17 @@ def quad_defect(phi: BivariatePoly, edges):
     return 0.5 * best, np.where((best > 0)[..., None], t, 0.0)
 
 
-def _hessian_bounds(phi: BivariatePoly, bboxes, min_total_degree: int = 2):
+def _hessian_bounds(coeffs, bboxes, min_total_degree: int = 2):
     """Entrywise sup bounds (b11, b12, b22) of |H| over axis boxes
-    ``(xmin, ymin, xmax, ymax)`` (shape (..., 4)), restricted to monomials
-    of total degree >= min_total_degree."""
+    ``(xmin, ymin, xmax, ymax)`` (shape (..., 4)) for the phase with
+    coefficient map ``coeffs``, restricted to monomials of total degree
+    >= min_total_degree.  The terms are summed in key order, so phases
+    stacked into per-box arrays must list those monomials in one order."""
     bb = np.asarray(bboxes, dtype=float)
     rx = np.maximum(np.maximum(np.abs(bb[..., 0]), np.abs(bb[..., 2])), 1e-300)
     ry = np.maximum(np.maximum(np.abs(bb[..., 1]), np.abs(bb[..., 3])), 1e-300)
     b11 = b12 = b22 = np.zeros(rx.shape)
-    for (j, k), a in phi.coeffs.items():
+    for (j, k), a in coeffs.items():
         if j + k < min_total_degree:
             continue
         mag = abs(a)
@@ -136,8 +142,8 @@ def _hessian_bounds(phi: BivariatePoly, bboxes, min_total_degree: int = 2):
     return b11, b12, b22
 
 
-def tail_bound(phi: BivariatePoly, bboxes, edges):
-    """Bound on what the degree >= 3 terms of ``phi`` add to the defect
+def tail_bound(coeffs, bboxes, edges):
+    """Bound on what the degree >= 3 terms of ``coeffs`` add to the defect
     of boxes with half-edge matrices ``edges`` (shape (..., 2, 2)) lying
     inside the axis boxes ``bboxes`` (shape (..., 4)).
 
@@ -148,7 +154,7 @@ def tail_bound(phi: BivariatePoly, bboxes, edges):
     2 (b11 h_x^2 + 2 b12 h_x h_y + b22 h_y^2); the bound returned is the
     smaller of that and half the operator-norm bound times diam^2.
     """
-    b11, b12, b22 = _hessian_bounds(phi, bboxes, min_total_degree=3)
+    b11, b12, b22 = _hessian_bounds(coeffs, bboxes, min_total_degree=3)
     e = np.asarray(edges, dtype=float)
     e1, e2 = e[..., :, 0], e[..., :, 1]
     hx = np.abs(e1[..., 0]) + np.abs(e2[..., 0])
@@ -158,30 +164,35 @@ def tail_bound(phi: BivariatePoly, bboxes, edges):
     return np.minimum(axis_form, 0.5 * (np.maximum(b11, b22) + b12) * diam * diam)
 
 
-def _bracket(phi: BivariatePoly, edges: np.ndarray, centers):
+def _bracket(coeffs, edges: np.ndarray, centers):
     """Per-box [lo, hi] for the boxes ``center + edges [-1,1]^2`` and the
     quadratic part's witness t, with one edge matrix (2, 2) shared by
-    congruent boxes or one per box (n, 2, 2).
+    congruent boxes or one per box (n, 2, 2), for the phase with
+    coefficient map ``coeffs`` (``phi.coeffs``).  A coefficient may also
+    be an array of one value per box, the phases of several boxes stacked:
+    every box then needs the same degree >= 3 monomials in the same key
+    order (``_hessian_bounds`` sums them in that order); the quadratic
+    ones are read by key.
 
-    The quadratic part's defect is exact: one value for congruent boxes,
-    one per box otherwise.  Each box widens it by the tail bound over its
-    own bounding box.  Every operation acts box by box, so a box's
-    bracket does not depend on the others in the call.
+    The quadratic part's defect is exact: one value for congruent boxes
+    of one phase, one per box otherwise.  Each box widens it by the tail
+    bound over its own bounding box.  Every operation acts box by box, so
+    a box's bracket does not depend on the others in the call.
     """
     c = np.atleast_2d(np.asarray(centers, dtype=float))
-    q, t = quad_defect(phi, edges)
-    if phi.support_degree() <= 2:
+    q, t = quad_defect(coeffs, edges)
+    if max((j + k for (j, k) in coeffs), default=0) <= 2:
         return np.full(len(c), q), np.full(len(c), q), t
     e1, e2 = edges[..., 0], edges[..., 1]
     verts = np.stack([c - e1 - e2, c + e1 - e2, c + e1 + e2, c - e1 + e2], axis=1)
     bboxes = np.concatenate([verts.min(axis=1), verts.max(axis=1)], axis=1)
-    d = tail_bound(phi, bboxes, edges)
+    d = tail_bound(coeffs, bboxes, edges)
     return np.maximum(q - d, 0.0), q + d, t
 
 
 def _split_interval(phi: BivariatePoly, box: Parallelogram):
     """One box's bracket with the quadratic part's witness pair."""
-    lo, hi, t = _bracket(phi, box.edge_matrix, [box.center])
+    lo, hi, t = _bracket(phi.coeffs, box.edge_matrix, [box.center])
     c = np.asarray(box.center)
     d_half = box.edge_matrix @ t  # half of the extremal difference vector
     return float(lo[0]), float(hi[0]), tuple(c + d_half), tuple(c - d_half)
@@ -339,7 +350,7 @@ def flat_defect(
     # bound of the integrand times the sample spacing
     spacing = 2.0 / (m - 1)
     e_norms = np.linalg.norm(box.edge_matrix, axis=0)
-    b11, b12, b22 = _hessian_bounds(phi, box.bounding_box())
+    b11, b12, b22 = _hessian_bounds(phi.coeffs, box.bounding_box())
     op = float(max(b11, b22) + b12)
     lower, upper = sampled, sampled + op * box.diameter() * spacing * float(e_norms.sum())
     if method != "sample":
@@ -384,23 +395,24 @@ def tiling_flatness(
     if frame is not None:
         centers = frame.apply(centers)
         proto = frame.apply_box(proto)
-    lo, hi, _ = _bracket(phi, proto.edge_matrix, centers)
+    lo, hi, _ = _bracket(phi.coeffs, proto.edge_matrix, centers)
     return TilingFlatness(lo, hi, threshold)
 
 
 def boxes_flatness(
     phi: BivariatePoly,
-    boxes: Sequence[Parallelogram],
+    centers: np.ndarray,
+    edges: np.ndarray,
     delta: float,
     a_const: Optional[float] = None,
 ) -> TilingFlatness:
-    """Flatness of boxes that need not be congruent (a cover's loose
-    members), in the order given: one bracket call with an edge matrix
-    per box, each box decided as ``is_flat`` decides it."""
+    """Flatness of boxes given by their centers (n, 2) and half-edge
+    matrices, columns e1 and e2 (``Parallelogram.edge_matrix``): one
+    (2, 2) shared by congruent boxes or one per box (n, 2, 2).  One
+    bracket call, each box decided as ``is_flat`` decides it, bit for
+    bit, in the order given."""
     threshold = _threshold(phi, delta, a_const)
-    edges = np.array([(b.e1, b.e2) for b in boxes], dtype=float).reshape(-1, 2, 2)
-    centers = np.array([b.center for b in boxes], dtype=float).reshape(-1, 2)
-    lo, hi, _ = _bracket(phi, edges.transpose(0, 2, 1), centers)
+    lo, hi, _ = _bracket(phi.coeffs, edges, centers)
     return TilingFlatness(lo, hi, threshold)
 
 
@@ -416,7 +428,7 @@ def is_flat(phi: BivariatePoly, box: Parallelogram, delta: float,
     """Whether the certified upper end of the defect is at most
     ``a_const * delta``: the one-box case of ``tiling_flatness``."""
     threshold = _threshold(phi, delta, a_const)
-    _, hi, _ = _bracket(phi, box.edge_matrix, [box.center])
+    _, hi, _ = _bracket(phi.coeffs, box.edge_matrix, [box.center])
     return bool(hi[0] <= threshold)
 
 
@@ -499,7 +511,7 @@ def _slope_spread_bound(phi: BivariatePoly, box) -> Optional[float]:
     xmin, ymin, xmax, ymax = box
     pad = 2.0 ** -40 * max(abs(xmin), abs(ymin), abs(xmax), abs(ymax))
     b11, b12, b22 = (float(v) for v in _hessian_bounds(
-        phi, (xmin - pad, ymin - pad, xmax + pad, ymax + pad), min_total_degree=3))
+        phi.coeffs, (xmin - pad, ymin - pad, xmax + pad, ymax + pad), min_total_degree=3))
     eta = 16.0 * (phi.degree + 2) ** 2 * 2.0 ** -53
     m11 = abs(2.0 * phi.coeff(2, 0)) + b11
     m22 = abs(2.0 * phi.coeff(0, 2)) + b22

@@ -99,7 +99,11 @@ def max_flat_multiplicity(
     hist: Dict[int, int] = {}
     for inc in cover.incidences(lat.points(), tol):
         inside = np.max(np.abs(inc.coords()), axis=1) <= 1.0 + (tol or _CONTAIN_TOL)
-        vals, freq = np.unique(inc.member_counts(inside), return_counts=True)
+        # incidences name kept tiles only; the kept tiles they miss take none
+        taken, counts = np.unique(inc.cells()[inside], return_counts=True)
+        if len(taken) < len(inc.grid):
+            hist[0] = hist.get(0, 0) + len(inc.grid) - len(taken)
+        vals, freq = np.unique(counts, return_counts=True)
         for v, c in zip(vals, freq):
             hist[int(v)] = hist.get(int(v), 0) + int(c)
     return max(hist, default=0), hist

@@ -64,15 +64,7 @@ class BivariatePoly:
 
     @cached_property
     def _horner_rows(self) -> Tuple[Tuple[float, ...], ...]:
-        """Dense coefficient rows: row j holds a_jk for k = 0..kmax."""
-        if not self.coeffs:
-            return ()
-        jmax = max(j for (j, _) in self.coeffs)
-        kmax = max(k for (_, k) in self.coeffs)
-        rows = [[0.0] * (kmax + 1) for _ in range(jmax + 1)]
-        for (j, k), a in self.coeffs.items():
-            rows[j][k] = a
-        return tuple(map(tuple, rows))
+        return _dense_rows(self.coeffs)
 
     def eval(self, x, y):
         """Evaluate at scalars or numpy arrays.
@@ -88,12 +80,7 @@ class BivariatePoly:
             y = np.asarray(y, dtype=float)
             if not rows and (x.shape or y.shape):
                 return np.zeros(np.broadcast(x, y).shape)
-        out = 0.0
-        for row in reversed(rows):
-            acc = 0.0
-            for a in reversed(row):
-                acc = acc * y + a
-            out = out * x + acc
+        out = _horner(rows, x, y)
         if scalar or np.ndim(out) == 0:
             return float(out)
         return out
@@ -102,13 +89,7 @@ class BivariatePoly:
 
     def diff(self, axis: int) -> "BivariatePoly":
         """Partial derivative along axis 0 (x) or 1 (y)."""
-        out: CoeffMap = {}
-        for (j, k), a in self.coeffs.items():
-            if axis == 0 and j > 0:
-                out[(j - 1, k)] = out.get((j - 1, k), 0.0) + j * a
-            elif axis == 1 and k > 0:
-                out[(j, k - 1)] = out.get((j, k - 1), 0.0) + k * a
-        return BivariatePoly(max(self.degree - 1, 0), out)
+        return BivariatePoly(max(self.degree - 1, 0), _diff_coeffs(self.coeffs, axis))
 
     @cached_property
     def _gradient_polys(self) -> Tuple["BivariatePoly", "BivariatePoly"]:
@@ -172,6 +153,43 @@ class BivariatePoly:
 
 
 # -- arithmetic helpers (module level so they read like operators) -------
+#
+# The helpers on coefficient maps accept array entries, one value per
+# polynomial of a stack that shares one key tuple: each array slot then
+# takes the operations, in the same order, of its polynomial's own call.
+
+
+def _dense_rows(coeffs: CoeffMap) -> Tuple[tuple, ...]:
+    """Dense coefficient rows: row j holds a_jk for k = 0..kmax."""
+    if not coeffs:
+        return ()
+    jmax = max(j for (j, _) in coeffs)
+    kmax = max(k for (_, k) in coeffs)
+    rows = [[0.0] * (kmax + 1) for _ in range(jmax + 1)]
+    for (j, k), a in coeffs.items():
+        rows[j][k] = a
+    return tuple(map(tuple, rows))
+
+
+def _horner(rows, x, y):
+    """Horner in y for each row of ``_dense_rows``, then Horner in x."""
+    out = 0.0
+    for row in reversed(rows):
+        acc = 0.0
+        for a in reversed(row):
+            acc = acc * y + a
+        out = out * x + acc
+    return out
+
+
+def _diff_coeffs(coeffs: CoeffMap, axis: int) -> CoeffMap:
+    out: CoeffMap = {}
+    for (j, k), a in coeffs.items():
+        if axis == 0 and j > 0:
+            out[(j - 1, k)] = out.get((j - 1, k), 0.0) + j * a
+        elif axis == 1 and k > 0:
+            out[(j, k - 1)] = out.get((j, k - 1), 0.0) + k * a
+    return out
 
 
 def poly_sub(p: BivariatePoly, q: BivariatePoly) -> BivariatePoly:
@@ -237,13 +255,23 @@ def compose_affine(p: BivariatePoly, mat, offset) -> BivariatePoly:
     return BivariatePoly(p.degree, _compose_coeffs(p.coeffs, mat.tolist(), offset.tolist()))
 
 
+def _minus_tangent_coeffs(coeffs: CoeffMap, x: float, y: float) -> CoeffMap:
+    """``minus_tangent_plane``'s coefficients, zero entries kept.  A plane
+    term absent from ``coeffs`` is appended after its keys, in the order
+    constant, x, y; one that comes out zero is then dropped, as adding a
+    zero plane term leaves a polynomial as it was."""
+    gx, gy = (_horner(_dense_rows(_diff_coeffs(coeffs, axis)), x, y) for axis in (0, 1))
+    c0 = _horner(_dense_rows(coeffs), x, y) - gx * x - gy * y
+    out = dict(coeffs)
+    for e, a in (((0, 0), c0), ((1, 0), gx), ((0, 1), gy)):
+        out[e] = out.get(e, 0.0) - a
+    return out
+
+
 def minus_tangent_plane(p: BivariatePoly, x: float = 0.0, y: float = 0.0) -> BivariatePoly:
     """p minus its tangent plane at (x, y); flatness defects do not see
     the difference."""
-    g = p.gradient(x, y)
-    c0 = p.eval(x, y) - g[0] * x - g[1] * y
-    plane = BivariatePoly(1, {(0, 0): float(c0), (1, 0): float(g[0]), (0, 1): float(g[1])})
-    return poly_sub(p, plane)
+    return BivariatePoly(max(p.degree, 1), _minus_tangent_coeffs(p.coeffs, x, y))
 
 
 # -- convenience constructors -------------------------------------------

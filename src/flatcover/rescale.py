@@ -18,8 +18,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .cover import FlatCover, FramedGroups, _saddle_normalizer
-from .flatness import boxes_flatness, is_flat, tiling_flatness
+from .cover import FlatCover, FramedGroups, _members_flatness, _saddle_normalizer
+from .flatness import is_flat
 from .geometry import UNIT_SQUARE, AffineMap2, Parallelogram
 from .poly2 import BivariatePoly, compose_affine, minus_tangent_plane, poly_scale
 
@@ -172,10 +172,9 @@ def pullback_cover(
 
     A cover at scale delta' for phi_tilde becomes a cover at scale
     sigma_eff * delta' for phi, with the same constant A.  Every member
-    is re-certified flat for phi at A * delta, tiling by tiling and the
-    loose members in one call, with a relative slack of 1e-9 for the
-    rounding of L; a failure raises (it would mean the defect identity
-    was violated).
+    is re-certified flat for phi at A * delta by ``_members_flatness``,
+    with a relative slack of 1e-9 for the rounding of L; a failure raises
+    (it would mean the defect identity was violated).
     """
     delta = result.sigma_eff * cover_prime.delta
     a_const = cover_prime.a_const
@@ -187,8 +186,6 @@ def pullback_cover(
     cover = FlatCover(delta, a_const, parts, loose, kind="pullback")
     cover.domain = result.L.image_bbox(UNIT_SQUARE)
     slack_delta = delta * (1 + 1e-9)
-    if not (all(tiling_flatness(phi, grid, slack_delta, a_const, part.frame).flat.all()
-                for part in cover.parts for grid in part.groups)
-            and boxes_flatness(phi, loose, slack_delta, a_const).flat.all()):
+    if not all(rep.flat.all() for rep in _members_flatness(cover, phi, slack_delta, a_const)):
         raise ValueError("pullback member failed flatness re-certification")
     return cover

@@ -315,6 +315,19 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         assert message in err, argv
 
 
+def test_steep_degenerate_phase_exits_1_before_bisecting(capsys, tmp_path, time_limit):
+    """1e12 x^2 at 2^-8 takes the rotation route with some 4 million flat
+    strips: the strip split refuses it before bisecting a strip, so the
+    build exits 1 in well under a second rather than after 100,000
+    bisected strips (380 s before)."""
+    steep = tmp_path / "steep_x2.json"
+    steep.write_text(json.dumps({"degree": 2, "coeffs": [[2, 0, 1e12]]}))
+    with time_limit(10):
+        code, out, err = run(capsys, "cover", "build", "--kind", "general", "--phase",
+                             str(steep), "--delta", "2^-8")
+    assert (code, out) == (1, "")
+    assert "strip split needs more than 100000 strips: the phase is too steep" in err
+
 
 @pytest.mark.parametrize("argv, message", [
     (["--example", "line", "--a-const", "nan"], "A must be finite and positive, got nan"),

@@ -28,6 +28,7 @@ from flatcover.cover import (
 from flatcover.flatness import candidate_box, flat_defect, flat_defect_interval
 from flatcover.geometry import (
     UNIT_SQUARE,
+    AffineMap2,
     TileGrid,
     axis_rectangle,
     comparable,
@@ -39,6 +40,7 @@ from flatcover.poly2 import (
     compose_affine,
     elliptic_phase,
     hyperbolic_phase,
+    minus_tangent_plane,
     perturbed_hyperbolic,
     poly_scale,
 )
@@ -571,6 +573,166 @@ def test_general_cover_members_are_pinned(coeffs, e, members, digest):
     (Both coarse covers are the 4 x 4 square caps.)"""
     cov = build_cover_general(BivariatePoly(3, coeffs), 2.0 ** -e)
     assert _member_digest(cov) == (members, digest)
+
+
+def _recursive_cover_general(phi, delta, a_const=16.0, decided=None):
+    """``build_cover_general`` as one depth-first recursion, deciding and
+    normalizing one patch at a time: the oracle of the frontier builder,
+    which must emit the same members in the same order.  Each patch's
+    phase, coefficients in key order, and target go to ``decided``."""
+    m = cover._M_CONST
+    max_depth = max(8, int(4 * math.log(1.0 / delta) / math.log(m)))
+    cov = FlatCover(delta, a_const, [], [], kind="general")
+    patch = axis_rectangle(*UNIT_SQUARE)
+
+    def process(frame, psi, scale, depth):
+        if depth > max_depth:
+            raise ValueError("too steep")
+        target = delta / scale
+        if decided is not None:
+            decided.append((tuple(psi.coeffs.items()), target))
+        if flatness.is_flat(psi, patch, target, a_const):
+            cov.loose.append(frame.apply_box(patch))
+            return
+        min_det, sign = cover._det_range(psi, UNIT_SQUARE)
+        if sign < 0 and min_det > 1.0 / m:
+            nmap, mixed, composed = cover._saddle_normalizer(psi)
+            chi = poly_scale(composed, 1.0 / mixed)
+            bbox = nmap.inverse().image_bbox(UNIT_SQUARE)
+            groups = cover._build_hp_core(chi, target / abs(mixed), a_const, bbox)
+            if groups:
+                cov.parts.append(cover.FramedGroups(frame.compose(nmap), groups))
+            return
+        if sign > 0 and min_det > 1.0 / m:
+            side = 1.0
+            while True:
+                grid = make_tile_grid(side, side, 0.0, alpha=1.0 / side, beta=0)
+                if flatness.tiling_flatness(psi, grid, target, a_const).flat.all():
+                    break
+                side *= 0.5
+            cov.parts.append(cover.FramedGroups(frame, [grid]))
+            return
+        coeff_scale = max((abs(a) for (j, k), a in psi.coeffs.items() if j + k >= 2),
+                          default=0.0)
+        limit = max(1e-3 * max(coeff_scale, 1e-30), 0.25 * a_const * target)
+        route = cover._best_rotation(psi, limit)
+        if route is not None:
+            theta, residual = route
+            rot = AffineMap2.rotation(theta)
+            rotated = compose_affine(psi, rot.matrix, rot.offset)
+            uxmin, uymin, uxmax, uymax = AffineMap2.rotation(-theta).image_bbox(UNIT_SQUARE)
+            unit = AffineMap2(((uxmax - uxmin, 0.0), (0.0, uymax - uymin)), (uxmin, uymin))
+            local = compose_affine(rotated, unit.matrix, unit.offset)
+            work = max(target, 2.0 * residual / a_const)
+            pieces = cover._strip_1d_split(local, work, a_const)
+            if pieces is not None:
+                to_world = frame.compose(rot).compose(unit)
+                for (x0, x1) in pieces:
+                    strip = axis_rectangle(x0, 0.0, x1, 1.0)
+                    if work <= target * (1 + 1e-9):
+                        cov.loose.append(to_world.apply_box(strip))
+                        continue
+                    zoom = AffineMap2(((x1 - x0, 0.0), (0.0, 1.0)), (x0, 0.0))
+                    sub = compose_affine(local, zoom.matrix, zoom.offset)
+                    norm = max(flat_defect_interval(local, strip)[1], target)
+                    sub_n = poly_scale(minus_tangent_plane(sub, 0.5, 0.5), 1.0 / norm)
+                    process(to_world.compose(zoom), sub_n, scale * norm, depth + 1)
+                return
+        side = 1.0 / m
+        for i in range(m):
+            for j in range(m):
+                zoom = AffineMap2(((side, 0.0), (0.0, side)), (i * side, j * side))
+                sub = compose_affine(psi, zoom.matrix, zoom.offset)
+                sub_n = poly_scale(minus_tangent_plane(sub, 0.5, 0.5), 1.0 / (side * side))
+                process(frame.compose(zoom), sub_n, scale * side * side, depth + 1)
+
+    process(AffineMap2.identity(), phi, 1.0, 0)
+    return cov
+
+
+def _per_tiling_report(cov, phi):
+    """``verify_cover``'s flatness fields with one bracket call per tiling
+    and one for the loose members: the oracle of its chunked calls."""
+    reps = [flatness.tiling_flatness(phi, grid, cov.delta, cov.a_const, part.frame)
+            for part in cov.parts for grid in part.groups]
+    if cov.loose:
+        reps.append(flatness.boxes_flatness(
+            phi, np.array([b.center for b in cov.loose]),
+            np.array([b.edge_matrix for b in cov.loose]), cov.delta, cov.a_const))
+    worst = max([float(rep.hi.max()) for rep in reps if len(rep.hi)], default=-1.0)
+    return all(rep.flat.all() for rep in reps), worst, worst / cov.delta
+
+
+def _layout(cov):
+    """Every tiling, with its frame, and every loose member, in order."""
+    return ([(part.frame, [(g.w, g.h, g.theta, g.anchor, g.i0, g.i1, g.j0, g.j1, g.domain,
+                            None if g.keep is None else g.keep.tobytes())
+                           for g in part.groups]) for part in cov.parts],
+            [(b.center, b.e1, b.e2) for b in cov.loose])
+
+
+@settings(max_examples=24)
+@given(c3=st.lists(st.floats(-0.3, 0.3), min_size=4, max_size=4),
+       c4=st.lists(st.floats(-0.3, 0.3), min_size=5, max_size=5),
+       quartic=st.booleans(), e=st.integers(4, 7))
+@example(c3=[0.0] * 4, c4=[0.0] * 5, quartic=False, e=7)
+def test_frontier_builder_matches_the_recursive_builder(c3, c4, quartic, e):
+    """Cubics and quartics near x^3 + y^3 + xy: the frontier builder
+    decides the recursive builder's patches, each with the same phase
+    (coefficients in key order) and target, emits the same tilings and
+    loose members in the same order, bit for bit, and ``verify_cover``
+    reports for them what one bracket call per tiling finds."""
+    coeffs = {(3, 0): 1.0 + c3[0], (0, 3): 1.0 + c3[1], (1, 1): 1.0,
+              (2, 1): c3[2], (1, 2): c3[3]}
+    if quartic:
+        coeffs.update({(4 - k, k): c for k, c in enumerate(c4)})
+    phi = BivariatePoly(4 if quartic else 3, coeffs)
+    got, want_decided = [], []
+    patches_flat = cover._patches_flat
+
+    def recorded(psis, targets, a_const):
+        got.extend((tuple(p.coeffs.items()), t) for p, t in zip(psis, targets.tolist()))
+        return patches_flat(psis, targets, a_const)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cover, "_patches_flat", recorded)
+        cov = build_cover_general(phi, 2.0 ** -e)
+    want = _recursive_cover_general(phi, 2.0 ** -e, decided=want_decided)
+    assert sorted(got) == sorted(want_decided)
+    assert _layout(cov) == _layout(want)
+    assert _member_digest(cov) == _member_digest(want)
+    rep = verify_cover(cov, phi)
+    assert (rep.all_flat, rep.worst_defect, rep.min_a_flat) == _per_tiling_report(want, phi)
+
+
+def test_general_cover_brackets_each_depth_once(monkeypatch):
+    """The demo cubic at 2^-8 recurses through 1 + 16 + 112 patches: one
+    bracket call per depth decides them all (one call per patch, 129,
+    before), and every other call comes from a saddle, bowl or strip
+    branch."""
+    calls, inside = [], [0]
+    real = flatness._bracket
+
+    def counted(*args):
+        calls.append(inside[0] > 0)
+        return real(*args)
+
+    def branch(fn):
+        def wrapped(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+        return wrapped
+
+    monkeypatch.setattr(flatness, "_bracket", counted)
+    monkeypatch.setattr(cover, "_bracket", counted)
+    for name in ("tiling_flatness", "_build_hp_core", "_strip_1d_split", "flat_defect_interval"):
+        monkeypatch.setattr(cover, name, branch(getattr(cover, name)))
+    build_cover_general(BivariatePoly(3, _DEMO_CUBIC), 2.0 ** -8)
+    assert calls.count(False) == 3
+    assert len(calls) <= 3 + calls.count(True)
 
 
 def test_general_cover_returns_where_no_strip_width_is_certified(time_limit):

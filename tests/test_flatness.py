@@ -140,7 +140,7 @@ def test_quad_defect_matches_the_unguarded_quotients_bitwise(h, edges):
     e = np.array(edges).reshape(3, 2, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = quad_defect(phi, e)
+        got = quad_defect(phi.coeffs, e)
     want = _quad_defect_reference(phi, e)
     assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
@@ -190,9 +190,9 @@ def test_tail_bound_is_never_looser_and_brackets_the_sample(shape, degree, x0, y
         box = Parallelogram((x0, y0), (0.5 * w * c, 0.5 * w * s),
                             (0.5 * h * (shear * c - s), 0.5 * h * (shear * s + c)))
     bbox = box.bounding_box()
-    b11, b12, b22 = _hessian_bounds(phi, bbox, min_total_degree=3)
+    b11, b12, b22 = _hessian_bounds(phi.coeffs, bbox, min_total_degree=3)
     diam_form = 0.5 * (max(b11, b22) + b12) * box.diameter() ** 2
-    assert tail_bound(phi, bbox, box.edge_matrix) <= diam_form * (1 + 1e-12)
+    assert tail_bound(phi.coeffs, bbox, box.edge_matrix) <= diam_form * (1 + 1e-12)
     _, hi = flat_defect_interval(phi, box)
     sampled = flat_defect(phi, box, m=17, polish=False, method="sample").defect
     assert sampled <= hi * (1 + 1e-9)
@@ -260,16 +260,31 @@ def test_tiling_flatness_matches_per_tile_bracket_and_decision(w, h, theta, degr
         np.testing.assert_array_equal(rep.flat, want[:, 1] <= threshold)
 
 
-@settings(max_examples=20)
+@settings(max_examples=30)
 @given(degree=st.sampled_from([2, 3, 4]), n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
-       dyadic=st.booleans())
-def test_stacked_bracket_matches_one_box_calls_bitwise(degree, n, seed, dyadic):
+       dyadic=st.booleans(), stacked=st.booleans())
+def test_stacked_bracket_matches_one_box_calls_bitwise(degree, n, seed, dyadic, stacked):
     """``_bracket`` over per-box edge matrices (n, 2, 2) gives each box
     the [lo, hi] of its one-box call bit for bit, and ``boxes_flatness``
     decides each box as ``is_flat`` does: on random parallelograms, and
-    on axis rectangles with dyadic corners like a cover's loose members."""
+    on axis rectangles with dyadic corners like a cover's loose members.
+    With one phase per box (the same monomials in the same order), the
+    phases stacked into per-box coefficient arrays give each box the
+    bracket of its own phase."""
     rng = np.random.default_rng(seed)
-    phi = (random_quadratic(rng) if degree == 2 else random_higher_degree(rng, degree))
+    draw = random_quadratic if degree == 2 else (lambda r: random_higher_degree(r, degree))
+    phi = draw(rng)
+    if stacked:
+        phases = [draw(rng) for _ in range(n)]
+        coeffs = {e: np.array([p.coeffs[e] for p in phases]) for e in phases[0].coeffs}
+        edges = np.array([random_box(rng).edge_matrix for _ in range(n)])
+        centers = rng.uniform(-1.0, 1.0, (n, 2))
+        for shared in (edges, edges[0]):
+            lo, hi, _ = _bracket(coeffs, shared, centers)
+            for k, p in enumerate(phases):
+                lo1, hi1, _ = _bracket(p.coeffs, shared if shared.ndim == 2 else shared[k],
+                                       centers[k])
+                assert (lo[k].hex(), hi[k].hex()) == (lo1[0].hex(), hi1[0].hex())
     boxes = []
     for _ in range(n):
         if dyadic:
@@ -281,12 +296,12 @@ def test_stacked_bracket_matches_one_box_calls_bitwise(degree, n, seed, dyadic):
                                        tuple(rng.normal(0.0, 0.2, 2)),
                                        tuple(rng.normal(0.0, 0.2, 2))))
     edges = np.array([b.edge_matrix for b in boxes])
-    lo, hi, _ = _bracket(phi, edges, [b.center for b in boxes])
+    lo, hi, _ = _bracket(phi.coeffs, edges, [b.center for b in boxes])
     for k, box in enumerate(boxes):
-        lo1, hi1, _ = _bracket(phi, box.edge_matrix, [box.center])
+        lo1, hi1, _ = _bracket(phi.coeffs, box.edge_matrix, [box.center])
         assert (lo[k].hex(), hi[k].hex()) == (lo1[0].hex(), hi1[0].hex())
     threshold = float(np.median(hi))
-    rep = boxes_flatness(phi, boxes, threshold, 1.0)
+    rep = boxes_flatness(phi, np.array([b.center for b in boxes]), edges, threshold, 1.0)
     assert (rep.lo.tobytes(), rep.hi.tobytes()) == (lo.tobytes(), hi.tobytes())
     assert rep.flat.tolist() == [is_flat(phi, b, threshold, 1.0) for b in boxes]
 
