@@ -101,6 +101,21 @@ def _finite(name: str, positive: bool = False):
 _A_CONST = _finite("A", positive=True)
 
 
+def _at_least_one(name: str):
+    """argparse type for an integer of at least 1, refused as ``_finite`` refuses."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}") from None
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"{name} must be at least 1, got {n}")
+        return n
+
+    return parse
+
+
 def _parse_delta_list(text: str) -> List[float]:
     """'2^-6..2^-12' expands over dyadic exponents; commas list values."""
     t = text.strip()
@@ -336,13 +351,17 @@ def cmd_decouple_sweep(args) -> int:
 # -- rescale -----------------------------------------------------------------
 
 
-def _identity_gap(phi: BivariatePoly, res, rbox: Parallelogram) -> float:
-    """Worst-case gap between the two sides of the rescaling identity,
-    through certified brackets (zero width for quadratics)."""
+def _rescale_box(phi: BivariatePoly, box: Parallelogram, sigma: float, a_const: float,
+                 rbox: Parallelogram, factor: float):
+    """Rescale ``phi`` at the cover member ``box``, then (gap, audit): the
+    worst-case gap between the two sides of the rescaling identity over
+    ``rbox``, through certified brackets (zero width for quadratics), and
+    the coefficient audit at ``factor``."""
+    res = rescale_phase(phi, box, sigma=sigma, a_const=a_const)
     lo, hi = flat_defect_interval(phi, res.L.apply_box(rbox))
     lo2, hi2 = flat_defect_interval(res.phi_tilde, rbox)
     lo2, hi2 = res.sigma_eff * lo2, res.sigma_eff * hi2
-    return max(lo - hi2, lo2 - hi, 0.0)
+    return max(lo - hi2, lo2 - hi, 0.0), verify_coeff_bounds(res, factor=factor)
 
 
 def cmd_rescale_check(args) -> int:
@@ -356,12 +375,11 @@ def cmd_rescale_check(args) -> int:
     worst_ratio = 0.0
     audits_ok = True
     for box in cov.sample_members(rng, args.count):
-        res = rescale_phase(phi, box, sigma=delta, a_const=args.a_const)
         t = rng.uniform(0.2, 0.9)
         cx, cy = rng.uniform(0.3, 0.7, size=2)
         rbox = rotated_rectangle((cx, cy), t * 0.5, t * 0.3, rng.uniform(0, math.pi))
-        worst_gap = max(worst_gap, _identity_gap(phi, res, rbox))
-        audit = verify_coeff_bounds(res, factor=args.factor)
+        gap, audit = _rescale_box(phi, box, delta, args.a_const, rbox, args.factor)
+        worst_gap = max(worst_gap, gap)
         audits_ok = audits_ok and audit.ok
         worst_ratio = max(worst_ratio, audit.worst_ratio)
     ok = worst_gap <= args.tol and audits_ok
@@ -535,13 +553,21 @@ def _slope_text(slope: float, points) -> str:
     return f"slope {slope:.4f}, points {[(f'{d:g}', f'{r:.4g}') for d, r in points]}"
 
 
-def _run_line_slope(cfg: dict) -> List[Check]:
+def _caps_and_axis_sweeps(cfg: dict, example, box_side):
+    """``_sweep`` of the decoupling ratio of ``example(d)`` at box side
+    ``box_side(d)``, against the canonical caps and then against the axis
+    family: [(points, slope) for caps, (points, slope) for the family]."""
     def against(family):
-        return lambda d: decoupling_report(line_example(d), family(d), cfg["p"],
-                                           box_side=d ** -1.5, tol=0.0).ratio
+        return lambda d: decoupling_report(example(d), family(d), cfg["p"],
+                                           box_side=box_side(d), tol=0.0).ratio
 
-    pts_c, slope_c = _sweep(against(canonical_caps), cfg["exponents"])
-    pts_a, slope_a = _sweep(against(hp_axis_family), cfg["exponents"])
+    return [_sweep(against(family), cfg["exponents"])
+            for family in (canonical_caps, hp_axis_family)]
+
+
+def _run_line_slope(cfg: dict) -> List[Check]:
+    (pts_c, slope_c), (_, slope_a) = _caps_and_axis_sweeps(cfg, line_example,
+                                                           lambda d: d ** -1.5)
     return [
         (f"line vs caps slope = {cfg['slope_caps']:g} +- {cfg['slope_caps_tol']:g}",
          abs(slope_c - cfg["slope_caps"]) <= cfg["slope_caps_tol"],
@@ -586,14 +612,13 @@ def _run_rescale_identity(cfg: dict) -> List[Check]:
             cov = build_cover_hp(phi, d, 4.0)
             k = -(-per_delta // len(phases))
             for box in cov.sample_members(rng, k):
-                res = rescale_phase(phi, box, sigma=d)
                 cx, cy = rng.uniform(0.3, 0.7, size=2)
                 rbox = rotated_rectangle(
                     (cx, cy), rng.uniform(0.1, 0.5), rng.uniform(0.1, 0.3),
                     rng.uniform(0.0, math.pi),
                 )
-                worst_gap = max(worst_gap, _identity_gap(phi, res, rbox))
-                audit = verify_coeff_bounds(res, factor=cfg["audit_factor"])
+                gap, audit = _rescale_box(phi, box, d, 4.0, rbox, cfg["audit_factor"])
+                worst_gap = max(worst_gap, gap)
                 worst_ratio = max(worst_ratio, audit.worst_ratio)
                 if not audit.ok:
                     audit_fails += 1
@@ -681,13 +706,8 @@ def _run_stein_tomas(cfg: dict) -> List[Check]:
 
 
 def _run_partition_contrast(cfg: dict) -> List[Check]:
-    def against(family):
-        return lambda d: decoupling_report(strip_example(d, int(round(1.0 / d / 4))),
-                                           family(d), cfg["p"], box_side=d ** -2,
-                                           tol=0.0).ratio
-
-    pts_c, slope_c = _sweep(against(canonical_caps), cfg["exponents"])
-    pts_a, slope_a = _sweep(against(hp_axis_family), cfg["exponents"])
+    (pts_c, slope_c), (_, slope_a) = _caps_and_axis_sweeps(
+        cfg, lambda d: strip_example(d, int(round(1.0 / d / 4))), lambda d: d ** -2)
     return [
         (f"strip vs partition slope >= {cfg['slope_caps_min']:g}",
          slope_c >= cfg["slope_caps_min"], _slope_text(slope_c, pts_c)),
@@ -923,7 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
     lc.add_argument("--alpha", required=True, help="sqrt2, a float, or p/q")
     lc.add_argument("--delta", required=True)
     lc.add_argument("--cover", help="cover JSON (default: build at delta^d)")
-    lc.add_argument("--d", type=int, default=3)
+    lc.add_argument("--d", type=_at_least_one("d"), default=3)
     lc.add_argument("--tol", type=float, default=None)
     lc.add_argument("--out")
     lc.set_defaults(func=cmd_lattice_count)

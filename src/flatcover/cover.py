@@ -27,6 +27,7 @@ import numpy as np
 from .flatness import (
     TilingFlatness,
     _bracket,
+    _region_bracket,
     _require_a_const,
     _slope_spread_bound,
     boxes_flatness,
@@ -35,7 +36,6 @@ from .flatness import (
     null_direction_fields,
     null_directions,
     quad_defect,
-    tail_bound,
     tiling_flatness,
 )
 from .geometry import (
@@ -725,13 +725,12 @@ def _build_hp_core(
         c, s = np.cos(thetas), np.sin(thetas)
         edges = np.stack([np.stack([0.5 * w * c, -0.5 * h * s], axis=-1),
                           np.stack([0.5 * w * s, 0.5 * h * c], axis=-1)], axis=-2)
-        q, _ = quad_defect(phi.coeffs, edges)
         # a tile meeting the domain lies in the domain padded by its diameter
         diam = math.hypot(w, h)
         padded = (xmin - diam, ymin - diam, xmax + diam, ymax + diam)
-        rem = tail_bound(phi.coeffs, padded, edges)
-        sure = q + rem <= threshold
-        maybe = (~sure) & (q - rem <= threshold)
+        lo, hi, _ = _region_bracket(phi.coeffs, edges, padded)
+        sure = hi <= threshold
+        maybe = ~sure & (lo <= threshold)
         betas = np.flatnonzero(sure | maybe)
         kept, dropped = _whole_comparability(
             a_z[0], b_z[0], thetas[betas], h / w, a_const, _slope_spread_bound(phi, padded))
@@ -814,46 +813,14 @@ def overlap_profile(cover: FlatCover, n: int = 64) -> OverlapProfile:
 def _members_flatness(cover: FlatCover, phi: BivariatePoly, delta: float,
                      a_const: Optional[float]) -> Iterator[TilingFlatness]:
     """``tiling_flatness`` of each tiling of ``cover`` in member order,
-    then the flatness of its loose members if it has any, bit for bit.
-
-    The boxes go to ``boxes_flatness`` in runs of whole tilings, each
-    call taking at most as many boxes as the largest tiling (or the loose
-    members), so memory peaks as it does for one tiling.  A call over
-    several runs gives each box its own edge matrix.
-    """
-    runs = [(part.frame, grid) for part in cover.parts for grid in part.groups]
-    step = max([len(grid) for _, grid in runs] + [len(cover.loose)])
-
-    def boxes():
-        for frame, grid in runs:
-            centers, proto = grid.centers(), grid.tile(grid.i0, grid.j0)
-            if frame is not None:
-                centers, proto = frame.apply(centers), frame.apply_box(proto)
-            yield centers, proto.edge_matrix
-        if cover.loose:
-            yield (np.array([b.center for b in cover.loose], dtype=float),
-                   np.array([b.edge_matrix for b in cover.loose], dtype=float))
-
-    def decide(chunk):
-        if len(chunk) == 1:
-            yield boxes_flatness(phi, *chunk[0], delta, a_const)
-            return
-        edges = [np.broadcast_to(e, (len(c), 2, 2)) for c, e in chunk]
-        rep = boxes_flatness(phi, np.concatenate([c for c, _ in chunk]),
-                             np.concatenate(edges), delta, a_const)
-        cuts = np.cumsum([len(c) for c, _ in chunk])[:-1]
-        for lo, hi in zip(np.split(rep.lo, cuts), np.split(rep.hi, cuts)):
-            yield TilingFlatness(lo, hi, rep.threshold)
-
-    chunk, size = [], 0
-    for run in boxes():
-        if chunk and size + len(run[0]) > step:
-            yield from decide(chunk)
-            chunk, size = [], 0
-        chunk.append(run)
-        size += len(run[0])
-    if chunk:
-        yield from decide(chunk)
+    then one ``boxes_flatness`` of its loose members if it has any."""
+    for part in cover.parts:
+        for grid in part.groups:
+            yield tiling_flatness(phi, grid, delta, a_const, part.frame)
+    if cover.loose:
+        yield boxes_flatness(phi, np.array([b.center for b in cover.loose], dtype=float),
+                             np.array([b.edge_matrix for b in cover.loose], dtype=float),
+                             delta, a_const)
 
 
 def verify_cover(
@@ -960,9 +927,8 @@ def _strip_1d_split(
     threshold = a_const * target
     wide, _ = quad_defect(psi.coeffs, axis_rectangle(0.0, 0.0, 0.5 / cap, 1.0).edge_matrix)
     thin = axis_rectangle(0.0, 0.0, 2.0 ** -40, 1.0).edge_matrix
-    thin_q, _ = quad_defect(psi.coeffs, thin)
     # the patch widened a hair: rounding can put a strip's corner past 1
-    thin_hi = thin_q + tail_bound(psi.coeffs, (0.0, 0.0, 1.0 + 2.0 ** -40, 1.0), thin)
+    _, thin_hi, _ = _region_bracket(psi.coeffs, thin, (0.0, 0.0, 1.0 + 2.0 ** -40, 1.0))
     too_steep = ValueError(f"strip split needs more than {cap} strips: the phase is too "
                            "steep for this delta")
     if wide > threshold and thin_hi <= threshold:

@@ -16,9 +16,10 @@ certified bracket [lo, hi] is the quadratic part's closed form widened
 by ``tail_bound``, a bound on what the degree >= 3 terms can add.
 
 Every flatness decision reads that bracket alone: a box is flat iff
-hi <= A delta.  ``tiling_flatness`` decides all kept tiles of a tiling at
-once, ``boxes_flatness`` boxes of any shapes in one call, and
-``flat_defect_interval`` and ``is_flat`` are their one-box case.
+hi <= A delta.  ``boxes_flatness`` decides boxes of any shapes in one
+call; ``tiling_flatness`` (all kept tiles of a tiling) and ``is_flat``
+(one box) go through it, and ``flat_defect_interval`` is the one-box
+bracket.
 Sampling lives only in ``flat_defect``, the estimate behind the CLI's
 ``flat defect`` and the independent oracle of the tests: a grid of
 point pairs with a Lipschitz remainder, polished by a local ascent and
@@ -164,6 +165,16 @@ def tail_bound(coeffs, bboxes, edges):
     return np.minimum(axis_form, 0.5 * (np.maximum(b11, b22) + b12) * diam * diam)
 
 
+def _region_bracket(coeffs, edges, bboxes):
+    """[max(q - d, 0), q + d] and the witness t of ``quad_defect`` for boxes
+    with half-edge matrices ``edges`` inside the axis boxes ``bboxes``
+    ((4,) shared or (..., 4)): q the quadratic part's exact defect, d the
+    tail bound over that region.  Coefficients are read as in ``_bracket``."""
+    q, t = quad_defect(coeffs, edges)
+    d = tail_bound(coeffs, bboxes, edges)
+    return np.maximum(q - d, 0.0), q + d, t
+
+
 def _bracket(coeffs, edges: np.ndarray, centers):
     """Per-box [lo, hi] for the boxes ``center + edges [-1,1]^2`` and the
     quadratic part's witness t, with one edge matrix (2, 2) shared by
@@ -176,18 +187,18 @@ def _bracket(coeffs, edges: np.ndarray, centers):
 
     The quadratic part's defect is exact: one value for congruent boxes
     of one phase, one per box otherwise.  Each box widens it by the tail
-    bound over its own bounding box.  Every operation acts box by box, so
-    a box's bracket does not depend on the others in the call.
+    bound over its own bounding box (``_region_bracket``).  Every
+    operation acts box by box, so a box's bracket does not depend on the
+    others in the call.
     """
     c = np.atleast_2d(np.asarray(centers, dtype=float))
-    q, t = quad_defect(coeffs, edges)
     if max((j + k for (j, k) in coeffs), default=0) <= 2:
+        q, t = quad_defect(coeffs, edges)
         return np.full(len(c), q), np.full(len(c), q), t
     e1, e2 = edges[..., 0], edges[..., 1]
     verts = np.stack([c - e1 - e2, c + e1 - e2, c + e1 + e2, c - e1 + e2], axis=1)
     bboxes = np.concatenate([verts.min(axis=1), verts.max(axis=1)], axis=1)
-    d = tail_bound(coeffs, bboxes, edges)
-    return np.maximum(q - d, 0.0), q + d, t
+    return _region_bracket(coeffs, edges, bboxes)
 
 
 def _split_interval(phi: BivariatePoly, box: Parallelogram):
@@ -294,8 +305,8 @@ def _polish(phi: BivariatePoly, box: Parallelogram, u0, v0):
 
 @dataclass(frozen=True)
 class TilingFlatness:
-    """Flatness of congruent boxes (the kept tiles of a tiling, or one
-    box) at the threshold ``a_const * delta``.
+    """Flatness of boxes (the kept tiles of a tiling, the loose members
+    of a cover, or one box) at the threshold ``a_const * delta``.
 
     ``lo`` and ``hi`` bracket each box's defect without sampling.  A box
     is flat iff its certified upper end is at most the threshold, so
@@ -383,20 +394,17 @@ def tiling_flatness(
     frame: Optional[AffineMap2] = None,
 ) -> TilingFlatness:
     """Flatness of every kept tile of ``grid`` (seen through ``frame``
-    when given), ordered as ``grid.kept_indices()``.
+    when given), ordered as ``grid.kept_indices()``: ``boxes_flatness``
+    over its tiles.
 
     All tiles share one edge matrix, so the quadratic part's exact
     defect is computed once; each tile adds the tail bound over its own
     bounding box.  Nothing is sampled.
     """
-    threshold = _threshold(phi, delta, a_const)
-    centers = grid.centers()
-    proto = grid.tile(grid.i0, grid.j0)
+    centers, proto = grid.centers(), grid.tile(grid.i0, grid.j0)
     if frame is not None:
-        centers = frame.apply(centers)
-        proto = frame.apply_box(proto)
-    lo, hi, _ = _bracket(phi.coeffs, proto.edge_matrix, centers)
-    return TilingFlatness(lo, hi, threshold)
+        centers, proto = frame.apply(centers), frame.apply_box(proto)
+    return boxes_flatness(phi, centers, proto.edge_matrix, delta, a_const)
 
 
 def boxes_flatness(
@@ -409,8 +417,8 @@ def boxes_flatness(
     """Flatness of boxes given by their centers (n, 2) and half-edge
     matrices, columns e1 and e2 (``Parallelogram.edge_matrix``): one
     (2, 2) shared by congruent boxes or one per box (n, 2, 2).  One
-    bracket call, each box decided as ``is_flat`` decides it, bit for
-    bit, in the order given."""
+    bracket call, in the order given; ``tiling_flatness`` and ``is_flat``
+    decide their boxes through it."""
     threshold = _threshold(phi, delta, a_const)
     lo, hi, _ = _bracket(phi.coeffs, edges, centers)
     return TilingFlatness(lo, hi, threshold)
@@ -426,10 +434,8 @@ def flat_defect_interval(phi: BivariatePoly, box: Parallelogram):
 def is_flat(phi: BivariatePoly, box: Parallelogram, delta: float,
             a_const: Optional[float] = None) -> bool:
     """Whether the certified upper end of the defect is at most
-    ``a_const * delta``: the one-box case of ``tiling_flatness``."""
-    threshold = _threshold(phi, delta, a_const)
-    _, hi, _ = _bracket(phi.coeffs, box.edge_matrix, [box.center])
-    return bool(hi[0] <= threshold)
+    ``a_const * delta``: ``boxes_flatness`` of the one box."""
+    return bool(boxes_flatness(phi, [box.center], box.edge_matrix, delta, a_const).flat[0])
 
 
 # -- null directions and candidate boxes ---------------------------------

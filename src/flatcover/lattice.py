@@ -24,6 +24,7 @@ from .norms import ExpSum, expsum_lp, product_exp_sum
 from .poly2 import BivariatePoly
 
 SQRT2 = math.sqrt(2.0)
+_MAX_LATTICE_POINTS = 1 << 22  # 64 x the largest recipe lattice (2^-8, alpha = 1)
 
 
 @dataclass
@@ -63,17 +64,21 @@ class FrequencyLattice:
 
 
 def lambda_grid(delta: float, alpha: float) -> FrequencyLattice:
-    """The lattice (delta Z x alpha delta Z) clipped to the unit square."""
+    """The lattice (delta Z x alpha delta Z) clipped to the unit square,
+    refused above ``_MAX_LATTICE_POINTS`` points before anything is built."""
     if not (0 < delta <= 1):
         raise ValueError("delta must lie in (0, 1]")
-    inv = 1.0 / delta
-    if abs(inv - round(inv)) > 1e-9:
-        raise ValueError("1/delta must be an integer")
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
-    m_max = int(round(inv))
-    n_max = int(math.floor(inv / alpha + 1e-9))
-    mm, nn = np.meshgrid(np.arange(m_max + 1), np.arange(n_max + 1), indexing="ij")
+    inv = 1.0 / delta
+    m_max, n_max = np.floor(inv + 0.5), np.floor(inv / alpha + 1e-9)  # inf past float range
+    points = (m_max + 1.0) * (n_max + 1.0)
+    if points > _MAX_LATTICE_POINTS:
+        raise ValueError(f"the lattice has {points:.6g} points; at most "
+                         f"{_MAX_LATTICE_POINTS} are built")
+    if abs(inv - m_max) > 1e-9:
+        raise ValueError("1/delta must be an integer")
+    mm, nn = np.meshgrid(np.arange(int(m_max) + 1), np.arange(int(n_max) + 1), indexing="ij")
     return FrequencyLattice(delta, alpha, np.column_stack([mm.ravel(), nn.ravel()]))
 
 

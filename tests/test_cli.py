@@ -302,6 +302,10 @@ def test_usage_errors_exit_1(capsys, tmp_path):
          "box must be finite, got center (nan, 0.5)"),
         (["lattice", "count", "--alpha", "nan", "--delta", "2^-4"],
          "alpha must be finite and positive, got nan"),
+        (["lattice", "count", "--alpha", "1e-300", "--delta", "2^-3"],
+         "the lattice has 7.2e+301 points"),
+        *((["lattice", "count", "--delta", "2^-4", "--alpha", "sqrt2", *cover, "--d", d],
+           "d must be at least 1") for d in ("0", "-1") for cover in ([], ["--cover", "x.json"])),
         *((["cover", "build", f"--delta={d}"], f"{d} has no finite real float value")
           for d in ("2^2000", "-2^0.5", "0^-1")),
         (["decouple", "ratio", "--example", "line", "--delta", "2^-4", "--box-side", "2^5000"],

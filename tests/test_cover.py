@@ -420,6 +420,57 @@ def test_slope_spread_bound_covers_every_anchor(scale_degree, c, domain, e):
                 assert np.abs(f - at_z).max() <= call.spread
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    scale_degree=st.sampled_from([(1e-30, 3), (1e-40, 4), (0.02, 3), (0.05, 3), (0.05, 4)]),
+    c=st.lists(st.floats(-1.0, 1.0), min_size=11, max_size=11),
+    domain=st.sampled_from(["unit", "tilted"]),
+    e=st.sampled_from([4, 5, 6]),
+)
+# 0.05 (x y^2 + x^2 y): the two coarsest levels have sure, maybe and
+# rejected angles
+@example(scale_degree=(0.05, 3), c=[0.0, 0.0, 1.0, 0.0, 1.0, 0.0] + [0.0] * 5,
+         domain="unit", e=6)
+def test_prefilter_decides_angles_as_their_tiles(scale_degree, c, domain, e):
+    """_build_hp_core's closed-form pass brackets each angle over the
+    domain padded by a tile diameter: every angle it calls sure has all
+    its tiles flat under tiling_flatness, and every angle it rejects has
+    none.  Maybe angles are the ones it hands to tiling_flatness; the
+    comparability pass is stubbed to keep every angle whole."""
+    scale, degree = scale_degree
+    terms = [(j, k) for j in range(degree + 1) for k in range(degree + 1 - j)
+             if j + k >= 2 and (j, k) != (1, 1)]
+    phi = BivariatePoly(degree, {(1, 1): 1.0, **{t: scale * x for t, x in zip(terms, c)}})
+    box = {"unit": UNIT_SQUARE, "tilted": _patch_bbox(_TILTED_SADDLE)}[domain]
+    delta, a_const = 2.0 ** -e, 4.0
+    levels, maybe = [], set()
+    real = cover.tiling_flatness
+
+    def keep_whole(a_z, b_z, thetas, r, a_const, spread):
+        levels.append((r, thetas))
+        return np.ones(len(thetas), dtype=bool), np.zeros(len(thetas), dtype=bool)
+
+    def spy(phi, grid, delta, a_const):
+        maybe.add((grid.alpha, grid.beta))
+        return real(phi, grid, delta, a_const)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cover, "_whole_comparability", keep_whole)
+        mp.setattr(cover, "tiling_flatness", spy)
+        cover._build_hp_core(phi, delta, a_const, box)
+    assert len(levels) == e // 2 + 1
+    for r, passed in levels:
+        alpha = math.sqrt(r / delta)  # exact: r = delta alpha^2, both dyadic
+        thetas = delta * alpha * alpha * np.arange(int(math.floor(math.pi / r)) + 1)
+        for beta, theta in enumerate(thetas):
+            grid = make_tile_grid(1.0 / alpha, delta * alpha, float(theta), box)
+            flat = real(phi, grid, delta, a_const).flat
+            if theta not in passed:
+                assert not flat.any(), (alpha, beta)
+            elif (alpha, beta) not in maybe:
+                assert flat.all(), (alpha, beta)
+
+
 def test_hp_covers_decide_every_tiling_whole():
     """xy and the perturbed normal forms at 2^-6..2^-12: the closed-form
     pass decides every tiling from the slopes at one point per cover, so

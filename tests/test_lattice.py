@@ -37,6 +37,16 @@ def test_lambda_grid_extent_and_spacing():
         lambda_grid(0.125, -1.0)
 
 
+def test_lambda_grid_refuses_huge_lattices_before_building(time_limit):
+    """9 x 8,000,000,001 points would take tens of GB of index arrays; the
+    count is refused first, and so are counts past float range."""
+    with time_limit(5):
+        with pytest.raises(ValueError, match=r"the lattice has 7.2e\+10 points"):
+            lambda_grid(2.0 ** -3, 1e-9)
+        with pytest.raises(ValueError, match="the lattice has inf points"):
+            lambda_grid(5e-324, 1.0)
+
+
 def test_lattice_to_exp_sum_consistency():
     lat = lambda_grid(0.25, 1.0)
     f = lat.to_exp_sum(hyperbolic_phase())
