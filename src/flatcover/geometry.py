@@ -243,6 +243,19 @@ class AffineMap2:
 # -- rotated grid tilings ----------------------------------------------
 
 
+def _index_range(u, r, slack: float, cell, reach: int, lo: int, hi: int):
+    """Per coordinate u (in cell units), the first and last index in
+    [lo, hi) within ``reach`` of its ``cell`` whose cell [index, index + 1]
+    can lie within r + slack of u.  The bounds are widened by
+    1e-9 (|u| + r + 1) cells, far more than rounding moves them."""
+    pad = 1e-9 * (np.abs(u).max(initial=0.0) + r + 1.0)
+    first = np.ceil(u - (r + pad + 1.0 + slack))
+    np.maximum(first, np.maximum(cell - reach, lo), out=first)
+    last = np.floor(u + (r + pad + slack))
+    np.minimum(last, np.minimum(cell + reach, hi - 1), out=last)
+    return first.astype(np.int64), last.astype(np.int64)
+
+
 @dataclass
 class TileGrid:
     """A congruent rectangle tiling in a rotated frame.
@@ -301,11 +314,14 @@ class TileGrid:
         are rectangles in the grid frame.  With tol = 0 a tile takes the
         points of the closed tile, with the relative slack of
         ``Parallelogram.contains``, so a point on a shared edge or vertex
-        lands in every tile that contains it.  The cells tried around a
-        point's own cell reach floor(tol / w) + 1 columns and
-        floor(tol / h) + 1 rows each way, enough to find every tile at
-        distance up to tol; offsets that put no point's cell inside the
-        index range are skipped.
+        lands in every tile that contains it.  At tol >= 0 each point's
+        candidates are the columns whose cells can lie within tol of it
+        and, in each, the rows whose cells can (those of the column at
+        dx = 0, which hold every other column's), within floor(tol / w) + 1
+        columns and floor(tol / h) + 1 rows of its own cell and inside the
+        index range; each candidate is decided by its exact distance.  Work
+        and memory follow the candidates.  The triples come out by column
+        offset, then row offset, then point.
         """
         fx, fy = self._frame_coords(points)
         ux, uy = fx / self.w, fy / self.h
@@ -317,34 +333,46 @@ class TileGrid:
             cj[(cj == self.j1) & (uy <= self.j1 + slack)] -= 1
             ci[(ci == self.i0 - 1) & (ux >= self.i0 - slack)] += 1
             cj[(cj == self.j0 - 1) & (uy >= self.j0 - slack)] += 1
-            pidx, ii, jj = np.arange(len(fx)), ci, cj
+            pidx = np.flatnonzero((ci >= self.i0) & (ci < self.i1)
+                                  & (cj >= self.j0) & (cj < self.j1))
+            ii, jj = ci[pidx], cj[pidx]
         elif not 0.0 <= tol < math.inf:
             raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
         else:
-            reach_i = int(math.floor(tol / self.w * (1 + 1e-9))) + 1
-            reach_j = int(math.floor(tol / self.h * (1 + 1e-9))) + 1
+            reach_i = min(int(math.floor(tol / self.w * (1 + 1e-9))) + 1, 1 << 61)
+            reach_j = min(int(math.floor(tol / self.h * (1 + 1e-9))) + 1, 1 << 61)
             slack = 0.5 * _CONTAIN_TOL if tol == 0 else 0.0
-            # only the offsets that can put some point's cell in the index range
-            lo_i, hi_i = (int(ci.min()), int(ci.max())) if len(ci) else (self.i1, self.i0)
-            lo_j, hi_j = (int(cj.min()), int(cj.max())) if len(cj) else (self.j1, self.j0)
-            found = [(ci[:0],) * 3]
-            for di in range(max(-reach_i, self.i0 - hi_i), min(reach_i, self.i1 - 1 - lo_i) + 1):
-                ii = ci + di
-                dx = np.maximum(np.maximum(ii * self.w - fx, fx - (ii + 1) * self.w)
-                                - slack * self.w, 0.0)
-                for dj in range(max(-reach_j, self.j0 - hi_j),
-                                min(reach_j, self.j1 - 1 - lo_j) + 1):
-                    jj = cj + dj
-                    dy = np.maximum(np.maximum(jj * self.h - fy, fy - (jj + 1) * self.h)
-                                    - slack * self.h, 0.0)
-                    k = np.flatnonzero((dx * dx + dy * dy) <= tol * tol * (1 + 1e-12))
-                    found.append((k, ii[k], jj[k]))
-            pidx, ii, jj = (np.concatenate(a) for a in zip(*found))
-        ok = (ii >= self.i0) & (ii < self.i1) & (jj >= self.j0) & (jj < self.j1)
+            lim = tol * tol * (1 + 1e-12)
+            # each point's candidates: the columns and the rows within reach of
+            # it (every column's rows lie in the rows at dx = 0)
+            r = math.sqrt(lim)
+            i_lo, i_hi = _index_range(ux, r / self.w, slack, ci, reach_i, self.i0, self.i1)
+            j_lo, j_hi = _index_range(uy, r / self.h, slack, cj, reach_j, self.j0, self.j1)
+            rows = np.maximum(j_hi - j_lo + 1, 0)
+            n = np.maximum(i_hi - i_lo + 1, 0) * rows
+            ends = np.cumsum(n)
+            pidx = np.repeat(np.arange(len(n)), n)
+            t = np.repeat(ends - n, n)
+            np.subtract(np.arange(len(t)), t, out=t)
+            di, dj = np.divmod(t, rows[pidx])
+            di += (i_lo - ci)[pidx]
+            dj += (j_lo - cj)[pidx]
+            ii, jj = di + ci[pidx], dj + cj[pidx]
+            x, y = fx[pidx], fy[pidx]
+            dx = np.maximum(np.maximum(ii * self.w - x, x - (ii + 1) * self.w)
+                            - slack * self.w, 0.0)
+            dy = np.maximum(np.maximum(jj * self.h - y, y - (jj + 1) * self.h)
+                            - slack * self.h, 0.0)
+            k = np.flatnonzero((dx * dx + dy * dy) <= lim)
+            # by column offset, then row offset: the sort is stable, so each
+            # offset's points stay ascending (numpy radix-sorts 8- and 16-bit keys)
+            k = k[np.lexsort(((dj[k] + reach_j).astype(np.min_scalar_type(2 * reach_j)),
+                              (di[k] + reach_i).astype(np.min_scalar_type(2 * reach_i))))]
+            pidx, ii, jj = pidx[k], ii[k], jj[k]
         if self.keep is not None:
-            sel = np.flatnonzero(ok)
-            ok[sel] = self.keep[ii[sel] - self.i0, jj[sel] - self.j0]
-        return pidx[ok], ii[ok], jj[ok]
+            k = np.flatnonzero(self.keep[ii - self.i0, jj - self.j0])
+            pidx, ii, jj = pidx[k], ii[k], jj[k]
+        return pidx, ii, jj
 
     def tile_coords(self, points, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Affine coordinates of each point in its paired tile (i, j), as

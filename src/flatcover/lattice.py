@@ -103,7 +103,8 @@ def max_flat_multiplicity(
     tol = cover.delta if tol is None else float(tol)
     hist: Dict[int, int] = {}
     for inc in cover.incidences(lat.points(), tol):
-        inside = np.max(np.abs(inc.coords()), axis=1) <= 1.0 + (tol or _CONTAIN_TOL)
+        c = np.abs(inc.coords())
+        inside = np.maximum(c[:, 0], c[:, 1]) <= 1.0 + (tol or _CONTAIN_TOL)
         # incidences name kept tiles only; the kept tiles they miss take none
         taken, counts = np.unique(inc.cells()[inside], return_counts=True)
         if len(taken) < len(inc.grid):

@@ -53,6 +53,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -113,7 +114,7 @@ class ExpSum:
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
         rows = self.freqs[np.lexsort(self.freqs.T[::-1])]
-        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
+        if np.any((rows[1:, 0] == rows[:-1, 0]) & (rows[1:, 1] == rows[:-1, 1])):
             raise ValueError("frequencies must be distinct")
         if self.lift is not None:
             self.lift = np.asarray(self.lift, dtype=float).ravel()
@@ -596,10 +597,12 @@ def _lattice_reduce(ints: np.ndarray, starts: np.ndarray, q: int) -> np.ndarray:
 
     def cells(ext: np.ndarray) -> np.ndarray:
         # float products of the _fft_shape lengths (exact wherever a field
-        # can fit); extents repeat, so each distinct one is looked up once
+        # can fit, inf past the float range); extents repeat, so each
+        # distinct one is looked up once
         uniq, inv = np.unique(ext, return_inverse=True)
         lens_q = np.array([_fft_shape((e,), q)[0] for e in uniq.tolist()], dtype=float)
-        return lens_q[inv.reshape(ext.shape)].prod(axis=1)
+        with np.errstate(over="ignore"):
+            return lens_q[inv.reshape(ext.shape)].prod(axis=1)
 
     out, ext = base.copy(), ext0.copy()
     size = cells(ext0)
@@ -657,8 +660,12 @@ def _fft_shape(ext, mult: int, pad: int = 1) -> Tuple[int, ...]:
     on live axes (positive extent), 1 on dead ones.  A length past twice
     _FFT_BUDGET, the most any rule allows two fields together, stays
     unpadded: such a field never fits, and the search for a fast length
-    would only cost time."""
-    lens = (int(mult * e + pad) if e > 0 else 1 for e in ext)
+    would only cost time.  A length past the float range raises
+    ValueError, before any cell count is formed from it."""
+    lens = tuple(int(mult * e + pad) if e > 0 else 1 for e in ext)
+    if max(lens) > sys.float_info.max:
+        raise ValueError(f"a lattice length of {mult:.6g} x extent + {pad} is past the "
+                         "float range; p is too large for an exact norm")
     return tuple(n if n > 2 * _FFT_BUDGET else _fast_len(n) for n in lens)
 
 
@@ -969,14 +976,23 @@ def _product_mean_pow(factors, fidx, seg: np.ndarray, r_side: float, q: int):
       (elliptic bump caps, line and strip examples), whose small fields
       share stacked FFTs: 1.56 at 1-2, 1.22-1.37 at 2-16, 2.37 beyond, so
       none of them takes energy, and with the pre-filter none forms the
-      bound.  Whole sums under the rule: x^2 + y^2 on the 2^-7 grid at box
-      side 2^21 (bound 2.9e6, 8.7e6 cells) takes 0.024 s against 0.22 s by
+      bound.  These ratios were measured before repeated factor segments
+      shared one field (below), which makes the fields cheaper still where
+      members repeat segments; _ENERGY_TERMS is not re-tuned for that,
+      since a member that changed method would change its value in the
+      last bits.  Whole sums under the rule: x^2 + y^2 on the 2^-7 grid at
+      box side 2^21 (bound 2.9e6, 8.7e6 cells) takes 0.024 s against 0.22 s by
       fields, x^2 - y^2 on the 2^-6 sqrt2 lattice 0.011 s against 1.95 s;
       the 2^-8 elliptic bump at box side 2^8 (bound 2.3e7, 2.8e5 cells)
       keeps its fields, 0.025 s against 0.063 s by energy.
     - "separable": two planar FFT fields sharing the lift axis, each
       reduced to its mean of |g|^{2q} over its own axis, then multiplied
-      and averaged over x3, when they fit twice _FFT_BUDGET.
+      and averaged over x3, when they fit twice _FFT_BUDGET.  A field is
+      fixed by its shape, reduced rows and merged weights, so factor
+      segments equal in all three share one field: the 256 elliptic caps
+      at 2^-8 have 36 distinct segments of 512, the strip axis family at
+      2^-8 9 of 510.  A field's slice does not depend on its stack, so a
+      shared slice is the one each segment would get alone.
     """
     parts = []
     for ax, (g, k) in enumerate(zip(factors, fidx)):
@@ -1029,9 +1045,17 @@ def _product_mean_pow(factors, fidx, seg: np.ndarray, r_side: float, q: int):
             shapes[2 * i] = shapes[2 * i + 1] = None
             methods[i] = "energy"
     means, dims = [None] * m, [None] * m
-    # each field's mean of |g|^{2q} over its own axis: a function of x3
-    slices = _field_reduce(shapes, ints, w, st,
-                           lambda g, mult: _axis1_means(g, 2 * q, mult))
+    # each field's mean of |g|^{2q} over its own axis, a function of x3:
+    # one field per distinct segment, whose repeats copy its slice
+    same = list(range(2 * m))
+    first = {}
+    for i, (a, n, shape) in enumerate(zip(st.tolist(), lens.tolist(), shapes)):
+        if shape is not None:
+            same[i] = first.setdefault(
+                (shape, ints[a:a + n].tobytes(), w[a:a + n].tobytes()), i)
+    slices = _field_reduce([sh if same[i] == i else None for i, sh in enumerate(shapes)],
+                           ints, w, st, lambda g, mult: _axis1_means(g, 2 * q, mult))
+    slices = [slices[i] for i in same]
     by_len = {}
     for i in range(m):
         if shapes[2 * i] is not None:
@@ -1071,13 +1095,25 @@ def _member_norms(f: ExpSum, blocks: Sequence[np.ndarray], p: float,
        realness of the weights), one FFT per stack.
 
     Raises the first member's ValueError (in block order) when a member
-    has no exact path within _FFT_BUDGET.
+    has no exact path within _FFT_BUDGET.  Raises ValueError before any
+    work when p is finite and the p-th power of some member's l1 norm of
+    weights, which bounds |f|^p, is not a finite float, and before any
+    lattice is sized when one of its lengths is not (``_fft_shape``).
     """
     m = len(blocks)
     lens = np.array([len(b) for b in blocks], dtype=np.int64)
     idx = np.concatenate(blocks)
     seg = np.repeat(np.arange(m), lens)
     starts = _seg_starts(lens)
+    if not math.isinf(p):
+        l1 = float(np.add.reduceat(np.abs(f.weights[idx]), starts).max())
+        try:
+            bound = l1 ** float(p)
+        except OverflowError:
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise ValueError(f"|f|^p may overflow: the weights' l1 norm {l1:.6g} to the "
+                             f"power p = {p:.6g} is past the float range")
     lifted = f.lifted()[idx]
     moved = np.zeros(m)
     product = np.zeros(m, dtype=bool)
@@ -1092,7 +1128,10 @@ def _member_norms(f: ExpSum, blocks: Sequence[np.ndarray], p: float,
             np.where(rows, np.abs(heights - lifted[:, 2]), 0.0), starts)
         lifted[rows, 2] = heights[rows]
     # largest displacement of a lifted coordinate by the snap, per member
-    snap = np.maximum.reduceat(np.abs(np.round(r * lifted) / r - lifted).max(axis=1), starts)
+    # (a maximum over the three columns, not a short-axis reduction, which
+    # numpy runs row by row)
+    d = np.abs(np.round(r * lifted) / r - lifted)
+    snap = np.maximum.reduceat(np.maximum(np.maximum(d[:, 0], d[:, 1]), d[:, 2]), starts)
     snap = np.maximum(snap, moved).tolist()
     value, method, dims, note = [0.0] * m, [""] * m, [()] * m, [""] * m
 

@@ -376,6 +376,33 @@ def test_lattice_count_refuses_a_cover_too_fine_to_index(capsys):
     assert "cannot be indexed in int64" in err
     assert "Traceback" not in err
 
+
+def test_lattice_count_at_a_tol_many_rows_wide(capsys, time_limit):
+    """At tol 2 every tile of the 2^-4 axis family is within reach of every
+    point, some 5,800 rows on the thinnest tilings: the point lookup lists
+    each point's candidates directly (11.2 s in an offset loop before)."""
+    with time_limit(10):
+        code, out, err = run(capsys, "lattice", "count", "--alpha", "sqrt2", "--delta", "2^-4",
+                             "--tol", "2")
+    assert code == 0, err
+    rep = json.loads(out)
+    assert (rep["max"], rep["histogram"]) == (1, {"0": 95196, "1": 21869})
+    assert (rep["members"], rep["points"]) == (117065, 204)
+
+
+@pytest.mark.parametrize("p", ["1e308", "1000"])
+def test_decouple_refuses_a_p_past_the_float_range(capsys, p):
+    """The random example's weights have l1 norm ~402: |f|^p may overflow
+    at these p, so the engine refuses before it sizes a lattice (an
+    OverflowError traceback at 1e308, an inf report at 1000 before)."""
+    code, out, err = run(capsys, "decouple", "ratio", "--example", "random", "--p", p,
+                         "--delta", "2^-4")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert "is past the float range" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("a_const", ["0", "-3", "nan", "inf"])
 @pytest.mark.parametrize("kind", ["hp", "general"])
 def test_cover_build_rejects_bad_a_const(tmp_path, capsys, kind, a_const):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flatcover.geometry import (
+    _CONTAIN_TOL,
     AffineMap2,
     Parallelogram,
     axis_rectangle,
@@ -243,6 +244,105 @@ def test_point_tiles_at_a_huge_tol_pairs_every_point_with_every_kept_tile(time_l
     kept = grid.kept_indices().tolist()
     assert got == {(p, i, j) for p in range(len(pts)) for i, j in kept}
     assert all(len(a) == 0 for a in empty)
+
+
+def _offset_loop_point_tiles(grid, points, tol):
+    """``point_tiles`` at tol >= 0 as one pass over all points per (di, dj)
+    offset within reach: the order oracle for the candidate lookup."""
+    fx, fy = grid._frame_coords(points)
+    ci = np.floor(fx / grid.w).astype(np.int64)
+    cj = np.floor(fy / grid.h).astype(np.int64)
+    reach_i = int(math.floor(tol / grid.w * (1 + 1e-9))) + 1
+    reach_j = int(math.floor(tol / grid.h * (1 + 1e-9))) + 1
+    slack = 0.5 * _CONTAIN_TOL if tol == 0 else 0.0
+    lo_i, hi_i = (int(ci.min()), int(ci.max())) if len(ci) else (grid.i1, grid.i0)
+    lo_j, hi_j = (int(cj.min()), int(cj.max())) if len(cj) else (grid.j1, grid.j0)
+    found = [(ci[:0],) * 3]
+    for di in range(max(-reach_i, grid.i0 - hi_i), min(reach_i, grid.i1 - 1 - lo_i) + 1):
+        ii = ci + di
+        dx = np.maximum(np.maximum(ii * grid.w - fx, fx - (ii + 1) * grid.w)
+                        - slack * grid.w, 0.0)
+        for dj in range(max(-reach_j, grid.j0 - hi_j), min(reach_j, grid.j1 - 1 - lo_j) + 1):
+            jj = cj + dj
+            dy = np.maximum(np.maximum(jj * grid.h - fy, fy - (jj + 1) * grid.h)
+                            - slack * grid.h, 0.0)
+            k = np.flatnonzero((dx * dx + dy * dy) <= tol * tol * (1 + 1e-12))
+            found.append((k, ii[k], jj[k]))
+    pidx, ii, jj = (np.concatenate(a) for a in zip(*found))
+    ok = (ii >= grid.i0) & (ii < grid.i1) & (jj >= grid.j0) & (jj < grid.j1)
+    if grid.keep is not None:
+        sel = np.flatnonzero(ok)
+        ok[sel] = grid.keep[ii[sel] - grid.i0, jj[sel] - grid.j0]
+    return pidx[ok], ii[ok], jj[ok]
+
+
+def _assert_same_triples(grid, pts, tol):
+    got, want = grid.point_tiles(pts, tol), _offset_loop_point_tiles(grid, pts, tol)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=60)
+@given(
+    a=st.integers(1, 3), b=st.integers(1, 4),
+    tol_kind=st.sampled_from(["zero", "w", "h", "random"]),
+    tol_random=st.floats(0.0, 1.5), masked=st.booleans(), seed=st.integers(0, 2 ** 16),
+)
+def test_point_tiles_keeps_the_offset_order_on_axis_grids(a, b, tol_kind, tol_random, masked,
+                                                          seed):
+    """Dyadic axis grids, with lattice points on every edge, corner and
+    center: the same (point, i, j) arrays as the offset loop, in its order
+    (column offset, row offset, point)."""
+    w, h = 2.0 ** -a, 2.0 ** -b
+    grid = make_tile_grid(w, h, 0.0)
+    rng = np.random.default_rng(seed)
+    if masked:
+        grid.keep = rng.random((grid.ni, grid.nj)) < 0.6
+    k, l = np.meshgrid(np.arange(-2, 2 * grid.ni + 3), np.arange(-2, 2 * grid.nj + 3),
+                       indexing="ij")
+    pts = np.column_stack([k.ravel() * (w / 2), l.ravel() * (h / 2)])
+    pts = rng.permutation(np.concatenate([pts, rng.uniform(-0.2, 1.2, size=(40, 2))]))
+    tol = {"zero": 0.0, "w": w, "h": h, "random": tol_random}[tol_kind]
+    _assert_same_triples(grid, pts, tol)
+
+
+@settings(max_examples=60)
+@given(
+    w=st.floats(0.05, 0.5), h=st.floats(0.02, 0.3), theta=st.floats(0.0, math.pi),
+    tol_kind=st.sampled_from(["zero", "w", "h", "random"]),
+    tol_random=st.floats(0.0, 1.0), clip=st.booleans(), masked=st.booleans(),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_point_tiles_keeps_the_offset_order_on_rotated_grids(w, h, theta, tol_kind, tol_random,
+                                                             clip, masked, seed):
+    """Rotated grids, clipped or not and with a random keep mask: tile
+    vertices and edge midpoints (on cell edges up to rounding) plus random
+    points, in the offset loop's order."""
+    grid = make_tile_grid(w, h, theta)
+    if not clip:
+        grid.keep = None
+    rng = np.random.default_rng(seed)
+    if masked:
+        grid.keep = rng.random((grid.ni, grid.nj)) < 0.6
+    tiles = list(grid.tiles())
+    verts = np.concatenate([t.vertices() for t in tiles] or [np.zeros((0, 2))])
+    mids = 0.5 * (verts + np.concatenate([np.roll(t.vertices(), -1, axis=0) for t in tiles]
+                                         or [np.zeros((0, 2))]))
+    pts = np.concatenate([verts, mids, rng.uniform(-0.5, 1.5, size=(150, 2))])
+    tol = {"zero": 0.0, "w": w, "h": h, "random": tol_random}[tol_kind]
+    _assert_same_triples(grid, pts, tol)
+    _assert_same_triples(grid, pts[:0], tol)
+
+
+@pytest.mark.parametrize("e", [6, 8])
+def test_point_tiles_keeps_the_offset_order_where_reach_runs_to_many_cells(e):
+    """Thin tiles of one aspect ladder, as the hp covers have them, at a tol
+    many cells wide on one axis and at none."""
+    pts = np.random.default_rng(e).uniform(-0.1, 1.1, size=(60, 2))
+    for k in range(0, e + 1, 2):
+        grid = make_tile_grid(2.0 ** -k, 2.0 ** (k - e), 0.3 * k)
+        for tol in (0.0, 2.0 ** -e, 0.05, 0.3):
+            _assert_same_triples(grid, pts, tol)
 
 
 @settings(max_examples=40)

@@ -35,7 +35,7 @@ from flatcover.norms import (
     stein_tomas_ratio,
     strip_example,
 )
-from flatcover.poly2 import BivariatePoly, hyperbolic_phase
+from flatcover.poly2 import BivariatePoly, elliptic_phase, hyperbolic_phase
 
 
 def _dense_fft_norm(lifted, weights, p, r, max_cells=1 << 22):
@@ -545,6 +545,48 @@ def test_energy_member_values_do_not_depend_on_the_batch():
     assert [q.value for q in batched] == [q.value for q in alone] == [q.value for q in backward]
 
 
+def _repeating_factor_case(case: str):
+    """(f, members, box side) of a decoupling sum whose product members
+    repeat factor segments: canonical caps over the elliptic bump, the
+    axis line and the axis strip under the hp axis family."""
+    kind, e = case.split()
+    d = 2.0 ** -int(e)
+    if kind == "caps":
+        f, cov, r = snap_lift(bump_example(elliptic_phase(), (0.0, 0.0, 1.0, 1.0), d), 1.0 / d), \
+            canonical_caps(d), 1.0 / d
+    elif kind == "line":
+        f, cov, r = line_example(d), hp_axis_family(d), d ** -1.5
+    else:
+        f, cov, r = strip_example(d, int(round(1.0 / d / 4))), hp_axis_family(d), d ** -2
+    return f, [s for s in assign_frequencies(f, cov, 0.0)[0] if len(s) > 1], r
+
+
+@pytest.mark.parametrize("p", [4, 6])
+@pytest.mark.parametrize("case", ["caps 6", "caps 7", "line 8", "strip 8"])
+def test_shared_factor_fields_do_not_depend_on_the_batch(case, p):
+    """Factor segments with one shape, reduced rows and merged weights
+    share one field: fewer fields than segments are transformed, and each
+    member's report is bit-equal batched, batched in reverse order, and
+    alone (where no field is shared)."""
+    f, subsets, r = _repeating_factor_case(case)
+    fields = []
+    stacked = norms._stacked_fields
+
+    def counted(shape, slot, ints, weights, k):
+        fields.append(k)
+        return stacked(shape, slot, ints, weights, k)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(norms, "_stacked_fields", counted)
+        batched = norms._member_norms(f, subsets, p, r)
+    backward = norms._member_norms(f, subsets[::-1], p, r)[::-1]
+    alone = [norms._member_norms(f, [s], p, r)[0] for s in subsets]
+    separable = sum(q.method == "separable" for q in batched)
+    assert separable > 0
+    assert sum(fields) < 2 * separable
+    assert batched == backward == alone
+
+
 def _three_by_three_product_sum():
     """Generic unit-weight factors of three values: int |F_i|^4 =
     2 * 3^2 - 3 = 15 each, so int |f|^4 = 225."""
@@ -570,6 +612,31 @@ def test_huge_boxes_fall_back_to_pairs_without_a_padding_search(e, time_limit):
         rep = expsum_lp(_three_by_three_product_sum(), 4, 2.0 ** e)
     assert (rep.method, rep.note) == ("pairs", norms._SEPARABLE_SKIPPED)
     assert rep.value ** 4 == pytest.approx(225.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("p, message", [
+    (1e308, "a lattice length .* is past the float range"),
+    (1e200, "exceeds the in-memory FFT budget"),
+])
+def test_huge_p_is_refused_before_a_lattice_is_sized(p, message):
+    """Weights of l1 norm ~3e-4 keep |f|^p finite, so the lattice decides:
+    at p = 1e308 a length is past the float range, at 1e200 the lengths
+    are floats whose cell count is not, and neither warns."""
+    f = random_product_example(hyperbolic_phase(), 2.0 ** -4, np.random.default_rng(1))
+    f = replace(f, weights=f.weights * 1e-6)
+    with pytest.raises(ValueError, match=message):
+        expsum_lp(f, p, 16.0)
+
+
+def test_p_whose_power_of_the_l1_norm_overflows_is_refused():
+    """|f|^p <= (sum |w|)^p: the engine refuses a p that makes this bound
+    overflow, and takes one just below it."""
+    f = line_example(2.0 ** -4)
+    l1 = float(np.abs(f.weights).sum())
+    edge = math.log(1e308) / math.log(l1)
+    with pytest.raises(ValueError, match="past the float range"):
+        expsum_lp(f, 2 * math.ceil(edge / 2) + 2, 16.0)
+    assert math.isfinite(expsum_lp(f, 2 * math.floor(edge / 2) - 2, 16.0).value)
 
 
 # -- batched member norms ------------------------------------------------------
