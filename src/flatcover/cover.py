@@ -728,7 +728,7 @@ def _build_hp_core(
         # a tile meeting the domain lies in the domain padded by its diameter
         diam = math.hypot(w, h)
         padded = (xmin - diam, ymin - diam, xmax + diam, ymax + diam)
-        lo, hi, _ = _region_bracket(phi.coeffs, edges, padded)
+        lo, hi = _region_bracket(phi.coeffs, edges, padded)
         sure = hi <= threshold
         maybe = ~sure & (lo <= threshold)
         betas = np.flatnonzero(sure | maybe)
@@ -886,11 +886,15 @@ def _det_range(phi: BivariatePoly, domain: BBox):
 
 def _saddle_normalizer(phi: BivariatePoly) -> Tuple[AffineMap2, float, BivariatePoly]:
     """Linear map N, scale m and phi o N, with (phi o N)/m in saddle
-    normal form: zero square coefficients and unit mixed coefficient."""
-    a, b, valid = null_direction_fields(phi, (0.0, 0.0))
-    if not valid[0]:
-        h = phi.hessian(0.0, 0.0)
-        if not h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0] < 0:
+    normal form: zero square coefficients and unit mixed coefficient.
+
+    The null slopes are those of ``null_direction_fields`` at the origin,
+    where the Hessian is (2 c20, c11; c11, 2 c02) exactly."""
+    h11, h12, h22 = 2.0 * phi.coeff(2, 0), phi.coeff(1, 1), 2.0 * phi.coeff(0, 2)
+    det = h11 * h22 - h12 * h12
+    denom = h12 + math.sqrt(-det) if det < 0.0 else 0.0
+    if denom == 0.0:
+        if not det < 0:
             raise ValueError("saddle normalization needs det H < 0 for the quadratic part")
         # rotate a hair to break the degeneracy (pure anti-diagonal case)
         rot = AffineMap2.rotation(0.25)
@@ -898,8 +902,8 @@ def _saddle_normalizer(phi: BivariatePoly) -> Tuple[AffineMap2, float, Bivariate
         n2, m2, _ = _saddle_normalizer(inner)
         nmap = rot.compose(n2)
         return nmap, m2, compose_affine(phi, nmap.matrix, nmap.offset)
-    w = np.array([-a[0], 1.0])
-    v = np.array([1.0, -b[0]])
+    w = np.array([-(h22 / denom), 1.0])
+    v = np.array([1.0, -(h11 / denom)])
     n_mat = np.column_stack([v / np.linalg.norm(v), w / np.linalg.norm(w)])
     composed = compose_affine(phi, n_mat, np.zeros(2))
     mixed = composed.coeff(1, 1)
@@ -928,7 +932,7 @@ def _strip_1d_split(
     wide, _ = quad_defect(psi.coeffs, axis_rectangle(0.0, 0.0, 0.5 / cap, 1.0).edge_matrix)
     thin = axis_rectangle(0.0, 0.0, 2.0 ** -40, 1.0).edge_matrix
     # the patch widened a hair: rounding can put a strip's corner past 1
-    _, thin_hi, _ = _region_bracket(psi.coeffs, thin, (0.0, 0.0, 1.0 + 2.0 ** -40, 1.0))
+    _, thin_hi = _region_bracket(psi.coeffs, thin, (0.0, 0.0, 1.0 + 2.0 ** -40, 1.0))
     too_steep = ValueError(f"strip split needs more than {cap} strips: the phase is too "
                            "steep for this delta")
     if wide > threshold and thin_hi <= threshold:
@@ -1100,8 +1104,8 @@ def _patches_flat(psis: List[BivariatePoly], targets: np.ndarray, a_const: float
     flat = np.zeros(len(psis), dtype=bool)
     for idx in _groups(tails):
         coeffs = _stack([psis[n] for n in idx], ((2, 0), (1, 1), (0, 2)) + tails[idx[0]])
-        _, hi, _ = _bracket(coeffs, patch.edge_matrix, np.tile(patch.center, (len(idx), 1)))
-        flat[idx] = hi <= float(a_const) * targets[idx]
+        lo, hi, _ = _bracket(coeffs, patch.edge_matrix, np.tile(patch.center, (len(idx), 1)))
+        flat[idx] = TilingFlatness(lo, hi, float(a_const) * targets[idx]).flat
     return flat
 
 

@@ -82,11 +82,46 @@ def default_a_const(phi: BivariatePoly) -> float:
 # -- certified brackets ---------------------------------------------------
 
 
+def _edge_entries(edges):
+    """(e1x, e1y, e2x, e2y) of half-edge matrices (..., 2, 2) with columns
+    e1 and e2: numpy scalars for one matrix, so that one box runs on
+    scalar arithmetic, and arrays of entries otherwise."""
+    e = np.asarray(edges, dtype=float)
+    return tuple(x[()] for x in (e[..., 0, 0], e[..., 1, 0], e[..., 0, 1], e[..., 1, 1]))
+
+
+def _quad_candidates(coeffs, edges):
+    """The four values of |t^T G t| that ``quad_defect`` maximizes (two
+    vertex pairs, then the critical points of the edges t1 = 1 and t2 = 1,
+    0 where that point leaves the square) with the critical points t2, t1."""
+    h11 = 2.0 * coeffs.get((2, 0), 0.0)
+    h12 = coeffs.get((1, 1), 0.0)
+    h22 = 2.0 * coeffs.get((0, 2), 0.0)
+    # the full edges 2 e1, 2 e2; builtin abs keeps one box on numpy scalars
+    a1, a2, b1, b2 = (2.0 * x for x in _edge_entries(edges))
+    g11 = h11 * a1 * a1 + 2.0 * h12 * a1 * a2 + h22 * a2 * a2
+    g12 = h11 * a1 * b1 + h12 * (a1 * b2 + a2 * b1) + h22 * a2 * b2
+    g22 = h11 * b1 * b1 + 2.0 * h12 * b1 * b2 + h22 * b2 * b2
+    # edge t1 = 1: g11 + 2 g12 t2 + g22 t2^2 is critical at t2 = -g12/g22;
+    # edge t2 = 1 likewise at t1 = -g12/g11.  |t| <= 1 needs |g| > |g12|/2,
+    # so any other g gives way to a NaN divisor, whose t fails |t| <= 1.
+    half = 0.5 * abs(g12)
+    s11, s22 = (np.where(abs(g) > half, g, np.nan) for g in (g11, g22))
+    t2, t1 = -g12 / s22, -g12 / s11
+    vals = (
+        abs(g11 + g22 + 2 * g12),
+        abs(g11 + g22 - 2 * g12),
+        np.where(abs(t2) <= 1, abs(g11 - g12 * g12 / s22), 0.0),
+        np.where(abs(t1) <= 1, abs(g22 - g12 * g12 / s11), 0.0),
+    )
+    return vals, t2, t1
+
+
 def quad_defect(coeffs, edges):
     """Closed-form defect of the quadratic part of the phase with
     coefficient map ``coeffs`` over boxes with half-edge matrices
     ``edges`` (shape (..., 2, 2)), and a witness.  A coefficient may be
-    an array of one value per box (see ``_bracket``).
+    an array of one value per box (see ``_box_brackets``).
 
     With the full-edge matrix E = 2 [e1 e2] and G = E^T H E, the defect
     is max |t^T G t| / 2 over t in [-1, 1]^2.  The extremum of a
@@ -94,30 +129,18 @@ def quad_defect(coeffs, edges):
     critical point of an edge restriction; |.| needs both the max and
     the min of the form.  Returns (defect, t), t of shape (..., 2).
     """
-    h11 = 2.0 * coeffs.get((2, 0), 0.0)
-    h12 = coeffs.get((1, 1), 0.0)
-    h22 = 2.0 * coeffs.get((0, 2), 0.0)
-    e = 2.0 * np.asarray(edges, dtype=float)
-    a1, a2, b1, b2 = e[..., 0, 0], e[..., 1, 0], e[..., 0, 1], e[..., 1, 1]
-    g11 = h11 * a1 * a1 + 2.0 * h12 * a1 * a2 + h22 * a2 * a2
-    g12 = h11 * a1 * b1 + h12 * (a1 * b2 + a2 * b1) + h22 * a2 * b2
-    g22 = h11 * b1 * b1 + 2.0 * h12 * b1 * b2 + h22 * b2 * b2
-    # edge t1 = 1: g11 + 2 g12 t2 + g22 t2^2 is critical at t2 = -g12/g22;
-    # edge t2 = 1 likewise at t1 = -g12/g11.  |t| <= 1 needs |g| > |g12|/2,
-    # so any other g gives way to a NaN divisor, whose t fails |t| <= 1.
-    half = 0.5 * np.abs(g12)
-    s11, s22 = (np.where(np.abs(g) > half, g, np.nan) for g in (g11, g22))
-    t2, t1 = -g12 / s22, -g12 / s11
-    vals = np.stack([
-        np.abs(g11 + g22 + 2 * g12),
-        np.abs(g11 + g22 - 2 * g12),
-        np.where(np.abs(t2) <= 1, np.abs(g11 - g12 * g12 / s22), 0.0),
-        np.where(np.abs(t1) <= 1, np.abs(g22 - g12 * g12 / s11), 0.0),
-    ])
+    vals, t2, t1 = _quad_candidates(coeffs, edges)
+    vals = np.stack(vals)
     k = np.argmax(vals, axis=0)
     best = np.max(vals, axis=0)
     t = np.stack([np.where(k == 3, t1, 1.0), np.choose(k, [1.0, -1.0, t2, 1.0])], axis=-1)
     return 0.5 * best, np.where((best > 0)[..., None], t, 0.0)
+
+
+def _quad_max(coeffs, edges):
+    """``quad_defect``'s defect without the witness."""
+    v0, v1, v2, v3 = _quad_candidates(coeffs, edges)[0]
+    return 0.5 * np.maximum(np.maximum(v0, v1), np.maximum(v2, v3))
 
 
 def _hessian_bounds(coeffs, bboxes, min_total_degree: int = 2):
@@ -129,17 +152,27 @@ def _hessian_bounds(coeffs, bboxes, min_total_degree: int = 2):
     bb = np.asarray(bboxes, dtype=float)
     rx = np.maximum(np.maximum(np.abs(bb[..., 0]), np.abs(bb[..., 2])), 1e-300)
     ry = np.maximum(np.maximum(np.abs(bb[..., 1]), np.abs(bb[..., 3])), 1e-300)
+    # Each power once, taken by ``**`` at the rank of the boxes.  numpy's
+    # scalar ``**`` (the C library's pow) and its array ``**`` (a
+    # vectorized kernel) differ in the last bit: for 200,000 x in (0, 2)
+    # on x86-64 with AVX-512, x**2 in 167 values and x**3 in 10,811.  So
+    # the boxes of ``_box_brackets``, one or many, come as rows of an
+    # array, and a (4,) region keeps the scalar bits it has always had.
+    # Powers 0 and 1 are exact either way.
+    top = max((j + k for (j, k) in coeffs), default=0) - 1
+    px = [1.0, rx] + [rx ** p for p in range(2, top)]
+    py = [1.0, ry] + [ry ** p for p in range(2, top)]
     b11 = b12 = b22 = np.zeros(rx.shape)
     for (j, k), a in coeffs.items():
         if j + k < min_total_degree:
             continue
         mag = abs(a)
         if j >= 2:
-            b11 = b11 + mag * j * (j - 1) * rx ** (j - 2) * ry ** k
+            b11 = b11 + mag * j * (j - 1) * px[j - 2] * py[k]
         if j >= 1 and k >= 1:
-            b12 = b12 + mag * j * k * rx ** (j - 1) * ry ** (k - 1)
+            b12 = b12 + mag * j * k * px[j - 1] * py[k - 1]
         if k >= 2:
-            b22 = b22 + mag * k * (k - 1) * rx ** j * ry ** (k - 2)
+            b22 = b22 + mag * k * (k - 1) * px[j] * py[k - 2]
     return b11, b12, b22
 
 
@@ -156,49 +189,60 @@ def tail_bound(coeffs, bboxes, edges):
     smaller of that and half the operator-norm bound times diam^2.
     """
     b11, b12, b22 = _hessian_bounds(coeffs, bboxes, min_total_degree=3)
-    e = np.asarray(edges, dtype=float)
-    e1, e2 = e[..., :, 0], e[..., :, 1]
-    hx = np.abs(e1[..., 0]) + np.abs(e2[..., 0])
-    hy = np.abs(e1[..., 1]) + np.abs(e2[..., 1])
-    diam = 2.0 * np.maximum(np.linalg.norm(e1 + e2, axis=-1), np.linalg.norm(e1 - e2, axis=-1))
+    ux, uy, vx, vy = _edge_entries(edges)
+    hx = abs(ux) + abs(vx)
+    hy = abs(uy) + abs(vy)
+    # |e1 + e2| and |e1 - e2|, summed and rooted as np.linalg.norm does
+    sx, sy, dx, dy = ux + vx, uy + vy, ux - vx, uy - vy
+    diam = 2.0 * np.maximum(np.sqrt(sx * sx + sy * sy), np.sqrt(dx * dx + dy * dy))
     axis_form = 2.0 * (b11 * hx * hx + 2.0 * b12 * hx * hy + b22 * hy * hy)
     return np.minimum(axis_form, 0.5 * (np.maximum(b11, b22) + b12) * diam * diam)
 
 
 def _region_bracket(coeffs, edges, bboxes):
-    """[max(q - d, 0), q + d] and the witness t of ``quad_defect`` for boxes
-    with half-edge matrices ``edges`` inside the axis boxes ``bboxes``
-    ((4,) shared or (..., 4)): q the quadratic part's exact defect, d the
-    tail bound over that region.  Coefficients are read as in ``_bracket``."""
-    q, t = quad_defect(coeffs, edges)
+    """[max(q - d, 0), q + d] for boxes with half-edge matrices ``edges``
+    inside the axis boxes ``bboxes`` ((4,) shared or (..., 4)): q the
+    quadratic part's exact defect, d the tail bound over that region.
+    Coefficients are read as in ``_box_brackets``."""
+    q = _quad_max(coeffs, edges)
     d = tail_bound(coeffs, bboxes, edges)
-    return np.maximum(q - d, 0.0), q + d, t
+    return np.maximum(q - d, 0.0), q + d
 
 
-def _bracket(coeffs, edges: np.ndarray, centers):
-    """Per-box [lo, hi] for the boxes ``center + edges [-1,1]^2`` and the
-    quadratic part's witness t, with one edge matrix (2, 2) shared by
-    congruent boxes or one per box (n, 2, 2), for the phase with
-    coefficient map ``coeffs`` (``phi.coeffs``).  A coefficient may also
-    be an array of one value per box, the phases of several boxes stacked:
-    every box then needs the same degree >= 3 monomials in the same key
-    order (``_hessian_bounds`` sums them in that order); the quadratic
-    ones are read by key.
+def _box_brackets(coeffs, edges: np.ndarray, centers):
+    """Per-box [lo, hi] for the boxes ``center + edges [-1,1]^2``, with one
+    edge matrix (2, 2) shared by congruent boxes or one per box (n, 2, 2),
+    for the phase with coefficient map ``coeffs`` (``phi.coeffs``).  A
+    coefficient may also be an array of one value per box, the phases of
+    several boxes stacked: every box then needs the same degree >= 3
+    monomials in the same key order (``_hessian_bounds`` sums them in that
+    order); the quadratic ones are read by key.
 
     The quadratic part's defect is exact: one value for congruent boxes
     of one phase, one per box otherwise.  Each box widens it by the tail
     bound over its own bounding box (``_region_bracket``).  Every
     operation acts box by box, so a box's bracket does not depend on the
-    others in the call.
+    others in the call.  One box takes the same steps: its quadratic part
+    runs on numpy scalars (its edge matrix is shared), and its bounding
+    box stays a one-row array, whose powers round as every row's do.
     """
     c = np.atleast_2d(np.asarray(centers, dtype=float))
     if max((j + k for (j, k) in coeffs), default=0) <= 2:
-        q, t = quad_defect(coeffs, edges)
-        return np.full(len(c), q), np.full(len(c), q), t
+        q = _quad_max(coeffs, edges)
+        return np.full(len(c), q), np.full(len(c), q)
     e1, e2 = edges[..., 0], edges[..., 1]
-    verts = np.stack([c - e1 - e2, c + e1 - e2, c + e1 + e2, c - e1 + e2], axis=1)
-    bboxes = np.concatenate([verts.min(axis=1), verts.max(axis=1)], axis=1)
+    left, right = c - e1, c + e1
+    v0, v1, v2, v3 = left - e2, right - e2, right + e2, left + e2
+    bboxes = np.concatenate([np.minimum(np.minimum(v0, v1), np.minimum(v2, v3)),
+                             np.maximum(np.maximum(v0, v1), np.maximum(v2, v3))], axis=1)
     return _region_bracket(coeffs, edges, bboxes)
+
+
+def _bracket(coeffs, edges: np.ndarray, centers):
+    """``_box_brackets`` with the quadratic part's witness t of
+    ``quad_defect``: (lo, hi, t)."""
+    lo, hi = _box_brackets(coeffs, edges, centers)
+    return lo, hi, quad_defect(coeffs, edges)[1]
 
 
 def _split_interval(phi: BivariatePoly, box: Parallelogram):
@@ -420,15 +464,15 @@ def boxes_flatness(
     bracket call, in the order given; ``tiling_flatness`` and ``is_flat``
     decide their boxes through it."""
     threshold = _threshold(phi, delta, a_const)
-    lo, hi, _ = _bracket(phi.coeffs, edges, centers)
+    lo, hi = _box_brackets(phi.coeffs, edges, centers)
     return TilingFlatness(lo, hi, threshold)
 
 
 def flat_defect_interval(phi: BivariatePoly, box: Parallelogram):
     """Cheap certified bracket (no sampling): exact for quadratics,
     quadratic part plus tail bound otherwise."""
-    lo, hi, _, _ = _split_interval(phi, box)
-    return lo, hi
+    lo, hi = _box_brackets(phi.coeffs, box.edge_matrix, [box.center])
+    return float(lo[0]), float(hi[0])
 
 
 def is_flat(phi: BivariatePoly, box: Parallelogram, delta: float,

@@ -1,11 +1,13 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flatcover import flatness
 from flatcover.flatness import (
     _bracket,
     _hessian_bounds,
@@ -304,6 +306,57 @@ def test_stacked_bracket_matches_one_box_calls_bitwise(degree, n, seed, dyadic, 
     rep = boxes_flatness(phi, np.array([b.center for b in boxes]), edges, threshold, 1.0)
     assert (rep.lo.tobytes(), rep.hi.tobytes()) == (lo.tobytes(), hi.tobytes())
     assert rep.flat.tolist() == [is_flat(phi, b, threshold, 1.0) for b in boxes]
+
+
+def _report_bits(rep):
+    return tuple(float(v).hex() if isinstance(v, float) else v for v in (
+        rep.defect, rep.lower, rep.upper, rep.certified, *rep.argmax_u, *rep.argmax_v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(degree=st.sampled_from([3, 4, 5]), n=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1),
+       congruent=st.booleans())
+@example(degree=5, n=2, seed=22, congruent=False)
+def test_one_box_calls_keep_the_bits_of_their_row(degree, n, seed, congruent):
+    """``is_flat``, ``flat_defect_interval`` and ``flat_defect`` give a box
+    exactly the bits of its row in an n-box ``_bracket`` /
+    ``boxes_flatness`` call, though one box runs its shared edges on
+    numpy scalars: the powers of its bounding-box radii are still taken
+    on an array, and numpy's scalar ``**`` rounds x**2 and x**3 apart
+    from the array one.  Phases of degree 3-5 with O(1) higher terms, on
+    boxes 0.5 to 2 away from the origin in each coordinate, where those
+    powers reach the last bits of hi."""
+    rng = np.random.default_rng(seed)
+    phi = BivariatePoly(degree, {(j, k): float(rng.normal())
+                                 for j in range(degree + 1) for k in range(degree + 1 - j)})
+    centers = rng.uniform(0.5, 2.0, (n, 2)) * rng.choice([-1.0, 1.0], (n, 2))
+    sides = 10.0 ** rng.uniform(-3.0, -0.5, (n, 2))
+    thetas = rng.uniform(0.0, math.pi, n)
+    if congruent:
+        sides[:], thetas[:] = sides[0], thetas[0]
+    boxes = [rotated_rectangle(c, w, h, t) for c, (w, h), t in zip(centers, sides, thetas)]
+    edges = np.array([b.edge_matrix for b in boxes])
+    if congruent:
+        edges = edges[0]
+    centers = np.array([b.center for b in boxes])
+    lo, hi, t = _bracket(phi.coeffs, edges, centers)
+    rows = boxes_flatness(phi, centers, edges, 1.0, 1.0)
+    assert (rows.lo.tobytes(), rows.hi.tobytes()) == (lo.tobytes(), hi.tobytes())
+    for k, box in enumerate(boxes):
+        assert [v.hex() for v in flat_defect_interval(phi, box)] == [lo[k].hex(), hi[k].hex()]
+        # flat at the row's upper end, not one ulp below it
+        assert is_flat(phi, box, hi[k], 1.0)
+        assert not is_flat(phi, box, math.nextafter(hi[k], 0.0), 1.0)
+        tk = t if t.ndim == 1 else t[k]
+
+        def row_split(phi_, box_, k=k, tk=tk, box=box):
+            c, d_half = np.asarray(box.center), box.edge_matrix @ tk
+            return float(lo[k]), float(hi[k]), tuple(c + d_half), tuple(c - d_half)
+
+        got = flat_defect(phi, box, m=3, polish=False)
+        with mock.patch.object(flatness, "_split_interval", row_split):
+            want = flat_defect(phi, box, m=3, polish=False)
+        assert _report_bits(got) == _report_bits(want)
 
 
 def test_method_validation():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from flatcover.cover import build_cover_hp, canonical_caps, verify_cover
 from flatcover.flatness import flat_defect
 from flatcover.geometry import axis_rectangle, rotated_rectangle
-from flatcover.poly2 import BivariatePoly, hyperbolic_phase, perturbed_hyperbolic
+from flatcover.poly2 import BivariatePoly, elliptic_phase, hyperbolic_phase, perturbed_hyperbolic
 from flatcover.rescale import pullback_cover, rescale_phase, verify_coeff_bounds
 
 
@@ -117,3 +118,40 @@ def test_pullback_rejects_wrong_phase():
     steep = BivariatePoly(2, {(1, 1): 1.0 / sigma})
     with pytest.raises(ValueError):
         pullback_cover(inner, res, steep)
+
+
+def _rescale_digest(results) -> str:
+    """sha256 of the float.hex of every output of ``rescale_phase``, the
+    coefficient maps in their key order."""
+    h = hashlib.sha256()
+    for res in results:
+        fields = (*res.L.mat[0], *res.L.mat[1], *res.L.off, res.sigma, res.sigma_eff, res.alpha)
+        h.update(" ".join(float(v).hex() for v in fields).encode())
+        for coeffs in (res.phi_tilde.coeffs, res.b_coeffs):
+            h.update(repr([(jk, float(a).hex()) for jk, a in coeffs.items()]).encode())
+        h.update(str(res.phi_tilde.degree).encode())
+    return h.hexdigest()[:16]
+
+
+def test_rescale_phase_outputs_are_pinned():
+    """``rescale_phase`` on 48 cover members each of a degree-3 phase at
+    2^-8 and a degree-4 phase at 2^-10, and on axis boxes of -xy, whose
+    null slope has no finite value (the normalizer rotates first): every
+    output bit and key order as pinned.  A phase with det H >= 0 at the
+    box is refused."""
+    rng = np.random.default_rng(20261017)
+    results = []
+    for degree, e in ((3, 8), (4, 10)):
+        phi = perturbed_hyperbolic(degree, rng)
+        cov = build_cover_hp(phi, 2.0 ** -e, 4.0)
+        for box in cov.sample_members(np.random.default_rng(e), 48):
+            results.append(rescale_phase(phi, box, sigma=2.0 ** -e))
+    minus_xy = BivariatePoly(2, {(1, 1): -1.0})
+    sigma, alpha = 2.0 ** -6, 4.0
+    for x0, y0 in rng.uniform(0.0, 0.7, (6, 2)):
+        box = axis_rectangle(x0, y0, x0 + 1 / alpha, y0 + sigma * alpha)
+        results.append(rescale_phase(minus_xy, box, sigma))
+    assert _rescale_digest(results) == "e417cb054e51e25a"
+    square = axis_rectangle(0.0, 0.0, 2.0 ** -4, 2.0 ** -4)
+    with pytest.raises(ValueError, match="saddle normalization needs det H < 0"):
+        rescale_phase(elliptic_phase(), square, 2.0 ** -8)
