@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -39,7 +40,6 @@ from .flatness import (
     tiling_flatness,
 )
 from .geometry import (
-    _CONTAIN_TOL,
     AffineMap2,
     BBox,
     Parallelogram,
@@ -63,7 +63,7 @@ from .poly2 import (
 # need |det H| > 1/_M_CONST; recursion depth is capped at 4*log_M(1/delta).
 _M_CONST = 4
 
-# point-member pairs per chunk of the loose members' incidence pass
+# point-box pairs per chunk of the stacked loose-member count and world-distance pass
 _LOOSE_PAIRS = 8192
 
 _NINE_OFFSETS = np.array(
@@ -120,76 +120,48 @@ class Incidence(NamedTuple):
         return self.grid.tile_coords(self.local[self.pidx], self.ii, self.jj)
 
 
-def _near_chunks(centers, e1, e2, pts: np.ndarray, tol: float):
-    """(lo, near) per chunk of at most ``_LOOSE_PAIRS`` box-point pairs
-    (and at least one box), by one stacked ``box_distances`` pass: point p
-    lies within world distance tol (1 + 1e-12) of box lo + r iff near[r, p]."""
-    step = max(1, _LOOSE_PAIRS // max(len(pts), 1))
-    for lo in range(0, len(centers), step):
-        hi = lo + step
-        yield lo, box_distances(centers[lo:hi], e1[lo:hi], e2[lo:hi], pts) <= tol * (1 + 1e-12)
-
-
-def _loose_takes(boxes: List[Parallelogram], pts: np.ndarray, tol: Optional[float]):
-    """Per chunk of at most ``_LOOSE_PAIRS`` point-member pairs (and at
-    least one member): frame coordinates ``local``, f = local + 1/2, which
-    members take which points (``take``) and which are decided in world
-    distance.  Each member is the one tile of the unit square centered at
-    the origin, behind the frame (2E, c) that maps it onto the member
-    exactly: E its edge matrix, c its center.  The stacked inverse and
-    matmul form every member's frame coordinates with the float
-    operations of ``frame.inverse().apply`` (numpy runs the same product
-    member by member), which matters: sample midpoints fall exactly on
-    the dyadic edges of deep patches.  The unit tile's one cell is
-    [0, 1]^2 in f, so ``point_tiles``' tests reduce to closed form:
-
-    * tol None: f in [-s, 1 + s]^2, s = 1e-12 the outer boundary's slack;
-    * tol = 0, and tol > 0 behind a similarity of scale m: per axis
-      d = max(max(0 - f, f - 1) - slack, 0), slack = 5e-10 at tol = 0,
-      and d.d <= t^2 (1 + 1e-12) with t = tol / m;
-    * tol > 0 behind any other frame: world distance to the member at
-      most tol (1 + 1e-12), by ``_near_chunks``.
-    """
+def _loose_counts(boxes: List[Parallelogram], pts: np.ndarray) -> np.ndarray:
+    """How many loose members take each point at tol None, as their
+    one-tile tilings in ``incidences`` do: member (E, c) is the tile of
+    the unit square centered at the origin behind the frame (2E, c), and
+    its one cell, [0, 1]^2 in f = local + 1/2, takes p iff f lies in
+    [-s, 1 + s]^2, s = 1e-12 the outer boundary's slack.  The stacked
+    inverse and matmul repeat ``frame.inverse().apply`` bit for bit (numpy
+    runs the same product member by member), which matters: sample
+    midpoints fall exactly on the dyadic edges of deep patches."""
     centers = np.array([b.center for b in boxes], dtype=float)
-    e1 = np.array([b.e1 for b in boxes], dtype=float)
-    e2 = np.array([b.e2 for b in boxes], dtype=float)
-    frames = 2.0 * np.stack([e1, e2], axis=-1)
+    frames = 2.0 * np.stack([np.array([b.e1 for b in boxes], dtype=float),
+                             np.array([b.e2 for b in boxes], dtype=float)], axis=-1)
     inv = np.linalg.inv(frames)
     off = np.matmul(-inv, centers[:, :, None])[:, :, 0]
-    scales = [_similarity_scale(f) for f in frames] if tol else [1.0] * len(boxes)
-    world = np.array([m is None for m in scales])
-    lim = np.array([(tol or 0.0) / (m or 1.0) for m in scales])
-    lim = lim * lim * (1 + 1e-12)
-    slack = 0.5 * _CONTAIN_TOL if tol == 0 else 0.0
+    out = np.zeros(len(pts), dtype=np.int64)
     step = max(1, _LOOSE_PAIRS // max(len(pts), 1))
     for lo in range(0, len(boxes), step):
-        hi = min(lo + step, len(boxes))
-        local = np.matmul(pts, inv[lo:hi].transpose(0, 2, 1)) + off[lo:hi, None, :]
+        local = np.matmul(pts, inv[lo:lo + step].transpose(0, 2, 1)) + off[lo:lo + step, None, :]
         f = local + 0.5
-        if tol is None:
-            inside = (f >= -1e-12) & (f <= 1 + 1e-12)
-            take = inside[..., 0] & inside[..., 1]
-        else:
-            d = np.maximum(np.maximum(0.0 - f, f - 1.0) - slack, 0.0)
-            take = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] <= lim[lo:hi, None]
-            far = lo + np.flatnonzero(world[lo:hi])
-            for at, near in _near_chunks(centers[far], e1[far], e2[far], pts, tol):
-                take[far[at:at + len(near)] - lo] = near
-        yield local, f, take, world[lo:hi]
+        inside = (f >= -1e-12) & (f <= 1 + 1e-12)
+        out += (inside[..., 0] & inside[..., 1]).sum(axis=0)
+    return out
 
 
 def _tiles_within(part: FramedGroups, grid: TileGrid, pts: np.ndarray, tol: float):
-    """``grid.point_tiles`` at tol > 0 in world distance (``_near_chunks``):
-    the rule for tilings behind a frame that is not a similarity.  The
-    stacked matmul gives each tile's center as ``world_box`` does."""
+    """``grid.point_tiles`` at tol > 0 in world distance: the rule for
+    tilings behind a frame that is not a similarity.  Point p is taken by
+    a kept tile iff its ``box_distances`` is at most tol (1 + 1e-12), one
+    stacked pass per chunk of at most ``_LOOSE_PAIRS`` tile-point pairs
+    (and at least one tile).  The stacked matmul gives each tile's center
+    as ``world_box`` does."""
     idx = grid.kept_indices()
     edges = part.world_box(grid.tile(grid.i0, grid.j0))
     mat = part.frame.matrix
     centers = np.matmul(grid.centers()[:, None, :], mat.T)[:, 0, :] + part.frame.offset
     e1, e2 = (np.broadcast_to(e, centers.shape) for e in (edges.e1, edges.e2))
+    step = max(1, _LOOSE_PAIRS // max(len(pts), 1))
     found = [(np.zeros(0, dtype=np.int64),) * 2]
-    for lo, near in _near_chunks(centers, e1, e2, pts, tol):
-        b, k = np.nonzero(near)
+    for lo in range(0, len(centers), step):
+        hi = lo + step
+        b, k = np.nonzero(box_distances(centers[lo:hi], e1[lo:hi], e2[lo:hi], pts)
+                          <= tol * (1 + 1e-12))
         found.append((b + lo, k))
     b, k = (np.concatenate(a) for a in zip(*found))
     return k, idx[b, 0], idx[b, 1]
@@ -271,21 +243,26 @@ class FlatCover:
         yield from self.loose
 
     def incidences(self, points, tol: Optional[float] = None) -> Iterator[Incidence]:
-        """Which members take which points, one tiling (or loose member)
-        at a time in ``iter_members`` order; the loose members are located
-        together, by ``_loose_takes``.
+        """Which members take which points, one tiling at a time in
+        ``iter_members`` order.  A loose member is the one-tile tiling it
+        is: the tile of the unit square centered at the origin, behind the
+        frame (2E, c) that maps it onto the member exactly, E its edge
+        matrix and c its center.
 
         ``tol`` is a world distance under ``TileGrid.point_tiles``' rules:
         None takes half-open cells (a tiling's outer boundary, so a whole
         loose member, closed), 0 the closed member with the slack of
         ``Parallelogram.contains``, tol > 0 every point within distance
         tol.  Behind a similarity frame tol > 0 becomes tol / scale; behind
-        any other it is decided member by member in world distance.
+        any other it is decided tile by tile in world distance.
         """
         if tol is not None and not 0.0 <= tol < math.inf:
             raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        for part in self.parts:
+        unit = make_tile_grid(1.0, 1.0, 0.0, (-0.5, -0.5, 0.5, 0.5)) if self.loose else None
+        loose = (FramedGroups(AffineMap2(tuple(map(tuple, 2.0 * b.edge_matrix)), b.center),
+                              [unit]) for b in self.loose)
+        for part in chain(self.parts, loose):
             local = pts if part.frame is None else part.frame.inverse().apply(pts)
             scale = 1.0 if part.frame is None else _similarity_scale(part.frame.matrix)
             for grid in part.groups:
@@ -296,15 +273,6 @@ class FlatCover:
                 else:
                     found = _tiles_within(part, grid, pts, tol)
                 yield Incidence(grid, local, *found)
-        if self.loose:
-            unit = make_tile_grid(1.0, 1.0, 0.0, (-0.5, -0.5, 0.5, 0.5))
-            for local, f, take, world in _loose_takes(self.loose, pts, tol):
-                for r in range(len(take)):
-                    k = np.flatnonzero(take[r])
-                    if tol is not None and not world[r]:  # point_tiles' order
-                        k = k[np.lexsort((k, -np.floor(f[r, k, 1]), -np.floor(f[r, k, 0])))]
-                    cell = np.zeros(len(k), dtype=np.int64)
-                    yield Incidence(unit, local[r], k, cell, cell)
 
     def membership_counts(self, points) -> np.ndarray:
         """How many members take each point (``incidences`` at tol None).
@@ -312,8 +280,8 @@ class FlatCover:
         A partition tiling (``_partition_margins``) takes each point lying
         inside its domain by its margin exactly once, so it adds 1 there
         without locating the point; ``point_tiles`` places only the other
-        points, and every point for the other tilings.  The loose members'
-        counts are the column sums of ``_loose_takes``' take matrices.
+        points, and every point for the other tilings.  The loose members
+        are counted together, by ``_loose_counts``.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(len(pts), dtype=np.int64)
@@ -337,8 +305,7 @@ class FlatCover:
                     out += np.bincount(rest[grid.point_tiles(local[rest])[0]],
                                        minlength=len(pts))
         if self.loose:
-            for _, _, take, _ in _loose_takes(self.loose, pts, None):
-                out += take.sum(axis=0)
+            out += _loose_counts(self.loose, pts)
         return out
 
     def sample_members(self, rng: np.random.Generator, k: int) -> List[Parallelogram]:
@@ -417,43 +384,47 @@ class FlatCover:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "FlatCover":
+        """Refuses non-finite numbers, dropped cells that are not integer
+        cells of their grid's index range, and zero-area loose members."""
         try:
             parts = []
             for prec in obj.get("parts", []):
-                frame = None
-                if prec.get("frame") is not None:
-                    frame = AffineMap2(
-                        tuple(map(tuple, prec["frame"]["matrix"])),
-                        tuple(prec["frame"]["offset"]),
-                    )
+                frame = prec.get("frame")
+                if frame is not None:
+                    mat, off = (np.array(frame[k], dtype=float) for k in ("matrix", "offset"))
+                    if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(off))):
+                        raise ValueError("non-finite frame")
+                    frame = AffineMap2(tuple(map(tuple, mat)), tuple(off))
                 groups = []
                 for rec in prec["groups"]:
                     grid = TileGrid(
                         float(rec["w"]), float(rec["h"]), float(rec["theta"]),
                         (float(rec["anchor"][0]), float(rec["anchor"][1])),
-                        int(rec["i0"]), int(rec["i1"]),
-                        int(rec["j0"]), int(rec["j1"]),
-                        domain=tuple(rec["domain"]),
-                        alpha=rec.get("alpha"), beta=rec.get("beta"),
+                        int(rec["i0"]), int(rec["i1"]), int(rec["j0"]), int(rec["j1"]),
+                        domain=tuple(rec["domain"]), alpha=rec.get("alpha"), beta=rec.get("beta"),
                     )
+                    if not np.all(np.isfinite((grid.w, grid.h, grid.theta)
+                                              + grid.anchor + grid.domain)):
+                        raise ValueError("non-finite grid")
                     if rec.get("drop"):
-                        keep = np.ones((grid.ni, grid.nj), dtype=bool)
-                        for i, j in rec["drop"]:
-                            keep[int(i) - grid.i0, int(j) - grid.j0] = False
-                        grid.keep = keep
+                        drop, lo = np.array(rec["drop"], dtype=float), (grid.i0, grid.j0)
+                        if (drop.ndim != 2 or drop.shape[1] != 2 or np.any(drop != np.floor(drop))
+                                or np.any((drop < lo) | (drop >= (grid.i1, grid.j1)))):
+                            raise ValueError(f"drop entries must be integer cells of [{grid.i0}, "
+                                             f"{grid.i1}) x [{grid.j0}, {grid.j1})")
+                        ij = (drop - lo).astype(np.int64)
+                        grid.keep = np.ones((grid.ni, grid.nj), dtype=bool)
+                        grid.keep[ij[:, 0], ij[:, 1]] = False
                     groups.append(grid)
                 parts.append(FramedGroups(frame, groups))
             loose = [Parallelogram.from_json_dict(m) for m in obj.get("loose", [])]
             _require_a_const(float(obj["A"]))
-            return FlatCover(
-                float(obj["delta"]),
-                float(obj["A"]),
-                parts=parts,
-                loose=loose,
-                kind=obj.get("kind", "generic"),
-                domain=tuple(obj.get("domain", UNIT_SQUARE)),
-            )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            cover = FlatCover(float(obj["delta"]), float(obj["A"]), parts, loose,
+                              obj.get("kind", "generic"), tuple(obj.get("domain", UNIT_SQUARE)))
+            if not np.all(np.isfinite((cover.delta,) + cover.domain)):
+                raise ValueError("non-finite delta or domain")
+            return cover
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ValueError(f"malformed cover record: {exc}") from exc
 
 
@@ -837,20 +808,18 @@ def verify_cover(
     Every member is decided by the certified bracket alone, tiling by
     tiling as ``tiling_flatness`` decides it (``_members_flatness``): a
     member is flat iff its upper end ``hi`` is at most ``a_const * delta``.
-    ``worst_defect`` is the largest ``hi``, a certified upper bound on
-    every member's defect, and ``min_a_flat = worst_defect / delta`` is
-    the smallest A at which every member passes.
+    ``worst_defect`` is the largest ``hi`` (NaN if any is), a certified
+    upper bound on every member's defect, and ``min_a_flat =
+    worst_defect / delta`` is the smallest A at which every member passes.
     """
     prof = overlap_profile(cover, n)
     delta = cover.delta
     a_const = cover.a_const if a_const is None else a_const
-    worst = -1.0
-    all_flat = True
+    worst, all_flat = -1.0, True
     for rep in _members_flatness(cover, phi, delta, a_const):
-        if len(rep.hi) == 0:
-            continue
-        all_flat = all_flat and bool(rep.flat.all())
-        worst = max(worst, float(rep.hi.max()))
+        if len(rep.hi):
+            all_flat = all_flat and bool(rep.flat.all())
+            worst = float(np.max(rep.hi, initial=worst))  # a NaN end stays NaN
     bound = cover.overlap_bound()
     covers = prof.min >= 1
     overlap_ok = prof.max <= bound

@@ -93,11 +93,17 @@ class Parallelogram:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "Parallelogram":
-        """Keys other than center, e1 and e2 are ignored."""
+        """Keys other than center, e1 and e2 are ignored.  Refuses
+        non-finite numbers and zero area."""
         try:
-            return Parallelogram(tuple(obj["center"]), tuple(obj["e1"]), tuple(obj["e2"]))
+            box = Parallelogram(tuple(obj["center"]), tuple(obj["e1"]), tuple(obj["e2"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed parallelogram record: {exc}") from exc
+        (a, b), (c, d) = box.e1, box.e2
+        if not np.all(np.isfinite(box.center + box.e1 + box.e2)) or a * d - c * b == 0.0:
+            raise ValueError(f"malformed parallelogram record: {obj!r} is not a finite box "
+                             "of positive area")
+        return box
 
 
 def box_coords(centers, e1, e2, points) -> np.ndarray:

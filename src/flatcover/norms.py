@@ -1097,8 +1097,11 @@ def _member_norms(f: ExpSum, blocks: Sequence[np.ndarray], p: float,
     Raises the first member's ValueError (in block order) when a member
     has no exact path within _FFT_BUDGET.  Raises ValueError before any
     work when p is finite and the p-th power of some member's l1 norm of
-    weights, which bounds |f|^p, is not a finite float, and before any
-    lattice is sized when one of its lengths is not (``_fft_shape``).
+    weights, which bounds |f|^p, is not a finite float; when 2 <= p <= 4
+    _FFT_BUDGET and the p-th power of a member's l2 norm of weights, which
+    bounds the mean of |f|^p from below, is below 2^-969 (all-zero weights
+    exempt); and before any lattice is sized when one of its lengths is
+    not a finite float (``_fft_shape``).
     """
     m = len(blocks)
     lens = np.array([len(b) for b in blocks], dtype=np.int64)
@@ -1106,7 +1109,9 @@ def _member_norms(f: ExpSum, blocks: Sequence[np.ndarray], p: float,
     seg = np.repeat(np.arange(m), lens)
     starts = _seg_starts(lens)
     if not math.isinf(p):
-        l1 = float(np.add.reduceat(np.abs(f.weights[idx]), starts).max())
+        absw = np.abs(f.weights[idx])
+        l1s = np.add.reduceat(absw, starts)
+        l1 = float(l1s.max())
         try:
             bound = l1 ** float(p)
         except OverflowError:
@@ -1114,6 +1119,17 @@ def _member_norms(f: ExpSum, blocks: Sequence[np.ndarray], p: float,
         if not math.isfinite(bound):
             raise ValueError(f"|f|^p may overflow: the weights' l1 norm {l1:.6g} to the "
                              f"power p = {p:.6g} is past the float range")
+        # mean |f|^p >= (mean |f|^2)^(p/2) = l2^p; below 2^-969 the cells
+        # that flush to zero may cost more than 2^-53 of it.  Past p = 4
+        # _FFT_BUDGET no field has room for a live axis of p / 2 cells, so
+        # the lattice sizing refuses such a p first.
+        if 2 <= p <= 4 * _FFT_BUDGET:
+            sq = np.add.reduceat(absw * absw, starts)
+            low = sq[(l1s > 0) & (sq ** (p / 2) < 2.0 ** -969)]
+            if len(low):
+                raise ValueError(f"|f|^p may underflow: a member's l2 norm of weights "
+                                 f"{math.sqrt(low.min()):.6g} to the power p = {p:.6g} is "
+                                 "below 2^-969")
     lifted = f.lifted()[idx]
     moved = np.zeros(m)
     product = np.zeros(m, dtype=bool)

@@ -144,6 +144,8 @@ class BivariatePoly:
             if len(entry) != 3:
                 raise ValueError(f"coefficient entry must be [j, k, value]: {entry}")
             j, k, a = int(entry[0]), int(entry[1]), float(entry[2])
+            if not np.isfinite(a):
+                raise ValueError(f"malformed phase record: coefficient ({j},{k}) is {a!r}")
             if j + k > degree:
                 raise ValueError(
                     f"coefficient ({j},{k}) exceeds declared degree {degree}"

@@ -8,6 +8,8 @@ import pytest
 from flatcover import cli
 from flatcover.cover import FlatCover
 from flatcover.lattice import pell_convergents
+from flatcover.norms import product_exp_sum
+from flatcover.poly2 import elliptic_phase
 
 
 def _reject_constant(name):
@@ -413,3 +415,50 @@ def test_cover_build_rejects_bad_a_const(tmp_path, capsys, kind, a_const):
     assert code == 1
     assert "A must be finite and positive" in err
     assert not out.exists()
+
+
+def _one_line_error(code, out, err, message):
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    {"drop": [[-1, 0]]},
+    {"drop": [[0.5, 0]]},
+    {"loose": [{"center": [0.5, 0.5], "e1": [float("nan"), 0.0], "e2": [0.0, 0.1]}]},
+    {"loose": [{"center": [0.5, 0.5], "e1": [0.1, 0.0], "e2": [0.2, 0.0]}]},
+])
+def test_cover_verify_refuses_a_malformed_cover_file(tmp_path, capsys, edit):
+    """Out-of-range and fractional dropped cells, a NaN loose half-edge
+    and a zero-area loose member exit 1 with one line (they dropped the
+    wrong cell, printed worst_defect -1.0, or raised numpy's bare
+    "Singular matrix")."""
+    cov_path = tmp_path / "caps.json"
+    run(capsys, "cover", "build", "--kind", "caps", "--delta", "2^-4", "--out", str(cov_path))
+    rec = json.loads(cov_path.read_text())
+    if "drop" in edit:
+        rec["parts"][0]["groups"][0].update(edit)
+    else:
+        rec.update(edit)
+    cov_path.write_text(json.dumps(rec))
+    _one_line_error(*run(capsys, "cover", "verify", "--cover", str(cov_path)),
+                    "malformed cover record: ")
+
+
+def test_cover_verify_refuses_a_nan_phase(tmp_path, capsys):
+    cov_path = tmp_path / "caps.json"
+    run(capsys, "cover", "build", "--kind", "caps", "--delta", "2^-4", "--out", str(cov_path))
+    phase = tmp_path / "nan.json"
+    phase.write_text(json.dumps({"degree": 3, "coeffs": [[3, 0, 1.0], [1, 1, float("nan")]]}))
+    _one_line_error(*run(capsys, "cover", "verify", "--cover", str(cov_path),
+                         "--phase", str(phase)), "malformed phase record: ")
+
+
+def test_decouple_refuses_a_p_whose_norm_underflows(capsys, monkeypatch):
+    """Weights of 1e-3 on four frequencies: at p = 200 the mean of |f|^p is
+    below 2^-969, and the command exits 1 where it printed a ratio of 0."""
+    monkeypatch.setattr(cli, "line_example", lambda delta: product_exp_sum(
+        elliptic_phase(), np.arange(4) / 4, [0.0], 1e-3 * np.ones(4)))
+    _one_line_error(*run(capsys, "decouple", "ratio", "--example", "line", "--p", "200",
+                         "--delta", "2^-4"), "may underflow")

@@ -1137,3 +1137,60 @@ def test_recipe_and_demo_tilings_keep_their_domain_masks(monkeypatch):
         else:
             assert g.keep is None
     assert None not in cover._partition_margins(made)
+
+
+def test_verify_cover_reports_a_nan_bracket_as_nan():
+    """A phase with a NaN coefficient brackets every member of the demo
+    cubic's 2^-5 cover as NaN: the report carries the NaN (it read
+    worst_defect -1.0 and min_a_flat -32.0) and fails flatness."""
+    cubic = BivariatePoly(3, {(3, 0): 1.0, (0, 3): 1.0, (1, 1): 1.0})
+    nan_phase = BivariatePoly(3, {(3, 0): 1.0, (0, 3): 1.0, (1, 1): math.nan})
+    rep = verify_cover(build_cover_general(cubic, 2.0 ** -5), nan_phase)
+    assert math.isnan(rep.worst_defect) and math.isnan(rep.min_a_flat)
+    assert not rep.all_flat and not rep.ok
+
+
+def _caps_record_with(edit):
+    rec = json.loads(json.dumps(canonical_caps(2.0 ** -4).to_json_dict()))
+    edit(rec)
+    return rec
+
+
+_GRID = lambda rec: rec["parts"][0]["groups"][0]  # noqa: E731
+_NAN = float("nan")
+BAD_COVER_EDITS = {
+    "negative drop": lambda r: _GRID(r).__setitem__("drop", [[-1, 0]]),
+    "fractional drop": lambda r: _GRID(r).__setitem__("drop", [[0.5, 0]]),
+    "drop past i1": lambda r: _GRID(r).__setitem__("drop", [[4, 0]]),
+    "drop past j1": lambda r: _GRID(r).__setitem__("drop", [[0, 4]]),
+    "drop triple": lambda r: _GRID(r).__setitem__("drop", [[1, 2, 3]]),
+    "nan drop": lambda r: _GRID(r).__setitem__("drop", [[_NAN, 0]]),
+    "nan side": lambda r: _GRID(r).__setitem__("w", _NAN),
+    "inf anchor": lambda r: _GRID(r).__setitem__("anchor", [0.0, math.inf]),
+    "nan domain": lambda r: _GRID(r).__setitem__("domain", [0.0, 0.0, _NAN, 1.0]),
+    "inf index": lambda r: _GRID(r).__setitem__("i1", math.inf),
+    "nan frame": lambda r: r["parts"][0].__setitem__(
+        "frame", {"matrix": [[1.0, 0.0], [0.0, _NAN]], "offset": [0.0, 0.0]}),
+    "nan delta": lambda r: r.__setitem__("delta", _NAN),
+    "nan loose edge": lambda r: r.__setitem__(
+        "loose", [{"center": [0.5, 0.5], "e1": [_NAN, 0.0], "e2": [0.0, 0.1]}]),
+    "zero-area loose": lambda r: r.__setitem__(
+        "loose", [{"center": [0.5, 0.5], "e1": [0.1, 0.0], "e2": [0.2, 0.0]}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_COVER_EDITS))
+def test_cover_json_refuses_bad_numbers_and_cells(name):
+    """On the 4 x 4 caps grid: drop entries must be integer cells of the
+    index range (-1 dropped cell (3, 0) through a negative index, 0.5
+    dropped (0, 0)), grid, frame and member numbers must be finite, and a
+    loose member must have positive area."""
+    with pytest.raises(ValueError, match="malformed cover record: "):
+        FlatCover.from_json_dict(_caps_record_with(BAD_COVER_EDITS[name]))
+
+
+def test_cover_json_drops_listed_cells_only():
+    cov = FlatCover.from_json_dict(_caps_record_with(
+        lambda r: _GRID(r).__setitem__("drop", [[3, 0], [0, 2.0], [3, 0]])))
+    keep = cov.parts[0].groups[0].keep
+    assert len(cov) == 14 and not keep[3, 0] and not keep[0, 2]

@@ -8,6 +8,7 @@ uniformly, so the walk's closed outer boundaries at tol = None differ
 from the half-open reference only on a null set."""
 
 import functools
+import hashlib
 import json
 import math
 
@@ -343,3 +344,62 @@ def test_overlap_per_tiling_matches_per_member_rule(w, h, thetas, corner, size, 
     np.testing.assert_array_equal(got[~edge], want[~edge])
     back = FlatCover.from_json_dict(json.loads(json.dumps(cover.to_json_dict())))
     np.testing.assert_array_equal(back.membership_counts(pts), got)
+
+
+def _loose_probe(name):
+    """(cover, points) of the loose-member tests: random points, the
+    overlap profile's midpoints, and each loose member's vertices and
+    edge midpoints, also pushed out by 1e-10 of a half edge."""
+    cover, to_region = cover_of(name)
+    pts = np.concatenate([np.random.default_rng(3).uniform(0.0, 1.0, size=(300, 2)),
+                          _sample_points(UNIT_SQUARE, 64)])
+    if to_region is not None:
+        pts = to_region.apply(pts)
+    rims = []
+    for box in cover.loose:
+        v = box.vertices()
+        rim = np.vstack([v, 0.5 * (v + np.roll(v, 1, axis=0))])
+        rims += [rim, box.center + (rim - box.center) * (1.0 + 1e-10)]
+    return cover, np.concatenate([pts] + rims)
+
+
+# sha256 over the loose members' incidences (local bytes, then pidx, ii
+# and jj as int64), as the stacked loose-member kernel gave them
+_LOOSE_DIGESTS = {
+    ("general", None): (5009, "2f46ff010d1781f9043754b7366e1295a7dd85a961ab40f1574dc0ba7bffd6b3"),
+    ("general", 0.0): (6673, "9709c771a35ae38679d54d8f0a79a5b4d15170c2f79491f61753f0575cb12f89"),
+    ("general", 2.0 ** -9): (6690,
+                             "56a7c0651e360041e64d058983ddeaca040bc7376c918a086be438841df6fb9a"),
+    ("general", 0.03): (11375, "2b5e446c145980bde6d9f01b7d72c80505d3cf0fe05ca3a30794904f1e15ddcb"),
+    ("loose", None): (5009, "66bf87abdbe912cc2f48df3cdb7ef6af007c03c81a2e1e88d1d6c18df5f829c4"),
+    ("loose", 0.0): (6673, "a65bf054dcc5e138133ccee9c86ad020bc2d972bf554f152b6c59e7d34e3073c"),
+    ("loose", 2.0 ** -9): (14033,
+                           "5f2516142afc0cbd353cee8d5d858d7168bc34377d6176526bb7a1b0793cba82"),
+    ("loose", 0.03): (119551, "3a23bf46b543bdd508098470287b05ee61b6a5d4228ec41d937a0631b1b86c13"),
+}
+
+
+@pytest.mark.parametrize("tol", [None, 0.0, 2.0 ** -9, 0.03])
+@pytest.mark.parametrize("name", ["general", "loose"])
+def test_loose_member_incidences_match_pinned_digest(name, tol):
+    """The loose members' incidences, bit for bit, against a digest of
+    the stacked kernel that located them before they were walked as
+    one-tile tilings."""
+    cover, pts = _loose_probe(name)
+    digest = hashlib.sha256()
+    taken = 0
+    for inc in list(cover.incidences(pts, tol))[-len(cover.loose):]:
+        digest.update(np.ascontiguousarray(inc.local).tobytes())
+        for a in (inc.pidx, inc.ii, inc.jj):
+            digest.update(np.asarray(a, dtype=np.int64).tobytes())
+        taken += len(inc.pidx)
+    assert (taken, digest.hexdigest()) == _LOOSE_DIGESTS[name, tol]
+
+
+@pytest.mark.parametrize("name", ["general", "loose"])
+def test_loose_overlap_counts_match_the_incidence_walk(name):
+    """The stacked tol-None count of ``membership_counts`` equals the walk
+    of ``incidences`` on covers with loose members, also on their rims."""
+    cover, pts = _loose_probe(name)
+    walk = sum(np.bincount(inc.pidx, minlength=len(pts)) for inc in cover.incidences(pts))
+    np.testing.assert_array_equal(cover.membership_counts(pts), walk)

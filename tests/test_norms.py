@@ -905,3 +905,28 @@ def test_half_spectrum_cases_halve_every_axis_kind():
         made |= _half_spectrum_check(_real_sum(kind, "elliptic", xs, ys, True, 0), p, r, 0.5)
     assert made >= {(2, 1, 0), (2, 1, 1), (2, 0, 0), (2, 0, 1),
                     (3, 2, 0), (3, 2, 1), (3, 0, 0), (3, 0, 1)}
+
+
+def _tiny_product_sum():
+    """Four frequencies of weight 1e-3: the l2 norm of weights is 2e-3."""
+    return product_exp_sum(elliptic_phase(), np.arange(4) / 4, [0.0], 1e-3 * np.ones(4))
+
+
+@pytest.mark.parametrize("p", [200, 1001])
+def test_p_whose_power_of_the_l2_norm_underflows_is_refused(p):
+    """mean |f|^p >= l2^p: at p = 200 (separable) and 1001 (riemann) that
+    bound, (2e-3)^p, is below 2^-969 and the cells flush to zero, so the
+    norm read 0.0 (reported exact at p = 200); it is refused instead."""
+    with pytest.raises(ValueError, match="may underflow: .* below 2\\^-969"):
+        expsum_lp(_tiny_product_sum(), p, 16)
+
+
+def test_p_just_above_the_underflow_edge_keeps_its_value():
+    rep = expsum_lp(_tiny_product_sum(), 100, 16)
+    assert (rep.method, rep.exact) == ("separable", True)
+    assert rep.value == pytest.approx(0.0037721226125492836, rel=1e-12)
+
+
+def test_all_zero_weights_are_exempt_from_the_underflow_check():
+    f = product_exp_sum(elliptic_phase(), np.arange(4) / 4, [0.0], np.zeros(4))
+    assert expsum_lp(f, 200, 16).value == 0.0

@@ -336,3 +336,9 @@ def test_zero_and_support_degree():
     assert z.support_degree() == 0
     p = BivariatePoly(5, {(1, 1): 2.0})
     assert p.support_degree() == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_from_json_refuses_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match=r"malformed phase record: coefficient \(1,1\)"):
+        BivariatePoly.from_json_dict({"degree": 3, "coeffs": [[3, 0, 1.0], [1, 1, bad]]})
