@@ -817,9 +817,8 @@ def verify_cover(
     a_const = cover.a_const if a_const is None else a_const
     worst, all_flat = -1.0, True
     for rep in _members_flatness(cover, phi, delta, a_const):
-        if len(rep.hi):
-            all_flat = all_flat and bool(rep.flat.all())
-            worst = float(np.max(rep.hi, initial=worst))  # a NaN end stays NaN
+        all_flat = all_flat and bool(rep.flat.all())
+        worst = float(np.max(rep.hi, initial=worst))  # a NaN end stays NaN
     bound = cover.overlap_bound()
     covers = prof.min >= 1
     overlap_ok = prof.max <= bound
